@@ -278,6 +278,8 @@ def verify_triple_product(N: int = 12) -> Report:
     sum q0^n q1^{n^2/2}, exactly to grade N."""
     statement = ("the eta function times the two-variable product character is "
                  "the integral charge theta sum")
+    if N < 0:
+        raise ValueError("the grade N must be non-negative")
     lhs = (_eta_multi(1, N) * omega_series(1, N)).truncate(N)
     rhs = MultiSeries.zero(1, N)
     n = 0

@@ -29,10 +29,10 @@ from fractions import Fraction as F
 from .characters import (V_series, omega_series, verify_elliptic_transform,
                          verify_theta_expansion, verify_triple_product,
                          verify_v_consistency)
-from .correlators import (DivisorHit, EvalPoint, FormalDivergence,
-                          verify_npoint, verify_poch_telescope, verify_qgauss)
+from .correlators import (EvalPoint, FormalDivergence, verify_npoint,
+                          verify_poch_telescope, verify_qgauss)
 from .partitions import q_bracket
-from .qdiff import (DivergentPoint, SimpleZeroViolated, verify_cyclic_identity,
+from .qdiff import (SimpleZeroViolated, verify_cyclic_identity,
                     verify_diffeq_f, verify_diffeq_h, verify_diffeq_t,
                     verify_phi_vanish, verify_r_diffeq, verify_residue,
                     verify_t_vanish)
@@ -227,8 +227,9 @@ REGISTRY = {
     "v-consistency": _run_v_consistency,
 }
 
-_PARAM_ERRORS = (SeriesError, FormalDivergence, DivergentPoint, DivisorHit,
-                 SimpleZeroViolated, FitError, ValueError, ZeroDivisionError)
+# DivisorHit and DivergentPoint are ValueErrors
+_PARAM_ERRORS = (SeriesError, FormalDivergence, SimpleZeroViolated, FitError,
+                 ValueError, ZeroDivisionError)
 
 
 def _cmd_verify(a) -> int:

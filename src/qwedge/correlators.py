@@ -18,12 +18,12 @@ from .partitions import partitions_of
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, euler_product, q_pochhammer
 from .setparts import set_partitions, sign
-from .special import theta_deriv_series
+from .special import ThetaLattice, theta_deriv_series
 
 F = Fraction
 
 
-class DivisorHit(Exception):
+class DivisorHit(ValueError):
     """A subset product of the t's equals 1, putting the point on the theta divisor."""
 
     def __init__(self, subset: tuple[int, ...]):
@@ -264,10 +264,6 @@ def f_via_blocks(point: EvalPoint, order: int) -> QSeries:
 # -- theta closed forms ------------------------------------------------------------
 
 
-def _theta(k: int, s: Fraction, order: int, shift: int) -> QSeries:
-    return theta_deriv_series(k, s, order, shift)
-
-
 def _det(mat: list[list[QSeries | None]], order: int) -> QSeries:
     """Cofactor expansion; None entries are exact zeros."""
     n = len(mat)
@@ -292,12 +288,15 @@ def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None
 
     shifts[k] multiplies t_k by q^{shifts[k]}, which the theta factors absorb as
     exponent shifts; entries with factorial of a negative number are exact zeros.
+    Each determinant term and the denominator hold n theta factors, so (q)_inf^{-3}
+    cancels and both are built from lattice sums.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
+    lattice = ThetaLattice(order)
     total = None
     for perm in itertools.permutations(range(n)):
         prefix_s = [point.s_prod(perm[:m]) for m in range(n + 1)]
@@ -311,14 +310,12 @@ def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None
                     row.append(None)
                 else:
                     arg = n - j
-                    th = _theta(k, prefix_s[arg], order, prefix_j[arg])
+                    th = lattice.sum(k, prefix_s[arg], prefix_j[arg])
                     row.append(th * F(1, math.factorial(k)))
             mat.append(row)
-        det = _det(mat, order)
-        denom = QSeries.one(order)
+        term = _det(mat, order)
         for m in range(1, n + 1):
-            denom = denom * _theta(0, prefix_s[m], order, prefix_j[m])
-        term = det * denom.inv()
+            term = term * lattice.inverse(prefix_s[m], prefix_j[m])
         total = term if total is None else total + term
     return total
 
@@ -329,31 +326,32 @@ def t_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None
     sum over ordered set partitions gamma of (-1)^{n + l} Theta^{(#gamma_1)}(1)
     * prod_{k >= 2} Theta^{(#gamma_k)}(prod of t over gamma_1..gamma_{k-1})
                   / Theta(same argument).
+
+    Only the leading factor keeps its (q)_inf^{-3}; it is applied once, to the sum.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
+    lattice = ThetaLattice(order)
     items = tuple(range(1, n + 1))
     total = QSeries.zero(order)
     for pi in set_partitions(items):
         for gamma in itertools.permutations(pi):
             if len(gamma[0]) % 2 == 0:
                 continue  # the invariant derivative at 1 vanishes for even order
-            term = _theta(len(gamma[0]), ONE, order, 0)
+            term = lattice.sum(len(gamma[0]), ONE, 0)
             union: list[int] = list(gamma[0])
             for block in gamma[1:]:
                 s_arg = point.s_prod(i - 1 for i in union)
                 j_arg = sum(shifts[i - 1] for i in union)
-                num = _theta(len(block), s_arg, order, j_arg)
-                den = _theta(0, s_arg, order, j_arg)
-                term = term * num * den.inv()
+                term = term * lattice.ratio(len(block), s_arg, j_arg)
                 union.extend(block)
             if sign(n, len(gamma)) < 0:
                 term = -term
             total = total + term
-    return total
+    return total * (euler_product(order).inv() ** 3)
 
 
 def t_series_via_u(point: EvalPoint, order: int,
@@ -361,7 +359,7 @@ def t_series_via_u(point: EvalPoint, order: int,
     n = point.n
     if shifts is None:
         shifts = (0,) * n
-    full = _theta(0, point.s_prod(range(n)), order, sum(shifts))
+    full = theta_deriv_series(0, point.s_prod(range(n)), order, sum(shifts))
     return full * u_series(point, order, shifts)
 
 

@@ -32,12 +32,12 @@ from .setparts import (
     sign,
     stabilizer_multiplicity,
 )
-from .special import theta_deriv_series, theta_deriv_value
+from .special import ThetaLattice, theta_deriv_value
 
 F = Fraction
 
 
-class DivergentPoint(Exception):
+class DivergentPoint(ValueError):
     """Some subset product of the t values falls outside (q0, 1/q0), so the
     partition sum cannot stabilize at this point."""
 
@@ -246,20 +246,20 @@ def verify_diffeq_t(s_values, order: int) -> Report:
 def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
              shifts: tuple[int, ...] | None = None) -> QSeries:
     """The composition sum of invariant theta-derivative ratios with an auxiliary
-    variable t_0 = s0^2 q^{j0} joined to every prefix product.
+    variable t_0 = s0^2 q^{j0} joined to every prefix product.  Each ratio is
+    taken of lattice sums, since (q)_inf^{-3} cancels in it.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     s0 = F(s0)
+    lattice = ThetaLattice(order)
     total = QSeries.zero(order)
     for gamma in compositions(tuple(range(1, n + 1))):
         term = None
         s_acc, j_acc = s0, j0
         for block in gamma:
-            num = theta_deriv_series(len(block), s_acc, order, j_acc)
-            den = theta_deriv_series(0, s_acc, order, j_acc)
-            factor = num * den.inv()
+            factor = lattice.ratio(len(block), s_acc, j_acc)
             term = factor if term is None else term * factor
             for i in block:
                 s_acc *= point.s[i - 1]

@@ -147,6 +147,8 @@ def verify_counts(n_max: int = 8) -> Report:
     """
     statement = ("alternating block-count sums over set partitions and ordered set "
                  "partitions collapse to 0/1 constants")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     sums1, sums2, sums3 = [], [], []
     status = "pass"
     for n in range(1, n_max + 1):

@@ -5,6 +5,10 @@ with its invariant derivatives.
 All theta machinery works at multiplicative points x = s^2 * q^shift with s an exact
 positive rational, so every series coefficient stays a Fraction.  The square root
 x^{1/2} always means the positive branch s * q^{shift/2}.
+
+Theta is the lattice sum `theta_lattice_series` times (q)_inf^{-3}.  The theta
+closed forms (correlators, qdiff) are ratios in which that factor cancels, so
+they are assembled from the lattice sums and apply (q)_inf^{-3} at most once.
 """
 
 from __future__ import annotations
@@ -125,12 +129,12 @@ def _theta_exponent(n: int, shift: int) -> Fraction:
     return F(n * (n + 1), 2) + shift * (n + F(1, 2)) if shift else F(n * (n + 1), 2)
 
 
-def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
-    """(x d/dx)^k Theta at x = s^2 q^shift, as a q-series valid to relative `order`.
+def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
+    """The bare lattice sum sum_n (-1)^n (n+1/2)^k q^{n(n+1)/2} x^{n+1/2} at
+    x = s^2 q^shift, valid to relative `order`: (x d/dx)^k Theta without its
+    (q)_inf^{-3} factor.  Only O(sqrt(order)) coefficients are nonzero.
 
-    Theta(x) = (q)_inf^{-3} sum_n (-1)^n (n+1/2)^0 q^{n(n+1)/2} x^{n+1/2}; the
-    derivative inserts (n+1/2)^k.  The positive square-root branch makes
-    x^{n+1/2} = s^{2n+1} q^{shift(n+1/2)}.
+    The positive square-root branch makes x^{n+1/2} = s^{2n+1} q^{shift(n+1/2)}.
     """
     s = F(s)
     if s <= 0:
@@ -154,8 +158,51 @@ def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeri
         assert idx.denominator == 1
         if idx.numerator <= order:
             coeffs[idx.numerator] += c
-    body = QSeries(e_min, tuple(coeffs))
-    return body * (euler_product(order).inv() ** 3)
+    return QSeries(e_min, tuple(coeffs))
+
+
+def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
+    """(x d/dx)^k Theta at x = s^2 q^shift, as a q-series valid to relative `order`.
+
+    Theta(x) = (q)_inf^{-3} sum_n (-1)^n q^{n(n+1)/2} x^{n+1/2}; the derivative
+    inserts (n+1/2)^k into the lattice sum (`theta_lattice_series`).
+    """
+    return theta_lattice_series(k, s, order, shift) * (euler_product(order).inv() ** 3)
+
+
+class ThetaLattice:
+    """The lattice sums and ratios lattice_k * lattice_0^{-1} that one theta closed
+    form needs at one order, each built on first use and kept by (k, s, shift).
+
+    Create one per closed-form evaluation; it holds what it built only as long
+    as that evaluation keeps it.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self._sums: dict[tuple, QSeries] = {}
+        self._inverses: dict[tuple, QSeries] = {}
+        self._ratios: dict[tuple, QSeries] = {}
+
+    def sum(self, k: int, s: Fraction, shift: int) -> QSeries:
+        key = (k, s, shift)
+        if key not in self._sums:
+            self._sums[key] = theta_lattice_series(k, s, self.order, shift)
+        return self._sums[key]
+
+    def inverse(self, s: Fraction, shift: int) -> QSeries:
+        """lattice_0^{-1}: Theta(x)^{-1} without its (q)_inf^3."""
+        key = (s, shift)
+        if key not in self._inverses:
+            self._inverses[key] = self.sum(0, s, shift).inv()
+        return self._inverses[key]
+
+    def ratio(self, k: int, s: Fraction, shift: int) -> QSeries:
+        """Theta^{(k)}(x) / Theta(x), exactly: the factor (q)_inf^{-3} cancels."""
+        key = (k, s, shift)
+        if key not in self._ratios:
+            self._ratios[key] = self.sum(k, s, shift) * self.inverse(s, shift)
+        return self._ratios[key]
 
 
 def _theta_term(n: int, k: int, s: Fraction) -> Fraction:

@@ -48,6 +48,7 @@ def test_criterion_01_npoint_determinant_identity():
         for s in ((F(2), F(3)), (F(2), F(5)), (F(3), F(5))):
             assert verify_npoint(s, 14).ok
         assert verify_npoint((F(2), F(3), F(5)), 10).ok
+        assert verify_npoint((F(2), F(3), F(5), F(7)), 8).ok
 
 
 def test_criterion_02_one_point_times_theta_is_one():
@@ -94,6 +95,8 @@ def test_criterion_07_difference_equations():
         assert verify_diffeq_t((F(2), F(3), F(5)), 8).ok
         assert verify_r_diffeq((F(2), F(3)), F(7, 5), 0, 12).ok
         assert verify_r_diffeq((F(2), F(3), F(5)), F(7, 5), 0, 8).ok
+        assert verify_diffeq_t((F(2), F(3), F(5), F(7)), 8).ok
+        assert verify_r_diffeq((F(2), F(3), F(5), F(7)), F(7, 5), 0, 8).ok
         # numeric full-sum recursions at q0 = 1/9, cutoffs 30 vs 25
         q0 = F(1, 9)
         assert verify_diffeq_f((F(2), F(5, 4)), q0, (25, 30)).ok

@@ -90,6 +90,12 @@ def test_theta_expansion():
 
 def test_triple_product():
     assert verify_triple_product(12).ok
+    assert verify_triple_product(0).order_checked == 0
+
+
+def test_triple_product_rejects_negative_grade():
+    with pytest.raises(ValueError):
+        verify_triple_product(-1)
 
 
 def test_v_consistency():

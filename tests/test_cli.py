@@ -67,6 +67,23 @@ def test_verify_seeded_points_are_reproducible(capsys):
     assert json.loads(out1)["params"] == json.loads(out2)["params"]
 
 
+def test_seeded_point_on_a_divisor_is_resampled(capsys):
+    # seed 1 first draws s = (4/5, 1), which lies on the theta divisor
+    code, out = run_main(capsys, "verify", "npoint", "--seed", "1")
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["status"] == "pass"
+    assert rep["order_checked"] == 12
+
+
+@pytest.mark.parametrize("argv", [["counts", "--n", "0"],
+                                  ["triple-product", "--order", "-1"]])
+def test_empty_parameter_range_exits_2(capsys, argv):
+    code, out = run_main(capsys, "verify", *argv)
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
+
+
 def test_unknown_id_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "definitely-not-an-id"])

@@ -1,5 +1,7 @@
 """Correlation series: brute partition sums against theta closed forms."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from qwedge.correlators import (
     DivisorHit,
     EvalPoint,
     FormalDivergence,
+    _det,
     bracket_monomial_brute,
     bracket_monomial_product,
     f_brute,
@@ -23,7 +26,9 @@ from qwedge.correlators import (
     verify_poch_telescope,
     verify_qgauss,
 )
+from qwedge.qdiff import r_series
 from qwedge.series import QSeries
+from qwedge.setparts import compositions, set_partitions, sign
 from qwedge.special import theta_deriv_series
 
 F = Fraction
@@ -39,6 +44,7 @@ def test_evalpoint_rejects_divisor():
     with pytest.raises(DivisorHit) as exc:
         EvalPoint((F(1),))
     assert exc.value.subset == (1,)
+    assert isinstance(exc.value, ValueError)  # callers that resample catch it
     with pytest.raises(ValueError):
         EvalPoint((F(-2),))
 
@@ -143,6 +149,85 @@ def test_t_series_with_shifts():
     p = EvalPoint((F(2), F(3)))
     for shifts in ((1, 0), (0, 1), (1, 1)):
         assert t_series(p, 8, shifts) == t_series_via_u(p, 8, shifts)
+
+
+# The closed forms drop the (q)_inf^{-3} factor wherever it cancels.  These
+# references keep it on every theta, so they pin the cancellation down to the
+# offset and the truncation window, not only the common coefficients.
+
+
+def _u_with_full_thetas(point, order, shifts):
+    n = point.n
+    total = None
+    for perm in itertools.permutations(range(n)):
+        prefix_s = [point.s_prod(perm[:m]) for m in range(n + 1)]
+        prefix_j = [sum(shifts[i] for i in perm[:m]) for m in range(n + 1)]
+        mat = [[None if j < i - 1 else
+                theta_deriv_series(j - i + 1, prefix_s[n - j], order, prefix_j[n - j])
+                * F(1, math.factorial(j - i + 1))
+                for j in range(1, n + 1)] for i in range(1, n + 1)]
+        denom = QSeries.one(order)
+        for m in range(1, n + 1):
+            denom = denom * theta_deriv_series(0, prefix_s[m], order, prefix_j[m])
+        term = _det(mat, order) * denom.inv()
+        total = term if total is None else total + term
+    return total
+
+
+def _ratio_with_full_thetas(k, s, order, shift):
+    return theta_deriv_series(k, s, order, shift) \
+        * theta_deriv_series(0, s, order, shift).inv()
+
+
+def _t_with_full_thetas(point, order, shifts):
+    n = point.n
+    total = QSeries.zero(order)
+    for pi in set_partitions(tuple(range(1, n + 1))):
+        for gamma in itertools.permutations(pi):
+            if len(gamma[0]) % 2 == 0:
+                continue
+            term = theta_deriv_series(len(gamma[0]), F(1), order, 0)
+            union = list(gamma[0])
+            for block in gamma[1:]:
+                s_arg = point.s_prod(i - 1 for i in union)
+                j_arg = sum(shifts[i - 1] for i in union)
+                term = term * _ratio_with_full_thetas(len(block), s_arg, order, j_arg)
+                union.extend(block)
+            total = total + (term if sign(n, len(gamma)) > 0 else -term)
+    return total
+
+
+def _r_with_full_thetas(point, s0, j0, order, shifts):
+    n = point.n
+    total = QSeries.zero(order)
+    for gamma in compositions(tuple(range(1, n + 1))):
+        term = None
+        s_acc, j_acc = s0, j0
+        for block in gamma:
+            factor = _ratio_with_full_thetas(len(block), s_acc, order, j_acc)
+            term = factor if term is None else term * factor
+            for i in block:
+                s_acc *= point.s[i - 1]
+                j_acc += shifts[i - 1]
+        total = total + (term if sign(n, len(gamma)) > 0 else -term)
+    return total
+
+
+def _same_series(a, b):
+    return (a.offset, a.trunc_order, a.coeffs) == (b.offset, b.trunc_order, b.coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_forms_cancel_the_euler_factor_exactly(n):
+    point = EvalPoint((F(2), F(3), F(5))[:n])
+    for shifts in ((1,) + (0,) * (n - 1), (0,) * (n - 1) + (2,)):
+        for order in range(9):
+            assert _same_series(u_series(point, order, shifts),
+                                _u_with_full_thetas(point, order, shifts))
+            assert _same_series(t_series(point, order, shifts),
+                                _t_with_full_thetas(point, order, shifts))
+            assert _same_series(r_series(point, F(7, 5), 1, order, shifts),
+                                _r_with_full_thetas(point, F(7, 5), 1, order, shifts))
 
 
 # -- bracket monomials: brute vs nested product ------------------------------------

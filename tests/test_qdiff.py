@@ -36,6 +36,7 @@ def test_divergent_point_rejected():
     with pytest.raises(DivergentPoint) as exc:
         check_convergent((F(2), F(2)), Q9)
     assert exc.value.subset == (1, 2)
+    assert isinstance(exc.value, ValueError)
     with pytest.raises(DivergentPoint):
         check_convergent((F(2),), F(1, 4))  # t = 1/q0 exactly, boundary excluded
     check_convergent((F(2), F(5, 4)), Q9)  # fine

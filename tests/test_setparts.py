@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -186,3 +187,8 @@ def test_verify_counts():
     assert rep.ok
     assert rep.details == {"sum1": 1, "sum2": 1, "sum3": 0}
     assert verify_counts(1).details["sum3"] == 1
+
+
+def test_verify_counts_rejects_empty_range():
+    with pytest.raises(ValueError):
+        verify_counts(0)
