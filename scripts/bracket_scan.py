@@ -50,9 +50,9 @@ def run(cfg: Config) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-weight", type=int, default=8)
+    ap.add_argument("--max-weight", type=int, default=12)
     ap.add_argument("--max-factors", type=int, default=3)
-    ap.add_argument("--order", type=int, default=30)
+    ap.add_argument("--order", type=int, default=60)
     ap.add_argument("--margin", type=int, default=8)
     args = ap.parse_args()
     run(Config(args.max_weight, args.max_factors, args.order, args.margin))

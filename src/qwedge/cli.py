@@ -142,8 +142,10 @@ def _run_t_vanish(a):
 
 
 def _run_phi_vanish(a):
-    return verify_phi_vanish("algebraic", _or(a.n, 3), _or(a.q, F(1, 16)),
-                             terms=_or(a.order, 40))
+    if a.order is not None:
+        raise ValueError("--order sets the theta kind's term count; the algebraic "
+                         "kind checked here has no truncation")
+    return verify_phi_vanish("algebraic", _or(a.n, 3), _or(a.q, F(1, 16)))
 
 
 def _run_elliptic_transform(a):
@@ -232,14 +234,17 @@ _PARAM_ERRORS = (SeriesError, FormalDivergence, SimpleZeroViolated, FitError,
                  ValueError, ZeroDivisionError)
 
 
+def _rejected(key: str, name: str, err: Exception) -> int:
+    print(_dumps({key: name, "status": "error", "detail": str(err)}))
+    return 2
+
+
 def _cmd_verify(a) -> int:
     t0 = time.perf_counter()
     try:
         rep = REGISTRY[a.id](a)
     except _PARAM_ERRORS as err:
-        print(_dumps({"identity": a.id, "status": "error",
-                      "detail": str(err)}))
-        return 2
+        return _rejected("identity", a.id, err)
     rep.elapsed_ms = (time.perf_counter() - t0) * 1000
     print(_dumps(rep.to_jsonable()))
     return 0 if rep.ok else 1
@@ -295,6 +300,8 @@ def _xi_generating_series(order: int) -> QSeries:
 def _cmd_series(a) -> int:
     name, order = a.name, a.order
     try:
+        if order is not None and order < 0:
+            raise ValueError(f"--order {order} is negative; a series needs order >= 0")
         if name == "eta":
             obj = eta(_or(order, 12)).to_jsonable()
         elif name == "theta":
@@ -313,8 +320,7 @@ def _cmd_series(a) -> int:
         else:  # psi; argparse rejects anything not in choices
             obj = psi_series(_or(a.K, 2), _or(order, 6)).to_json()
     except _PARAM_ERRORS as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        return _rejected("series", name, err)
     print(_dumps(obj))
     return 0
 

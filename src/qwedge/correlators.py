@@ -2,8 +2,8 @@
 
 Points are tuples of exact square roots s_k; the actual arguments are t_k = s_k^2,
 so half-integer powers of the t's stay rational.  The brute route computes q-brackets
-by summing over partitions; the closed route assembles determinants of invariant
-theta derivatives.  The two must agree, and every verifier here compares routes
+by summing row weights over partitions (`partitions.partition_sums`); the closed
+route assembles determinants of invariant theta derivatives.  The two must agree, and every verifier here compares routes
 rather than trusting either one.
 """
 
@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import partitions_of
+from .partitions import (RowWeight, eps_complements, eps_row, eps_top,
+                         q_bracket)
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, euler_product, q_pochhammer
 from .setparts import set_partitions, sign
@@ -72,19 +73,24 @@ class EvalPoint:
 
     def merged(self, blocks) -> EvalPoint:
         """One s per block: the product of the block's s values (1-indexed blocks)."""
-        out = []
-        for b in blocks:
-            prod = ONE
-            for i in b:
-                prod *= self.s[i - 1]
-            out.append(prod)
-        return EvalPoint(tuple(out), self.q0, self.allow_full)
+        return EvalPoint(block_products(self.s, blocks), self.q0, self.allow_full)
 
     def s_prod(self, positions) -> Fraction:
         prod = ONE
         for i in positions:
             prod *= self.s[i]
         return prod
+
+
+def block_products(svals: tuple[Fraction, ...], blocks) -> tuple[Fraction, ...]:
+    """The product of svals over each block of 1-indexed positions."""
+    out = []
+    for b in blocks:
+        prod = ONE
+        for i in b:
+            prod *= svals[i - 1]
+        out.append(prod)
+    return tuple(out)
 
 
 def t_power(s: Fraction, exponent_times_two: int) -> Fraction:
@@ -95,18 +101,35 @@ def t_power(s: Fraction, exponent_times_two: int) -> Fraction:
 # -- q-brackets of index monomials: brute and product form -----------------------
 
 
+class IndexWeight(RowWeight):
+    """prod_k t_k^{lambda_{i_k} - i_k + 1/2} for fixed row indices i_k >= 1;
+    an index past the last row sees lambda = 0, which `finish` applies."""
+
+    def __init__(self, idx: tuple[int, ...], svals: tuple[Fraction, ...]):
+        if any(i < 1 for i in idx):
+            raise ValueError("row indices start at 1")
+        self.by_row: dict[int, list[Fraction]] = {}
+        for k, i in enumerate(idx):
+            self.by_row.setdefault(i, []).append(svals[k])
+
+    def row(self, v: int, i: int, vec: list) -> list:
+        w = vec[0]
+        for s in self.by_row.get(i, ()):
+            w *= t_power(s, 2 * (v - i) + 1)
+        return [w]
+
+    def finish(self, ell: int, vec: list) -> Fraction:
+        w = vec[0]
+        for i, ss in self.by_row.items():
+            if i > ell:
+                for s in ss:
+                    w *= t_power(s, 1 - 2 * i)
+        return w
+
+
 def bracket_monomial_brute(idx: tuple[int, ...], point: EvalPoint, order: int) -> QSeries:
-    """<prod_k t_k^{lambda_{i_k} - i_k + 1/2}> summed over partitions directly."""
-    svals = point.s
-    coeffs = [ZERO] * (order + 1)
-    for m in range(order + 1):
-        for lam in partitions_of(m):
-            w = ONE
-            for k, i in enumerate(idx):
-                part = lam[i - 1] if i <= len(lam) else 0
-                w *= t_power(svals[k], 2 * (part - i) + 1)
-            coeffs[m] += w
-    return QSeries.from_coeffs(coeffs) * euler_product(order)
+    """<prod_k t_k^{lambda_{i_k} - i_k + 1/2}> as a sum over partitions."""
+    return q_bracket(IndexWeight(idx, point.s), order)
 
 
 def bracket_monomial_product(idx: tuple[int, ...], point: EvalPoint, order: int) -> QSeries:
@@ -155,62 +178,55 @@ def _tail_constants(svals: tuple[Fraction, ...]):
     return xs, cs
 
 
-def _pow_cached(s: Fraction, cache: dict, e2: int) -> Fraction:
-    v = cache.get(e2)
-    if v is None:
-        v = s ** e2
-        cache[e2] = v
-    return v
-
-
-class OrderedWeight:
-    """DP evaluator for sum over 1 <= i_1 < ... < i_n of
-    prod_k t_k^{lambda_{i_k} - i_k + 1/2}, with the infinite tail beyond the
-    partition length summed in closed form.
-
-    Constructed once per point; power caches persist across partitions, which
-    matters when summing over tens of thousands of them.
-    """
+class _PointWeight(RowWeight):
+    """A row weight at a point; s_k^e for all k at once, each exponent computed once."""
 
     def __init__(self, svals: tuple[Fraction, ...]):
         self.svals = tuple(F(x) for x in svals)
+        self._pow: dict[int, list[Fraction]] = {}
+
+    def powers(self, e: int) -> list[Fraction]:
+        p = self._pow.get(e)
+        if p is None:
+            p = self._pow[e] = [s ** e for s in self.svals]
+        return p
+
+
+class HWeight(_PointWeight):
+    """sum over 1 <= i_1 < ... < i_n of prod_k t_k^{lambda_{i_k} - i_k + 1/2}.
+
+    Slot j sums the placements of the first j indices among the rows so far; a
+    row of value v takes the next index (factor s_j^{2(v - i) + 1}) or none.
+    `finish` closes slot j with the geometric tail c_j x_j^{ell + 1} of the
+    indices past the last row (`_tail_constants`).
+    """
+
+    def __init__(self, svals: tuple[Fraction, ...]):
+        super().__init__(svals)
+        self.slots = len(self.svals) + 1
         self.xs, self.cs = _tail_constants(self.svals)
-        self.pw: list[dict] = [{} for _ in self.svals]
-        self.xw: list[dict] = [{} for _ in self.svals]
+        self._tail: dict[int, list[Fraction]] = {}
 
-    def __call__(self, lam: tuple[int, ...]) -> Fraction:
-        svals = self.svals
-        n = len(svals)
-        ell = len(lam)
-        # W[k][j]: sum over i_k >= j (indices increasing) of the product over
-        # m >= k, for j in 1..ell+1; the j = ell+1 column is the closed tail.
-        W = [[ZERO] * (ell + 2) for _ in range(n + 1)]
-        for j in range(1, ell + 2):
-            W[n][j] = ONE  # empty product once all factors are placed
-        for k in range(n - 1, -1, -1):
-            row, above = W[k], W[k + 1]
-            row[ell + 1] = self.cs[k] * _pow_cached(self.xs[k], self.xw[k], ell + 1)
-            s, cache = svals[k], self.pw[k]
-            for j in range(ell, 0, -1):
-                p = _pow_cached(s, cache, 2 * (lam[j - 1] - j) + 1)
-                row[j] = p * above[j + 1] + row[j + 1]
-        return W[0][1]
+    def row(self, v: int, i: int, vec: list) -> list:
+        p = self.powers(2 * (v - i) + 1)
+        out = list(vec)
+        for j in range(len(p) - 1, -1, -1):
+            if out[j]:
+                out[j + 1] += out[j] * p[j]
+        return out
 
-
-def ordered_weight(lam: tuple[int, ...], svals: tuple[Fraction, ...]) -> Fraction:
-    return OrderedWeight(svals)(lam)
+    def finish(self, ell: int, vec: list) -> Fraction:
+        tail = self._tail.get(ell)
+        if tail is None:
+            tail = self._tail[ell] = [c * x ** (ell + 1) for x, c in zip(self.xs, self.cs)]
+        return vec[-1] + sum((w * c for w, c in zip(vec, tail) if w), ZERO)
 
 
 def h_series(point: EvalPoint, order: int) -> QSeries:
     """H(t_1..t_n): the bracket of the strictly-increasing index sum."""
     if point.n == 0:
         return QSeries.one(order)
-    weight = OrderedWeight(point.s)
-    coeffs = [ZERO] * (order + 1)
-    for m in range(order + 1):
-        for lam in partitions_of(m):
-            coeffs[m] += weight(lam)
-    return QSeries.from_coeffs(coeffs) * euler_product(order)
+    return q_bracket(HWeight(point.s), order)
 
 
 def g_series(point: EvalPoint, order: int) -> QSeries:
@@ -221,33 +237,33 @@ def g_series(point: EvalPoint, order: int) -> QSeries:
     return total
 
 
-def f_partition_weight(lam: tuple[int, ...], svals: tuple[Fraction, ...],
-                       caches: list[dict] | None = None) -> Fraction:
-    """prod_k of the full index sum
-    t_k^{1/2} (sum_{i <= l} t_k^{lambda_i - i} + t_k^{-l} / (t_k - 1)).
+class FWeight(_PointWeight):
+    """prod_k t_k^{1/2} (sum_{i <= ell} t_k^{lambda_i - i} + t_k^{-ell} / (t_k - 1))
+    in Q[eps_1..eps_n]/(eps_k^2): row i of value v multiplies by
+    prod_k (1 + s_k^{2(v - i) + 1} eps_k), and `finish` applies
+    prod_k (1 + s_k^{1 - 2 ell} / (t_k - 1) eps_k) and takes the eps_1..eps_n
+    coefficient.
     """
-    if caches is None:
-        caches = [{} for _ in svals]
-    lneg = -2 * len(lam)
-    w = ONE
-    for s, cache in zip(svals, caches):
-        acc = ZERO
-        for i, part in enumerate(lam):
-            acc += _pow_cached(s, cache, 2 * (part - i - 1))
-        acc += _pow_cached(s, cache, lneg) / (s * s - 1)
-        w *= s * acc
-    return w
+
+    def __init__(self, svals: tuple[Fraction, ...]):
+        super().__init__(svals)
+        self.slots = 1 << len(self.svals)
+        self._comp: dict[int, list[Fraction]] = {}
+
+    def row(self, v: int, i: int, vec: list) -> list:
+        return eps_row(vec, self.powers(2 * (v - i) + 1))
+
+    def finish(self, ell: int, vec: list) -> Fraction:
+        comp = self._comp.get(ell)
+        if comp is None:
+            comp = self._comp[ell] = eps_complements(
+                [p / (s * s - 1) for p, s in zip(self.powers(1 - 2 * ell), self.svals)])
+        return eps_top(vec, comp)
 
 
 def f_brute(point: EvalPoint, order: int) -> QSeries:
     """F as a bare q-bracket of the partition weights."""
-    svals = point.s
-    caches: list[dict] = [{} for _ in svals]
-    coeffs = [ZERO] * (order + 1)
-    for m in range(order + 1):
-        for lam in partitions_of(m):
-            coeffs[m] += f_partition_weight(lam, svals, caches)
-    return QSeries.from_coeffs(coeffs) * euler_product(order)
+    return q_bracket(FWeight(point.s), order)
 
 
 def f_via_blocks(point: EvalPoint, order: int) -> QSeries:

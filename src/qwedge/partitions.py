@@ -1,6 +1,9 @@
 """Integer partitions: enumeration, Frobenius coordinates, hook-power sums, q-brackets.
 
 Partitions are tuples of weakly decreasing positive ints; () is the empty partition.
+Sums over all partitions of a weight built row by row (`RowWeight`) run through
+one engine, `partition_sums`, a DP over part values; enumeration stays for
+everything else and as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .series import QSeries, euler_product
+from .series import ONE, ZERO, QSeries, euler_product
 
 Partition = tuple[int, ...]
 
@@ -102,16 +105,120 @@ def hook_power_sum(lam: Partition, r: int) -> Fraction:
     return Fraction(total, 2 ** r)
 
 
-def weight_zero(lam: Partition) -> Fraction:
-    """p_0(lam) = 0 for every partition (arm and leg counts agree)."""
-    return Fraction(0)
+class RowWeight:
+    """A partition weight assembled row by row, for `partition_sums`.
+
+    The weight keeps a vector of `slots` exact values.  `row(v, i, vec)` returns
+    vec after row i (1-indexed) of part value v; `finish(ell, vec)` closes the
+    vector into the weight of a partition with `ell` rows (tails over the empty
+    rows past ell go here).  Calling the weight on a partition applies its rows
+    in order, then finishes, which is the per-partition reference.
+    """
+
+    slots = 1
+
+    def row(self, v: int, i: int, vec: list) -> list:
+        raise NotImplementedError
+
+    def finish(self, ell: int, vec: list):
+        raise NotImplementedError
+
+    def __call__(self, lam: Partition):
+        vec = [1] + [0] * (self.slots - 1)
+        for i, part in enumerate(lam, 1):
+            vec = self.row(part, i, vec)
+        return self.finish(len(lam), vec)
+
+
+def partition_sums(weight: RowWeight, order: int) -> list:
+    """c_m = sum of weight(lam) over partitions of m, for m = 0..order.
+
+    A DP over part values v = order..1, largest first, so a part's row index is
+    one more than the rows placed before it.  table[s][r] sums the slot vectors of
+    all partial partitions of size s with r rows; ascending s updated in place
+    lets a value repeat.  Visits O(order^2 log order) states instead of every
+    partition.
+    """
+    table: list[list] = [[[1] + [0] * (weight.slots - 1)]] + [[] for _ in range(order)]
+    for v in range(order, 0, -1):
+        for s in range(order - v + 1):
+            dst = table[s + v]
+            for r, vec in enumerate(table[s]):
+                if vec is None:
+                    continue
+                out = weight.row(v, r + 1, vec)
+                if len(dst) <= r + 1:
+                    dst.extend([None] * (r + 2 - len(dst)))
+                cur = dst[r + 1]
+                dst[r + 1] = out if cur is None else [a + b for a, b in zip(cur, out)]
+    return [sum((weight.finish(ell, vec) for ell, vec in enumerate(states)
+                 if vec is not None), ZERO)
+            for states in table]
+
+
+def eps_top(vec: list, comp: list):
+    """The eps_1..eps_r coefficient of vec * prod_j (1 + a_j eps_j), given
+    comp[S] = prod of a_j over j outside the subset S (slots are subset masks)."""
+    return sum((x * c for x, c in zip(vec, comp) if x), ZERO)
+
+
+def eps_complements(values: list) -> list:
+    """comp[S] = product of values[j] over j not in the bit mask S."""
+    r = len(values)
+    comp = [ONE] * (1 << r)
+    for mask in range(1 << r):
+        for j, a in enumerate(values):
+            if not mask >> j & 1:
+                comp[mask] *= a
+    return comp
+
+
+def eps_row(vec: list, factors: list) -> list:
+    """vec * prod_j (1 + factors[j] eps_j) in Q[eps]/(eps_j^2), zero slots skipped."""
+    out = list(vec)
+    for j, p in enumerate(factors):
+        bit = 1 << j
+        for mask in range(len(out)):
+            if not mask & bit and out[mask]:
+                out[mask | bit] += out[mask] * p
+    return out
+
+
+class HookMomentWeight(RowWeight):
+    """prod_j (p_{k_j}(lam) - shifts[j]) with the row form of the hook moments,
+
+        p_k(lam) = sum_i [(lam_i - i + 1/2)^k - (-i + 1/2)^k],
+
+    in Q[eps_1..eps_r]/(eps_j^2): each row multiplies by prod_j (1 + g_j eps_j),
+    g_j = (2(v - i) + 1)^k_j - (1 - 2i)^k_j held as integers scaled by 2^k_j, and
+    `finish` takes the eps_1..eps_r coefficient after the shifts.  Empty rows add
+    nothing, so there is no tail.
+    """
+
+    def __init__(self, ks: tuple[int, ...], shifts):
+        self.ks = tuple(ks)
+        self.slots = 1 << len(self.ks)
+        self.scale = 2 ** sum(self.ks)
+        self.comp = eps_complements([-Fraction(c) * 2 ** k
+                                     for k, c in zip(self.ks, shifts)])
+
+    def row(self, v: int, i: int, vec: list) -> list:
+        a, b = 2 * (v - i) + 1, 1 - 2 * i
+        return eps_row(vec, [a ** k - b ** k for k in self.ks])
+
+    def finish(self, ell: int, vec: list) -> Fraction:
+        return eps_top(vec, self.comp) / self.scale
 
 
 def q_bracket(f: Callable[[Partition], Fraction], order: int) -> QSeries:
-    """<f>_q = (q;q)_inf * sum_lam f(lam) q^{|lam|}, truncated at `order`."""
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(order + 1):
-        for lam in partitions_of(n):
-            coeffs[n] += f(lam)
-    raw = QSeries.from_coeffs(coeffs)
-    return raw * euler_product(order)
+    """<f>_q = (q;q)_inf * sum_lam f(lam) q^{|lam|}, truncated at `order`.
+
+    A RowWeight runs through `partition_sums`; any other callable is evaluated on
+    every partition, which the tests keep as the reference.
+    """
+    if isinstance(f, RowWeight):
+        coeffs = partition_sums(f, order)
+    else:
+        coeffs = [sum((f(lam) for lam in partitions_of(n)), ZERO)
+                  for n in range(order + 1)]
+    return QSeries.from_coeffs(coeffs) * euler_product(order)

@@ -18,12 +18,13 @@ from fractions import Fraction
 
 from .correlators import (
     EvalPoint,
-    OrderedWeight,
-    f_partition_weight,
+    FWeight,
+    HWeight,
+    block_products,
     t_series,
     u_series,
 )
-from .partitions import partitions_of
+from .partitions import RowWeight, partition_sums
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, rational_sqrt
 from .setparts import (
@@ -74,19 +75,21 @@ def check_convergent(svals: tuple[Fraction, ...], q0: Fraction) -> None:
                 raise DivergentPoint(tuple(i + 1 for i in subset), prod)
 
 
-def _bracket_numeric(weight, q0: Fraction,
+def _bracket_numeric(weight: RowWeight, q0: Fraction,
                      cutoffs: tuple[int, int]) -> tuple[Fraction, Fraction]:
     """(value, drift): sum weight(lam) * q0^|lam| over partitions up to the larger
     cutoff, times the Euler product cut there; drift is the movement since the
     smaller cutoff and serves as the truncation error estimate.
     """
     lo, hi = min(cutoffs), max(cutoffs)
+    if not 0 <= lo < hi:
+        raise ValueError(f"cutoffs {list(cutoffs)} need 0 <= lower < upper")
     total = ZERO
     snapshot = ZERO
-    for m in range(hi + 1):
-        qm = q0 ** m
-        for lam in partitions_of(m):
-            total += qm * weight(lam)
+    qm = ONE
+    for m, c in enumerate(partition_sums(weight, hi)):
+        total += c * qm
+        qm *= q0
         if m == lo:
             snapshot = total
     euler = ONE
@@ -101,9 +104,7 @@ def f_numeric(svals: tuple[Fraction, ...], q0: Fraction,
     svals = tuple(F(x) for x in svals)
     q0 = F(q0)
     check_convergent(svals, q0)
-    caches: list[dict] = [{} for _ in svals]
-    return _bracket_numeric(lambda lam: f_partition_weight(lam, svals, caches),
-                            q0, cutoffs)
+    return _bracket_numeric(FWeight(svals), q0, cutoffs)
 
 
 def h_numeric(svals: tuple[Fraction, ...], q0: Fraction,
@@ -112,17 +113,7 @@ def h_numeric(svals: tuple[Fraction, ...], q0: Fraction,
     svals = tuple(F(x) for x in svals)
     q0 = F(q0)
     check_convergent(svals, q0)
-    return _bracket_numeric(OrderedWeight(svals), q0, cutoffs)
-
-
-def _merged_svals(svals: tuple[Fraction, ...], blocks) -> tuple[Fraction, ...]:
-    out = []
-    for b in blocks:
-        prod = ONE
-        for i in b:
-            prod *= svals[i - 1]
-        out.append(prod)
-    return tuple(out)
+    return _bracket_numeric(HWeight(svals), q0, cutoffs)
 
 
 def verify_diffeq_f(s_values, q0, cutoffs: tuple[int, int] = (25, 30)) -> Report:
@@ -144,7 +135,7 @@ def verify_diffeq_f(s_values, q0, cutoffs: tuple[int, int] = (25, 30)) -> Report
     rhs_sum = ZERO
     rhs_drift = ZERO
     for pi in near_singleton_partitions(tuple(range(1, n + 1))):
-        v, e = f_numeric(_merged_svals(svals, pi), q0, cutoffs)
+        v, e = f_numeric(block_products(svals, pi), q0, cutoffs)
         rhs_sum += sign(n, len(pi)) * v
         rhs_drift += e
     rhs = -pref * rhs_sum

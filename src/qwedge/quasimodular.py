@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import hook_power_sum, q_bracket
+from .partitions import HookMomentWeight, q_bracket
 from .reports import Report
-from .series import ONE, ZERO, QSeries
+from .series import ONE, QSeries
 from .special import eisenstein_g, xi_value
 
 F = Fraction
@@ -154,17 +154,9 @@ def _solve_overdetermined(basis, s, dim, span) -> list[Fraction]:
 
 # -- verifiers --------------------------------------------------------------------
 
-def shifted_hook_moment(ks: tuple[int, ...]):
-    """The partition function prod_i (p_{k_i} - xi(-k_i))."""
-    shifts = [xi_value(-k) for k in ks]
-
-    def f(lam):
-        total = ONE
-        for k, c in zip(ks, shifts):
-            total *= hook_power_sum(lam, k) - c
-        return total
-
-    return f
+def shifted_hook_moment(ks: tuple[int, ...]) -> HookMomentWeight:
+    """The partition function prod_i (p_{k_i} - xi(-k_i)), as a row weight."""
+    return HookMomentWeight(ks, [xi_value(-k) for k in ks])
 
 
 def bracket_weight(ks: tuple[int, ...]) -> int:

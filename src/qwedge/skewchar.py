@@ -129,6 +129,8 @@ def verify_h_equals_g(pairs=((1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
     every (derivative count, weight tag) pair."""
     statement = ("the log-derivative divisor sums of the odd-variable character "
                  "equal derivatives of Eisenstein series")
+    if order < 0:
+        raise ValueError(f"order = {order} checks no coefficient; need order >= 0")
     params = {"pairs": [list(p) for p in pairs], "order": order}
     for r, sumj in pairs:
         s = 2 * sumj

@@ -325,6 +325,8 @@ def verify_xi_binomial(n_max: int = 12) -> Report:
     """sum_{i=1}^{n-1} (-1)^i C(n,i) xi(i-n) = (-1)^{n+1}/(n+1) + (-1)^n/2^n, n >= 2."""
     statement = ("alternating binomial sums of xi values collapse to a two-term "
                  "closed form")
+    if n_max < 2:
+        raise ValueError(f"n_max = {n_max} checks nothing; the identity starts at n = 2")
     for n in range(2, n_max + 1):
         lhs = sum(((-1) ** i * math.comb(n, i) * xi_value(i - n)
                    for i in range(1, n)), start=ZERO)

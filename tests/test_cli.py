@@ -77,11 +77,26 @@ def test_seeded_point_on_a_divisor_is_resampled(capsys):
 
 
 @pytest.mark.parametrize("argv", [["counts", "--n", "0"],
-                                  ["triple-product", "--order", "-1"]])
+                                  ["triple-product", "--order", "-1"],
+                                  # numeric cutoffs (order - 5, order) below 0
+                                  ["diffeq-f", "--order", "3"],
+                                  ["diffeq-h", "--order", "2"],
+                                  ["xi-binomial", "--n", "-3"],
+                                  ["h-equals-g", "--order", "-1"],
+                                  # --order has no meaning for the algebraic kind
+                                  ["phi-vanish", "--order", "0"]])
 def test_empty_parameter_range_exits_2(capsys, argv):
     code, out = run_main(capsys, "verify", *argv)
     assert code == 2
     assert json.loads(out)["status"] == "error"
+
+
+@pytest.mark.parametrize("name", ["eta", "bracket", "psi"])
+def test_negative_series_order_exits_2(capsys, name):
+    code, out = run_main(capsys, "series", name, "--order", "-1")
+    assert code == 2
+    assert json.loads(out) == {"series": name, "status": "error",
+                               "detail": "--order -1 is negative; a series needs order >= 0"}
 
 
 def test_unknown_id_is_usage_error():

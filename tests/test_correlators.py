@@ -10,6 +10,7 @@ from qwedge.correlators import (
     DivisorHit,
     EvalPoint,
     FormalDivergence,
+    HWeight,
     _det,
     bracket_monomial_brute,
     bracket_monomial_product,
@@ -17,7 +18,6 @@ from qwedge.correlators import (
     f_via_blocks,
     g_series,
     h_series,
-    ordered_weight,
     t_series,
     t_series_via_u,
     u_series,
@@ -56,20 +56,20 @@ def test_evalpoint_merged_and_permuted():
     assert p.merged([(1, 2), (3,)]).s == (F(6), F(5))
 
 
-# -- ordered index sums: DP against hand geometric series --------------------------
+# -- ordered index sums: the H weight against hand geometric series ----------------
 
 
 def test_ordered_weight_empty_partition_one_variable():
     # sum_{i>=1} t^{1/2-i} = t^{1/2} / (t - 1); equals 2/3 at t = 4
-    assert ordered_weight((), (F(2),)) == F(2, 3)
-    assert ordered_weight((), (F(3),)) == F(3, 8)
+    assert HWeight((F(2),))(()) == F(2, 3)
+    assert HWeight((F(3),))(()) == F(3, 8)
 
 
 def test_ordered_weight_single_row_one_variable():
     s = F(3)
     t = s * s
     expected = s + s / (t * (t - 1))
-    assert ordered_weight((1,), (s,)) == expected
+    assert HWeight((s,))((1,)) == expected
 
 
 def test_ordered_weight_empty_partition_two_variables():
@@ -78,7 +78,7 @@ def test_ordered_weight_empty_partition_two_variables():
     x, y = 1 / t1, 1 / t2
     # sum_{1<=i<j} x^i y^j = y/(1-y) * xy/(1-xy), all scaled by (t1 t2)^{1/2}
     expected = s1 * s2 * (y / (1 - y)) * (x * y / (1 - x * y))
-    assert ordered_weight((), (s1, s2)) == expected
+    assert HWeight((s1, s2))(()) == expected
 
 
 def test_ordered_weight_single_row_two_variables():
@@ -87,7 +87,7 @@ def test_ordered_weight_single_row_two_variables():
     x, y = 1 / t1, 1 / t2
     head = s1 * (s2 / (t2 * (t2 - 1)))  # i=1 on the row of size 1
     tail = s1 * s2 * (y / (1 - y)) * ((x * y) ** 2 / (1 - x * y))  # both beyond
-    assert ordered_weight((1,), (s1, s2)) == head + tail
+    assert HWeight((s1, s2))((1,)) == head + tail
 
 
 def test_h_single_variable_is_f():

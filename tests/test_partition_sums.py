@@ -1,0 +1,163 @@
+"""The row-DP partition-sum engine against enumeration of every partition.
+
+Each reference below evaluates its weight on one partition at a time, from the
+definition, and sums over `partitions_of`; the engine must agree exactly.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qwedge.correlators import FWeight, HWeight, IndexWeight
+from qwedge.partitions import (
+    HookMomentWeight,
+    hook_power_sum,
+    partition_sums,
+    partitions_of,
+    q_bracket,
+)
+from qwedge.qdiff import f_numeric, h_numeric
+from qwedge.quasimodular import shifted_hook_moment
+from qwedge.special import xi_value
+
+F = Fraction
+Q9 = F(1, 9)
+
+# ratios of consecutive primes: no subset product of them or their inverses is
+# 1, and every subset product of the squares stays inside (1/9, 9)
+PRIME_RATIOS = [F(7, 5), F(11, 7), F(13, 11), F(17, 13), F(19, 17), F(23, 19)]
+
+
+def _enumerated(weight, order):
+    return [sum((weight(lam) for lam in partitions_of(m)), F(0))
+            for m in range(order + 1)]
+
+
+def _hook_product(ks):
+    shifts = [xi_value(-k) for k in ks]
+
+    def w(lam):
+        total = F(1)
+        for k, c in zip(ks, shifts):
+            total *= hook_power_sum(lam, k) - c
+        return total
+
+    return w
+
+
+def _f_reference(svals):
+    """prod_k t_k^{1/2} (sum_{i <= l} t_k^{lambda_i - i} + t_k^{-l} / (t_k - 1))."""
+
+    def w(lam):
+        total = F(1)
+        for s in svals:
+            t = s * s
+            acc = sum((t ** (part - i) for i, part in enumerate(lam, 1)), F(0))
+            total *= s * (acc + t ** -len(lam) / (t - 1))
+        return total
+
+    return w
+
+
+def _empty_h(svals):
+    """sum over 1 <= m_1 < m_2 < ... of prod_k s_k^{1 - 2 m_k}, summed one
+    geometric series at a time from the first variable."""
+    if not svals:
+        return F(1)
+    y = F(1)
+    for s in svals:
+        y /= s * s
+    return svals[0] * y / (1 - y) * _empty_h(svals[1:])
+
+
+def _h_reference(svals):
+    """Indices 1..l take the first j variables; the rest lie past the last row,
+    where the sum is the empty-partition one shifted by l."""
+    n = len(svals)
+
+    def w(lam):
+        ell = len(lam)
+        total = F(0)
+        for j in range(n + 1):
+            shift = F(1)
+            for s in svals[j:]:
+                shift /= (s * s) ** ell
+            tail = shift * _empty_h(svals[j:])
+            for rows in itertools.combinations(range(1, ell + 1), j):
+                head = F(1)
+                for s, i in zip(svals, rows):
+                    head *= s ** (2 * (lam[i - 1] - i) + 1)
+                total += head * tail
+        return total
+
+    return w
+
+
+points = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.permutations(PRIME_RATIOS).map(lambda r: r[:n]),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )
+).map(lambda pr: tuple(1 / s if flip else s for s, flip in zip(*pr)))
+
+
+@given(ks=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+       order=st.integers(min_value=0, max_value=10))
+@settings(max_examples=40, deadline=None)
+def test_hook_moment_brackets_match_enumeration(ks, order):
+    ks = tuple(ks)
+    weight = shifted_hook_moment(ks)
+    assert isinstance(weight, HookMomentWeight)
+    got = q_bracket(weight, order)
+    want = q_bracket(_hook_product(ks), order)
+    assert (got.offset, got.step, got.coeffs) == (want.offset, want.step, want.coeffs)
+
+
+@given(svals=points, order=st.integers(min_value=0, max_value=10))
+@settings(max_examples=30, deadline=None)
+def test_f_and_h_sums_match_enumeration(svals, order):
+    assert partition_sums(FWeight(svals), order) == _enumerated(_f_reference(svals), order)
+    assert partition_sums(HWeight(svals), order) == _enumerated(_h_reference(svals), order)
+
+
+def _numeric_reference(weight, q0, lo, hi):
+    coeffs = _enumerated(weight, hi)
+    total = sum(c * q0 ** m for m, c in enumerate(coeffs))
+    snapshot = sum(c * q0 ** m for m, c in enumerate(coeffs[:lo + 1]))
+    euler = F(1)
+    for m in range(1, hi + 1):
+        euler *= 1 - q0 ** m
+    return euler * total, abs(euler) * abs(total - snapshot)
+
+
+@given(svals=points)
+@settings(max_examples=20, deadline=None)
+def test_numeric_sums_match_enumeration(svals):
+    assert f_numeric(svals, Q9, (3, 6)) == _numeric_reference(_f_reference(svals), Q9, 3, 6)
+    assert h_numeric(svals, Q9, (3, 6)) == _numeric_reference(_h_reference(svals), Q9, 3, 6)
+
+
+def test_weights_on_single_partitions_match_references():
+    svals = (F(7, 5), F(5, 11), F(13, 11))
+    f_ref, h_ref, hook_ref = _f_reference(svals), _h_reference(svals), _hook_product((1, 3))
+    for lam in itertools.chain.from_iterable(partitions_of(m) for m in range(8)):
+        assert FWeight(svals)(lam) == f_ref(lam)
+        assert HWeight(svals)(lam) == h_ref(lam)
+        assert shifted_hook_moment((1, 3))(lam) == hook_ref(lam)
+
+
+def test_index_weight_reads_parts_by_row():
+    s1, s2 = F(2), F(3)
+    w = IndexWeight((1, 3), (s1, s2))
+    # row 1 holds 4, row 3 is past the partition (4, 1) and reads a zero part
+    assert w((4, 1)) == s1 ** (2 * (4 - 1) + 1) * s2 ** (2 * (0 - 3) + 1)
+    with pytest.raises(ValueError):
+        IndexWeight((0, 2), (s1, s2))
+
+
+def test_partition_sums_of_the_empty_product_count_partitions():
+    assert partition_sums(HookMomentWeight((), ()), 12) == \
+        [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]

@@ -61,6 +61,14 @@ def test_h_numeric_empty_is_one():
     assert abs(value - 1) <= 5 * drift + F(1, 10**15)
 
 
+@pytest.mark.parametrize("cutoffs", [(-2, 3), (5, 5), (-1, -1)])
+def test_numeric_cutoffs_need_zero_le_lower_lt_upper(cutoffs):
+    with pytest.raises(ValueError):
+        f_numeric((F(2),), Q9, cutoffs)
+    with pytest.raises(ValueError):
+        h_numeric((F(2),), Q9, cutoffs)
+
+
 # -- numeric difference equations ----------------------------------------------------
 
 
