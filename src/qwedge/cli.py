@@ -8,43 +8,24 @@ Verbs:
   suite          every identity once at its default parameters, as a JSON array
 
 `suite` output is deterministic: fixed default points, fixed enumeration
-orders, reports sorted by identity id, no timing fields.  The QWEDGE_THREADS
-environment variable sets the worker count; any positive value produces
-byte-identical content.  Exit codes: 0 all pass, 1 verification failure,
-2 usage error (including parameter values a verifier rejects).
+orders, reports sorted by identity id, no timing fields.  Each verb imports
+only the library module it runs (and what that module imports), when it runs
+it.  Exit codes: 0 all pass, 1 verification failure, 2 usage error (including
+parameter values a verifier, `series` or `skew-npoint` rejects, reported as a
+JSON error object on stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from importlib import import_module
 
-from .characters import (V_series, omega_series, verify_elliptic_transform,
-                         verify_theta_expansion, verify_triple_product,
-                         verify_v_consistency)
-from .correlators import (EvalPoint, FormalDivergence, verify_npoint,
-                          verify_poch_telescope, verify_qgauss)
-from .partitions import q_bracket
-from .qdiff import (SimpleZeroViolated, verify_cyclic_identity,
-                    verify_diffeq_f, verify_diffeq_h, verify_diffeq_t,
-                    verify_phi_vanish, verify_r_diffeq, verify_residue,
-                    verify_t_vanish)
-from .quasimodular import (FitError, shifted_hook_moment, verify_bracket_qm,
-                           verify_derivation_closure)
-from .series import QSeries, SeriesError
-from .setparts import verify_counts
-from .skewchar import (npoint_skew_brute, npoint_skew_closed, psi_series,
-                       verify_h_equals_g, verify_skew_npoint)
-from .special import (eisenstein_g, eta, theta00, verify_theta_derivs,
-                      verify_theta_diffeq, verify_xi_binomial,
-                      verify_xi_generating, xi_value)
+from .series import SeriesError
 
 DEFAULT_S = (2, 3, 5, 7, 11, 13)
 
@@ -76,6 +57,7 @@ def _resolve_points(a: argparse.Namespace, n_default: int) -> tuple[F, ...]:
         return a.points
     n = _or(a.n, n_default)
     if a.seed is not None:
+        from .correlators import EvalPoint
         rng = random.Random(a.seed)
         while True:
             s = tuple(F(rng.randint(2, 12), rng.randint(1, 6)) for _ in range(n))
@@ -89,149 +71,91 @@ def _resolve_points(a: argparse.Namespace, n_default: int) -> tuple[F, ...]:
     return tuple(F(p) for p in DEFAULT_S[:n])
 
 
-# -- verify handlers ----------------------------------------------------------------
-# Defaults are light enough that `suite` (which runs every id once) stays fast;
-# heavier configurations are reached through the flags.
+# -- the verifier table ---------------------------------------------------------------
+# id -> (module, function, keyword arguments from the parsed flags).  Defaults are
+# light enough that `suite` (which runs every id once) stays fast; heavier
+# configurations are reached through the flags.
 
-def _run_npoint(a):
-    return verify_npoint(_resolve_points(a, 2), _or(a.order, 12))
-
-
-def _run_diffeq_f(a):
+def _cutoffs(a) -> tuple[int, int]:
     hi = _or(a.order, 18)
-    return verify_diffeq_f(_or(a.points, (F(2), F(5, 4))), _or(a.q, F(1, 9)),
-                           (hi - 5, hi))
+    return hi - 5, hi
 
 
-def _run_diffeq_h(a):
-    hi = _or(a.order, 18)
-    return verify_diffeq_h(_or(a.points, (F(2), F(5, 4))), _or(a.q, F(1, 9)),
-                           _or(a.k, 1), (hi - 5, hi))
-
-
-def _run_diffeq_t(a):
-    return verify_diffeq_t(_or(a.points, (F(2), F(3))), _or(a.order, 8))
-
-
-def _run_r_diffeq(a):
-    return verify_r_diffeq(_or(a.points, (F(2), F(3))), F(7, 5), _or(a.m, 0),
-                           _or(a.order, 8))
-
-
-def _run_qgauss(a):
-    return verify_qgauss((F(1, 2), 1), (F(1, 3), 1), (F(1, 6), 3),
-                         _or(a.order, 12))
-
-
-def _run_poch_telescope(a):
-    return verify_poch_telescope((F(1, 2), 0), F(1, 3), 1, 0, _or(a.n, 4),
-                                 _or(a.order, 12))
-
-
-def _run_cyclic(a):
-    return verify_cyclic_identity(_or(a.m, 2), _or(a.k, 2), _or(a.q, F(1, 4)))
-
-
-def _run_residue(a):
-    return verify_residue(_or(a.n, 1), _or(a.k, 1), _or(a.m, 1),
-                          _or(a.q, F(1, 16)))
-
-
-def _run_t_vanish(a):
-    return verify_t_vanish(_or(a.points, (F(2), F(1, 2))), _or(a.order, 10))
-
-
-def _run_phi_vanish(a):
+def _phi_vanish_args(a) -> dict:
     if a.order is not None:
         raise ValueError("--order sets the theta kind's term count; the algebraic "
                          "kind checked here has no truncation")
-    return verify_phi_vanish("algebraic", _or(a.n, 3), _or(a.q, F(1, 16)))
+    return dict(f_kind="algebraic", n=_or(a.n, 3), q0=_or(a.q, F(1, 16)))
 
 
-def _run_elliptic_transform(a):
-    return verify_elliptic_transform(_or(a.K, 2), _or(a.order, 3))
-
-
-def _run_theta_expansion(a):
-    return verify_theta_expansion(_or(a.K, 2), _or(a.order, 3))
-
-
-def _run_triple_product(a):
-    return verify_triple_product(_or(a.order, 12))
-
-
-def _run_theta_diffeq(a):
-    s = a.points[0] if a.points else F(3, 2)
-    return verify_theta_diffeq(_or(a.m, 2), s, 0, _or(a.order, 24))
-
-
-def _run_theta_derivs(a):
-    return verify_theta_derivs(order=_or(a.order, 30))
-
-
-def _run_xi_binomial(a):
-    return verify_xi_binomial(_or(a.n, 12))
-
-
-def _run_xi_generating(a):
-    return verify_xi_generating(_or(a.order, 20))
-
-
-def _run_counts(a):
-    return verify_counts(_or(a.n, 8))
-
-
-def _run_bracket_qm(a):
-    ks = (a.k,) if a.k is not None else (1, 1)
-    return verify_bracket_qm(ks, _or(a.order, 24))
-
-
-def _run_derivation_closure(a):
-    return verify_derivation_closure(order=_or(a.order, 24))
-
-
-def _run_skew_npoint(a):
-    return verify_skew_npoint(_or(a.n, 2), _or(a.k, 3), _or(a.order, 12))
-
-
-def _run_h_equals_g(a):
-    return verify_h_equals_g(order=_or(a.order, 24))
-
-
-def _run_v_consistency(a):
-    return verify_v_consistency(_or(a.K, 2), _or(a.order, 3))
-
-
-REGISTRY = {
-    "npoint": _run_npoint,
-    "diffeq-f": _run_diffeq_f,
-    "diffeq-h": _run_diffeq_h,
-    "diffeq-t": _run_diffeq_t,
-    "r-diffeq": _run_r_diffeq,
-    "qgauss": _run_qgauss,
-    "poch-telescope": _run_poch_telescope,
-    "cyclic-identity": _run_cyclic,
-    "residue": _run_residue,
-    "t-vanish": _run_t_vanish,
-    "phi-vanish": _run_phi_vanish,
-    "elliptic-transform": _run_elliptic_transform,
-    "theta-expansion": _run_theta_expansion,
-    "triple-product": _run_triple_product,
-    "theta-diffeq": _run_theta_diffeq,
-    "theta-derivs": _run_theta_derivs,
-    "xi-binomial": _run_xi_binomial,
-    "xi-generating": _run_xi_generating,
-    "counts": _run_counts,
-    "bracket-qm": _run_bracket_qm,
-    "derivation-closure": _run_derivation_closure,
-    "skew-npoint": _run_skew_npoint,
-    "h-equals-g": _run_h_equals_g,
-    "v-consistency": _run_v_consistency,
+_VERIFIERS = {
+    "npoint": ("correlators", "verify_npoint", lambda a: dict(
+        s_values=_resolve_points(a, 2), order=_or(a.order, 12))),
+    "diffeq-f": ("qdiff", "verify_diffeq_f", lambda a: dict(
+        s_values=_or(a.points, (F(2), F(5, 4))), q0=_or(a.q, F(1, 9)),
+        cutoffs=_cutoffs(a))),
+    "diffeq-h": ("qdiff", "verify_diffeq_h", lambda a: dict(
+        s_values=_or(a.points, (F(2), F(5, 4))), q0=_or(a.q, F(1, 9)),
+        k=_or(a.k, 1), cutoffs=_cutoffs(a))),
+    "diffeq-t": ("qdiff", "verify_diffeq_t", lambda a: dict(
+        s_values=_or(a.points, (F(2), F(3))), order=_or(a.order, 8))),
+    "r-diffeq": ("qdiff", "verify_r_diffeq", lambda a: dict(
+        s_values=_or(a.points, (F(2), F(3))), s0=F(7, 5), j0=_or(a.m, 0),
+        order=_or(a.order, 8))),
+    "qgauss": ("correlators", "verify_qgauss", lambda a: dict(
+        a=(F(1, 2), 1), b=(F(1, 3), 1), c=(F(1, 6), 3), order=_or(a.order, 12))),
+    "poch-telescope": ("correlators", "verify_poch_telescope", lambda a: dict(
+        u=(F(1, 2), 0), v_root=F(1, 3), v_exp=1, a=0, b=_or(a.n, 4),
+        order=_or(a.order, 12))),
+    "cyclic-identity": ("qdiff", "verify_cyclic_identity", lambda a: dict(
+        m=_or(a.m, 2), k=_or(a.k, 2), q0=_or(a.q, F(1, 4)))),
+    "residue": ("qdiff", "verify_residue", lambda a: dict(
+        n=_or(a.n, 1), k=_or(a.k, 1), m=_or(a.m, 1), q0=_or(a.q, F(1, 16)))),
+    "t-vanish": ("qdiff", "verify_t_vanish", lambda a: dict(
+        s_values=_or(a.points, (F(2), F(1, 2))), order=_or(a.order, 10))),
+    "phi-vanish": ("qdiff", "verify_phi_vanish", _phi_vanish_args),
+    "elliptic-transform": ("characters", "verify_elliptic_transform", lambda a: dict(
+        K=_or(a.K, 2), N=_or(a.order, 3))),
+    "theta-expansion": ("characters", "verify_theta_expansion", lambda a: dict(
+        K=_or(a.K, 2), N=_or(a.order, 3))),
+    "triple-product": ("characters", "verify_triple_product", lambda a: dict(
+        N=_or(a.order, 12))),
+    "theta-diffeq": ("special", "verify_theta_diffeq", lambda a: dict(
+        m=_or(a.m, 2), s=a.points[0] if a.points else F(3, 2), shift=0,
+        order=_or(a.order, 24))),
+    "theta-derivs": ("special", "verify_theta_derivs", lambda a: dict(
+        order=_or(a.order, 30))),
+    "xi-binomial": ("special", "verify_xi_binomial", lambda a: dict(
+        n_max=_or(a.n, 12))),
+    "xi-generating": ("special", "verify_xi_generating", lambda a: dict(
+        order=_or(a.order, 20))),
+    "counts": ("setparts", "verify_counts", lambda a: dict(n_max=_or(a.n, 8))),
+    "bracket-qm": ("quasimodular", "verify_bracket_qm", lambda a: dict(
+        ks=(a.k,) if a.k is not None else (1, 1), order=_or(a.order, 24))),
+    "derivation-closure": ("quasimodular", "verify_derivation_closure", lambda a: dict(
+        order=_or(a.order, 24))),
+    "skew-npoint": ("skewchar", "verify_skew_npoint", lambda a: dict(
+        n=_or(a.n, 2), N_z=_or(a.k, 3), N_q=_or(a.order, 12))),
+    "h-equals-g": ("skewchar", "verify_h_equals_g", lambda a: dict(
+        order=_or(a.order, 24))),
+    "v-consistency": ("characters", "verify_v_consistency", lambda a: dict(
+        K=_or(a.K, 2), N=_or(a.order, 3))),
 }
 
-# DivisorHit and DivergentPoint are ValueErrors
-_PARAM_ERRORS = (SeriesError, FormalDivergence, SimpleZeroViolated, FitError,
-                 ValueError, ZeroDivisionError)
+
+def _lazy(module: str, function: str, args):
+    """A verifier of the table as a callable of the parsed flags; its module is
+    imported on the first call, so a process pays only for what it runs."""
+    def run(a):
+        return getattr(import_module(f".{module}", __package__), function)(**args(a))
+    return run
+
+
+REGISTRY = {name: _lazy(*row) for name, row in _VERIFIERS.items()}
+
+# the library's own exceptions (DivisorHit, FitError, FormalDivergence, ...) are
+# ValueErrors, so catching them needs no import of their modules
+_PARAM_ERRORS = (SeriesError, ValueError, ZeroDivisionError)
 
 
 def _rejected(key: str, name: str, err: Exception) -> int:
@@ -255,32 +179,14 @@ def _blank_args() -> argparse.Namespace:
                               k=None, K=None, seed=None)
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QWEDGE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _cmd_suite(a) -> int:
     ids = sorted(REGISTRY)
     blank = _blank_args()
-
-    def run(i: str):
-        return REGISTRY[i](blank)
-
-    threads = _thread_count()
-    if threads == 1:
-        reports = map(run, ids)
-    else:
-        # content is identical at any worker count: futures are consumed in
-        # submission order, and each handler is a pure function of its defaults
-        pool = ThreadPoolExecutor(max_workers=threads)
-        reports = (f.result() for f in [pool.submit(run, i) for i in ids])
     out = sys.stdout
     out.write("[\n")
     failed = 0
-    for rep in reports:
+    for i in ids:
+        rep = REGISTRY[i](blank)
         if not rep.ok:
             failed += 1
         out.write(_dumps(rep.to_jsonable(with_timing=False)) + ",\n")
@@ -292,32 +198,36 @@ def _cmd_suite(a) -> int:
     return 0 if failed == 0 else 1
 
 
-def _xi_generating_series(order: int) -> QSeries:
-    return QSeries.from_coeffs(
-        [-xi_value(-n) / math.factorial(n) for n in range(order + 1)])
-
-
 def _cmd_series(a) -> int:
     name, order = a.name, a.order
     try:
         if order is not None and order < 0:
             raise ValueError(f"--order {order} is negative; a series needs order >= 0")
         if name == "eta":
+            from .special import eta
             obj = eta(_or(order, 12)).to_jsonable()
         elif name == "theta":
+            from .special import theta00
             obj = theta00(_or(order, 12)).to_jsonable()
         elif name == "eisenstein":
+            from .special import eisenstein_g
             obj = eisenstein_g(_or(a.k, 2), _or(order, 12)).to_jsonable()
         elif name == "xi":
-            obj = _xi_generating_series(_or(order, 20)).to_jsonable()
+            from .special import xi_generating_series
+            obj = xi_generating_series(_or(order, 20)).to_jsonable()
         elif name == "bracket":
+            from .partitions import q_bracket
+            from .quasimodular import shifted_hook_moment
             ks = (_or(a.k, 1),)
             obj = q_bracket(shifted_hook_moment(ks), _or(order, 12)).to_jsonable()
         elif name == "omega":
+            from .characters import omega_series
             obj = omega_series(_or(a.K, 2), _or(order, 4)).to_json()
         elif name == "v-char":
+            from .characters import V_series
             obj = V_series(_or(a.K, 2), _or(order, 4)).to_json()
         else:  # psi; argparse rejects anything not in choices
+            from .skewchar import psi_series
             obj = psi_series(_or(a.K, 2), _or(order, 6)).to_json()
     except _PARAM_ERRORS as err:
         return _rejected("series", name, err)
@@ -326,6 +236,7 @@ def _cmd_series(a) -> int:
 
 
 def _cmd_skew(a) -> int:
+    from .skewchar import npoint_skew_brute, npoint_skew_closed
     n, nz, nq = _or(a.n, 1), _or(a.k, 3), _or(a.order, 10)
     try:
         if a.brute:
@@ -333,8 +244,7 @@ def _cmd_skew(a) -> int:
         else:
             poly = npoint_skew_closed(n, nz, nq)
     except _PARAM_ERRORS as err:
-        print(str(err), file=sys.stderr)
-        return 2
+        return _rejected("skew-npoint", "brute" if a.brute else "closed", err)
     print(_dumps(poly.to_json()))
     return 0
 

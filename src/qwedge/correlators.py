@@ -404,7 +404,7 @@ def verify_f_block_routes(s_values: tuple[Fraction, ...], order: int) -> Report:
                          {"s": list(point.s), "order": order}, lhs, rhs)
 
 
-class FormalDivergence(Exception):
+class FormalDivergence(ValueError):
     """The hypergeometric ratio has non-positive valuation, so the sum never
     stabilizes coefficientwise."""
 

@@ -50,7 +50,7 @@ class DivergentPoint(ValueError):
             "open interval (q0, 1/q0)")
 
 
-class SimpleZeroViolated(Exception):
+class SimpleZeroViolated(ValueError):
     """The supplied odd function fails f(1) = 0 or f'(1) != 0."""
 
 

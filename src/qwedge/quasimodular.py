@@ -16,7 +16,7 @@ from .special import eisenstein_g, xi_value
 F = Fraction
 
 
-class FitError(Exception):
+class FitError(ValueError):
     pass
 
 

@@ -56,31 +56,6 @@ def sign(n: int, num_blocks: int) -> int:
     return -1 if (n + num_blocks) % 2 else 1
 
 
-def bell_number(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        new = [row[-1]]
-        for x in row:
-            new.append(new[-1] + x)
-        row = new
-    return row[0]
-
-
-def fubini_number(n: int) -> int:
-    """Number of ordered set partitions of an n-set."""
-    return sum(
-        math.factorial(k) * _stirling2(n, k) for k in range(n + 1)
-    )
-
-
-def _stirling2(n: int, k: int) -> int:
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
-
-
 def near_singleton_partitions(items: tuple[int, ...]) -> Iterator[SetPartition]:
     """Set partitions with at most one non-singleton block, that block containing
     the smallest element.  For {1,2,3}: the all-singletons one, {12|3}, {13|2}, {123}.
@@ -98,15 +73,6 @@ def near_singleton_partitions(items: tuple[int, ...]) -> Iterator[SetPartition]:
             yield tuple(sorted(part, key=lambda b: b[0]))
 
 
-def pointed_partitions(items: tuple[int, ...]) -> Iterator[SetPartition]:
-    """Set partitions where the smallest element is a singleton block."""
-    if not items:
-        return
-    first, rest = items[0], items[1:]
-    for sp in set_partitions(rest):
-        yield tuple(sorted(((first,),) + sp, key=lambda b: b[0]))
-
-
 def stabilizer_multiplicity(blocks: SetPartition) -> Fraction:
     """1 / prod(multiplicity!) over repeated block contents, for weighted sums in
     which each multiset of blocks should count once.
@@ -120,29 +86,24 @@ def stabilizer_multiplicity(blocks: SetPartition) -> Fraction:
     return Fraction(1, denom)
 
 
-def exp_derivative_expansion(f_derivs: list[Fraction], s: int) -> Fraction:
-    """The s-th derivative of exp(f) divided by exp(f), as a polynomial in the
-    derivatives of f: s! * sum over {k_i >= 0 : sum i*k_i = s} of
-    prod_i (f_derivs[i] / i!)^{k_i} / k_i!.
-
-    f_derivs[i] holds the i-th derivative of f at the point; index 0 is unused.
+def signed_composition_sums(n_max: int) -> list[int]:
+    """c_m = sum of (-1)^{blocks} over the ordered set partitions of an m-set, for
+    m = 0..n_max, by the first-block recurrence c_0 = 1,
+    c_m = -sum_{j=1..m} C(m, j) c_{m-j}: choose the j elements of the first
+    block, then order-partition the rest.
     """
-    if s == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for combo in partition_multiplicities(s):
-        term = Fraction(1)
-        for i, k in combo.items():
-            term *= (f_derivs[i] / math.factorial(i)) ** k / math.factorial(k)
-        total += term
-    return math.factorial(s) * total
+    c = [1]
+    for m in range(1, n_max + 1):
+        c.append(-sum(math.comb(m, j) * c[m - j] for j in range(1, m + 1)))
+    return c
 
 
 def verify_counts(n_max: int = 8) -> Report:
     """Signed counting identities over set partitions and compositions of {1..n}:
 
     - sum over set partitions of (-1)^{n+blocks} * blocks!  == 1
-    - sum over compositions   of (-1)^{n+blocks}            == 1  (same value, other enumerator)
+    - sum over compositions   of (-1)^{n+blocks}            == 1  (same value, counted
+      by the first-block recurrence instead of an enumeration)
     - sum over set partitions of (-1)^{n+blocks} * (blocks-1)! == 0 for n >= 2, == 1 at n = 1
     """
     statement = ("alternating block-count sums over set partitions and ordered set "
@@ -150,6 +111,7 @@ def verify_counts(n_max: int = 8) -> Report:
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     sums1, sums2, sums3 = [], [], []
+    comps = signed_composition_sums(n_max)
     status = "pass"
     for n in range(1, n_max + 1):
         items = tuple(range(1, n + 1))
@@ -158,7 +120,7 @@ def verify_counts(n_max: int = 8) -> Report:
             ell = len(sp)
             s1 += sign(n, ell) * math.factorial(ell)
             s3 += sign(n, ell) * math.factorial(ell - 1)
-        s2 = sum(sign(n, len(c)) for c in compositions(items))
+        s2 = sign(n, 0) * comps[n]
         sums1.append(s1)
         sums2.append(s2)
         sums3.append(s3)

@@ -211,30 +211,14 @@ class OddPolynomial:
         return {"nvars": self.nvars, "zdeg": self.zdeg, "terms": out}
 
 
-def epsilon_oddify(p: OddPolynomial) -> OddPolynomial:
-    """Keep exactly the terms odd in every variable separately (the average of
-    all 2^n sign flips weighted by the product of the signs)."""
-    return OddPolynomial(p.nvars, p.zdeg,
-                         {e: c for e, c in p.terms.items()
-                          if all(x % 2 == 1 for x in e)})
-
-
-def Gcal_series(n: int, N_z: int, N_q: int) -> OddPolynomial:
-    """The one-variable generating polynomial whose z^{2r+n-2} coefficient is the
-    (n-1)-fold derivative of the weight-2r Eisenstein series over (2r+n-2)!."""
+def _check_npoint_params(n: int, N_z: int, N_q: int) -> None:
+    """Parameter floors: below them the polynomial has no term to compare."""
     if n < 1:
         raise ValueError("need n >= 1")
-    out: dict[tuple[int, ...], object] = {}
-    r = 1
-    while 2 * r + n - 2 <= N_z:
-        d = 2 * r + n - 2
-        g = eisenstein_g(2 * r, N_q)
-        for _ in range(n - 1):
-            g = g.derive()
-        if d <= N_z:
-            out[(d,)] = g * F(1, math.factorial(d))
-        r += 1
-    return OddPolynomial(1, N_z, out)
+    if N_z < 1:
+        raise ValueError(f"z-degree {N_z} admits no odd exponent; need N_z >= 1")
+    if N_q < 0:
+        raise ValueError(f"q-order {N_q} is negative; need N_q >= 0")
 
 
 def _eps_gcal_block(block: tuple[int, ...], nvars: int, N_z: int,
@@ -276,8 +260,7 @@ def _compositions_bounded(total: int, parts: int, lmax: int):
 def npoint_skew_closed(n: int, N_z: int, N_q: int) -> OddPolynomial:
     """Set-partition closed form: the inverse eta series times the sum over
     partitions of {1..n} of products of oddified block series."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_npoint_params(n, N_z, N_q)
     eta_inv = eta(N_q).inv()
     total = OddPolynomial.zero(n, N_z)
     for mu in set_partitions(tuple(range(1, n + 1))):
@@ -296,6 +279,7 @@ def npoint_skew_brute(n: int, N_z: int, N_q: int, J: int,
     generating polynomial.  Optionally re-derives every coefficient through the
     log-derivative product expansion and demands exact agreement.
     """
+    _check_npoint_params(n, N_z, N_q)
     k_max = (N_z + 1) // 2
     if J < k_max:
         raise ValueError(f"need J >= {k_max} to cover z-degree {N_z}")

