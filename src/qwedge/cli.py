@@ -56,6 +56,8 @@ def _resolve_points(a: argparse.Namespace, n_default: int) -> tuple[F, ...]:
             raise ValueError("--n disagrees with the number of --points entries")
         return a.points
     n = _or(a.n, n_default)
+    if n < 1:
+        raise ValueError(f"--n {n}: need at least one variable")
     if a.seed is not None:
         from .correlators import EvalPoint
         rng = random.Random(a.seed)
@@ -85,7 +87,10 @@ def _phi_vanish_args(a) -> dict:
     if a.order is not None:
         raise ValueError("--order sets the theta kind's term count; the algebraic "
                          "kind checked here has no truncation")
-    return dict(f_kind="algebraic", n=_or(a.n, 3), q0=_or(a.q, F(1, 16)))
+    if a.q is not None:
+        raise ValueError("--q sets the theta kind's nome; the algebraic kind checked "
+                         "here does not read it")
+    return dict(f_kind="algebraic", n=_or(a.n, 3))
 
 
 _VERIFIERS = {

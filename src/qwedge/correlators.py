@@ -513,6 +513,8 @@ def verify_poch_telescope(u: Monomial, v_root: Fraction, v_exp: int,
               "order": order}
     if b <= a:
         raise ValueError("need a < b")
+    if order < 0:
+        raise ValueError(f"order {order} is negative; the check needs order >= 0")
     uv: Monomial = (u[0] * v_root * v_root, u[1] + v_exp)
 
     def neg_span(expo: int) -> int:

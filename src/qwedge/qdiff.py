@@ -303,9 +303,13 @@ def verify_t_vanish(s_values, order: int) -> Report:
 
 
 def _poch_value(c: Fraction, start: int, length: int, q0: Fraction) -> Fraction:
+    """(c q^start; q)_length at q0, which must not vanish: it divides a chain."""
     out = ONE
     for j in range(length):
         out *= 1 - c * q0 ** (start + j)
+    if out == 0:
+        raise ValueError(f"q0 = {q0} is a pole of the chain: the Pochhammer factor "
+                         f"({c} q^{start}; q)_{length} vanishes")
     return out
 
 
@@ -330,7 +334,12 @@ def verify_cyclic_identity(m: int, k: int, q0=F(1, 4)) -> Report:
     """
     statement = ("cyclic sums of stabilizer-weighted Pochhammer chains on the "
                  "q-shifted unit-product divisor collapse to explicit constants")
+    if m < 1 or k < 1:
+        raise ValueError(f"m = {m}, k = {k}: the cyclic identity needs m >= 1 and k >= 1")
     q0 = F(q0)
+    if q0 <= 0 or q0 == 1:
+        raise ValueError(f"q0 = {q0}: the cyclic identity needs q0 > 0 and q0 != 1 "
+                         "(q0 = 1 makes (q)_j vanish, q0 = 0 puts t_k at infinity)")
     root = _sqrt_or_raise(q0)
     odd_primes = [3, 5, 7, 11, 13, 17, 19, 23]
     if k - 1 > len(odd_primes):

@@ -155,7 +155,15 @@ def _solve_overdetermined(basis, s, dim, span) -> list[Fraction]:
 # -- verifiers --------------------------------------------------------------------
 
 def shifted_hook_moment(ks: tuple[int, ...]) -> HookMomentWeight:
-    """The partition function prod_i (p_{k_i} - xi(-k_i)), as a row weight."""
+    """The partition function prod_i (p_{k_i} - xi(-k_i)), as a row weight.
+
+    Every k_i must be at least 1: p_0 - xi(0) vanishes on every partition, so a
+    factor k_i = 0 would make the bracket the zero series.
+    """
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"hook moment k = {k}: every k must be >= 1 "
+                             "(p_0 - xi(0) is zero on every partition)")
     return HookMomentWeight(ks, [xi_value(-k) for k in ks])
 
 

@@ -1,18 +1,19 @@
 """Truncated q-power series with exact rational coefficients.
 
 A QSeries represents q^e0 * (c_0 + c_1 q + ... + c_N q^N + O(q^{N+1})) where e0 is a
-single global rational offset and every c_k is a Fraction.  Coefficients below the
-offset are exactly zero; only exponents beyond e0+N are unknown.  All arithmetic keeps
-the pessimistic truncation: the result is valid exactly as far as every input was.
+single global rational offset.  The coefficients are Python ints `nums` over one
+positive int `den` (c_k = nums[k] / den), kept reduced: gcd(den, *nums) = 1.  Every
+operation works on the ints and reduces once, with a single gcd; `coeffs` is the
+Fraction view of the same coefficients, built on first use.  Coefficients below the
+offset are exactly zero; only exponents beyond e0+N are unknown.  All arithmetic
+keeps the pessimistic truncation: the result is valid exactly as far as every input
+was.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,19 +56,75 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class QSeries:
-    offset: Fraction
-    coeffs: tuple[Fraction, ...]
-    step: Fraction = field(default=ONE)
+def _fill(s: QSeries, offset: Fraction, nums: tuple[int, ...], den: int,
+          step: Fraction) -> QSeries:
+    if not nums:
+        raise ValueError("QSeries needs at least one coefficient slot")
+    put = object.__setattr__
+    put(s, "offset", offset)
+    put(s, "nums", nums)
+    put(s, "den", den)
+    put(s, "step", step)
+    put(s, "_coeffs", None)
+    return s
 
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("QSeries needs at least one coefficient slot")
+
+def _series(offset: Fraction, nums: tuple[int, ...], den: int, step: Fraction) -> QSeries:
+    """The series sum_k nums[k]/den q^{offset+k}; nums over den must be reduced, den > 0."""
+    return _fill(object.__new__(QSeries), offset, nums, den, step)
+
+
+def _reduced(offset: Fraction, nums, den: int, step: Fraction) -> QSeries:
+    """`_series` after dividing out gcd(den, *nums); den may be negative."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return _series(offset, tuple(nums), den, step)
+
+
+def _gap(lo: Fraction, hi: Fraction) -> int | None:
+    """hi - lo if it is an integer, else None.  Two reduced fractions differ by an
+    integer exactly when they share a denominator d and their numerators agree mod d."""
+    d = lo.denominator
+    if d != hi.denominator or (hi.numerator - lo.numerator) % d:
+        return None
+    return (hi.numerator - lo.numerator) // d
+
+
+class QSeries:
+    __slots__ = ("offset", "nums", "den", "step", "_coeffs")
+
+    def __init__(self, offset, coeffs, step=ONE):
+        """q^offset * sum_k coeffs[k] q^k; coefficients may be ints, Fractions or
+        strings."""
+        coeffs = [_as_frac(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        _fill(self, _as_frac(offset), nums, den, _as_frac(step))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QSeries is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QSeries is immutable; cannot delete {name!r}")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first use and then kept."""
+        view = self._coeffs
+        if view is None:
+            den = self.den
+            view = tuple(Fraction(c, den) for c in self.nums)
+            object.__setattr__(self, "_coeffs", view)
+        return view
 
     @property
     def trunc_order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def upper(self) -> Fraction:
@@ -78,15 +135,20 @@ class QSeries:
 
     @staticmethod
     def from_coeffs(coeffs, offset=ZERO, step=ONE) -> QSeries:
-        return QSeries(_as_frac(offset), tuple(_as_frac(c) for c in coeffs), _as_frac(step))
+        return QSeries(offset, coeffs, step)
+
+    @staticmethod
+    def from_nums(nums, den: int, offset=ZERO, step=ONE) -> QSeries:
+        """sum_k nums[k]/den q^{offset+k} for ints nums and a nonzero int den."""
+        return _reduced(_as_frac(offset), nums, den, _as_frac(step))
 
     @staticmethod
     def zero(order: int, offset=ZERO, step=ONE) -> QSeries:
-        return QSeries(_as_frac(offset), (ZERO,) * (order + 1), _as_frac(step))
+        return _series(_as_frac(offset), (0,) * (order + 1), 1, _as_frac(step))
 
     @staticmethod
     def const(c, order: int, step=ONE) -> QSeries:
-        return QSeries(ZERO, (_as_frac(c),) + (ZERO,) * order, _as_frac(step))
+        return QSeries.monomial(c, ZERO, order, step)
 
     @staticmethod
     def one(order: int, step=ONE) -> QSeries:
@@ -95,7 +157,9 @@ class QSeries:
     @staticmethod
     def monomial(c, exponent, order: int, step=ONE) -> QSeries:
         """c * q^exponent, known to relative order `order`."""
-        return QSeries(_as_frac(exponent), (_as_frac(c),) + (ZERO,) * order, _as_frac(step))
+        c = _as_frac(c)
+        return _series(_as_frac(exponent), (c.numerator,) + (0,) * order, c.denominator,
+                       _as_frac(step))
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -115,90 +179,101 @@ class QSeries:
     def truncate(self, order: int) -> QSeries:
         if order >= self.trunc_order:
             return self
-        return QSeries(self.offset, self.coeffs[: order + 1], self.step)
+        if order < 0:
+            raise ValueError("QSeries needs at least one coefficient slot")
+        return _reduced(self.offset, self.nums[: order + 1], self.den, self.step)
 
     def shift(self, delta) -> QSeries:
         """Multiply by the monomial q^delta (exact)."""
-        return QSeries(self.offset + _as_frac(delta), self.coeffs, self.step)
+        return _series(self.offset + _as_frac(delta), self.nums, self.den, self.step)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def valuation(self) -> Fraction | None:
         """Exponent of the first nonzero known coefficient, None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        for k, c in enumerate(self.nums):
+            if c:
                 return self.offset + k
         return None
 
     # -- ring operations ------------------------------------------------------
 
     def _check_step(self, other: QSeries):
-        if self.step != other.step:
+        if self.step is not other.step and self.step != other.step:
             raise MixedStep(f"cannot combine step {self.step} with step {other.step}")
 
     def __add__(self, other: QSeries) -> QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_step(other)
-        gap = other.offset - self.offset
-        if gap.denominator != 1:
+        gap = _gap(self.offset, other.offset)
+        if gap is None:
             raise NonIntegerOffsetGap(
                 f"offsets {self.offset} and {other.offset} differ by a non-integer")
-        off = min(self.offset, other.offset)
-        upper = min(self.upper, other.upper)
-        n = int(upper - off)
-        out = [ZERO] * (n + 1)
-        for src in (self, other):
-            base = int(src.offset - off)
-            for k, c in enumerate(src.coeffs):
-                j = base + k
-                if 0 <= j <= n:
-                    out[j] += c
-        return QSeries(off, tuple(out), self.step)
+        lo, hi = (self, other) if gap >= 0 else (other, self)
+        base = abs(gap)  # hi's slot 0 sits at lo's slot `base`
+        n = min(lo.trunc_order, base + hi.trunc_order)
+        den = math.lcm(lo.den, hi.den)
+        scale = den // lo.den
+        out = [c * scale for c in lo.nums[: n + 1]]
+        scale = den // hi.den
+        for j, c in enumerate(hi.nums[: max(0, n + 1 - base)], base):
+            out[j] += c * scale
+        return _reduced(lo.offset, out, den, self.step)
 
     def __neg__(self) -> QSeries:
-        return QSeries(self.offset, tuple(-c for c in self.coeffs), self.step)
+        return _series(self.offset, tuple(-c for c in self.nums), self.den, self.step)
 
     def __sub__(self, other: QSeries) -> QSeries:
         return self + (-other)
 
     def __mul__(self, other) -> QSeries:
-        if isinstance(other, (int, Fraction)):
-            c = _as_frac(other)
-            return QSeries(self.offset, tuple(c * x for x in self.coeffs), self.step)
+        if isinstance(other, (int, Fraction)):  # an int is its own numerator, over 1
+            return _reduced(self.offset, [other.numerator * x for x in self.nums],
+                            self.den * other.denominator, self.step)
         if not isinstance(other, QSeries):
             return NotImplemented
         self._check_step(other)
         n = min(self.trunc_order, other.trunc_order)
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i > n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
-                if b != 0:
-                    out[i + j] += a * b
-        return QSeries(self.offset + other.offset, tuple(out), self.step)
+        a, b = self.nums[: n + 1], other.nums[: n + 1]
+        if a.count(0) < b.count(0):
+            a, b = b, a  # walk the sparser operand (lattice sums: O(sqrt N) nonzeros)
+        out = [0] * (n + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[: n + 1 - i], i):
+                    out[j] += x * y
+        return _reduced(self.offset + other.offset, out, self.den * other.den, self.step)
 
     __rmul__ = __mul__
 
     def inv(self) -> QSeries:
-        c0 = self.coeffs[0]
-        if c0 == 0:
+        if self.nums[0] == 0:
             raise ZeroLeadingCoefficient("cannot invert: zero coefficient at the offset")
         n = self.trunc_order
-        inv0 = ONE / c0
-        out = [inv0] + [ZERO] * n
+        content = math.gcd(*self.nums)
+        a = [c // content for c in self.nums]
+        a0 = a[0]
+        # 1/sum a_j q^j = sum_k B_k q^k / a0^{k+1} with B_0 = 1 and
+        # B_k = -sum_{j>=1} a_j a0^{j-1} B_{k-j}: integers throughout
+        w = [(j, c * a0 ** (j - 1)) for j, c in enumerate(a) if j and c]
+        B = [1]
         for k in range(1, n + 1):
-            s = ZERO
-            for j in range(1, k + 1):
-                aj = self.coeffs[j] if j < len(self.coeffs) else ZERO
-                if aj != 0:
-                    s += aj * out[k - j]
-            out[k] = -inv0 * s
-        return QSeries(-self.offset, tuple(out), self.step)
+            s = 0
+            for j, c in w:
+                if j > k:
+                    break
+                s += c * B[k - j]
+            B.append(-s)
+        # self = (content/den) sum a_j q^j, so slot k of the inverse is
+        # den B_k a0^{n-k} over the common denominator content a0^{n+1}
+        out = [0] * (n + 1)
+        p = self.den
+        for k in range(n, -1, -1):
+            out[k] = B[k] * p
+            p *= a0
+        return _reduced(-self.offset, out, content * a0 ** (n + 1), self.step)
 
     def __truediv__(self, other) -> QSeries:
         if isinstance(other, (int, Fraction)):
@@ -223,10 +298,11 @@ class QSeries:
         For step-1/2 series the slot exponent is in the base variable u = q^{1/2},
         so the q-derivative picks up the extra factor of step.
         """
-        return QSeries(self.offset,
-                       tuple(self.step * (self.offset + k) * c
-                             for k, c in enumerate(self.coeffs)),
-                       self.step)
+        sn, sd = self.step.numerator, self.step.denominator
+        on, od = self.offset.numerator, self.offset.denominator
+        return _reduced(self.offset,
+                        [sn * (on + k * od) * c for k, c in enumerate(self.nums)],
+                        self.den * sd * od, self.step)
 
     # -- comparison -----------------------------------------------------------
 
@@ -239,38 +315,26 @@ class QSeries:
         """
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.step != other.step:
-            return False
-        gap = other.offset - self.offset
-        if gap.denominator != 1:
-            return False
-        upper = min(self.upper, other.upper)
-        lo = min(self.offset, other.offset)
-        e = lo
-        while e <= upper:
-            a = self.coeffs[int(e - self.offset)] if e >= self.offset else ZERO
-            b = other.coeffs[int(e - other.offset)] if e >= other.offset else ZERO
-            if a != b:
-                return False
-            e += 1
-        return True
+        return self.step == other.step and self.first_mismatch(other) is None
 
     def __hash__(self):
-        return hash((self.offset, self.coeffs, self.step))
+        return hash((self.offset, self.nums, self.den, self.step))
 
     def first_mismatch(self, other: QSeries):
         """(exponent, self_coeff, other_coeff) of the first disagreement, or None."""
-        gap = other.offset - self.offset
-        if gap.denominator != 1:
+        gap = _gap(self.offset, other.offset)
+        if gap is None:
             return (min(self.offset, other.offset), None, None)
-        upper = min(self.upper, other.upper)
-        e = min(self.offset, other.offset)
-        while e <= upper:
-            a = self.coeffs[int(e - self.offset)] if e >= self.offset else ZERO
-            b = other.coeffs[int(e - other.offset)] if e >= other.offset else ZERO
-            if a != b:
-                return (e, a, b)
-            e += 1
+        # both on the grid off, off+1, ..., off+n, zero-padded below their offsets
+        off = self.offset if gap >= 0 else other.offset
+        pad_a, pad_b = max(0, -gap), max(0, gap)
+        n = min(pad_a + self.trunc_order, pad_b + other.trunc_order)
+        a = ([0] * pad_a + list(self.nums))[: n + 1]
+        b = ([0] * pad_b + list(other.nums))[: n + 1]
+        da, db = self.den, other.den
+        for j, (x, y) in enumerate(zip(a, b)):
+            if x * db != y * da:  # x/da != y/db
+                return (off + j, Fraction(x, da), Fraction(y, db))
         return None
 
     # -- evaluation and serialization ------------------------------------------
@@ -298,13 +362,13 @@ class QSeries:
             scale = r ** (2 * off).numerator
         else:
             raise SeriesError(f"cannot evaluate offset {off} at a rational point")
-        total = ZERO
-        p = scale
-        for c in self.coeffs:
-            if c != 0:
-                total += c * p
-            p *= base
-        return total
+        # Horner in ints: sum_k nums[k] bn^k bd^{N-k}, over den * bd^N
+        bn, bd = base.numerator, base.denominator
+        acc, p = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * bn + c * p
+            p *= bd
+        return scale * Fraction(acc, self.den * (p // bd))
 
     def to_jsonable(self) -> dict:
         d = {"offset": str(self.offset), "coeffs": [str(c) for c in self.coeffs]}
@@ -314,9 +378,7 @@ class QSeries:
 
     @staticmethod
     def from_jsonable(d: dict) -> QSeries:
-        return QSeries(Fraction(d["offset"]),
-                       tuple(Fraction(c) for c in d["coeffs"]),
-                       Fraction(d.get("base_step", "1")))
+        return QSeries(Fraction(d["offset"]), d["coeffs"], Fraction(d.get("base_step", "1")))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -334,16 +396,16 @@ def binomial_factor(c, exponent: int, order: int) -> QSeries:
     c = _as_frac(c)
     if exponent == 0:
         return QSeries.const(ONE - c, order)
+    p, d = c.numerator, c.denominator
     if exponent > 0:
-        coeffs = [ONE] + [ZERO] * max(order, exponent)
-        if exponent <= len(coeffs) - 1:
-            coeffs[exponent] = -c
-        return QSeries(ZERO, tuple(coeffs[: max(order, exponent) + 1]))
+        nums = [d] + [0] * max(order, exponent)
+        nums[exponent] = -p
+        return _series(ZERO, tuple(nums), d, ONE)
     # exponent < 0: series starts at q^exponent
     k = -exponent
-    coeffs = [-c] + [ZERO] * max(order + k, k)
-    coeffs[k] = ONE
-    return QSeries(Fraction(exponent), tuple(coeffs))
+    nums = [-p] + [0] * max(order + k, k)
+    nums[k] = d
+    return _series(Fraction(exponent), tuple(nums), d, ONE)
 
 
 def q_pochhammer(c, j, n: int | None, order: int) -> QSeries:

@@ -126,26 +126,34 @@ def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSe
     s = F(s)
     if s <= 0:
         raise ValueError("s must be a positive rational")
-    # exponents e(n) are unimodal with vertex at n = -(2 shift + 1)/2; walk outward
+    a, b = s.numerator, s.denominator
+
+    def twice_e(n: int) -> int:
+        """Twice the q-exponent of the n-th summand: n(n+1) + shift(2n+1)."""
+        return n * (n + 1) + shift * (2 * n + 1)
+
+    # exponents are unimodal with vertex at n = -(2 shift + 1)/2; walk outward
     n0 = -shift - 1  # floor of the vertex
-    e_min = min(_theta_exponent(n0, shift), _theta_exponent(n0 + 1, shift))
-    target = e_min + order
-    terms: list[tuple[Fraction, Fraction]] = []
+    lowest = min(twice_e(n0), twice_e(n0 + 1))
+    target = lowest + 2 * order
+    ns = []
     n = n0
-    while _theta_exponent(n, shift) <= target:
-        terms.append((_theta_exponent(n, shift), _theta_term(n, k, s)))
+    while twice_e(n) <= target:
+        ns.append(n)
         n -= 1
     n = n0 + 1
-    while _theta_exponent(n, shift) <= target:
-        terms.append((_theta_exponent(n, shift), _theta_term(n, k, s)))
+    while twice_e(n) <= target:
+        ns.append(n)
         n += 1
-    coeffs = [ZERO] * (order + 1)
-    for e, c in terms:
-        idx = e - e_min
-        assert idx.denominator == 1
-        if idx.numerator <= order:
-            coeffs[idx.numerator] += c
-    return QSeries(e_min, tuple(coeffs))
+    # (n+1/2)^k s^{2n+1} = (2n+1)^k a^{2n+1+e_neg} b^{e_pos-(2n+1)} / (2^k a^e_neg b^e_pos)
+    e_neg = max(0, -(2 * min(ns) + 1))
+    e_pos = max(0, 2 * max(ns) + 1)
+    nums = [0] * (order + 1)
+    for n in ns:
+        m = 2 * n + 1
+        term = m ** k * a ** (m + e_neg) * b ** (e_pos - m)
+        nums[(twice_e(n) - lowest) // 2] += -term if n % 2 else term
+    return QSeries.from_nums(nums, 2 ** k * a ** e_neg * b ** e_pos, F(lowest, 2))
 
 
 def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
@@ -159,7 +167,9 @@ def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeri
 
 class ThetaLattice:
     """The lattice sums and ratios lattice_k * lattice_0^{-1} that one theta closed
-    form needs at one order, each built on first use and kept by (k, s, shift).
+    form needs at one order, each built on first use and kept by (k, s, shift);
+    s enters the keys as its numerator and denominator, which hash faster than
+    the Fraction.
 
     Create one per closed-form evaluation; it holds what it built only as long
     as that evaluation keeps it.
@@ -172,24 +182,27 @@ class ThetaLattice:
         self._ratios: dict[tuple, QSeries] = {}
 
     def sum(self, k: int, s: Fraction, shift: int) -> QSeries:
-        key = (k, s, shift)
-        if key not in self._sums:
-            self._sums[key] = theta_lattice_series(k, s, self.order, shift)
-        return self._sums[key]
+        key = (k, s.numerator, s.denominator, shift)
+        found = self._sums.get(key)
+        if found is None:
+            found = self._sums[key] = theta_lattice_series(k, s, self.order, shift)
+        return found
 
     def inverse(self, s: Fraction, shift: int) -> QSeries:
         """lattice_0^{-1}: Theta(x)^{-1} without its (q)_inf^3."""
-        key = (s, shift)
-        if key not in self._inverses:
-            self._inverses[key] = self.sum(0, s, shift).inv()
-        return self._inverses[key]
+        key = (s.numerator, s.denominator, shift)
+        found = self._inverses.get(key)
+        if found is None:
+            found = self._inverses[key] = self.sum(0, s, shift).inv()
+        return found
 
     def ratio(self, k: int, s: Fraction, shift: int) -> QSeries:
         """Theta^{(k)}(x) / Theta(x), exactly: the factor (q)_inf^{-3} cancels."""
-        key = (k, s, shift)
-        if key not in self._ratios:
-            self._ratios[key] = self.sum(k, s, shift) * self.inverse(s, shift)
-        return self._ratios[key]
+        key = (k, s.numerator, s.denominator, shift)
+        found = self._ratios.get(key)
+        if found is None:
+            found = self._ratios[key] = self.sum(k, s, shift) * self.inverse(s, shift)
+        return found
 
 
 def _theta_term(n: int, k: int, s: Fraction) -> Fraction:
@@ -282,6 +295,8 @@ def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,
                         order: int = 24) -> Report:
     """Theta(q^m x) = (-1)^m q^{-m^2/2} x^{-m} Theta(x) at x = s^2 q^shift."""
     statement = "theta satisfies its first-order multiplicative difference equation"
+    if m == 0:
+        raise ValueError("m = 0 makes the difference equation Theta(x) = Theta(x)")
     s = F(s)
     lhs = theta_deriv_series(0, s, order, shift + m)
     rhs = theta_deriv_series(0, s, order, shift)

@@ -115,6 +115,59 @@ def test_negative_series_order_exits_2(capsys, name):
                                "detail": "--order -1 is negative; a series needs order >= 0"}
 
 
+def test_series_bracket_k_zero_exits_2(capsys):
+    code, out = run_main(capsys, "series", "bracket", "--k", "0")
+    assert code == 2
+    assert json.loads(out)["status"] == "error"
+
+
+# id -> degenerate values of the flags that id reads; each must be rejected with
+# exit 2 and a JSON error, never passed or failed
+DEGENERATE_FLAGS = {
+    "bracket-qm": [["--k", "0"], ["--k", "-1"], ["--order", "0"], ["--order", "-1"]],
+    "counts": [["--n", "0"], ["--n", "-1"]],
+    "cyclic-identity": [["--q", "0"], ["--q", "1"], ["--q", "1/9"], ["--m", "0"],
+                        ["--m", "-1"], ["--k", "0"]],
+    "derivation-closure": [["--order", "0"], ["--order", "-1"]],
+    "diffeq-f": [["--order", "0"], ["--order", "-1"], ["--q", "0"], ["--q", "1"]],
+    "diffeq-h": [["--order", "0"], ["--order", "-1"], ["--k", "0"], ["--q", "0"],
+                 ["--q", "1"]],
+    "diffeq-t": [["--order", "-1"]],
+    "elliptic-transform": [["--order", "0"], ["--order", "-1"], ["--K", "0"]],
+    "h-equals-g": [["--order", "-1"]],
+    "npoint": [["--order", "-1"], ["--n", "0"], ["--n", "-1"],
+               ["--n", "0", "--seed", "3"]],
+    # the algebraic kind reads neither --order nor --q
+    "phi-vanish": [["--order", "0"], ["--q", "1/16"], ["--n", "0"]],
+    "poch-telescope": [["--order", "-1"], ["--n", "0"], ["--n", "-1"]],
+    "qgauss": [["--order", "-1"]],
+    "r-diffeq": [["--order", "-1"]],
+    "residue": [["--n", "0"], ["--k", "0"], ["--q", "0"], ["--q", "1"]],
+    "skew-npoint": [["--order", "-1"], ["--n", "0"], ["--k", "0"]],
+    "t-vanish": [["--order", "-1"], ["--points", "2"]],
+    "theta-derivs": [["--order", "-1"]],
+    "theta-diffeq": [["--order", "-1"], ["--m", "0"]],
+    "theta-expansion": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],
+    "triple-product": [["--order", "-1"]],
+    "v-consistency": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],
+    "xi-binomial": [["--n", "1"], ["--n", "0"], ["--n", "-3"]],
+    "xi-generating": [["--order", "-1"]],
+}
+
+
+def test_degenerate_flags_table_covers_every_id():
+    assert set(DEGENERATE_FLAGS) == set(cli.REGISTRY)
+
+
+@pytest.mark.parametrize("identity", sorted(DEGENERATE_FLAGS))
+def test_degenerate_flags_exit_2(capsys, identity):
+    for argv in DEGENERATE_FLAGS[identity]:
+        code, out = run_main(capsys, "verify", identity, *argv)
+        rep = json.loads(out)
+        assert (code, rep["identity"], rep["status"]) == (2, identity, "error"), argv
+        assert set(rep) == {"identity", "status", "detail"}, argv
+
+
 def test_unknown_id_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "definitely-not-an-id"])

@@ -160,6 +160,19 @@ def test_cyclic_identity_small_grid():
             assert rep.ok, (m, k)
 
 
+@pytest.mark.parametrize("q0, condition", [(F(0), "q0 > 0"), (F(1), "q0 != 1"),
+                                           (F(-1, 4), "q0 > 0")])
+def test_cyclic_identity_rejects_q0_off_the_domain(q0, condition):
+    with pytest.raises(ValueError, match=rf"q0 = {q0}: .*{condition}"):
+        verify_cyclic_identity(2, 2, q0)
+
+
+def test_cyclic_identity_names_the_vanishing_factor():
+    # t_1 = 3^2 = 9, so the factor (q t_1; q) = 1 - 9 q vanishes at q0 = 1/9
+    with pytest.raises(ValueError, match=r"q0 = 1/9 .*\(9 q\^1; q\)_1 vanishes"):
+        verify_cyclic_identity(2, 2, F(1, 9))
+
+
 def test_residue_pole_coefficients():
     assert verify_residue(1, 1, 1).ok
     assert verify_residue(2, 2, 1).ok

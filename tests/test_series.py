@@ -1,5 +1,6 @@
 """Exact series arithmetic: frozen oracles plus ring-axiom properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -232,3 +233,145 @@ def test_rational_sqrt(n):
         assert r * r == n
     rr = rational_sqrt(F(n * n, 49))
     assert rr == F(n, 7)
+
+
+# -- the integer representation against a Fraction-per-coefficient reference ------
+# The reference keeps one Fraction per coefficient and runs the schoolbook loops
+# QSeries used before it moved to integer numerators over one denominator.
+
+class Ref:
+    def __init__(self, offset, coeffs, step):
+        self.offset, self.coeffs, self.step = F(offset), [F(c) for c in coeffs], F(step)
+
+    @property
+    def upper(self):
+        return self.offset + len(self.coeffs) - 1
+
+    def __add__(self, other):
+        off = min(self.offset, other.offset)
+        n = int(min(self.upper, other.upper) - off)
+        out = [F(0)] * (n + 1)
+        for src in (self, other):
+            base = int(src.offset - off)
+            for k, c in enumerate(src.coeffs):
+                if 0 <= base + k <= n:
+                    out[base + k] += c
+        return Ref(off, out, self.step)
+
+    def __neg__(self):
+        return Ref(self.offset, [-c for c in self.coeffs], self.step)
+
+    def scale(self, c):
+        return Ref(self.offset, [c * x for x in self.coeffs], self.step)
+
+    def __mul__(self, other):
+        n = min(len(self.coeffs), len(other.coeffs)) - 1
+        out = [F(0)] * (n + 1)
+        for i, a in enumerate(self.coeffs[: n + 1]):
+            for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                out[i + j] += a * b
+        return Ref(self.offset + other.offset, out, self.step)
+
+    def inv(self):
+        c0, n = self.coeffs[0], len(self.coeffs) - 1
+        out = [1 / c0] + [F(0)] * n
+        for k in range(1, n + 1):
+            out[k] = -sum((self.coeffs[j] * out[k - j] for j in range(1, k + 1)),
+                          F(0)) / c0
+        return Ref(-self.offset, out, self.step)
+
+    def pow(self, e):
+        base = self.inv() if e < 0 else self
+        out = Ref(0, [1] + [0] * (len(self.coeffs) - 1), self.step)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def derive(self):
+        return Ref(self.offset, [self.step * (self.offset + k) * c
+                                 for k, c in enumerate(self.coeffs)], self.step)
+
+    def truncate(self, order):
+        return Ref(self.offset, self.coeffs[: order + 1], self.step)
+
+    def shift(self, delta):
+        return Ref(self.offset + delta, self.coeffs, self.step)
+
+    def eval_at(self, root):
+        # q0 = root^4 with root > 0, so q0^{step (offset + k)} is a power of root here
+        return sum((c * root ** int(4 * self.step * (self.offset + k))
+                    for k, c in enumerate(self.coeffs)), F(0))
+
+
+def as_ref(s: QSeries) -> Ref:
+    return Ref(s.offset, s.coeffs, s.step)
+
+
+def assert_same(got: QSeries, want: Ref):
+    assert (got.offset, got.step, got.trunc_order) == \
+        (want.offset, want.step, len(want.coeffs) - 1)
+    assert list(got.coeffs) == want.coeffs
+    assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+
+
+wide_frac = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+half_integer = st.integers(min_value=-6, max_value=6).map(lambda k: F(k, 2))
+
+
+@st.composite
+def series_pair(draw):
+    """Two series on one grid: a shared step, offsets an integer apart."""
+    step = draw(st.sampled_from([F(1), F(1, 2)]))
+    offset = draw(half_integer)
+    gap = draw(st.integers(min_value=-3, max_value=3))
+    a, b = (draw(st.lists(wide_frac, min_size=1, max_size=8)) for _ in range(2))
+    return QSeries(offset, a, step), QSeries(offset + gap, b, step)
+
+
+@given(series_pair(), wide_frac, st.integers(min_value=-3, max_value=3),
+       st.integers(min_value=0, max_value=8), half_integer,
+       st.sampled_from([F(1, 2), F(2, 3), F(3), F(5, 4)]))
+@settings(max_examples=150, deadline=None)
+def test_integer_representation_matches_fraction_reference(pair, c, e, order, delta,
+                                                           root):
+    a, b = pair
+    ra, rb = as_ref(a), as_ref(b)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra + (-rb))
+    assert_same(-a, -ra)
+    assert_same(a * c, ra.scale(c))
+    assert_same(c * a, ra.scale(c))
+    assert_same(a * 3, ra.scale(F(3)))
+    assert_same(a * b, ra * rb)
+    assert_same(a.derive(), ra.derive())
+    assert_same(a.truncate(order), ra.truncate(order))
+    assert_same(a.shift(delta), ra.shift(delta))
+    assert a.eval_at(root ** 4) == ra.eval_at(root)
+    if a.coeffs[0] == 0:
+        with pytest.raises(ZeroLeadingCoefficient):
+            a.inv()
+    else:
+        assert_same(a.inv(), ra.inv())
+        assert_same(a ** e, ra.pow(e))
+
+
+@given(st.lists(wide_frac, min_size=1, max_size=10), st.integers(1, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_nums_over_den_are_reduced(coeffs, scale):
+    s = QSeries.from_coeffs(coeffs)
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    assert list(s.coeffs) == coeffs
+    # the same series given over a common multiple of its denominator
+    t = QSeries.from_nums([scale * n for n in s.nums], -scale * s.den)
+    assert t.den == s.den and t.nums == tuple(-n for n in s.nums)
+    # a cancelling sum reduces to the zero series over 1
+    z = s - s
+    assert z.is_zero() and z.den == 1
+
+
+def test_qseries_is_immutable_and_hashable():
+    s = S([1, F(1, 2)])
+    with pytest.raises(AttributeError):
+        s.den = 2
+    assert hash(s) == hash(S([2, 1]) * F(1, 2))
+    assert len({s, S([1, F(1, 2)]), S([1])}) == 2

@@ -13,6 +13,7 @@ from qwedge.special import (
     theta_at_one_derivative,
     theta_deriv_series,
     theta_deriv_value,
+    theta_lattice_series,
     theta_odd_derivative_closed_form,
     theta_product_series,
     verify_theta_derivs,
@@ -176,3 +177,22 @@ def test_xi_binomial_report():
     assert r.ok
     # n = 2 by hand: -2 xi(-1) = -1/12 equals -1/3 + 1/4
     assert -2 * xi_value(-1) == F(-1, 3) + F(1, 4)
+
+
+@pytest.mark.parametrize("s", [F(2, 3), F(7, 4), F(5)])
+def test_theta_lattice_series_matches_fraction_sum(s):
+    """sum_n (-1)^n (n+1/2)^k s^{2n+1} q^{e(n)}, e(n) = n(n+1)/2 + shift(n+1/2),
+    summed one Fraction per term."""
+    order = 9
+    for shift in range(-2, 3):
+        window = range(-order - 6, order + 6)
+        e = {n: F(n * (n + 1), 2) + shift * (n + F(1, 2)) for n in window}
+        low = min(e.values())
+        for k in range(4):
+            want = [F(0)] * (order + 1)
+            for n in window:
+                if e[n] - low <= order:
+                    sign = -1 if n % 2 else 1
+                    want[int(e[n] - low)] += sign * (n + F(1, 2)) ** k * s ** (2 * n + 1)
+            got = theta_lattice_series(k, s, order, shift)
+            assert (got.offset, got.step, list(got.coeffs)) == (low, 1, want), (k, shift)
