@@ -10,7 +10,7 @@ rather than trusting either one.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +18,7 @@ from .partitions import (RowWeight, eps_complements, eps_row, eps_top,
                          q_bracket)
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, euler_product, q_pochhammer
-from .setparts import set_partitions, sign
+from .setparts import ordered_block_sum, set_partitions, subset_fold
 from .special import ThetaLattice, theta_deriv_series
 
 F = Fraction
@@ -280,93 +280,82 @@ def f_via_blocks(point: EvalPoint, order: int) -> QSeries:
 # -- theta closed forms ------------------------------------------------------------
 
 
-def _det(mat: list[list[QSeries | None]], order: int) -> QSeries:
-    """Cofactor expansion; None entries are exact zeros."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0] if mat[0][0] is not None else QSeries.zero(order)
-    total = None
-    for i in range(n):
-        entry = mat[i][0]
-        if entry is None:
-            continue
-        minor = [row[1:] for r, row in enumerate(mat) if r != i]
-        sub = _det(minor, order)
-        term = entry * sub
-        if i % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total if total is not None else QSeries.zero(order)
+def theta_block_sum(point: EvalPoint, shifts: tuple[int, ...], lattice: ThetaLattice,
+                    s0: Fraction = ONE, j0: int = 0) -> QSeries:
+    """Sum over ordered set partitions (B_1, ..., B_r) of {1..n} of
+
+        prod_k (-1)^{|B_k| - 1} lattice_{|B_k|}(t_0 t_{P_{k-1}})
+          * prod_{0 < k < r} lattice_0(t_0 t_{P_k})^{-1},
+
+    P_k = B_1 u ... u B_k and t_0 = s0^2 q^{j0}; t_P carries the shifts of P.
+    One DP over subset masks (`setparts.ordered_block_sum`): the block factor
+    lattice_{|B|} is formed once per prefix P and size |B|, and the inverse once
+    per prefix.  No inverse is taken at the empty or the full prefix, where
+    the argument may be 1.  An even-size first block at argument 1 is skipped,
+    since Theta^{(k)}(1) vanishes for even k.
+    """
+    s_of = subset_fold(point.s, F(s0), operator.mul)
+    j_of = subset_fold(tuple(shifts), j0, operator.add)
+
+    def leaf(k: int, p: int) -> QSeries | None:
+        if k % 2 == 0 and j_of[p] == 0 and s_of[p] == 1:
+            return None
+        term = lattice.sum(k, s_of[p], j_of[p])
+        return term if k % 2 else -term
+
+    def close(p: int, acc: QSeries) -> QSeries:
+        return acc * lattice.inverse(s_of[p], j_of[p])
+
+    return ordered_block_sum(point.n, leaf, close)
 
 
-def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None) -> QSeries:
+def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None,
+             lattice: ThetaLattice | None = None) -> QSeries:
     """The determinant closed form for F.
 
+    The paper's form sums, over the orderings of the points, an n x n
+    determinant of theta derivatives Theta^{(j-i+1)}(prefix product) / (j-i+1)!
+    divided by the n prefix thetas.  The matrix is upper Hessenberg; its
+    subdiagonal Theta(prefix) entries cancel all but one denominator per
+    interval block, and the |B|! orderings inside a block cancel the 1/|B|!.
+    What remains is a sum over ordered set partitions with the block factor
+    (-1)^{|B|-1} Theta^{(|B|)}(t_P) / Theta(t_{P u B}), P the union before the
+    block: `theta_block_sum` closed with Theta(t_1..t_n)^{-1}.  Each term holds
+    n theta factors above and below, so (q)_inf^{-3} cancels and all are
+    lattice sums.
+
     shifts[k] multiplies t_k by q^{shifts[k]}, which the theta factors absorb as
-    exponent shifts; entries with factorial of a negative number are exact zeros.
-    Each determinant term and the denominator hold n theta factors, so (q)_inf^{-3}
-    cancels and both are built from lattice sums.
+    exponent shifts.  `lattice` may be shared by evaluations at one order.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
-    lattice = ThetaLattice(order)
-    total = None
-    for perm in itertools.permutations(range(n)):
-        prefix_s = [point.s_prod(perm[:m]) for m in range(n + 1)]
-        prefix_j = [sum(shifts[i] for i in perm[:m]) for m in range(n + 1)]
-        mat: list[list[QSeries | None]] = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                k = j - i + 1
-                if k < 0:
-                    row.append(None)
-                else:
-                    arg = n - j
-                    th = lattice.sum(k, prefix_s[arg], prefix_j[arg])
-                    row.append(th * F(1, math.factorial(k)))
-            mat.append(row)
-        term = _det(mat, order)
-        for m in range(1, n + 1):
-            term = term * lattice.inverse(prefix_s[m], prefix_j[m])
-        total = term if total is None else total + term
-    return total
+    lattice = ThetaLattice.reuse(lattice, order)
+    return theta_block_sum(point, shifts, lattice) \
+        * lattice.inverse(point.s_prod(range(n)), sum(shifts))
 
 
-def t_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None) -> QSeries:
+def t_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None,
+             lattice: ThetaLattice | None = None) -> QSeries:
     """T = Theta(t_1..t_n) * U, assembled from its ordered-block expansion:
 
     sum over ordered set partitions gamma of (-1)^{n + l} Theta^{(#gamma_1)}(1)
     * prod_{k >= 2} Theta^{(#gamma_k)}(prod of t over gamma_1..gamma_{k-1})
                   / Theta(same argument).
 
-    Only the leading factor keeps its (q)_inf^{-3}; it is applied once, to the sum.
+    The sign (-1)^{n + l} is the product of (-1)^{|B|-1} over the blocks, so
+    this is `theta_block_sum` before U's last close: Theta(t_1..t_n) is never
+    inverted, and T is finite where t_1..t_n = 1.  Only the leading factor keeps
+    its (q)_inf^{-3}; it is applied once, to the sum.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
-    lattice = ThetaLattice(order)
-    items = tuple(range(1, n + 1))
-    total = QSeries.zero(order)
-    for pi in set_partitions(items):
-        for gamma in itertools.permutations(pi):
-            if len(gamma[0]) % 2 == 0:
-                continue  # the invariant derivative at 1 vanishes for even order
-            term = lattice.sum(len(gamma[0]), ONE, 0)
-            union: list[int] = list(gamma[0])
-            for block in gamma[1:]:
-                s_arg = point.s_prod(i - 1 for i in union)
-                j_arg = sum(shifts[i - 1] for i in union)
-                term = term * lattice.ratio(len(block), s_arg, j_arg)
-                union.extend(block)
-            if sign(n, len(gamma)) < 0:
-                term = -term
-            total = total + term
+    total = theta_block_sum(point, shifts, ThetaLattice.reuse(lattice, order))
     return total * (euler_product(order).inv() ** 3)
 
 
@@ -437,6 +426,13 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] / b[0], a[1] - b[1])
 
 
+def _neg_span(expo: int) -> int:
+    """How far below q^0 a Pochhammer product starting at q^expo reaches:
+    its factors q^expo, ..., q^{-1} add up to exponent -m(m+1)/2, m = -expo."""
+    m = max(0, -expo)
+    return m * (m + 1) // 2
+
+
 def _is_terminating(mono: Monomial) -> bool:
     """(x)_n vanishes for large n iff x = q^{-k} with k >= 0."""
     return mono[0] == 1 and mono[1] <= 0
@@ -459,13 +455,9 @@ def verify_qgauss(a: Monomial, b: Monomial, c: Monomial, order: int) -> Report:
         raise FormalDivergence(
             f"ratio c/(ab) has q-exponent {z[1]} < 1 and neither numerator terminates")
 
-    def neg_span(expo: int) -> int:
-        m = max(0, -expo)
-        return m * (m + 1) // 2
-
     # negative-exponent Pochhammer factors eat into the valid window; work higher
-    work = order + neg_span(a[1]) + neg_span(b[1]) + neg_span(c[1]) \
-        + neg_span(z[1]) + neg_span(c[1] - a[1]) + neg_span(c[1] - b[1])
+    work = order + _neg_span(a[1]) + _neg_span(b[1]) + _neg_span(c[1]) \
+        + _neg_span(z[1]) + _neg_span(c[1] - a[1]) + _neg_span(c[1] - b[1])
     if z[1] < 1:
         terms_bound = 2 + max(-a[1] if _is_terminating(a) else 0,
                               -b[1] if _is_terminating(b) else 0)
@@ -517,16 +509,12 @@ def verify_poch_telescope(u: Monomial, v_root: Fraction, v_exp: int,
         raise ValueError(f"order {order} is negative; the check needs order >= 0")
     uv: Monomial = (u[0] * v_root * v_root, u[1] + v_exp)
 
-    def neg_span(expo: int) -> int:
-        m = max(0, -expo)
-        return m * (m + 1) // 2
-
     # monomial prefactors reach far below q^0; widen the window so every term
     # still covers exponents up to `order`
     extremes = [(1 + v_exp) * (1 - 2 * i) for i in range(a, b + 1)]
     extremes += [(1 + v_exp) * (3 - 2 * b), (1 + v_exp) * (1 - 2 * a)]
     work = order + max(0, max(-min(extremes) // 2 + 1, 0)) \
-        + neg_span(u[1] + a) + neg_span(uv[1] + a + 1)
+        + _neg_span(u[1] + a) + _neg_span(uv[1] + a + 1)
 
     def qv_half_power(two_e: int) -> QSeries:
         # (q v)^{two_e / 2} = v_root^{two_e} q^{(1 + v_exp) two_e / 2}

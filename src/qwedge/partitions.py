@@ -216,6 +216,8 @@ def q_bracket(f: Callable[[Partition], Fraction], order: int) -> QSeries:
     A RowWeight runs through `partition_sums`; any other callable is evaluated on
     every partition, which the tests keep as the reference.
     """
+    if order < 0:
+        raise ValueError(f"order {order} is negative; a q-bracket needs order >= 0")
     if isinstance(f, RowWeight):
         coeffs = partition_sums(f, order)
     else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .correlators import (
@@ -22,16 +23,18 @@ from .correlators import (
     HWeight,
     block_products,
     t_series,
+    theta_block_sum,
     u_series,
 )
 from .partitions import RowWeight, partition_sums
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, rational_sqrt
 from .setparts import (
-    compositions,
     near_singleton_partitions,
+    ordered_block_sum,
     sign,
     stabilizer_multiplicity,
+    subset_fold,
 )
 from .special import ThetaLattice, theta_deriv_value
 
@@ -207,19 +210,21 @@ def verify_diffeq_t(s_values, order: int) -> Report:
     params = {"s": list(point.s), "order": order}
     shifts = (1,) + (0,) * (n - 1)
     pis = list(near_singleton_partitions(tuple(range(1, n + 1))))
+    # the merged points' prefix products are subset products of this point's
+    lattice = ThetaLattice(order)
 
-    lhs_t = t_series(point, order, shifts)
+    lhs_t = t_series(point, order, shifts, lattice)
     rhs_t = QSeries.zero(order)
     for pi in pis:
-        term = t_series(point.merged(pi), order)
+        term = t_series(point.merged(pi), order, lattice=lattice)
         rhs_t = rhs_t + (term if sign(n, len(pi)) > 0 else -term)
     rep_t = series_report("diffeq-t", statement, params, lhs_t, rhs_t)
 
-    lhs_u = u_series(point, order, shifts)
+    lhs_u = u_series(point, order, shifts, lattice)
     tfull = point.s_prod(range(n)) ** 2
     total = QSeries.zero(order)
     for pi in pis:
-        term = u_series(point.merged(pi), order)
+        term = u_series(point.merged(pi), order, lattice=lattice)
         total = total + (term if sign(n, len(pi)) > 0 else -term)
     rhs_u = QSeries.monomial(-tfull, F(1, 2), order) * total
     rep_u = series_report("diffeq-t", statement, params, lhs_u, rhs_u)
@@ -235,30 +240,25 @@ def verify_diffeq_t(s_values, order: int) -> Report:
 
 
 def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
-             shifts: tuple[int, ...] | None = None) -> QSeries:
+             shifts: tuple[int, ...] | None = None,
+             lattice: ThetaLattice | None = None) -> QSeries:
     """The composition sum of invariant theta-derivative ratios with an auxiliary
-    variable t_0 = s0^2 q^{j0} joined to every prefix product.  Each ratio is
-    taken of lattice sums, since (q)_inf^{-3} cancels in it.
+    variable t_0 = s0^2 q^{j0} joined to every prefix product:
+
+        sum over ordered set partitions (B_1, ..., B_l) of (-1)^{n + l}
+          prod_k Theta^{(|B_k|)}(t_0 t_P) / Theta(t_0 t_P),  P = B_1 u ... u B_{k-1}.
+
+    The block factor is (-1)^{|B|-1} times the ratio at t_0 t_P; every ratio
+    is one of lattice sums, since (q)_inf^{-3} cancels in it.  As one subset DP
+    (`theta_block_sum` at t_0) it divides by Theta(t_0 t_P) once per prefix P,
+    the empty prefix at the end.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     s0 = F(s0)
-    lattice = ThetaLattice(order)
-    total = QSeries.zero(order)
-    for gamma in compositions(tuple(range(1, n + 1))):
-        term = None
-        s_acc, j_acc = s0, j0
-        for block in gamma:
-            factor = lattice.ratio(len(block), s_acc, j_acc)
-            term = factor if term is None else term * factor
-            for i in block:
-                s_acc *= point.s[i - 1]
-                j_acc += shifts[i - 1]
-        if sign(n, len(gamma)) < 0:
-            term = -term
-        total = total + term
-    return total
+    lattice = ThetaLattice.reuse(lattice, order)
+    return theta_block_sum(point, shifts, lattice, s0, j0) * lattice.inverse(s0, j0)
 
 
 def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
@@ -272,10 +272,11 @@ def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
     s0 = F(s0)
     params = {"s": list(point.s), "s0": s0, "j0": j0, "order": order}
     shifts = (1,) + (0,) * (n - 1)
-    lhs = r_series(point, s0, j0, order, shifts)
+    lattice = ThetaLattice(order)
+    lhs = r_series(point, s0, j0, order, shifts, lattice)
     rhs = QSeries.zero(order)
     for pi in near_singleton_partitions(tuple(range(1, n + 1))):
-        term = r_series(point.merged(pi), s0, j0, order)
+        term = r_series(point.merged(pi), s0, j0, order, lattice=lattice)
         rhs = rhs + (term if sign(n, len(pi)) > 0 else -term)
     return series_report("r-diffeq", statement, params, lhs, rhs)
 
@@ -440,28 +441,26 @@ def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
 
 
 def phi_sum(fval, fderiv, svals: tuple[Fraction, ...]) -> Fraction:
-    """Composition sum of invariant-derivative ratios of an odd function; the
-    first block is evaluated at 1 and even first-block sizes drop out.
+    """Composition sum of invariant-derivative ratios of an odd function:
+
+        sum over ordered set partitions (B_1, ..., B_l), |B_1| odd, of
+          (-1)^l f^{(|B_1|)}(1) prod_{k >= 2} f^{(|B_k|)}(x_P) / f(x_P),
+
+    x_P the product of t over P = B_1 u ... u B_{k-1}; even first-block sizes
+    drop out, as f^{(k)}(1) vanishes for them.  The block factor is
+    -f^{(|B|)}(x_P), and one subset DP (`setparts.ordered_block_sum`) divides by
+    f(x_P) once per prefix P: each value of f and its derivatives is taken once.
 
     fval(s) and fderiv(m, s) evaluate f and (x d/dx)^m f at x = s^2.
     """
-    n = len(svals)
-    total = ZERO
-    for gamma in compositions(tuple(range(1, n + 1))):
-        if len(gamma[0]) % 2 == 0:
-            continue
-        term = fderiv(len(gamma[0]), ONE)
-        seen = list(gamma[0])
-        for block in gamma[1:]:
-            s_arg = ONE
-            for i in seen:
-                s_arg *= svals[i - 1]
-            term *= fderiv(len(block), s_arg) / fval(s_arg)
-            seen.extend(block)
-        if len(gamma) % 2:
-            term = -term
-        total += term
-    return total
+    s_of = subset_fold(tuple(svals), ONE, operator.mul)
+
+    def leaf(k: int, p: int) -> Fraction | None:
+        if not p and k % 2 == 0:
+            return None
+        return -fderiv(k, s_of[p])
+
+    return ordered_block_sum(len(svals), leaf, lambda p, acc: acc / fval(s_of[p]))
 
 
 def require_simple_zero(fval, fderiv, tiny: Fraction) -> None:

@@ -166,20 +166,28 @@ def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeri
 
 
 class ThetaLattice:
-    """The lattice sums and ratios lattice_k * lattice_0^{-1} that one theta closed
-    form needs at one order, each built on first use and kept by (k, s, shift);
+    """The lattice sums lattice_k and inverses lattice_0^{-1} that theta closed
+    forms need at one order, each built on first use and kept by (k, s, shift);
     s enters the keys as its numerator and denominator, which hash faster than
     the Fraction.
 
-    Create one per closed-form evaluation; it holds what it built only as long
-    as that evaluation keeps it.
+    Create one per closed-form evaluation, or one per verifier call for the
+    evaluations it compares; it holds what it built only as long as they keep it.
     """
 
     def __init__(self, order: int):
         self.order = order
         self._sums: dict[tuple, QSeries] = {}
         self._inverses: dict[tuple, QSeries] = {}
-        self._ratios: dict[tuple, QSeries] = {}
+
+    @staticmethod
+    def reuse(lattice: ThetaLattice | None, order: int) -> ThetaLattice:
+        """`lattice` if one is given, which must be of `order`; else a new table."""
+        if lattice is None:
+            return ThetaLattice(order)
+        if lattice.order != order:
+            raise ValueError(f"a lattice of order {lattice.order} cannot serve order {order}")
+        return lattice
 
     def sum(self, k: int, s: Fraction, shift: int) -> QSeries:
         key = (k, s.numerator, s.denominator, shift)
@@ -194,14 +202,6 @@ class ThetaLattice:
         found = self._inverses.get(key)
         if found is None:
             found = self._inverses[key] = self.sum(0, s, shift).inv()
-        return found
-
-    def ratio(self, k: int, s: Fraction, shift: int) -> QSeries:
-        """Theta^{(k)}(x) / Theta(x), exactly: the factor (q)_inf^{-3} cancels."""
-        key = (k, s.numerator, s.denominator, shift)
-        found = self._ratios.get(key)
-        if found is None:
-            found = self._ratios[key] = self.sum(k, s, shift) * self.inverse(s, shift)
         return found
 
 

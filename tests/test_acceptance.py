@@ -23,6 +23,9 @@ from qwedge.skewchar import verify_h_equals_g, verify_skew_npoint
 from qwedge.special import eisenstein_g, theta_deriv_series, verify_theta_derivs
 
 
+PRIMES_6 = (F(2), F(3), F(5), F(7), F(11), F(13))
+
+
 class Budget:
     """Wall-clock guard: the criterion fails if its work exceeds the budget."""
 
@@ -48,6 +51,8 @@ def test_criterion_01_npoint_determinant_identity():
             assert verify_npoint(s, 14).ok
         assert verify_npoint((F(2), F(3), F(5)), 10).ok
         assert verify_npoint((F(2), F(3), F(5), F(7)), 8).ok
+        assert verify_npoint((F(2), F(3), F(5), F(7)), 14).ok
+        assert verify_npoint(PRIMES_6, 10).ok
 
 
 def test_criterion_02_one_point_times_theta_is_one():
@@ -99,6 +104,8 @@ def test_criterion_07_difference_equations():
         assert verify_r_diffeq((F(2), F(3), F(5)), F(7, 5), 0, 8).ok
         assert verify_diffeq_t((F(2), F(3), F(5), F(7)), 8).ok
         assert verify_r_diffeq((F(2), F(3), F(5), F(7)), F(7, 5), 0, 8).ok
+        assert verify_diffeq_t(PRIMES_6, 10).ok
+        assert verify_r_diffeq(PRIMES_6, F(7, 5), 0, 10).ok
         # numeric full-sum recursions at q0 = 1/9, cutoffs 30 vs 25
         q0 = F(1, 9)
         assert verify_diffeq_f((F(2), F(5, 4)), q0, (25, 30)).ok

@@ -115,6 +115,13 @@ def test_negative_series_order_exits_2(capsys, name):
                                "detail": "--order -1 is negative; a series needs order >= 0"}
 
 
+def test_bracket_qm_negative_order_names_the_order(capsys):
+    code, out = run_main(capsys, "verify", "bracket-qm", "--order", "-1")
+    assert code == 2
+    assert json.loads(out) == {"identity": "bracket-qm", "status": "error",
+                               "detail": "order -1 is negative; a q-bracket needs order >= 0"}
+
+
 def test_series_bracket_k_zero_exits_2(capsys):
     code, out = run_main(capsys, "series", "bracket", "--k", "0")
     assert code == 2

@@ -5,13 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwedge.correlators import (
     DivisorHit,
     EvalPoint,
     FormalDivergence,
     HWeight,
-    _det,
     bracket_monomial_brute,
     bracket_monomial_product,
     f_brute,
@@ -29,7 +30,7 @@ from qwedge.correlators import (
 from qwedge.qdiff import r_series
 from qwedge.series import QSeries
 from qwedge.setparts import compositions, set_partitions, sign
-from qwedge.special import theta_deriv_series
+from qwedge.special import ThetaLattice, theta_deriv_series
 
 F = Fraction
 
@@ -156,7 +157,27 @@ def test_t_series_with_shifts():
 # offset and the truncation window, not only the common coefficients.
 
 
+def _det(mat, order):
+    """Cofactor expansion along the first column; None entries are exact zeros."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0] if mat[0][0] is not None else QSeries.zero(order)
+    total = None
+    for i in range(n):
+        entry = mat[i][0]
+        if entry is None:
+            continue
+        term = entry * _det([row[1:] for r, row in enumerate(mat) if r != i], order)
+        if i % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total if total is not None else QSeries.zero(order)
+
+
 def _u_with_full_thetas(point, order, shifts):
+    """The paper's determinant form, literally: one n x n determinant of
+    Theta^{(j-i+1)}(prefix) / (j-i+1)! per ordering of the points, over the n
+    prefix thetas."""
     n = point.n
     total = None
     for perm in itertools.permutations(range(n)):
@@ -228,6 +249,46 @@ def test_closed_forms_cancel_the_euler_factor_exactly(n):
                                 _t_with_full_thetas(point, order, shifts))
             assert _same_series(r_series(point, F(7, 5), 1, order, shifts),
                                 _r_with_full_thetas(point, F(7, 5), 1, order, shifts))
+
+
+def test_shared_lattice_must_match_the_order():
+    point = EvalPoint((F(2), F(3)))
+    lattice = ThetaLattice(6)
+    assert u_series(point, 6, lattice=lattice) == u_series(point, 6)
+    with pytest.raises(ValueError, match="order 6 cannot serve order 5"):
+        t_series(point, 5, lattice=lattice)
+
+
+# numerators and denominators from disjoint sets of primes: no subset product of
+# the s values is 1, and none is 5/7, which R_S0 would hit
+NUMERATORS = (2, 3, 5, 7, 11, 13)
+DENOMINATORS = (17, 19, 23, 29)
+R_S0 = F(7, 5)
+
+
+@st.composite
+def theta_cases(draw):
+    n = draw(st.integers(1, 4))
+    nums = draw(st.lists(st.sampled_from(NUMERATORS), min_size=n, max_size=n,
+                         unique=True))
+    dens = draw(st.lists(st.sampled_from(DENOMINATORS), min_size=n, max_size=n))
+    shifts = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    point = EvalPoint(tuple(F(a, b) for a, b in zip(nums, dens)))
+    return point, shifts, draw(st.integers(0, 6)), draw(st.integers(0, 2))
+
+
+@given(theta_cases())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_closed_forms_match_the_literal_sums_at_random_points(case):
+    point, shifts, order, j0 = case
+    assert _same_series(u_series(point, order, shifts),
+                        _u_with_full_thetas(point, order, shifts))
+    assert _same_series(t_series(point, order, shifts),
+                        _t_with_full_thetas(point, order, shifts))
+    assert _same_series(r_series(point, R_S0, j0, order, shifts),
+                        _r_with_full_thetas(point, R_S0, j0, order, shifts))
+    # the brute route, which shares nothing with the theta side
+    assert f_brute(point, order) == u_series(point, order)
 
 
 # -- bracket monomials: brute vs nested product ------------------------------------

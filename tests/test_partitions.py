@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwedge.partitions import (
+    HookMomentWeight,
     frobenius,
     from_frobenius,
     hook_power_sum,
@@ -116,3 +118,11 @@ def test_q_bracket_of_size():
     # sum |lam| q^{|lam|} = q + 4q^2 + 9q^3 + 20q^4; times (q;q)_inf:
     b = q_bracket(lambda lam: F(sum(lam)), 4)
     assert list(b.coeffs) == [0, 1, 3, 4, 7]
+
+
+@pytest.mark.parametrize("order", [-1, -3])
+def test_q_bracket_rejects_negative_order(order):
+    # both routes: partition by partition, and the row DP of a RowWeight
+    for weight in (lambda lam: F(1), HookMomentWeight((1,), (F(-1, 24),))):
+        with pytest.raises(ValueError, match=rf"order {order} is negative"):
+            q_bracket(weight, order)

@@ -23,6 +23,7 @@ from qwedge.qdiff import (
     verify_residue,
     verify_t_vanish,
 )
+from qwedge.setparts import compositions
 from qwedge.special import theta_deriv_series, theta_deriv_value
 
 F = Fraction
@@ -187,6 +188,35 @@ def test_phi_sum_two_variable_closed_form():
     expected = fderiv(1, F(1)) * (fderiv(1, F(2)) / fval(F(2))
                                   + fderiv(1, F(3)) / fval(F(3)))
     assert phi_sum(fval, fderiv, svals) == expected
+
+
+def _phi_by_compositions(fval, fderiv, svals):
+    """phi_sum term by term: one product chain per ordered set partition."""
+    total = F(0)
+    for gamma in compositions(tuple(range(1, len(svals) + 1))):
+        if len(gamma[0]) % 2 == 0:
+            continue
+        term = fderiv(len(gamma[0]), F(1))
+        seen = list(gamma[0])
+        for block in gamma[1:]:
+            s_arg = F(1)
+            for i in seen:
+                s_arg *= svals[i - 1]
+            term *= fderiv(len(block), s_arg) / fval(s_arg)
+            seen.extend(block)
+        total += -term if len(gamma) % 2 else term
+    return total
+
+
+@pytest.mark.parametrize("kind, svals", [
+    ("algebraic", (F(2),)),
+    ("algebraic", (F(11, 10), F(2), F(3), F(5), F(1, 33))),
+    ("theta", (F(2), F(3))),
+    ("theta", (F(11, 10), F(2), F(3), F(10, 66))),
+])
+def test_phi_sum_equals_the_composition_loop(kind, svals):
+    fval, fderiv = _phi_function(kind, F(1, 16), 10)
+    assert phi_sum(fval, fderiv, svals) == _phi_by_compositions(fval, fderiv, svals)
 
 
 def test_phi_vanish_algebraic_is_not_vacuous():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qwedge.setparts import (
     compositions,
     near_singleton_partitions,
+    ordered_block_sum,
     partition_multiplicities,
     set_partitions,
     sign,
@@ -44,6 +45,42 @@ def test_blocks_are_canonical():
         assert mins == sorted(mins)
         for b in sp:
             assert list(b) == sorted(b)
+
+
+def test_ordered_block_sum_counts_compositions():
+    fubinis = [1, 1, 3, 13, 75, 541, 4683]
+    for n in range(1, 7):
+        assert ordered_block_sum(n, lambda k, p: 1, lambda p, acc: acc) == fubinis[n]
+        assert ordered_block_sum(n, lambda k, p: -1, lambda p, acc: acc) \
+            == signed_composition_sums(n)[n]
+
+
+def test_ordered_block_sum_matches_the_chain_per_composition():
+    # factors that tell every block size and every prefix mask apart
+    def leaf(k, p):
+        return None if k == 2 and p == 0 else F(k + 3, p + 2)
+
+    def close(p, acc):
+        return acc * F(p + 1, 5)
+
+    for n in range(1, 6):
+        expected = F(0)
+        for gamma in compositions(_items(n)):
+            term, prefix = F(1), 0
+            for block in gamma:
+                if prefix:
+                    term = close(prefix, term)
+                factor = leaf(len(block), prefix)
+                term = 0 if factor is None else term * factor
+                prefix |= sum(1 << (i - 1) for i in block)
+            expected += term
+        assert ordered_block_sum(n, leaf, close) == expected
+
+
+def test_ordered_block_sum_edges():
+    assert ordered_block_sum(3, lambda k, p: None, lambda p, acc: acc) is None
+    with pytest.raises(ValueError, match="n >= 1"):
+        ordered_block_sum(0, lambda k, p: 1, lambda p, acc: acc)
 
 
 def test_near_singleton_family():
