@@ -13,7 +13,7 @@ import argparse
 from dataclasses import dataclass
 from fractions import Fraction as F
 
-from qwedge.qdiff import _phi_function, phi_sum
+from qwedge.qdiff import _phi_function, locus_point, phi_sum
 
 
 @dataclass
@@ -22,16 +22,6 @@ class Config:
     q0: F
     terms: int
     eps_list: tuple[F, ...]
-
-
-def locus_point(n: int, eps: F) -> tuple[F, ...]:
-    """Product held at exactly 1; the first argument sits 1+eps from the zero."""
-    first = 1 + eps
-    middles = tuple(F(p) for p in (2, 3, 5)[:n - 2])
-    last = 1 / first
-    for s in middles:
-        last /= s
-    return (first,) + middles + (last,)
 
 
 def run(cfg: Config) -> None:

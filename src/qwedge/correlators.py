@@ -14,8 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import (RowWeight, eps_complements, eps_row, eps_top,
-                         q_bracket)
+from .partitions import RowWeight, eps_closing, eps_row, q_bracket
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, euler_product, q_pochhammer
 from .setparts import ordered_block_sum, set_partitions, subset_fold
@@ -101,30 +100,61 @@ def t_power(s: Fraction, exponent_times_two: int) -> Fraction:
 # -- q-brackets of index monomials: brute and product form -----------------------
 
 
-class IndexWeight(RowWeight):
+class _PointWeight(RowWeight):
+    """A row weight at a point s_k = a_k / b_k that places at most one factor
+    s_k^e per variable in a slot, e = 2(v - i) + 1.  At order N every row
+    exponent lies in [3 - 2N, 2N - 1], so with M = 2N - 1 the factor is held as
+    the integer s_k^e (a_k b_k)^M = a_k^{M + e} b_k^{M - e}: a slot holding the
+    variables of a set carries the product of their `scales` (a_k b_k)^M.
+    Each exponent's factors are computed once per order.
+    """
+
+    def __init__(self, svals: tuple[Fraction, ...]):
+        self.svals = tuple(F(x) for x in svals)
+        self.start(0)
+
+    def start(self, order: int) -> None:
+        self.span = max(2 * order - 1, 0)
+        self.scales = [(s.numerator * s.denominator) ** self.span for s in self.svals]
+        self._pow: dict[int, list[int]] = {}
+
+    def powers(self, e: int) -> list[int]:
+        p = self._pow.get(e)
+        if p is None:
+            m = self.span
+            p = self._pow[e] = [s.numerator ** (m + e) * s.denominator ** (m - e)
+                                for s in self.svals]
+        return p
+
+
+class IndexWeight(_PointWeight):
     """prod_k t_k^{lambda_{i_k} - i_k + 1/2} for fixed row indices i_k >= 1;
-    an index past the last row sees lambda = 0, which `finish` applies."""
+    an index past the last row sees lambda = 0, which the closing applies.  The
+    one slot carries the scales of the indices placed so far, so the closing of
+    ell rows divides by those of the indices up to ell."""
 
     def __init__(self, idx: tuple[int, ...], svals: tuple[Fraction, ...]):
         if any(i < 1 for i in idx):
             raise ValueError("row indices start at 1")
-        self.by_row: dict[int, list[Fraction]] = {}
-        for k, i in enumerate(idx):
-            self.by_row.setdefault(i, []).append(svals[k])
+        super().__init__(svals)
+        self.idx = tuple(idx)
+        self.by_row: dict[int, list[int]] = {}
+        for k, i in enumerate(self.idx):
+            self.by_row.setdefault(i, []).append(k)
 
-    def row(self, v: int, i: int, vec: list) -> list:
+    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         w = vec[0]
-        for s in self.by_row.get(i, ()):
-            w *= t_power(s, 2 * (v - i) + 1)
+        if i in self.by_row:
+            p = self.powers(2 * (v - i) + 1)
+            for k in self.by_row[i]:
+                w *= p[k]
         return [w]
 
-    def finish(self, ell: int, vec: list) -> Fraction:
-        w = vec[0]
-        for i, ss in self.by_row.items():
-            if i > ell:
-                for s in ss:
-                    w *= t_power(s, 1 - 2 * i)
-        return w
+    def closing(self, ell: int) -> list[Fraction]:
+        w = ONE
+        for k, i in enumerate(self.idx):
+            w *= t_power(self.svals[k], 1 - 2 * i) if i > ell else F(1, self.scales[k])
+        return [w]
 
 
 def bracket_monomial_brute(idx: tuple[int, ...], point: EvalPoint, order: int) -> QSeries:
@@ -178,26 +208,12 @@ def _tail_constants(svals: tuple[Fraction, ...]):
     return xs, cs
 
 
-class _PointWeight(RowWeight):
-    """A row weight at a point; s_k^e for all k at once, each exponent computed once."""
-
-    def __init__(self, svals: tuple[Fraction, ...]):
-        self.svals = tuple(F(x) for x in svals)
-        self._pow: dict[int, list[Fraction]] = {}
-
-    def powers(self, e: int) -> list[Fraction]:
-        p = self._pow.get(e)
-        if p is None:
-            p = self._pow[e] = [s ** e for s in self.svals]
-        return p
-
-
 class HWeight(_PointWeight):
     """sum over 1 <= i_1 < ... < i_n of prod_k t_k^{lambda_{i_k} - i_k + 1/2}.
 
     Slot j sums the placements of the first j indices among the rows so far; a
     row of value v takes the next index (factor s_j^{2(v - i) + 1}) or none.
-    `finish` closes slot j with the geometric tail c_j x_j^{ell + 1} of the
+    The closing of slot j adds the geometric tail c_j x_j^{ell + 1} of the
     indices past the last row (`_tail_constants`).
     """
 
@@ -205,9 +221,8 @@ class HWeight(_PointWeight):
         super().__init__(svals)
         self.slots = len(self.svals) + 1
         self.xs, self.cs = _tail_constants(self.svals)
-        self._tail: dict[int, list[Fraction]] = {}
 
-    def row(self, v: int, i: int, vec: list) -> list:
+    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         p = self.powers(2 * (v - i) + 1)
         out = list(vec)
         for j in range(len(p) - 1, -1, -1):
@@ -215,11 +230,14 @@ class HWeight(_PointWeight):
                 out[j + 1] += out[j] * p[j]
         return out
 
-    def finish(self, ell: int, vec: list) -> Fraction:
-        tail = self._tail.get(ell)
-        if tail is None:
-            tail = self._tail[ell] = [c * x ** (ell + 1) for x, c in zip(self.xs, self.cs)]
-        return vec[-1] + sum((w * c for w, c in zip(vec, tail) if w), ZERO)
+    def closing(self, ell: int) -> list[Fraction]:
+        out = []
+        scale = 1
+        for x, c, g in zip(self.xs, self.cs, self.scales):
+            out.append(c * x ** (ell + 1) / scale)
+            scale *= g
+        out.append(F(1, scale))
+        return out
 
 
 def h_series(point: EvalPoint, order: int) -> QSeries:
@@ -240,7 +258,7 @@ def g_series(point: EvalPoint, order: int) -> QSeries:
 class FWeight(_PointWeight):
     """prod_k t_k^{1/2} (sum_{i <= ell} t_k^{lambda_i - i} + t_k^{-ell} / (t_k - 1))
     in Q[eps_1..eps_n]/(eps_k^2): row i of value v multiplies by
-    prod_k (1 + s_k^{2(v - i) + 1} eps_k), and `finish` applies
+    prod_k (1 + s_k^{2(v - i) + 1} eps_k), and the closing applies
     prod_k (1 + s_k^{1 - 2 ell} / (t_k - 1) eps_k) and takes the eps_1..eps_n
     coefficient.
     """
@@ -248,17 +266,13 @@ class FWeight(_PointWeight):
     def __init__(self, svals: tuple[Fraction, ...]):
         super().__init__(svals)
         self.slots = 1 << len(self.svals)
-        self._comp: dict[int, list[Fraction]] = {}
 
-    def row(self, v: int, i: int, vec: list) -> list:
+    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         return eps_row(vec, self.powers(2 * (v - i) + 1))
 
-    def finish(self, ell: int, vec: list) -> Fraction:
-        comp = self._comp.get(ell)
-        if comp is None:
-            comp = self._comp[ell] = eps_complements(
-                [p / (s * s - 1) for p, s in zip(self.powers(1 - 2 * ell), self.svals)])
-        return eps_top(vec, comp)
+    def closing(self, ell: int) -> list[Fraction]:
+        return eps_closing([F(1, g) for g in self.scales],
+                           [t_power(s, 1 - 2 * ell) / (s * s - 1) for s in self.svals])
 
 
 def f_brute(point: EvalPoint, order: int) -> QSeries:
@@ -309,6 +323,19 @@ def theta_block_sum(point: EvalPoint, shifts: tuple[int, ...], lattice: ThetaLat
     return ordered_block_sum(point.n, leaf, close)
 
 
+def close_u(block: QSeries, point: EvalPoint, shifts: tuple[int, ...],
+            lattice: ThetaLattice) -> QSeries:
+    """U from the point's `theta_block_sum`: times Theta(t_1..t_n)^{-1}, whose
+    (q)_inf^3 cancels against the block factors'."""
+    return block * lattice.inverse(point.s_prod(range(point.n)), sum(shifts))
+
+
+def close_t(block: QSeries, order: int) -> QSeries:
+    """T from the point's `theta_block_sum`: times the (q)_inf^{-3} of its
+    leading factor."""
+    return block * (euler_product(order).inv() ** 3)
+
+
 def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None,
              lattice: ThetaLattice | None = None) -> QSeries:
     """The determinant closed form for F.
@@ -333,8 +360,7 @@ def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None
     if n == 0:
         return QSeries.one(order)
     lattice = ThetaLattice.reuse(lattice, order)
-    return theta_block_sum(point, shifts, lattice) \
-        * lattice.inverse(point.s_prod(range(n)), sum(shifts))
+    return close_u(theta_block_sum(point, shifts, lattice), point, shifts, lattice)
 
 
 def t_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None,
@@ -355,8 +381,7 @@ def t_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
-    total = theta_block_sum(point, shifts, ThetaLattice.reuse(lattice, order))
-    return total * (euler_product(order).inv() ** 3)
+    return close_t(theta_block_sum(point, shifts, ThetaLattice.reuse(lattice, order)), order)
 
 
 def t_series_via_u(point: EvalPoint, order: int,

@@ -2,17 +2,21 @@
 
 Partitions are tuples of weakly decreasing positive ints; () is the empty partition.
 Sums over all partitions of a weight built row by row (`RowWeight`) run through
-one engine, `partition_sums`, a DP over part values; enumeration stays for
+one engine, `partition_sums`, a DP over part values.  Its rows run on integers,
+each slot at a fixed scale chosen for the order, and each row count closes with
+one rational vector that is linear in the slots; the closings share one
+denominator, so no Fraction is formed per state.  Enumeration stays for
 everything else and as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from .series import ONE, ZERO, QSeries, euler_product
+from .series import ZERO, QSeries, euler_product
 
 Partition = tuple[int, ...]
 
@@ -108,37 +112,48 @@ def hook_power_sum(lam: Partition, r: int) -> Fraction:
 class RowWeight:
     """A partition weight assembled row by row, for `partition_sums`.
 
-    The weight keeps a vector of `slots` exact values.  `row(v, i, vec)` returns
-    vec after row i (1-indexed) of part value v; `finish(ell, vec)` closes the
-    vector into the weight of a partition with `ell` rows (tails over the empty
-    rows past ell go here).  Calling the weight on a partition applies its rows
-    in order, then finishes, which is the per-partition reference.
+    The weight keeps a vector of `slots` integers.  `start(order)` fixes, for
+    partitions of size at most `order`, a scale per slot: slot j holds its exact
+    value times scale_j, and the scales are chosen so that every row keeps the
+    slots integral.  `row(v, i, vec)` returns vec after row i (1-indexed) of part
+    value v.  The weight of a partition with `ell` rows is linear in the slots:
+    the dot product of vec with `closing(ell)`, rational per-slot coefficients
+    already divided by the slot scales (tails over the empty rows past ell go
+    here).  Calling the weight on a partition applies its rows in order, then
+    closes, which is the per-partition reference.
     """
 
     slots = 1
 
-    def row(self, v: int, i: int, vec: list) -> list:
+    def start(self, order: int) -> None:
+        """Fix the slot scales for partitions of size at most `order`."""
+
+    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         raise NotImplementedError
 
-    def finish(self, ell: int, vec: list):
+    def closing(self, ell: int) -> list[Fraction]:
         raise NotImplementedError
 
-    def __call__(self, lam: Partition):
+    def __call__(self, lam: Partition) -> Fraction:
+        self.start(sum(lam))
         vec = [1] + [0] * (self.slots - 1)
         for i, part in enumerate(lam, 1):
             vec = self.row(part, i, vec)
-        return self.finish(len(lam), vec)
+        return sum((x * c for x, c in zip(vec, self.closing(len(lam))) if x), ZERO)
 
 
-def partition_sums(weight: RowWeight, order: int) -> list:
-    """c_m = sum of weight(lam) over partitions of m, for m = 0..order.
+def partition_sums(weight: RowWeight, order: int) -> QSeries:
+    """sum_m c_m q^m valid to q^order, c_m the sum of weight(lam) over the
+    partitions of m.
 
     A DP over part values v = order..1, largest first, so a part's row index is
-    one more than the rows placed before it.  table[s][r] sums the slot vectors of
-    all partial partitions of size s with r rows; ascending s updated in place
-    lets a value repeat.  Visits O(order^2 log order) states instead of every
-    partition.
+    one more than the rows placed before it.  table[s][r] sums the integer slot
+    vectors of all partial partitions of size s with r rows; ascending s updated
+    in place lets a value repeat.  Visits O(order^2 log order) states instead of
+    every partition.  The closings of all row counts go over one common
+    denominator first, so each state closes with one integer dot product.
     """
+    weight.start(order)
     table: list[list] = [[[1] + [0] * (weight.slots - 1)]] + [[] for _ in range(order)]
     for v in range(order, 0, -1):
         for s in range(order - v + 1):
@@ -151,26 +166,25 @@ def partition_sums(weight: RowWeight, order: int) -> list:
                     dst.extend([None] * (r + 2 - len(dst)))
                 cur = dst[r + 1]
                 dst[r + 1] = out if cur is None else [a + b for a, b in zip(cur, out)]
-    return [sum((weight.finish(ell, vec) for ell, vec in enumerate(states)
-                 if vec is not None), ZERO)
+    closings = [weight.closing(ell) for ell in range(max(map(len, table)))]
+    den = math.lcm(*(c.denominator for cl in closings for c in cl))
+    closings = [[c.numerator * (den // c.denominator) for c in cl] for cl in closings]
+    nums = [sum(x * c for vec, cl in zip(states, closings) if vec is not None
+                for x, c in zip(vec, cl) if x)
             for states in table]
+    return QSeries.from_nums(nums, den)
 
 
-def eps_top(vec: list, comp: list):
-    """The eps_1..eps_r coefficient of vec * prod_j (1 + a_j eps_j), given
-    comp[S] = prod of a_j over j outside the subset S (slots are subset masks)."""
-    return sum((x * c for x, c in zip(vec, comp) if x), ZERO)
-
-
-def eps_complements(values: list) -> list:
-    """comp[S] = product of values[j] over j not in the bit mask S."""
-    r = len(values)
-    comp = [ONE] * (1 << r)
-    for mask in range(1 << r):
-        for j, a in enumerate(values):
-            if not mask >> j & 1:
-                comp[mask] *= a
-    return comp
+def eps_closing(inside: list[Fraction], outside: list[Fraction]) -> list[Fraction]:
+    """comp[S] = prod of inside[j] over j in the bit mask S times prod of
+    outside[j] over j not in S: the closing of Q[eps]/(eps_j^2) slots that take
+    the eps_1..eps_r coefficient of vec * prod_j (outside[j] + inside[j] eps_j).
+    Numerators and denominators multiply as ints; each entry reduces once."""
+    nums, dens = [1], [1]
+    for a, b in zip(inside, outside):
+        nums = [x * b.numerator for x in nums] + [x * a.numerator for x in nums]
+        dens = [y * b.denominator for y in dens] + [y * a.denominator for y in dens]
+    return [Fraction(x, y) for x, y in zip(nums, dens)]
 
 
 def eps_row(vec: list, factors: list) -> list:
@@ -190,24 +204,23 @@ class HookMomentWeight(RowWeight):
         p_k(lam) = sum_i [(lam_i - i + 1/2)^k - (-i + 1/2)^k],
 
     in Q[eps_1..eps_r]/(eps_j^2): each row multiplies by prod_j (1 + g_j eps_j),
-    g_j = (2(v - i) + 1)^k_j - (1 - 2i)^k_j held as integers scaled by 2^k_j, and
-    `finish` takes the eps_1..eps_r coefficient after the shifts.  Empty rows add
-    nothing, so there is no tail.
+    g_j = (2(v - i) + 1)^k_j - (1 - 2i)^k_j, integers at scale 2^k_j per eps_j
+    whatever the order; the closing takes the eps_1..eps_r coefficient after the
+    shifts.  Empty rows add nothing, so there is no tail.
     """
 
     def __init__(self, ks: tuple[int, ...], shifts):
         self.ks = tuple(ks)
         self.slots = 1 << len(self.ks)
-        self.scale = 2 ** sum(self.ks)
-        self.comp = eps_complements([-Fraction(c) * 2 ** k
-                                     for k, c in zip(self.ks, shifts)])
+        self.comp = eps_closing([Fraction(1, 2 ** k) for k in self.ks],
+                                [-Fraction(c) for c in shifts])
 
-    def row(self, v: int, i: int, vec: list) -> list:
+    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         a, b = 2 * (v - i) + 1, 1 - 2 * i
         return eps_row(vec, [a ** k - b ** k for k in self.ks])
 
-    def finish(self, ell: int, vec: list) -> Fraction:
-        return eps_top(vec, self.comp) / self.scale
+    def closing(self, ell: int) -> list[Fraction]:
+        return self.comp
 
 
 def q_bracket(f: Callable[[Partition], Fraction], order: int) -> QSeries:
@@ -219,8 +232,8 @@ def q_bracket(f: Callable[[Partition], Fraction], order: int) -> QSeries:
     if order < 0:
         raise ValueError(f"order {order} is negative; a q-bracket needs order >= 0")
     if isinstance(f, RowWeight):
-        coeffs = partition_sums(f, order)
+        sums = partition_sums(f, order)
     else:
-        coeffs = [sum((f(lam) for lam in partitions_of(n)), ZERO)
-                  for n in range(order + 1)]
-    return QSeries.from_coeffs(coeffs) * euler_product(order)
+        sums = QSeries.from_coeffs([sum((f(lam) for lam in partitions_of(n)), ZERO)
+                                    for n in range(order + 1)])
+    return sums * euler_product(order)

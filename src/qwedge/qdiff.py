@@ -22,9 +22,10 @@ from .correlators import (
     FWeight,
     HWeight,
     block_products,
+    close_t,
+    close_u,
     t_series,
     theta_block_sum,
-    u_series,
 )
 from .partitions import RowWeight, partition_sums
 from .reports import Report, series_report
@@ -83,22 +84,29 @@ def _bracket_numeric(weight: RowWeight, q0: Fraction,
     """(value, drift): sum weight(lam) * q0^|lam| over partitions up to the larger
     cutoff, times the Euler product cut there; drift is the movement since the
     smaller cutoff and serves as the truncation error estimate.
+
+    With q0 = u/w and c_m = nums[m] / den, both sums and the product are
+    integers over den w^hi and w^{hi(hi+1)/2}; one Fraction is formed for each
+    result.
     """
     lo, hi = min(cutoffs), max(cutoffs)
     if not 0 <= lo < hi:
         raise ValueError(f"cutoffs {list(cutoffs)} need 0 <= lower < upper")
-    total = ZERO
-    snapshot = ZERO
-    qm = ONE
-    for m, c in enumerate(partition_sums(weight, hi)):
-        total += c * qm
-        qm *= q0
+    sums = partition_sums(weight, hi)
+    u, w = q0.numerator, q0.denominator
+    total = snapshot = 0
+    um, wm = 1, w ** hi  # u^m and w^{hi - m}
+    for m, c in enumerate(sums.nums):
+        total += c * um * wm
+        um *= u
+        wm //= w
         if m == lo:
             snapshot = total
-    euler = ONE
+    euler = 1
     for m in range(1, hi + 1):
-        euler *= 1 - q0 ** m
-    return euler * total, abs(euler) * abs(total - snapshot)
+        euler *= w ** m - u ** m
+    den = sums.den * w ** (hi + hi * (hi + 1) // 2)
+    return F(euler * total, den), F(abs(euler) * abs(total - snapshot), den)
 
 
 def f_numeric(svals: tuple[Fraction, ...], q0: Fraction,
@@ -147,7 +155,8 @@ def verify_diffeq_f(s_values, q0, cutoffs: tuple[int, int] = (25, 30)) -> Report
     return Report("diffeq-f", statement, params,
                   "pass" if diff <= bound else "fail",
                   tolerance_info={"difference": float(diff), "bound": float(bound),
-                                  "lhs": float(lhs), "rhs": float(rhs)})
+                                  "lhs": float(lhs), "rhs": float(rhs),
+                                  "bound_kind": "heuristic"})
 
 
 def verify_diffeq_h(s_values, q0, k: int,
@@ -191,7 +200,8 @@ def verify_diffeq_h(s_values, q0, k: int,
     return Report("diffeq-h", statement, params,
                   "pass" if diff <= bound else "fail",
                   tolerance_info={"difference": float(diff), "bound": float(bound),
-                                  "lhs": float(lhs), "rhs": float(rhs)})
+                                  "lhs": float(lhs), "rhs": float(rhs),
+                                  "bound_kind": "heuristic"})
 
 
 # -- exact difference equations through the theta factors ---------------------------
@@ -200,7 +210,8 @@ def verify_diffeq_h(s_values, q0, k: int,
 def verify_diffeq_t(s_values, order: int) -> Report:
     """Both theta-side series satisfy the same merge-with-the-first expansion,
     exactly: the block series without prefactor, the determinant series with
-    -q^{1/2} t_1..t_n.
+    -q^{1/2} t_1..t_n.  The two differ only in how they close the same block
+    sum (`theta_block_sum`), which is formed once per point.
     """
     statement = ("q-shifting the first variable expands both theta-side series over "
                  "merge-with-the-first set partitions, exactly, coefficient by "
@@ -213,20 +224,23 @@ def verify_diffeq_t(s_values, order: int) -> Report:
     # the merged points' prefix products are subset products of this point's
     lattice = ThetaLattice(order)
 
-    lhs_t = t_series(point, order, shifts, lattice)
-    rhs_t = QSeries.zero(order)
-    for pi in pis:
-        term = t_series(point.merged(pi), order, lattice=lattice)
-        rhs_t = rhs_t + (term if sign(n, len(pi)) > 0 else -term)
-    rep_t = series_report("diffeq-t", statement, params, lhs_t, rhs_t)
+    def both(pt: EvalPoint, sh: tuple[int, ...]) -> tuple[QSeries, QSeries]:
+        """(T, U) at pt, closed from one block sum as `t_series` and
+        `u_series` close it."""
+        block = theta_block_sum(pt, sh, lattice)
+        return close_t(block, order), close_u(block, pt, sh, lattice)
 
-    lhs_u = u_series(point, order, shifts, lattice)
-    tfull = point.s_prod(range(n)) ** 2
-    total = QSeries.zero(order)
+    lhs_t, lhs_u = both(point, shifts)
+    rhs_t = sum_u = QSeries.zero(order)
     for pi in pis:
-        term = u_series(point.merged(pi), order, lattice=lattice)
-        total = total + (term if sign(n, len(pi)) > 0 else -term)
-    rhs_u = QSeries.monomial(-tfull, F(1, 2), order) * total
+        merged = point.merged(pi)
+        term_t, term_u = both(merged, (0,) * merged.n)
+        if sign(n, len(pi)) < 0:
+            term_t, term_u = -term_t, -term_u
+        rhs_t, sum_u = rhs_t + term_t, sum_u + term_u
+    rep_t = series_report("diffeq-t", statement, params, lhs_t, rhs_t)
+    tfull = point.s_prod(range(n)) ** 2
+    rhs_u = QSeries.monomial(-tfull, F(1, 2), order) * sum_u
     rep_u = series_report("diffeq-t", statement, params, lhs_u, rhs_u)
 
     ok = rep_t.ok and rep_u.ok
@@ -434,7 +448,8 @@ def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
                   tolerance_info={"estimate": float(estimate),
                                   "expected": float(expected),
                                   "relative_error": float(diff / abs(expected)),
-                                  "tolerance": float(tol)})
+                                  "tolerance": float(tol),
+                                  "bound_kind": "heuristic"})
 
 
 # -- the odd-function vanishing sum --------------------------------------------------
@@ -485,6 +500,22 @@ def _phi_function(f_kind: str, q0: Fraction, terms: int):
     raise ValueError(f"unknown function kind {f_kind!r}")
 
 
+def locus_point(n: int, eps: Fraction) -> tuple[Fraction, ...]:
+    """n arguments multiplying to exactly 1: 1 + eps first, then the middles
+    2, 3, 5 as far as n needs them, then the last that closes the product."""
+    middles = (F(2), F(3), F(5))
+    if n < 2:
+        raise ValueError("need at least two variables")
+    if n > 2 + len(middles):
+        raise ValueError(f"n = {n}: the built-in point has at most "
+                         f"{2 + len(middles)} variables")
+    first = 1 + F(eps)
+    last = 1 / first
+    for s in middles[: n - 2]:
+        last /= s
+    return (first,) + middles[: n - 2] + (last,)
+
+
 def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
                       eps_pair=(F(1, 10), F(1, 100)),
                       ratio_bound=F(1, 5)) -> Report:
@@ -495,8 +526,7 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
     statement = ("the odd-function composition sum on the unit-product locus decays "
                  "to zero as the first argument approaches one")
     q0 = F(q0)
-    if n < 2:
-        raise ValueError("need at least two variables")
+    points = [locus_point(n, e) for e in eps_pair]
     fval, fderiv = _phi_function(f_kind, q0, terms)
     require_simple_zero(fval, fderiv, q0 ** terms if f_kind == "theta" else ZERO)
     params = {"f": f_kind, "n": n, "eps": list(eps_pair),
@@ -505,15 +535,7 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
         params["q0"] = q0
         params["terms"] = terms
 
-    def point(eps: Fraction) -> tuple[Fraction, ...]:
-        first = 1 + eps
-        middles = tuple(F(p) for p in (2, 3, 5)[: n - 2])
-        last = 1 / first
-        for s in middles:
-            last /= s
-        return (first,) + middles + (last,)
-
-    values = [phi_sum(fval, fderiv, point(F(e))) for e in eps_pair]
+    values = [phi_sum(fval, fderiv, p) for p in points]
     # when the sum vanishes identically on the locus (the theta instance does)
     # only truncation dust remains; accept anything under the floor
     floor = q0 ** terms
@@ -523,4 +545,5 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
                   "pass" if ok else "fail",
                   tolerance_info={"wide": float(values[0]),
                                   "narrow": float(values[1]),
-                                  "ratio_bound": float(ratio_bound)})
+                                  "ratio_bound": float(ratio_bound),
+                                  "bound_kind": "heuristic"})

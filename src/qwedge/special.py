@@ -111,11 +111,6 @@ def theta00(order: int) -> QSeries:
 
 # -- the odd theta function and its invariant derivatives ------------------------
 
-def _theta_exponent(n: int, shift: int) -> Fraction:
-    """q-exponent of the n-th summand at x = s^2 q^shift: n(n+1)/2 + shift(n+1/2)."""
-    return F(n * (n + 1), 2) + shift * (n + F(1, 2)) if shift else F(n * (n + 1), 2)
-
-
 def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
     """The bare lattice sum sum_n (-1)^n (n+1/2)^k q^{n(n+1)/2} x^{n+1/2} at
     x = s^2 q^shift, valid to relative `order`: (x d/dx)^k Theta without its
@@ -205,11 +200,6 @@ class ThetaLattice:
         return found
 
 
-def _theta_term(n: int, k: int, s: Fraction) -> Fraction:
-    half = n + F(1, 2)
-    return (-1) ** (n % 2) * half ** k * s ** (2 * n + 1)
-
-
 def theta_product_series(s: Fraction, order: int) -> QSeries:
     """Product form at x = s^2 (no q-shift):
     (q)_inf^{-2} (s - 1/s) (s^2 q; q)_inf (q / s^2; q)_inf.
@@ -227,28 +217,45 @@ def theta_deriv_value(k: int, s: Fraction, q0: Fraction, terms: int,
                       shift: int = 0) -> Fraction:
     """Truncated numeric value of (x d/dx)^k Theta at x = s^2 q0^shift.
 
-    Sums |n| <= terms of the theta sum and divides by the Euler product cut at
-    `terms` factors; the tail is O(q0^{terms^2/2}), far below any tolerance used.
+    Sums |n| <= terms of the lattice sum sum_n (-1)^n (n+1/2)^k s^{2n+1} q0^{e(n)},
+    e(n) = n(n+1)/2 + shift(n+1/2), and divides by the cube of the Euler product
+    cut at `terms` factors; the tail is O(q0^{terms^2/2}), far below any
+    tolerance used.
+
+    The sum runs in integers: with s = a/b, E = 2 terms + 1 and the powers of
+    q0 = u/w written r^{f(n)}, r = q0 for even `shift` and r = q0^{1/2} (which
+    must be rational) for odd `shift`, where every e(n) is a half-integer, each
+    term is an integer over 2^k a^E b^E r_num^{-f_lo} r_den^{f_hi}, f_lo <= 0 <=
+    f_hi bounding f.  The Euler product is prod_m (w^m - u^m) over a power of w;
+    one Fraction is formed at the end.
     """
     s, q0 = F(s), F(q0)
-    total = ZERO
-    for n in range(-terms, terms + 1):
-        e = _theta_exponent(n, shift)
-        total += _theta_term(n, k, s) * _rat_pow(q0, e)
-    denom = ONE
+    if shift % 2:
+        r, halves = rational_sqrt(q0), 1
+        if r is None:
+            raise SeriesError(f"{q0} has no rational square root for the "
+                              f"half-integer exponents of shift {shift}")
+    else:
+        r, halves = q0, 2
+    # f(n) = 2 e(n) / halves, the exponent of r in q0^{e(n)}
+    fs = {n: (n * (n + 1) + shift * (2 * n + 1)) // halves
+          for n in range(-terms, terms + 1)}
+    f_lo, f_hi = min([0, *fs.values()]), max([0, *fs.values()])
+    a, b = s.numerator, s.denominator
+    ru, rw = r.numerator, r.denominator
+    e_top = 2 * terms + 1
+    total = 0
+    for n, f in fs.items():
+        m = 2 * n + 1
+        term = m ** k * a ** (e_top + m) * b ** (e_top - m) \
+            * ru ** (f - f_lo) * rw ** (f_hi - f)
+        total += -term if n % 2 else term
+    u, w = q0.numerator, q0.denominator
+    euler = 1
     for m in range(1, terms + 1):
-        denom *= (1 - q0 ** m)
-    return total / denom ** 3
-
-
-def _rat_pow(q0: Fraction, e: Fraction) -> Fraction:
-    """q0^e for integer or half-integer e (q0 must be a square in the latter case)."""
-    if e.denominator == 1:
-        return q0 ** e.numerator
-    r = rational_sqrt(q0)
-    if r is None:
-        raise SeriesError(f"{q0} has no rational square root for exponent {e}")
-    return r ** (2 * e).numerator
+        euler *= w ** m - u ** m
+    den = 2 ** k * (a * b) ** e_top * ru ** -f_lo * rw ** f_hi * euler ** 3
+    return F(total * w ** (3 * (terms * (terms + 1) // 2)), den)
 
 
 def theta_at_one_derivative(k: int, order: int) -> QSeries:

@@ -145,7 +145,7 @@ DEGENERATE_FLAGS = {
     "npoint": [["--order", "-1"], ["--n", "0"], ["--n", "-1"],
                ["--n", "0", "--seed", "3"]],
     # the algebraic kind reads neither --order nor --q
-    "phi-vanish": [["--order", "0"], ["--q", "1/16"], ["--n", "0"]],
+    "phi-vanish": [["--order", "0"], ["--q", "1/16"], ["--n", "0"], ["--n", "6"]],
     "poch-telescope": [["--order", "-1"], ["--n", "0"], ["--n", "-1"]],
     "qgauss": [["--order", "-1"]],
     "r-diffeq": [["--order", "-1"]],

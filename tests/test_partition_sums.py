@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qwedge.correlators import FWeight, HWeight, IndexWeight
@@ -32,8 +32,8 @@ PRIME_RATIOS = [F(7, 5), F(11, 7), F(13, 11), F(17, 13), F(19, 17), F(23, 19)]
 
 
 def _enumerated(weight, order):
-    return [sum((weight(lam) for lam in partitions_of(m)), F(0))
-            for m in range(order + 1)]
+    return tuple(sum((weight(lam) for lam in partitions_of(m)), F(0))
+                 for m in range(order + 1))
 
 
 def _hook_product(ks):
@@ -119,8 +119,8 @@ def test_hook_moment_brackets_match_enumeration(ks, order):
 @given(svals=points, order=st.integers(min_value=0, max_value=10))
 @settings(max_examples=30, deadline=None)
 def test_f_and_h_sums_match_enumeration(svals, order):
-    assert partition_sums(FWeight(svals), order) == _enumerated(_f_reference(svals), order)
-    assert partition_sums(HWeight(svals), order) == _enumerated(_h_reference(svals), order)
+    assert partition_sums(FWeight(svals), order).coeffs == _enumerated(_f_reference(svals), order)
+    assert partition_sums(HWeight(svals), order).coeffs == _enumerated(_h_reference(svals), order)
 
 
 def _numeric_reference(weight, q0, lo, hi):
@@ -133,11 +133,19 @@ def _numeric_reference(weight, q0, lo, hi):
     return euler * total, abs(euler) * abs(total - snapshot)
 
 
-@given(svals=points)
-@settings(max_examples=20, deadline=None)
-def test_numeric_sums_match_enumeration(svals):
-    assert f_numeric(svals, Q9, (3, 6)) == _numeric_reference(_f_reference(svals), Q9, 3, 6)
-    assert h_numeric(svals, Q9, (3, 6)) == _numeric_reference(_h_reference(svals), Q9, 3, 6)
+@given(svals=points, q0=st.sampled_from([Q9, F(1, 16), F(4, 25)]),
+       cut=st.tuples(st.integers(min_value=0, max_value=6),
+                     st.integers(min_value=1, max_value=9)).filter(lambda c: c[0] < c[1]))
+@example(svals=(F(7, 5), F(5, 11), F(13, 11)), q0=Q9, cut=(3, 6))
+@settings(max_examples=25, deadline=None)
+def test_numeric_sums_match_enumeration(svals, q0, cut):
+    """The integer rows, the closing over one denominator and the integer
+    q0-sums against the Fraction references, one partition at a time."""
+    lo, hi = cut
+    for weight, ref, numeric in ((FWeight, _f_reference, f_numeric),
+                                 (HWeight, _h_reference, h_numeric)):
+        assert partition_sums(weight(svals), hi).coeffs == _enumerated(ref(svals), hi)
+        assert numeric(svals, q0, cut) == _numeric_reference(ref(svals), q0, lo, hi)
 
 
 def test_weights_on_single_partitions_match_references():
@@ -159,5 +167,5 @@ def test_index_weight_reads_parts_by_row():
 
 
 def test_partition_sums_of_the_empty_product_count_partitions():
-    assert partition_sums(HookMomentWeight((), ()), 12) == \
-        [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    assert partition_sums(HookMomentWeight((), ()), 12).nums == \
+        (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qwedge.series import QSeries, euler_product, q_pochhammer
+from qwedge.series import QSeries, SeriesError, euler_product, rational_sqrt
 from qwedge.special import (
     bernoulli,
     eisenstein_g,
@@ -162,8 +162,38 @@ def test_theta_value_qshift_consistency():
 
 def _rat_root_pow(q0):
     # q0^{-1/2}
-    from qwedge.series import rational_sqrt
     return 1 / rational_sqrt(q0)
+
+
+def _theta_value_by_fractions(k, s, q0, terms, shift):
+    """One Fraction per lattice term and per Euler factor: sum over |n| <= terms
+    of (-1)^n (n+1/2)^k s^{2n+1} q0^{e(n)}, e(n) = n(n+1)/2 + shift(n+1/2),
+    over the cube of prod_{m <= terms} (1 - q0^m)."""
+    total = F(0)
+    for n in range(-terms, terms + 1):
+        e = F(n * (n + 1), 2) + shift * (n + F(1, 2))
+        power = q0 ** e.numerator if e.denominator == 1 \
+            else rational_sqrt(q0) ** (2 * e).numerator
+        total += (-1) ** (n % 2) * (n + F(1, 2)) ** k * s ** (2 * n + 1) * power
+    denom = F(1)
+    for m in range(1, terms + 1):
+        denom *= 1 - q0 ** m
+    return total / denom ** 3
+
+
+@pytest.mark.parametrize("q0, shifts", [(F(1, 16), (-2, -1, 0, 1, 2)),
+                                        (F(1, 8), (-2, 0, 2))])
+def test_theta_value_matches_fraction_loop(q0, shifts):
+    for k in range(5):
+        for shift in shifts:
+            for s in (F(3, 2), F(5, 11), F(1)):
+                assert theta_deriv_value(k, s, q0, 12, shift) == \
+                    _theta_value_by_fractions(k, s, q0, 12, shift), (k, shift, s)
+
+
+def test_theta_value_odd_shift_needs_square_q0():
+    with pytest.raises(SeriesError, match="no rational square root"):
+        theta_deriv_value(0, F(3, 2), F(1, 8), 12, shift=1)
 
 
 def test_xi_generating_report():
