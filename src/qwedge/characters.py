@@ -11,12 +11,12 @@ the builders only emit exponents polynomial in the q1-grade.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, mul
+from types import MappingProxyType
 
 from .partitions import hook_power_sum, partitions_of
 from .reports import Report
-from .series import QSeries
 from .special import eta, xi_value
 
 F = Fraction
@@ -24,33 +24,86 @@ ZERO = F(0)
 ONE = F(1)
 
 ExpVec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 
-@dataclass
+def _coeff(c):
+    """A coefficient as an int when it is integral, else as a Fraction."""
+    c = F(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _cap(grade: Fraction, den: int) -> int:
+    """The largest scaled q1-exponent k with k/den <= grade."""
+    return grade.numerator * den // grade.denominator
+
+
+def _series(K: int, grade: Fraction, den: int, nums: dict) -> MultiSeries:
+    s = object.__new__(MultiSeries)
+    s.K, s.grade, s.den, s.nums, s._terms = K, grade, den, nums, None
+    return s
+
+
+def _rescaled(nums: dict, f: int) -> dict:
+    if f == 1:
+        return nums
+    return {tuple(x * f for x in e): c for e, c in nums.items()}
+
+
+def _common(a: MultiSeries, b: MultiSeries) -> tuple[int, dict, dict]:
+    """Both maps over lcm(a.den, b.den)."""
+    if a.den == b.den:
+        return a.den, a.nums, b.nums
+    den = math.lcm(a.den, b.den)
+    return den, _rescaled(a.nums, den // a.den), _rescaled(b.nums, den // b.den)
+
+
 class MultiSeries:
-    """Sparse Laurent polynomial in q0..qK, truncated at q1-exponent <= grade."""
+    """Sparse Laurent polynomial in q0..qK, truncated at q1-exponent <= grade.
 
-    K: int
-    grade: Fraction
-    terms: dict[ExpVec, Fraction] = field(default_factory=dict)
+    The terms live on an integer exponent lattice: `nums` maps an int vector k to
+    its nonzero coefficient, the monomial q0^{k_0/den} q1^{k_1/den} ... qK^{k_K/den},
+    with one positive int `den` per series.  Coefficients are ints wherever the
+    inputs are integers.  Sums and products first put both operands over the lcm
+    of their denominators; sorting int vectors over one den orders them as their
+    exponents.  `terms` is the read-only Fraction-keyed view, built on first use.
+    """
+
+    __slots__ = ("K", "grade", "den", "nums", "_terms")
+
+    def __init__(self, K: int, grade, terms=None):
+        """The series sum of c q^e over a dict of exponent vectors e -> c."""
+        terms = {tuple(F(x) for x in e): c for e, c in (terms or {}).items()}
+        den = math.lcm(1, *(x.denominator for e in terms for x in e))
+        nums = {tuple(x.numerator * (den // x.denominator) for x in e): _coeff(c)
+                for e, c in terms.items() if c}
+        self.K, self.grade, self.den, self.nums, self._terms = K, F(grade), den, nums, None
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """The terms as exponent vector of Fractions -> Fraction coefficient."""
+        view = self._terms
+        if view is None:
+            den = self.den
+            view = MappingProxyType({tuple(F(x, den) for x in e): F(c)
+                                     for e, c in self.nums.items()})
+            self._terms = view
+        return view
 
     @staticmethod
     def zero(K: int, grade) -> MultiSeries:
-        return MultiSeries(K, F(grade), {})
+        return _series(K, F(grade), 1, {})
 
     @staticmethod
     def one(K: int, grade) -> MultiSeries:
-        return MultiSeries(K, F(grade), {(ZERO,) * (K + 1): ONE})
+        return _series(K, F(grade), 1, {(0,) * (K + 1): 1})
 
     @staticmethod
     def monomial(K: int, grade, exps, coeff=ONE) -> MultiSeries:
         e = tuple(F(x) for x in exps)
         if len(e) != K + 1:
             raise ValueError("exponent vector must have length K+1")
-        out = MultiSeries.zero(K, grade)
-        if e[1] <= out.grade and coeff:
-            out.terms[e] = F(coeff)
-        return out
+        return MultiSeries(K, grade, {e: coeff} if e[1] <= grade else {})
 
     def _require_compatible(self, other: MultiSeries) -> None:
         if self.K != other.K:
@@ -59,20 +112,20 @@ class MultiSeries:
     def __add__(self, other: MultiSeries) -> MultiSeries:
         self._require_compatible(other)
         grade = min(self.grade, other.grade)
-        terms: dict[ExpVec, Fraction] = {}
-        for src in (self.terms, other.terms):
-            for e, c in src.items():
-                if e[1] > grade:
-                    continue
-                v = terms.get(e, ZERO) + c
+        den, a, b = _common(self, other)
+        cap = _cap(grade, den)
+        nums = {e: c for e, c in a.items() if e[1] <= cap}
+        for e, c in b.items():
+            if e[1] <= cap:
+                v = nums.get(e, 0) + c
                 if v:
-                    terms[e] = v
+                    nums[e] = v
                 else:
-                    terms.pop(e, None)
-        return MultiSeries(self.K, grade, terms)
+                    del nums[e]
+        return _series(self.K, grade, den, nums)
 
     def __neg__(self) -> MultiSeries:
-        return MultiSeries(self.K, self.grade, {e: -c for e, c in self.terms.items()})
+        return _series(self.K, self.grade, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other: MultiSeries) -> MultiSeries:
         return self + (-other)
@@ -80,74 +133,78 @@ class MultiSeries:
     def __mul__(self, other: MultiSeries) -> MultiSeries:
         self._require_compatible(other)
         grade = min(self.grade, other.grade)
-        terms: dict[ExpVec, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                g = e1[1] + e2[1]
-                if g > grade:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = terms.get(e, ZERO) + c1 * c2
-                if v:
-                    terms[e] = v
-                else:
-                    terms.pop(e, None)
-        return MultiSeries(self.K, grade, terms)
+        den, a, b = _common(self, other)
+        cap = _cap(grade, den)
+        # the inner operand by q1-exponent, so each outer term stops at its room
+        inner = sorted(b.items(), key=lambda t: t[0][1])
+        nums: dict[IntVec, object] = {}
+        get = nums.get
+        for e1, c1 in a.items():
+            room = cap - e1[1]
+            for e2, c2 in inner:
+                if e2[1] > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                nums[e] = get(e, 0) + c1 * c2
+        return _series(self.K, grade, den, {e: c for e, c in nums.items() if c})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        return self.K == other.K and self.terms == other.terms
+        if self.K != other.K:
+            return False
+        _, a, b = _common(self, other)
+        return a == b
 
     def truncate(self, grade) -> MultiSeries:
         grade = F(grade)
-        return MultiSeries(self.K, grade,
-                           {e: c for e, c in self.terms.items() if e[1] <= grade})
+        cap = _cap(grade, self.den)
+        return _series(self.K, grade, self.den,
+                       {e: c for e, c in self.nums.items() if e[1] <= cap})
 
     def map_exponents(self, n: int) -> MultiSeries:
-        """Apply the charge-shift substitution to every term; grades can move, so
-        the caller truncates afterwards."""
-        terms: dict[ExpVec, Fraction] = {}
-        for e, c in self.terms.items():
-            e2 = elliptic_map(e, n, self.K)
-            terms[e2] = terms.get(e2, ZERO) + c
-        return MultiSeries(self.K, self.grade, {e: c for e, c in terms.items() if c})
+        """Apply the charge-shift substitution (`elliptic_map`) to every term;
+        grades can move, so the caller truncates afterwards.  On the lattice it is
+        the integer matrix C(i, j) n^{i-j}, and it is invertible (its inverse is
+        the map for -n), so no two terms merge."""
+        rows = [[math.comb(i, j) * n ** (i - j) for j in range(i + 1)]
+                for i in range(self.K + 1)]
+        nums = {tuple(sum(map(mul, row, e)) for row in rows): c
+                for e, c in self.nums.items()}
+        return _series(self.K, self.grade, self.den, nums)
 
     def charge_slice(self, charge: int) -> MultiSeries:
         """Terms whose q0-exponent equals `charge`, kept at full vector shape."""
-        return MultiSeries(self.K, self.grade,
-                           {e: c for e, c in self.terms.items() if e[0] == charge})
+        k0 = charge * self.den
+        return _series(self.K, self.grade, self.den,
+                       {e: c for e, c in self.nums.items() if e[0] == k0})
 
     def collapse(self, j0: int) -> MultiSeries:
         """Set q_j = 1 for j >= j0, merging exponent vectors."""
         if not 1 <= j0 <= self.K:
             raise ValueError("j0 out of range")
-        terms: dict[ExpVec, Fraction] = {}
-        for e, c in self.terms.items():
+        nums: dict[IntVec, object] = {}
+        for e, c in self.nums.items():
             e2 = e[:j0]
-            v = terms.get(e2, ZERO) + c
-            if v:
-                terms[e2] = v
-            else:
-                terms.pop(e2, None)
-        return MultiSeries(j0 - 1, self.grade, terms)
-
-    def sorted_terms(self) -> list[tuple[ExpVec, Fraction]]:
-        return sorted(self.terms.items())
+            nums[e2] = nums.get(e2, 0) + c
+        return _series(j0 - 1, self.grade, self.den, {e: c for e, c in nums.items() if c})
 
     def to_json(self) -> dict:
+        den = self.den
         return {"K": self.K, "grade": str(self.grade),
-                "terms": [{"exps": [str(x) for x in e], "coeff": str(c)}
-                          for e, c in self.sorted_terms()]}
+                "terms": [{"exps": [str(F(x, den)) for x in e], "coeff": str(c)}
+                          for e, c in sorted(self.nums.items())]}
 
 
 def first_mismatch(a: MultiSeries, b: MultiSeries) -> dict | None:
     """Smallest exponent vector where the two sparse maps disagree."""
-    keys = sorted(set(a.terms) | set(b.terms))
-    for e in keys:
-        ca, cb = a.terms.get(e, ZERO), b.terms.get(e, ZERO)
+    den, x, y = _common(a, b)
+    if x == y:
+        return None
+    for e in sorted(x.keys() | y.keys()):
+        ca, cb = x.get(e, 0), y.get(e, 0)
         if ca != cb:
-            return {"exps": [str(x) for x in e], "lhs": str(ca), "rhs": str(cb)}
+            return {"exps": [str(F(k, den)) for k in e], "lhs": str(ca), "rhs": str(cb)}
     return None
 
 
@@ -201,12 +258,12 @@ def V_series(K: int, N: int) -> MultiSeries:
     """
     if K < 1:
         raise ValueError("need K >= 1")
-    terms: dict[ExpVec, Fraction] = {}
+    terms: dict[ExpVec, int] = {}
     for size in range(N + 1):
         for lam in partitions_of(size):
             e = (ZERO,) + tuple(hook_power_sum(lam, r) for r in range(1, K + 1))
-            terms[e] = terms.get(e, ZERO) + 1
-    return MultiSeries(K, F(N), terms) * _anomaly(K, N)
+            terms[e] = terms.get(e, 0) + 1
+    return MultiSeries(K, N, terms) * _anomaly(K, N)
 
 
 def V_from_omega(K: int, N: int) -> MultiSeries:
@@ -222,14 +279,13 @@ def _eta_multi(K: int, grade) -> MultiSeries:
     just above the nominal grade back into the product window."""
     grade = F(grade) + 1
     qs = eta(int(math.ceil(grade)) + 1)
-    out = MultiSeries.zero(K, grade)
+    terms = {}
     e1 = qs.offset
     for c in qs.coeffs:
-        if c and e1 <= out.grade:
-            e = (ZERO, e1) + (ZERO,) * (K - 1)
-            out.terms[e] = F(c)
+        if e1 <= grade:
+            terms[(ZERO, e1) + (ZERO,) * (K - 1)] = c
         e1 += qs.step
-    return out
+    return MultiSeries(K, grade, terms)
 
 
 def verify_elliptic_transform(K: int = 3, N: int = 3) -> Report:
@@ -285,12 +341,13 @@ def verify_triple_product(N: int = 12) -> Report:
     if N < 0:
         raise ValueError("the grade N must be non-negative")
     lhs = (_eta_multi(1, N) * omega_series(1, N)).truncate(N)
-    rhs = MultiSeries.zero(1, N)
+    theta = {}
     n = 0
     while F(n * n, 2) <= N:
         for m in {n, -n}:
-            rhs.terms[(F(m), F(m * m, 2))] = ONE
+            theta[(F(m), F(m * m, 2))] = 1
         n += 1
+    rhs = MultiSeries(1, N, theta)
     mismatch = first_mismatch(lhs, rhs)
     return Report("triple-product", statement, {"N": N},
                   "pass" if mismatch is None else "fail",

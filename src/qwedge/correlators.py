@@ -10,12 +10,12 @@ rather than trusting either one.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import RowWeight, eps_closing, eps_row, q_bracket
-from .reports import Report, series_report
+from .reports import FrozenRecord, Report, series_report
 from .series import ONE, ZERO, QSeries, euler_product, q_pochhammer
 from .setparts import ordered_block_sum, set_partitions, subset_fold
 from .special import ThetaLattice, theta_deriv_series
@@ -31,33 +31,30 @@ class DivisorHit(ValueError):
         super().__init__(f"product of t over positions {subset} equals 1")
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(FrozenRecord):
     """n positive rationals s_k with t_k = s_k^2; no subset product of t's may be 1.
 
     allow_full admits points where the product over ALL variables is 1 (proper
     subsets are still checked); the symmetrized series are finite there.
     """
 
-    s: tuple[Fraction, ...]
-    q0: Fraction | None = None
-    allow_full: bool = False
+    __slots__ = ("s", "q0", "allow_full")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(F(x) for x in self.s))
-        if self.q0 is not None:
-            object.__setattr__(self, "q0", F(self.q0))
-        for x in self.s:
+    def __init__(self, s: tuple[Fraction, ...], q0: Fraction | None = None,
+                 allow_full: bool = False):
+        s = tuple(F(x) for x in s)
+        for x in s:
             if x <= 0:
                 raise ValueError("square roots must be positive; pass |s|")
-        top = len(self.s) - 1 if self.allow_full else len(self.s)
+        top = len(s) - 1 if allow_full else len(s)
         for r in range(1, top + 1):
-            for subset in itertools.combinations(range(len(self.s)), r):
+            for subset in itertools.combinations(range(len(s)), r):
                 prod = ONE
                 for i in subset:
-                    prod *= self.s[i]
+                    prod *= s[i]
                 if prod == 1:
                     raise DivisorHit(tuple(i + 1 for i in subset))
+        self._set(s=s, q0=None if q0 is None else F(q0), allow_full=allow_full)
 
     @property
     def n(self) -> int:
@@ -150,11 +147,15 @@ class IndexWeight(_PointWeight):
                 w *= p[k]
         return [w]
 
-    def closing(self, ell: int) -> list[Fraction]:
-        w = ONE
+    def closing(self, ell: int) -> tuple[list[int], int]:
+        num, den = 1, 1
         for k, i in enumerate(self.idx):
-            w *= t_power(self.svals[k], 1 - 2 * i) if i > ell else F(1, self.scales[k])
-        return [w]
+            if i > ell:
+                w = t_power(self.svals[k], 1 - 2 * i)
+                num, den = num * w.numerator, den * w.denominator
+            else:
+                den *= self.scales[k]
+        return [num], den
 
 
 def bracket_monomial_brute(idx: tuple[int, ...], point: EvalPoint, order: int) -> QSeries:
@@ -230,14 +231,17 @@ class HWeight(_PointWeight):
                 out[j + 1] += out[j] * p[j]
         return out
 
-    def closing(self, ell: int) -> list[Fraction]:
-        out = []
-        scale = 1
-        for x, c, g in zip(self.xs, self.cs, self.scales):
-            out.append(c * x ** (ell + 1) / scale)
+    def closing(self, ell: int) -> tuple[list[int], int]:
+        # slot j: tail_j / (g_1 ... g_j), over L g_1 ... g_n with L the lcm of
+        # the tails' denominators
+        tails = [c * x ** (ell + 1) for x, c in zip(self.xs, self.cs)]
+        lcm = math.lcm(*(t.denominator for t in tails))
+        out, scale = [lcm], 1  # built from the last slot, scale = g_{j+1} ... g_n
+        for t, g in zip(reversed(tails), reversed(self.scales)):
             scale *= g
-        out.append(F(1, scale))
-        return out
+            out.append(t.numerator * (lcm // t.denominator) * scale)
+        out.reverse()
+        return out, lcm * scale
 
 
 def h_series(point: EvalPoint, order: int) -> QSeries:
@@ -270,9 +274,20 @@ class FWeight(_PointWeight):
     def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         return eps_row(vec, self.powers(2 * (v - i) + 1))
 
-    def closing(self, ell: int) -> list[Fraction]:
-        return eps_closing([F(1, g) for g in self.scales],
-                           [t_power(s, 1 - 2 * ell) / (s * s - 1) for s in self.svals])
+    def closing(self, ell: int) -> tuple[list[int], int]:
+        # with s = a/b, factor k over g_k |a^2 - b^2|: eps_k's 1/g_k is |a^2 - b^2|,
+        # and s^{1 - 2 ell}/(t - 1) is a^{M + 1 - 2 ell} b^{M + 1 + 2 ell} up to the
+        # sign of a^2 - b^2 (ell <= order, so M + 1 - 2 ell >= 0)
+        m = self.span
+        inside, outside, den = [], [], 1
+        for s, g in zip(self.svals, self.scales):
+            a, b = s.numerator, s.denominator
+            d = a * a - b * b
+            tail = a ** (m + 1 - 2 * ell) * b ** (m + 1 + 2 * ell)
+            inside.append(abs(d))
+            outside.append(tail if d > 0 else -tail)
+            den *= g * abs(d)
+        return eps_closing(inside, outside), den
 
 
 def f_brute(point: EvalPoint, order: int) -> QSeries:

@@ -119,8 +119,9 @@ class RowWeight:
     value v.  The weight of a partition with `ell` rows is linear in the slots:
     the dot product of vec with `closing(ell)`, rational per-slot coefficients
     already divided by the slot scales (tails over the empty rows past ell go
-    here).  Calling the weight on a partition applies its rows in order, then
-    closes, which is the per-partition reference.
+    here), given as (nums, den): int numerators over one positive int
+    denominator.  Calling the weight on a partition applies its rows in order,
+    then closes, which is the per-partition reference.
     """
 
     slots = 1
@@ -131,7 +132,7 @@ class RowWeight:
     def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         raise NotImplementedError
 
-    def closing(self, ell: int) -> list[Fraction]:
+    def closing(self, ell: int) -> tuple[list[int], int]:
         raise NotImplementedError
 
     def __call__(self, lam: Partition) -> Fraction:
@@ -139,7 +140,8 @@ class RowWeight:
         vec = [1] + [0] * (self.slots - 1)
         for i, part in enumerate(lam, 1):
             vec = self.row(part, i, vec)
-        return sum((x * c for x, c in zip(vec, self.closing(len(lam))) if x), ZERO)
+        nums, den = self.closing(len(lam))
+        return Fraction(sum(x * c for x, c in zip(vec, nums)), den)
 
 
 def partition_sums(weight: RowWeight, order: int) -> QSeries:
@@ -150,8 +152,8 @@ def partition_sums(weight: RowWeight, order: int) -> QSeries:
     one more than the rows placed before it.  table[s][r] sums the integer slot
     vectors of all partial partitions of size s with r rows; ascending s updated
     in place lets a value repeat.  Visits O(order^2 log order) states instead of
-    every partition.  The closings of all row counts go over one common
-    denominator first, so each state closes with one integer dot product.
+    every partition.  The closings of all row counts go over the lcm of their
+    denominators first, so each state closes with one integer dot product.
     """
     weight.start(order)
     table: list[list] = [[[1] + [0] * (weight.slots - 1)]] + [[] for _ in range(order)]
@@ -167,24 +169,24 @@ def partition_sums(weight: RowWeight, order: int) -> QSeries:
                 cur = dst[r + 1]
                 dst[r + 1] = out if cur is None else [a + b for a, b in zip(cur, out)]
     closings = [weight.closing(ell) for ell in range(max(map(len, table)))]
-    den = math.lcm(*(c.denominator for cl in closings for c in cl))
-    closings = [[c.numerator * (den // c.denominator) for c in cl] for cl in closings]
+    den = math.lcm(*(d for _, d in closings))
+    closings = [[c * (den // d) for c in cl] for cl, d in closings]
     nums = [sum(x * c for vec, cl in zip(states, closings) if vec is not None
                 for x, c in zip(vec, cl) if x)
             for states in table]
     return QSeries.from_nums(nums, den)
 
 
-def eps_closing(inside: list[Fraction], outside: list[Fraction]) -> list[Fraction]:
+def eps_closing(inside: list[int], outside: list[int]) -> list[int]:
     """comp[S] = prod of inside[j] over j in the bit mask S times prod of
     outside[j] over j not in S: the closing of Q[eps]/(eps_j^2) slots that take
     the eps_1..eps_r coefficient of vec * prod_j (outside[j] + inside[j] eps_j).
-    Numerators and denominators multiply as ints; each entry reduces once."""
-    nums, dens = [1], [1]
+    The caller puts factor j over a denominator d_j and passes the numerators;
+    comp is then over the product of the d_j."""
+    comp = [1]
     for a, b in zip(inside, outside):
-        nums = [x * b.numerator for x in nums] + [x * a.numerator for x in nums]
-        dens = [y * b.denominator for y in dens] + [y * a.denominator for y in dens]
-    return [Fraction(x, y) for x, y in zip(nums, dens)]
+        comp = [x * b for x in comp] + [x * a for x in comp]
+    return comp
 
 
 def eps_row(vec: list, factors: list) -> list:
@@ -212,14 +214,17 @@ class HookMomentWeight(RowWeight):
     def __init__(self, ks: tuple[int, ...], shifts):
         self.ks = tuple(ks)
         self.slots = 1 << len(self.ks)
-        self.comp = eps_closing([Fraction(1, 2 ** k) for k in self.ks],
-                                [-Fraction(c) for c in shifts])
+        # factor j over 2^k_j times the shift's denominator
+        shifts = [Fraction(c) for c in shifts]
+        self.comp = (eps_closing([c.denominator for c in shifts],
+                                 [-c.numerator << k for c, k in zip(shifts, self.ks)]),
+                     math.prod(c.denominator << k for c, k in zip(shifts, self.ks)))
 
     def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         a, b = 2 * (v - i) + 1, 1 - 2 * i
         return eps_row(vec, [a ** k - b ** k for k in self.ks])
 
-    def closing(self, ell: int) -> list[Fraction]:
+    def closing(self, ell: int) -> tuple[list[int], int]:
         return self.comp
 
 

@@ -5,11 +5,10 @@ q-bracket checks that land inside it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .partitions import HookMomentWeight, q_bracket
-from .reports import Report
+from .reports import FrozenRecord, Report
 from .series import ONE, QSeries
 from .special import eisenstein_g, xi_value
 
@@ -59,11 +58,14 @@ def monomial_series(abc: tuple[int, int, int], order: int) -> QSeries:
     return s
 
 
-@dataclass(frozen=True)
-class QMElement:
-    weight: int
-    monomials: tuple[tuple[int, int, int], ...]
-    coeffs: tuple[Fraction, ...]
+class QMElement(FrozenRecord):
+    """sum_i coeffs[i] G2^a G4^b G6^c over monomials[i] = (a, b, c) of one weight."""
+
+    __slots__ = ("weight", "monomials", "coeffs")
+
+    def __init__(self, weight: int, monomials: tuple[tuple[int, int, int], ...],
+                 coeffs: tuple[Fraction, ...]):
+        self._set(weight=weight, monomials=monomials, coeffs=coeffs)
 
     def series(self, order: int) -> QSeries:
         total = QSeries.zero(order)

@@ -6,7 +6,6 @@ with None values are dropped so output stays stable and diff-friendly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -22,17 +21,61 @@ def jsonify(x: Any) -> Any:
     return x
 
 
-@dataclass
+class FrozenRecord:
+    """An immutable value: the fields are the subclass's `__slots__`, set once in
+    its constructor through `_set`; equal and hashed by value."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({shown})"
+
+
 class Report:
-    identity: str
-    statement: str
-    params: dict = field(default_factory=dict)
-    status: str = "pass"
-    order_checked: int | None = None
-    first_mismatch: dict | None = None
-    tolerance_info: dict | None = None
-    details: dict | None = None
-    elapsed_ms: float | None = None
+    """One verifier's outcome; the fields after `statement` have defaults and may
+    be passed by keyword."""
+
+    __slots__ = ("identity", "statement", "params", "status", "order_checked",
+                 "first_mismatch", "tolerance_info", "details", "elapsed_ms")
+
+    def __init__(self, identity: str, statement: str, params: dict | None = None,
+                 status: str = "pass", order_checked: int | None = None,
+                 first_mismatch: dict | None = None, tolerance_info: dict | None = None,
+                 details: dict | None = None, elapsed_ms: float | None = None):
+        self.identity = identity
+        self.statement = statement
+        self.params = {} if params is None else params
+        self.status = status
+        self.order_checked = order_checked
+        self.first_mismatch = first_mismatch
+        self.tolerance_info = tolerance_info
+        self.details = details
+        self.elapsed_ms = elapsed_ms
+
+    def __repr__(self):
+        return f"Report({self.to_jsonable()!r})"
 
     @property
     def ok(self) -> bool:

@@ -10,10 +10,10 @@ form; the two must agree coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 
-from .partitions import partitions_of
 from .reports import Report
 from .series import ONE, ZERO, QSeries, SeriesError
 from .setparts import set_partitions
@@ -27,45 +27,63 @@ class GradeOverflow(SeriesError):
     like n^{2j-1} and can explode for large grades)."""
 
 
-@dataclass
 class OddMultiSeries:
     """Sparse series in q1, q3, ..., q_{2J-1}, truncated at q1-exponent <= grade.
 
-    Exponent vectors have length J; slot j-1 holds the q_{2j-1} exponent.
+    Exponent vectors have length J; slot j-1 holds the q_{2j-1} exponent.  Every
+    exponent is an integer plus the slot's anomaly zeta(1-2j)/2, held once as the
+    int `anomaly[j-1]` over their lcm `anomaly_den`: `nums` maps the int part e
+    to the int numerator of its coefficient over the one int `den`.  `terms` is
+    the Fraction view (full exponents and coefficients), built on first use.
     """
 
-    J: int
-    grade: int
-    terms: dict[tuple[Fraction, ...], Fraction] = field(default_factory=dict)
+    __slots__ = ("J", "grade", "nums", "den", "anomaly", "anomaly_den", "_terms")
+
+    def __init__(self, J: int, grade: int, nums: dict[tuple[int, ...], int], den: int,
+                 anomaly: tuple[int, ...], anomaly_den: int):
+        self.J, self.grade, self.nums, self.den = J, grade, nums, den
+        self.anomaly, self.anomaly_den, self._terms = anomaly, anomaly_den, None
+
+    @property
+    def terms(self) -> MappingProxyType:
+        view = self._terms
+        if view is None:
+            view = MappingProxyType({self._exps(e): F(c, self.den)
+                                     for e, c in self.nums.items()})
+            self._terms = view
+        return view
+
+    def _exps(self, e: tuple[int, ...]) -> tuple[Fraction, ...]:
+        A = self.anomaly_den
+        return tuple(F(x * A + a, A) for x, a in zip(e, self.anomaly))
 
     def tau_derive(self, j: int) -> OddMultiSeries:
         """The invariant derivative in tau_{2j-1}: multiply each term by its
-        q_{2j-1}-exponent."""
+        q_{2j-1}-exponent (x + a/A), that is its numerator by x A + a and the
+        denominator by A."""
         if not 1 <= j <= self.J:
             raise ValueError(f"j must be between 1 and {self.J}")
+        A, a, i = self.anomaly_den, self.anomaly[j - 1], j - 1
         out = {}
-        for e, c in self.terms.items():
-            v = c * e[j - 1]
+        for e, c in self.nums.items():
+            v = c * (e[i] * A + a)
             if v:
                 out[e] = v
-        return OddMultiSeries(self.J, self.grade, out)
+        return OddMultiSeries(self.J, self.grade, out, self.den * A, self.anomaly, A)
 
     def collapse(self) -> QSeries:
         """Set q_{2j-1} = 1 for j >= 2, leaving a q1-series on the 1/24-shifted
         integer grid."""
-        base = zeta_value(-1) / 2
-        coeffs = [ZERO] * (self.grade + 1)
-        for e, c in self.terms.items():
-            rel = e[0] - base
-            if rel.denominator != 1 or not 0 <= rel.numerator <= self.grade:
-                raise SeriesError(f"exponent {e[0]} off the expected grid")
-            coeffs[rel.numerator] += c
-        return QSeries(base, tuple(coeffs))
+        nums = [0] * (self.grade + 1)
+        for e, c in self.nums.items():
+            nums[e[0]] += c
+        return QSeries.from_nums(nums, self.den, F(self.anomaly[0], self.anomaly_den))
 
     def to_json(self) -> dict:
+        den = self.den
         return {"J": self.J, "grade": str(self.grade),
-                "terms": [{"exps": [str(x) for x in e], "coeff": str(c)}
-                          for e, c in sorted(self.terms.items())]}
+                "terms": [{"exps": [str(x) for x in self._exps(e)], "coeff": str(F(c, den))}
+                          for e, c in sorted(self.nums.items())]}
 
 
 def psi_series(J: int, N: int, max_exponent: int = 10 ** 12) -> OddMultiSeries:
@@ -74,25 +92,26 @@ def psi_series(J: int, N: int, max_exponent: int = 10 ** 12) -> OddMultiSeries:
     """
     if J < 1:
         raise ValueError("need J >= 1")
-    # product part first, on the integer exponent grid
-    terms: dict[tuple[int, ...], Fraction] = {(0,) * J: ONE}
+    # product part on the integer exponent grid; the anomaly rides along apart
+    terms: dict[tuple[int, ...], int] = {(0,) * J: 1}
     for n in range(1, N + 1):
         if n ** (2 * J - 1) > max_exponent:
             raise GradeOverflow(
                 f"exponent {n}^{2 * J - 1} exceeds the ceiling {max_exponent}")
         shifts = tuple(n ** (2 * j - 1) for j in range(1, J + 1))
         geom = [tuple(m * s for s in shifts) for m in range(N // n + 1)]
-        new: dict[tuple[int, ...], Fraction] = {}
+        new: dict[tuple[int, ...], int] = {}
         for e, c in terms.items():
             for g in geom:
                 if e[0] + g[0] > N:
                     break
-                key = tuple(a + b for a, b in zip(e, g))
-                new[key] = new.get(key, ZERO) + c
+                key = tuple(map(add, e, g))
+                new[key] = new.get(key, 0) + c
         terms = new
-    anomaly = tuple(zeta_value(1 - 2 * j) / 2 for j in range(1, J + 1))
-    shifted = {tuple(a + b for a, b in zip(e, anomaly)): c for e, c in terms.items()}
-    return OddMultiSeries(J, N, shifted)
+    anomaly = [zeta_value(1 - 2 * j) / 2 for j in range(1, J + 1)]
+    A = math.lcm(*(a.denominator for a in anomaly))
+    return OddMultiSeries(J, N, terms, 1, tuple(a.numerator * (A // a.denominator)
+                                                for a in anomaly), A)
 
 
 def h_series(r: int, s_even: int, order: int) -> QSeries:
@@ -147,17 +166,15 @@ def _nonzero(c) -> bool:
     return not c.is_zero() if isinstance(c, QSeries) else bool(c)
 
 
-@dataclass
 class OddPolynomial:
     """Truncated polynomial in z_1..z_nvars; coefficients are QSeries (or plain
     rationals).  Per-variable degree is capped at zdeg."""
 
-    nvars: int
-    zdeg: int
-    terms: dict[tuple[int, ...], object] = field(default_factory=dict)
+    __slots__ = ("nvars", "zdeg", "terms")
 
-    def __post_init__(self):
-        self.terms = {e: c for e, c in self.terms.items() if _nonzero(c)}
+    def __init__(self, nvars: int, zdeg: int, terms: dict[tuple[int, ...], object]):
+        self.nvars, self.zdeg = nvars, zdeg
+        self.terms = {e: c for e, c in terms.items() if _nonzero(c)}
 
     @staticmethod
     def zero(nvars: int, zdeg: int) -> OddPolynomial:

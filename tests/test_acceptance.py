@@ -93,6 +93,9 @@ def test_criterion_06_character_transformation_and_expansion():
             assert verify_elliptic_transform(K, 3).ok
             assert verify_theta_expansion(K, 3).ok
         assert verify_triple_product(12).ok
+        assert verify_triple_product(40).ok
+        assert verify_elliptic_transform(4, 5).ok
+        assert verify_theta_expansion(4, 6).ok
 
 
 def test_criterion_07_difference_equations():
@@ -136,6 +139,7 @@ def test_criterion_10_skew_character_sums():
         assert verify_h_equals_g(order=30).ok  # all pairs with r <= 3, sum j <= 4
         assert verify_skew_npoint(1, 5, 15).ok
         assert verify_skew_npoint(2, 5, 15).ok
+        assert verify_skew_npoint(3, 5, 15).ok
 
 
 def _suite_bytes() -> bytes:

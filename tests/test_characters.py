@@ -105,9 +105,8 @@ def test_v_consistency():
 
 def test_v_specializes_to_partition_counts():
     collapsed = V_series(3, 5).collapse(2)
-    expected = MultiSeries.zero(1, 5)
-    for n in range(6):
-        expected.terms[(F(0), F(n) - F(1, 24))] = F(partition_count(n))
+    expected = MultiSeries(1, 5, {(F(0), F(n) - F(1, 24)): F(partition_count(n))
+                                  for n in range(6)})
     assert first_mismatch(collapsed, expected) is None
 
 
@@ -123,3 +122,101 @@ def test_to_json_shape():
     assert js["K"] == 1 and js["grade"] == "1"
     assert all(set(t) == {"exps", "coeff"} for t in js["terms"])
     assert all(isinstance(x, str) for t in js["terms"] for x in t["exps"])
+
+
+# -- the integer lattice against the Fraction-keyed container ------------------------
+
+
+class _FractionSeries:
+    """The container as it was before the integer lattice: a dict from
+    Fraction exponent vectors to Fraction coefficients, the oracle below."""
+
+    def __init__(self, K, grade, terms):
+        self.K, self.grade = K, F(grade)
+        self.terms = {tuple(F(x) for x in e): F(c) for e, c in terms.items() if c}
+
+    def _with(self, grade, pairs, K=None):
+        terms = {}
+        for e, c in pairs:
+            terms[e] = terms.get(e, F(0)) + c
+        return _FractionSeries(self.K if K is None else K, grade, terms)
+
+    def __add__(self, other):
+        grade = min(self.grade, other.grade)
+        both = list(self.terms.items()) + list(other.terms.items())
+        return self._with(grade, [(e, c) for e, c in both if e[1] <= grade])
+
+    def __neg__(self):
+        return self._with(self.grade, [(e, -c) for e, c in self.terms.items()])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        grade = min(self.grade, other.grade)
+        return self._with(grade, [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                                  for e1, c1 in self.terms.items()
+                                  for e2, c2 in other.terms.items()
+                                  if e1[1] + e2[1] <= grade])
+
+    def truncate(self, grade):
+        return self._with(grade, [(e, c) for e, c in self.terms.items() if e[1] <= grade])
+
+    def map_exponents(self, n):
+        return self._with(self.grade, [(elliptic_map(e, n, self.K), c)
+                                       for e, c in self.terms.items()])
+
+    def charge_slice(self, charge):
+        return self._with(self.grade, [(e, c) for e, c in self.terms.items()
+                                       if e[0] == charge])
+
+    def collapse(self, j0):
+        return self._with(self.grade, [(e[:j0], c) for e, c in self.terms.items()], j0 - 1)
+
+    def to_json(self):
+        return {"K": self.K, "grade": str(self.grade),
+                "terms": [{"exps": [str(x) for x in e], "coeff": str(c)}
+                          for e, c in sorted(self.terms.items())]}
+
+
+def _fraction_mismatch(a, b):
+    for e in sorted(set(a.terms) | set(b.terms)):
+        ca, cb = a.terms.get(e, F(0)), b.terms.get(e, F(0))
+        if ca != cb:
+            return {"exps": [str(x) for x in e], "lhs": str(ca), "rhs": str(cb)}
+    return None
+
+
+@st.composite
+def _sparse_series(draw, K):
+    """Terms on the 1/2 or the 1/24 grid, and a grade on the 1/2 grid."""
+    d = draw(st.sampled_from([2, 24]))
+    exps = st.tuples(*[st.integers(-30, 30)] * (K + 1)).map(
+        lambda e: tuple(F(x, d) for x in e))
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=5))
+    terms = draw(st.dictionaries(exps, coeffs.filter(bool), max_size=8))
+    grade = F(draw(st.integers(-4, 16)), 2)
+    return MultiSeries(K, grade, terms), _FractionSeries(K, grade, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_integer_lattice_matches_fraction_series(data):
+    K = data.draw(st.integers(1, 3))
+    a, ra = data.draw(_sparse_series(K))
+    b, rb = data.draw(_sparse_series(K))
+    cut = F(data.draw(st.integers(-2, 8)), 2)
+    pairs = [(a, ra), (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+             (a.truncate(cut), ra.truncate(cut))]
+    pairs += [(a.map_exponents(n), ra.map_exponents(n)) for n in range(-2, 3)]
+    pairs += [(a.charge_slice(c), ra.charge_slice(c)) for c in (-1, 0, 1)]
+    pairs += [(a.collapse(j0), ra.collapse(j0)) for j0 in range(1, K + 1)]
+    for got, want in pairs:
+        assert (got.K, got.grade) == (want.K, want.grade)
+        assert got.terms == want.terms
+        assert got.to_json() == want.to_json()
+    # which key a mismatch reports, and None exactly on equal maps
+    for (x, rx), (y, ry) in ((pairs[0], pairs[1]), (pairs[1], pairs[2]),
+                             (pairs[0], pairs[4]), (pairs[3], (b * a, rb * ra))):
+        assert first_mismatch(x, y) == _fraction_mismatch(rx, ry)
+        assert (x == y) == (rx.terms == ry.terms)

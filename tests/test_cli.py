@@ -236,13 +236,16 @@ def test_suite_is_deterministic_across_runs():
                            "total": len(cli.REGISTRY), "failed": 0}
 
 
-def _qwedge_modules_after(code: str) -> set[str]:
-    probe = (code + "\nimport sys\nprint(' '.join(m for m in sys.modules"
-             " if m.split('.')[0] in ('qwedge', 'concurrent')), file=sys.stderr)")
+def _modules_after(code: str) -> set[str]:
+    probe = code + "\nimport sys\nprint(' '.join(sys.modules), file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
+
+
+def _qwedge_modules_after(code: str) -> set[str]:
+    return {m for m in _modules_after(code) if m.split(".")[0] in ("qwedge", "concurrent")}
 
 
 BASE_MODULES = {"qwedge", "qwedge.cli", "qwedge.reports", "qwedge.series"}
@@ -256,6 +259,19 @@ def test_verify_imports_only_its_own_module():
     loaded = _qwedge_modules_after(
         "from qwedge import cli\ncli.main(['verify', 'counts', '--n', '3'])")
     assert loaded == BASE_MODULES | {"qwedge.setparts"}
+
+
+# `import qwedge.cli`, and `verify` of one id per library module at its defaults
+_IMPORT_PATHS = {"cli": "import qwedge.cli"} | {
+    module: f"from qwedge import cli\ncli.main(['verify', '{name}'])"
+    for name, (module, _, _) in reversed(cli._VERIFIERS.items())}
+
+
+@pytest.mark.parametrize("path", sorted(_IMPORT_PATHS))
+def test_no_dataclasses_or_inspect_on_any_import_path(path):
+    # `import dataclasses` pulls in `inspect`: most of what the package cost to import
+    added = _modules_after(_IMPORT_PATHS[path]) - _modules_after("pass")
+    assert not {"dataclasses", "inspect"} & added
 
 
 def test_verifier_errors_are_value_errors():

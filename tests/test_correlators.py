@@ -57,6 +57,16 @@ def test_evalpoint_merged_and_permuted():
     assert p.merged([(1, 2), (3,)]).s == (F(6), F(5))
 
 
+def test_evalpoint_is_an_immutable_value():
+    p = EvalPoint((2, F(3)), q0=F(1, 9))
+    assert p == EvalPoint((F(2), F(3)), q0=F(1, 9)) and p != EvalPoint((F(2), F(3)))
+    assert {p: 1}[EvalPoint((F(2), F(3)), q0=F(1, 9))] == 1
+    with pytest.raises(AttributeError):
+        p.s = (F(5),)
+    with pytest.raises(AttributeError):
+        del p.q0
+
+
 # -- ordered index sums: the H weight against hand geometric series ----------------
 
 

@@ -38,6 +38,12 @@ def test_fit_recovers_known_combination():
     elt = fit_series(s, 4, margin=10)
     assert elt.coeffs == (3, F(-5, 7))
     assert elt.series(N) == s
+    # an immutable value: equal and hashed by its fields
+    same = QMElement(4, elt.monomials, (F(3), F(-5, 7)))
+    assert elt == same and hash(elt) == hash(same)
+    assert elt != QMElement(4, elt.monomials, (3, F(5, 7)))
+    with pytest.raises(AttributeError):
+        elt.weight = 6
 
 
 def test_fit_rejects_wrong_weight():

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwedge.partitions import partition_count
 from qwedge.quasimodular import fit_series
@@ -18,7 +20,7 @@ from qwedge.skewchar import (
     verify_h_equals_g,
     verify_skew_npoint,
 )
-from qwedge.special import eisenstein_g, eta
+from qwedge.special import eisenstein_g, eta, zeta_value
 
 F = Fraction
 
@@ -62,6 +64,46 @@ def test_tau_derive_is_exponent_multiplication():
         assert c == psi.terms[e] * e[1]
     with pytest.raises(ValueError):
         psi.tau_derive(3)
+
+
+def _psi_fraction_terms(J, N):
+    """The character with the anomaly added to every exponent as a Fraction:
+    the route before the anomaly was held once, over its own denominator."""
+    terms = {(0,) * J: F(1)}
+    for n in range(1, N + 1):
+        new = {}
+        for e, c in terms.items():
+            for m in range((N - e[0]) // n + 1):
+                key = tuple(x + m * n ** (2 * j - 1) for j, x in enumerate(e, 1))
+                new[key] = new.get(key, F(0)) + c
+        terms = new
+    anomaly = [zeta_value(1 - 2 * j) / 2 for j in range(1, J + 1)]
+    return {tuple(x + a for x, a in zip(e, anomaly)): c for e, c in terms.items()}
+
+
+def _fraction_collapse(terms, N):
+    coeffs = [F(0)] * (N + 1)
+    for e, c in terms.items():
+        coeffs[int(e[0] + F(1, 24))] += c
+    return QSeries(F(-1, 24), coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tau_derive_chains_match_fraction_route(data):
+    J = data.draw(st.integers(1, 4))
+    N = data.draw(st.integers(0, 10))
+    chain = data.draw(st.lists(st.integers(1, J), max_size=4))
+    psi, ref = psi_series(J, N), _psi_fraction_terms(J, N)
+    assert psi.terms == ref
+    for j in chain:
+        psi = psi.tau_derive(j)
+        ref = {e: c * e[j - 1] for e, c in ref.items() if c * e[j - 1]}
+        assert psi.terms == ref
+    got, want = psi.collapse(), _fraction_collapse(ref, N)
+    assert (got.offset, got.coeffs) == (want.offset, want.coeffs)
+    assert psi.to_json()["terms"] == [{"exps": [str(x) for x in e], "coeff": str(c)}
+                                      for e, c in sorted(ref.items())]
 
 
 # -- h and g ---------------------------------------------------------------------
