@@ -297,7 +297,7 @@ def verify_elliptic_transform(K: int = 3, N: int = 3) -> Report:
     statement = ("the product character is an eigenvector of the charge-shift "
                  "substitution, with explicit monomial eigenvalue")
     if N < 1:
-        raise ValueError(f"the grade N = {N} must be at least 1")
+        raise ValueError(f"the truncation order N = {N} must be at least 1")
     # a term of charge c has q1-grade >= c^2/2 - 1/24, so images landing at or
     # below N come from grades <= N + 1 + sqrt(2N+2); pad accordingly
     G = N + math.isqrt(2 * N - 1) + 1 + 2
@@ -319,7 +319,7 @@ def verify_theta_expansion(K: int = 3, N: int = 3) -> Report:
     statement = ("the product character expands as a charge sum of shifted "
                  "charge-zero characters with theta-like monomial weights")
     if N < 0:
-        raise ValueError(f"the grade N = {N} must be non-negative")
+        raise ValueError(f"the truncation order N = {N} must be non-negative")
     n_max = math.isqrt(2 * N - 1) + 1 + 1 if N > 0 else 1
     v = V_series(K, N)
     total = MultiSeries.zero(K, N)
@@ -339,7 +339,7 @@ def verify_triple_product(N: int = 12) -> Report:
     statement = ("the eta function times the two-variable product character is "
                  "the integral charge theta sum")
     if N < 0:
-        raise ValueError("the grade N must be non-negative")
+        raise ValueError(f"the truncation order N = {N} must be non-negative")
     lhs = (_eta_multi(1, N) * omega_series(1, N)).truncate(N)
     theta = {}
     n = 0
@@ -360,7 +360,7 @@ def verify_v_consistency(K: int = 3, N: int = 4) -> Report:
     statement = ("the charge-zero slice of the product character matches its "
                  "partition-sum expansion")
     if N < 0:
-        raise ValueError(f"the grade N = {N} must be non-negative")
+        raise ValueError(f"the truncation order N = {N} must be non-negative")
     a = V_from_omega(K, N)
     b = V_series(K, N)
     mismatch = first_mismatch(a, b)

@@ -80,6 +80,9 @@ def _resolve_points(a: argparse.Namespace, n_default: int) -> tuple[F, ...]:
 
 def _cutoffs(a) -> tuple[int, int]:
     hi = _or(a.order, 18)
+    if hi < 5:
+        raise ValueError(f"--order {hi} sets the cutoffs ({hi - 5}, {hi}); "
+                         "the order must be at least 5")
     return hi - 5, hi
 
 

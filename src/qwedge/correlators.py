@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .partitions import RowWeight, eps_closing, eps_row, q_bracket
 from .reports import FrozenRecord, Report, series_report
-from .series import ONE, ZERO, QSeries, euler_product, q_pochhammer
+from .series import ONE, ZERO, QSeries, binomial_factor, euler_product, q_pochhammer
 from .setparts import ordered_block_sum, set_partitions, subset_fold
 from .special import ThetaLattice, theta_deriv_series
 
@@ -189,39 +189,32 @@ def bracket_monomial_product(idx: tuple[int, ...], point: EvalPoint, order: int)
 # -- ordered, symmetrized, and full correlation series ---------------------------
 
 
-def _tail_constants(svals: tuple[Fraction, ...]):
-    """Geometric-tail data: x_k = prod_{m >= k} t_m^{-1} and the closed-form
-    prefactors c_k, so that the sum over strictly increasing indices past the
-    partition length is c_k * x_k^j exactly.
-    """
-    n = len(svals)
-    xs = [ONE] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        xs[k] = xs[k + 1] / (svals[k] * svals[k])
-    cs = [ZERO] * n
-    for k in range(n - 1, -1, -1):
-        if xs[k] == 1:
-            raise DivisorHit(tuple(range(k + 1, n + 1)))
-        if k == n - 1:
-            cs[k] = svals[k] / (1 - xs[k])
-        else:
-            cs[k] = svals[k] * xs[k + 1] * cs[k + 1] / (1 - xs[k])
-    return xs, cs
-
-
 class HWeight(_PointWeight):
     """sum over 1 <= i_1 < ... < i_n of prod_k t_k^{lambda_{i_k} - i_k + 1/2}.
 
     Slot j sums the placements of the first j indices among the rows so far; a
     row of value v takes the next index (factor s_j^{2(v - i) + 1}) or none.
-    The closing of slot j adds the geometric tail c_j x_j^{ell + 1} of the
-    indices past the last row (`_tail_constants`).
+    The closing of slot j adds the geometric sum over the indices past the last
+    row, c_j x_j^{ell + 1} with x_j = prod_{m >= j} t_m^{-1} and
+    c_j = prod_{m >= j} s_m x_{m+1} / (1 - x_m).
     """
 
     def __init__(self, svals: tuple[Fraction, ...]):
         super().__init__(svals)
-        self.slots = len(self.svals) + 1
-        self.xs, self.cs = _tail_constants(self.svals)
+        n = len(self.svals)
+        self.slots = n + 1
+        # with s_m = a_m/b_m and suffix products A_m = a_m ... a_{n-1}, B_m likewise,
+        # 1 - x_m = d_m / A_m^2 for d_m = A_m^2 - B_m^2, and each factor of c_j is
+        # a_m^3 B_{m+1}^2 / (b_m d_m)
+        self.diffs, self.b_after = [0] * n, [0] * n  # d_m, B_{m+1}^2
+        big_a = big_b = 1
+        for m in range(n - 1, -1, -1):
+            self.b_after[m] = big_b * big_b
+            big_a *= self.svals[m].numerator
+            big_b *= self.svals[m].denominator
+            self.diffs[m] = big_a * big_a - big_b * big_b
+            if self.diffs[m] == 0:  # x_m = 1
+                raise DivisorHit(tuple(range(m + 1, n + 1)))
 
     def row(self, v: int, i: int, vec: list[int]) -> list[int]:
         p = self.powers(2 * (v - i) + 1)
@@ -232,16 +225,24 @@ class HWeight(_PointWeight):
         return out
 
     def closing(self, ell: int) -> tuple[list[int], int]:
-        # slot j: tail_j / (g_1 ... g_j), over L g_1 ... g_n with L the lcm of
-        # the tails' denominators
-        tails = [c * x ** (ell + 1) for x, c in zip(self.xs, self.cs)]
-        lcm = math.lcm(*(t.denominator for t in tails))
-        out, scale = [lcm], 1  # built from the last slot, scale = g_{j+1} ... g_n
-        for t, g in zip(reversed(tails), reversed(self.scales)):
-            scale *= g
-            out.append(t.numerator * (lcm // t.denominator) * scale)
-        out.reverse()
-        return out, lcm * scale
+        # slot j over its scale g_0 ... g_{j-1}: c_j x_j^{ell+1} g_j ... g_{n-1}
+        # = prod_{m >= j} a_m^{M+1-2 ell} b_m^{M+1+2 ell} B_{m+1}^2 / d_m, an integer
+        # over the d_m (ell <= order, so M + 1 - 2 ell >= 0); over the common
+        # denominator g_0 ... g_{n-1} |d_0 ... d_{n-1}| it takes |d_0 ... d_{j-1}|
+        lo, hi = self.span + 1 - 2 * ell, self.span + 1 + 2 * ell
+        tails, tail = [1], 1  # from the last slot down
+        for s, b2, d in zip(reversed(self.svals), reversed(self.b_after),
+                            reversed(self.diffs)):
+            tail *= s.numerator ** lo * s.denominator ** hi * b2
+            if d < 0:
+                tail = -tail
+            tails.append(tail)
+        tails.reverse()
+        out, head = [], 1  # head = |d_0 ... d_{j-1}|
+        for t, d in zip(tails, self.diffs + [1]):
+            out.append(t * head)
+            head *= abs(d)
+        return out, math.prod(self.scales) * head
 
 
 def h_series(point: EvalPoint, order: int) -> QSeries:
@@ -478,11 +479,72 @@ def _is_terminating(mono: Monomial) -> bool:
     return mono[0] == 1 and mono[1] <= 0
 
 
+def _qgauss_window(a: Monomial, b: Monomial, c: Monomial, order: int) -> int:
+    """The working order of both sides of `verify_qgauss`: negative-exponent
+    Pochhammer factors eat into the valid window, so both work higher."""
+    if order < 0:
+        raise ValueError(f"order {order} is negative; the check needs order >= 0")
+    z = _mono_div(c, _mono_mul(a, b))
+    work = order + _neg_span(a[1]) + _neg_span(b[1]) + _neg_span(c[1]) \
+        + _neg_span(z[1]) + _neg_span(c[1] - a[1]) + _neg_span(c[1] - b[1])
+    if z[1] < 1:
+        terms_bound = 2 + max(-a[1] if _is_terminating(a) else 0,
+                              -b[1] if _is_terminating(b) else 0)
+        work += (1 - z[1]) * terms_bound
+    return work
+
+
+def qgauss_sum(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
+    """sum_n (a)_n (b)_n / ((c)_n (q)_n) * z^n, z = c/ab, for monomials (coefficient,
+    q-exponent), with the coefficients up to q^order.
+
+    Term n is term n - 1 times (1 - a q^{n-1})(1 - b q^{n-1}) z / ((1 - c q^{n-1})
+    (1 - q^n)): four binomials per term, each inverse a sparse geometric series.
+    The sum stops at the first term that starts above q^order, or at the first
+    zero term, after which a terminating numerator keeps every term zero.
+    """
+    z = _mono_div(c, _mono_mul(a, b))
+    if z[1] < 1 and not (_is_terminating(a) or _is_terminating(b)):
+        raise FormalDivergence(
+            f"ratio c/(ab) has q-exponent {z[1]} < 1 and neither numerator terminates")
+    work = _qgauss_window(a, b, c, order)
+    total = term = QSeries.one(work)
+    low, n = 0, 1  # low: the offset of term n
+    while True:
+        e = n - 1
+        low += z[1] + min(0, a[1] + e) + min(0, b[1] + e) - min(0, c[1] + e)
+        if low > order:
+            break
+        term = term * binomial_factor(a[0], a[1] + e, work) \
+            * binomial_factor(b[0], b[1] + e, work)
+        if term.is_zero():
+            break  # a numerator terminated; all later terms vanish too
+        term = term * binomial_factor(c[0], c[1] + e, work).inv() \
+            * binomial_factor(ONE, n, work).inv()
+        term = (term * z[0]).shift(z[1])
+        total = total + term
+        n += 1
+    # the term loop only guarantees coefficients up to `order`; cut the padding
+    return total.truncate(max(0, int(order - total.offset)))
+
+
+def qgauss_product(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
+    """(c/a)_inf (c/b)_inf / ((c)_inf (c/ab)_inf) with the coefficients up to q^order."""
+    work = _qgauss_window(a, b, c, order)
+    z = _mono_div(c, _mono_mul(a, b))
+    num = _infinite_poch(_mono_div(c, a), work) * _infinite_poch(_mono_div(c, b), work)
+    den = _infinite_poch(c, work) * _infinite_poch(z, work)
+    total = num * den.inv()
+    return total.truncate(max(0, int(order - total.offset)))
+
+
 def verify_qgauss(a: Monomial, b: Monomial, c: Monomial, order: int) -> Report:
     """The basic hypergeometric 2-1 sum against its infinite-product value:
 
     sum_n (a)_n (b)_n / ((c)_n (q)_n) * (c/ab)^n
         = (c/a)_inf (c/b)_inf / ((c)_inf (c/ab)_inf).
+
+    The sum (`qgauss_sum`) and the product (`qgauss_product`) share no factor.
     """
     statement = ("the balanced 2-1 basic hypergeometric sum telescopes to a ratio "
                  "of four infinite products")
@@ -490,40 +552,8 @@ def verify_qgauss(a: Monomial, b: Monomial, c: Monomial, order: int) -> Report:
     b = (F(b[0]), int(b[1]))
     c = (F(c[0]), int(c[1]))
     params = {"a": list(a), "b": list(b), "c": list(c), "order": order}
-    z = _mono_div(c, _mono_mul(a, b))
-    if z[1] < 1 and not (_is_terminating(a) or _is_terminating(b)):
-        raise FormalDivergence(
-            f"ratio c/(ab) has q-exponent {z[1]} < 1 and neither numerator terminates")
-
-    # negative-exponent Pochhammer factors eat into the valid window; work higher
-    work = order + _neg_span(a[1]) + _neg_span(b[1]) + _neg_span(c[1]) \
-        + _neg_span(z[1]) + _neg_span(c[1] - a[1]) + _neg_span(c[1] - b[1])
-    if z[1] < 1:
-        terms_bound = 2 + max(-a[1] if _is_terminating(a) else 0,
-                              -b[1] if _is_terminating(b) else 0)
-        work += (1 - z[1]) * terms_bound
-    lhs = QSeries.zero(work)
-    n = 0
-    while True:
-        low = n * z[1]
-        for mono in (a, b):
-            low += sum(min(0, mono[1] + k) for k in range(n))
-        low -= sum(min(0, c[1] + k) for k in range(n))
-        if low > order:
-            break
-        num = _finite_poch(a, n, work) * _finite_poch(b, n, work)
-        if num.is_zero():
-            break  # a numerator terminated; all later terms vanish too
-        den = _finite_poch(c, n, work) * _finite_poch((ONE, 1), n, work)
-        zpow = QSeries.monomial(z[0] ** n, z[1] * n, work)
-        lhs = lhs + num * den.inv() * zpow
-        n += 1
-    rhs_num = _infinite_poch(_mono_div(c, a), work) * _infinite_poch(_mono_div(c, b), work)
-    rhs_den = _infinite_poch(c, work) * _infinite_poch(z, work)
-    rhs = rhs_num * rhs_den.inv()
-    # the term loop only guarantees coefficients up to `order`; cut the padding
-    lhs = lhs.truncate(max(0, int(order - lhs.offset)))
-    rhs = rhs.truncate(max(0, int(order - rhs.offset)))
+    lhs = qgauss_sum(a, b, c, order)
+    rhs = qgauss_product(a, b, c, order)
     return series_report("qgauss", statement, params, lhs, rhs,
                          order_checked=min(order, int(min(lhs.upper, rhs.upper))))
 

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from .partitions import HookMomentWeight, q_bracket
 from .reports import FrozenRecord, Report
-from .series import ONE, QSeries
-from .special import eisenstein_g, xi_value
+from .series import ONE, ZERO, QSeries
+from .special import EisensteinTable, eisenstein_g, xi_value
 
 F = Fraction
 
@@ -47,6 +47,8 @@ def weight_monomials(weight: int) -> list[tuple[int, int, int]]:
 
 
 def monomial_series(abc: tuple[int, int, int], order: int) -> QSeries:
+    """G2^a G4^b G6^c to `order`, built afresh from powers: the reference for
+    the `EisensteinTable` that the fits and verifiers share."""
     a, b, c = abc
     s = QSeries.one(order)
     if a:
@@ -56,6 +58,15 @@ def monomial_series(abc: tuple[int, int, int], order: int) -> QSeries:
     if c:
         s = s * eisenstein_g(6, order) ** c
     return s
+
+
+def _combination(basis, coeffs, order: int) -> QSeries:
+    """sum_i coeffs[i] basis[i] to `order`."""
+    total = QSeries.zero(order)
+    for b, c in zip(basis, coeffs):
+        if c != 0:
+            total = total + c * b
+    return total
 
 
 class QMElement(FrozenRecord):
@@ -68,11 +79,8 @@ class QMElement(FrozenRecord):
         self._set(weight=weight, monomials=monomials, coeffs=coeffs)
 
     def series(self, order: int) -> QSeries:
-        total = QSeries.zero(order)
-        for abc, c in zip(self.monomials, self.coeffs):
-            if c != 0:
-                total = total + c * monomial_series(abc, order)
-        return total
+        table = EisensteinTable(order)
+        return _combination(map(table.monomial, self.monomials), self.coeffs, order)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -109,35 +117,40 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return [aug[i][n] for i in range(n)]
 
 
-def fit_series(s: QSeries, weight: int, margin: int = 10) -> QMElement:
+def fit_series(s: QSeries, weight: int, margin: int = 10,
+               table: EisensteinTable | None = None) -> QMElement:
     """Express s exactly in the weight-`weight` monomial basis.
 
     The first dim(basis) coefficients determine a candidate; the next `margin`
     coefficients must then agree or NotInSpan reports the first failing exponent.
     Odd (or negative) weight has the empty basis, so only the zero series fits.
+    The basis comes from `table`, which fits at one order may share; its order
+    must be at least dim + margin - 1.  The candidate is checked against the
+    same basis.
     """
     monos = weight_monomials(weight)
     dim = len(monos)
     span = dim + margin
     if s.upper < span - 1:
         raise InsufficientOrder(span - 1, int(s.upper))
+    target = [s.coefficient(e) for e in range(span)]
     if dim == 0:
-        for e in range(span):
-            if s.coefficient(e) != 0:
-                raise NotInSpan(weight, e)
-        return QMElement(weight, (), ())
-    order = span - 1
-    basis = [monomial_series(abc, order) for abc in monos]
-    rows = [[b.coefficient(e) for b in basis] for e in range(dim)]
-    rhs = [s.coefficient(e) for e in range(dim)]
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        # fall back: pick dim independent rows from the full window
-        sol = _solve_overdetermined(basis, s, dim, span)
-    fitted = QMElement(weight, tuple(monos), tuple(sol))
-    fit = fitted.series(order)
-    for e in range(span):
-        if fit.coefficient(e) != s.coefficient(e):
+        fitted, fit = QMElement(weight, (), ()), [ZERO] * span
+    else:
+        order = span - 1
+        if table is None:
+            table = EisensteinTable(order)
+        # offset 0 and `order`: slot e of each basis series is its q^e coefficient
+        basis = [table.monomial(abc).truncate(order) for abc in monos]
+        rows = [[b.coeffs[e] for b in basis] for e in range(dim)]
+        sol = _solve_exact(rows, target[:dim])
+        if sol is None:
+            # fall back: pick dim independent rows from the full window
+            sol = _solve_overdetermined(basis, s, dim, span)
+        fitted = QMElement(weight, tuple(monos), tuple(sol))
+        fit = _combination(basis, sol, order).coeffs
+    for e, (x, y) in enumerate(zip(fit, target)):
+        if x != y:
             raise NotInSpan(weight, e)
     return fitted
 
@@ -196,12 +209,15 @@ def verify_derivation_closure(weights=(2, 4, 6), order: int = 30,
     """q d/dq maps the weight-w graded piece into the weight-(w+2) piece."""
     statement = "the derivation q d/dq raises weight by exactly 2 on the graded ring"
     params = {"weights": list(weights), "order": order, "margin": margin}
+    if order < 0:
+        raise ValueError(f"order {order} is negative; the check needs order >= 0")
+    table = EisensteinTable(order)
     checked = {}
     for w in weights:
         for abc in weight_monomials(w):
-            d = monomial_series(abc, order).derive()
+            d = table.monomial(abc).derive()
             try:
-                elt = fit_series(d, w + 2, margin)
+                elt = fit_series(d, w + 2, margin, table)
             except NotInSpan as err:
                 return Report("derivation-closure", statement, params, "fail",
                               first_mismatch={"monomial": list(abc),

@@ -72,6 +72,8 @@ def xi_value_via_half_bernoulli(s: int) -> Fraction:
 
 def xi_generating_series(order: int) -> QSeries:
     """-sum_n xi(-n) u^n / n!, the series the xi special values generate."""
+    if order < 0:
+        raise ValueError(f"order {order} is negative; the xi series needs order >= 0")
     return QSeries.from_coeffs(
         [-xi_value(-n) / math.factorial(n) for n in range(order + 1)])
 
@@ -98,6 +100,43 @@ def eisenstein_g(k: int, order: int) -> QSeries:
     return QSeries.from_coeffs(coeffs)
 
 
+class EisensteinTable:
+    """The Eisenstein series G_k and the monomials G2^a G4^b G6^c at one order,
+    each built on first use and kept by k or by (a, b, c); a monomial is one
+    product of a generator with the monomial one degree lower.
+
+    Create one per verifier call for the series it compares; like
+    `ThetaLattice`, it holds what it built only as long as the caller keeps it.
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        self._g: dict[int, QSeries] = {}
+        self._monomials: dict[tuple[int, int, int], QSeries] = {
+            (0, 0, 0): QSeries.one(order)}
+
+    def g(self, k: int) -> QSeries:
+        found = self._g.get(k)
+        if found is None:
+            found = self._g[k] = eisenstein_g(k, self.order)
+        return found
+
+    def monomial(self, abc: tuple[int, int, int]) -> QSeries:
+        found = self._monomials.get(abc)
+        if found is None:
+            a, b, c = abc
+            if a:
+                k, lower = 2, (a - 1, b, c)
+            elif b:
+                k, lower = 4, (0, b - 1, c)
+            else:
+                k, lower = 6, (0, 0, c - 1)
+            gk = self.g(k)
+            found = gk if lower == (0, 0, 0) else self.monomial(lower) * gk
+            self._monomials[abc] = found
+        return found
+
+
 def theta00(order: int) -> QSeries:
     """sum_n q^{n^2/2} on the half-integer lattice (step 1/2)."""
     coeffs = [ZERO] * (order + 1)
@@ -121,6 +160,8 @@ def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSe
     s = F(s)
     if s <= 0:
         raise ValueError("s must be a positive rational")
+    if order < 0:
+        raise ValueError(f"order {order} is negative; a theta series needs order >= 0")
     a, b = s.numerator, s.denominator
 
     def twice_e(n: int) -> int:
@@ -219,8 +260,9 @@ def theta_deriv_value(k: int, s: Fraction, q0: Fraction, terms: int,
 
     Sums |n| <= terms of the lattice sum sum_n (-1)^n (n+1/2)^k s^{2n+1} q0^{e(n)},
     e(n) = n(n+1)/2 + shift(n+1/2), and divides by the cube of the Euler product
-    cut at `terms` factors; the tail is O(q0^{terms^2/2}), far below any
-    tolerance used.
+    cut at `terms` factors.  The cut product sets the error: the value is off by
+    a relative 3 q0^{terms+1} or so, while the lattice tail is only
+    O(q0^{terms^2/2}).
 
     The sum runs in integers: with s = a/b, E = 2 terms + 1 and the powers of
     q0 = u/w written r^{f(n)}, r = q0 for even `shift` and r = q0^{1/2} (which
@@ -263,11 +305,16 @@ def theta_at_one_derivative(k: int, order: int) -> QSeries:
     return theta_deriv_series(k, ONE, order, 0)
 
 
-def theta_odd_derivative_closed_form(m: int, order: int) -> QSeries:
+def theta_odd_derivative_closed_form(m: int, order: int,
+                                     table: EisensteinTable | None = None) -> QSeries:
     """(2m+1)! sum over partitions 1^{k_1} 2^{k_2} ... of m of
     (-2)^{k_1+k_2+...} / (k_1! k_2! ...) * prod_i (G_{2i}/(2i)!)^{k_i},
     which equals the (2m+1)-st invariant theta derivative at x = 1.
+
+    `table`, of the same order, may be shared by closed forms at that order.
     """
+    if table is None:
+        table = EisensteinTable(order)
     total = QSeries.zero(order)
     for combo in partition_multiplicities(m):
         length = sum(combo.values())
@@ -276,7 +323,7 @@ def theta_odd_derivative_closed_form(m: int, order: int) -> QSeries:
             coef /= math.factorial(k)
         term = QSeries.const(coef, order)
         for i, k in combo.items():
-            gi = eisenstein_g(2 * i, order) * F(1, math.factorial(2 * i))
+            gi = table.g(2 * i) * F(1, math.factorial(2 * i))
             term = term * gi ** k
         total = total + term
     return math.factorial(2 * m + 1) * total
@@ -285,12 +332,18 @@ def theta_odd_derivative_closed_form(m: int, order: int) -> QSeries:
 # -- identity verifiers -----------------------------------------------------------
 
 def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
-    """Invariant odd theta derivatives at 1 match their Eisenstein closed forms."""
+    """Invariant odd theta derivatives at 1 match their Eisenstein closed forms.
+
+    (q)_inf^{-3} and each G_{2i} are formed once for all the m compared.
+    """
     statement = ("odd invariant derivatives of the theta function at x=1 equal "
                  "explicit polynomials in Eisenstein series")
+    cube = euler_product(order).inv() ** 3
+    table = EisensteinTable(order)
     for m in m_values:
-        lhs = theta_at_one_derivative(2 * m + 1, order)
-        rhs = theta_odd_derivative_closed_form(m, order)
+        # theta_at_one_derivative(2m + 1, order), with the shared cube
+        lhs = theta_lattice_series(2 * m + 1, ONE, order) * cube
+        rhs = theta_odd_derivative_closed_form(m, order, table)
         r = series_report("theta-derivs", statement, {"m": m, "order": order}, lhs, rhs)
         if not r.ok:
             return r

@@ -173,6 +173,8 @@ def test_degenerate_flags_exit_2(capsys, identity):
         rep = json.loads(out)
         assert (code, rep["identity"], rep["status"]) == (2, identity, "error"), argv
         assert set(rep) == {"identity", "status", "detail"}, argv
+        if argv == ["--order", "-1"]:  # the detail names what was wrong
+            assert "order" in rep["detail"], (argv, rep["detail"])
 
 
 def test_unknown_id_is_usage_error():

@@ -19,6 +19,8 @@ from qwedge.correlators import (
     f_via_blocks,
     g_series,
     h_series,
+    qgauss_product,
+    qgauss_sum,
     t_series,
     t_series_via_u,
     u_series,
@@ -28,7 +30,7 @@ from qwedge.correlators import (
     verify_qgauss,
 )
 from qwedge.qdiff import r_series
-from qwedge.series import QSeries
+from qwedge.series import QSeries, q_pochhammer
 from qwedge.setparts import compositions, set_partitions, sign
 from qwedge.special import ThetaLattice, theta_deriv_series
 
@@ -99,6 +101,26 @@ def test_ordered_weight_single_row_two_variables():
     head = s1 * (s2 / (t2 * (t2 - 1)))  # i=1 on the row of size 1
     tail = s1 * s2 * (y / (1 - y)) * ((x * y) ** 2 / (1 - x * y))  # both beyond
     assert HWeight((s1, s2))((1,)) == head + tail
+
+
+def test_h_closing_is_the_geometric_tails_over_the_slot_scales():
+    # suffix products of the t's on both sides of 1, so the d_m take both signs
+    svals = (F(3, 2), F(5, 11), F(4, 3))
+    n, order = len(svals), 6
+    xs, cs = [F(1)] * (n + 1), [F(0)] * n
+    for m in range(n - 1, -1, -1):
+        xs[m] = xs[m + 1] / (svals[m] * svals[m])
+        cs[m] = svals[m] * xs[m + 1] * (cs[m + 1] if m + 1 < n else 1) / (1 - xs[m])
+    weight = HWeight(svals)
+    weight.start(order)
+    dens = set()
+    for ell in range(order + 1):
+        nums, den = weight.closing(ell)
+        dens.add(den)
+        for j in range(n + 1):
+            tail = cs[j] * xs[j] ** (ell + 1) if j < n else F(1)
+            assert F(nums[j], den) == tail / math.prod(weight.scales[:j]), (ell, j)
+    assert len(dens) == 1  # one denominator for every row count
 
 
 def test_h_single_variable_is_f():
@@ -370,6 +392,53 @@ def test_qgauss_degenerate_product_side():
 def test_qgauss_divergent_raises():
     with pytest.raises(FormalDivergence):
         verify_qgauss((F(1, 2), 0), (F(1, 3), 0), (F(1, 5), 0), order=8)
+
+
+def _qgauss_sum_per_term(a, b, c, order):
+    """The 2-1 sum with the four Pochhammer products of each term built afresh,
+    on the same working window: the reference for the term recurrence."""
+    def neg_span(e):
+        m = max(0, -e)
+        return m * (m + 1) // 2
+
+    def terminating(x):
+        return x[0] == 1 and x[1] <= 0
+
+    z = (c[0] / (a[0] * b[0]), c[1] - a[1] - b[1])
+    work = order + sum(map(neg_span, (a[1], b[1], c[1], z[1], c[1] - a[1], c[1] - b[1])))
+    if z[1] < 1:
+        work += (1 - z[1]) * (2 + max(-a[1] if terminating(a) else 0,
+                                      -b[1] if terminating(b) else 0))
+    total = QSeries.zero(work)
+    n = 0
+    while True:
+        low = n * z[1] + sum(min(0, a[1] + k) + min(0, b[1] + k) - min(0, c[1] + k)
+                             for k in range(n))
+        if low > order:
+            break
+        num = q_pochhammer(a[0], a[1], n, work) * q_pochhammer(b[0], b[1], n, work)
+        if num.is_zero():
+            break
+        den = q_pochhammer(c[0], c[1], n, work) * q_pochhammer(1, 1, n, work)
+        total = total + num * den.inv() * QSeries.monomial(z[0] ** n, z[1] * n, work)
+        n += 1
+    return total.truncate(max(0, int(order - total.offset)))
+
+
+DEFAULT_QGAUSS = ((F(1, 2), 1), (F(1, 3), 1), (F(1, 6), 3))
+
+
+@pytest.mark.parametrize("abc, order", [
+    (DEFAULT_QGAUSS, 12), (DEFAULT_QGAUSS, 0), (DEFAULT_QGAUSS, 1),
+    (DEFAULT_QGAUSS, 30), (DEFAULT_QGAUSS, 60),
+    (((F(1), -2), (F(1, 5), 1), (F(1, 7), 2)), 14),  # terminating numerator
+    (((F(1), -2), (F(1, 3), 1), (F(1, 6), -1)), 12),  # and c at q^-1, z at q^0
+])
+def test_qgauss_term_recurrence_matches_per_term_products(abc, order):
+    got = qgauss_sum(*abc, order)
+    want = _qgauss_sum_per_term(*abc, order)
+    assert (got.offset, got.nums, got.den) == (want.offset, want.nums, want.den)
+    assert got == qgauss_product(*abc, order)
 
 
 # -- the telescoping Pochhammer sum ------------------------------------------------

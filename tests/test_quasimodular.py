@@ -4,19 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from qwedge.partitions import q_bracket
+from qwedge.partitions import hook_power_sum, q_bracket
 from qwedge.quasimodular import (
     InsufficientOrder,
     NotInSpan,
     QMElement,
+    bracket_weight,
     fit_series,
     monomial_series,
+    shifted_hook_moment,
     verify_bracket_qm,
     verify_derivation_closure,
     weight_monomials,
 )
 from qwedge.series import QSeries
-from qwedge.special import eisenstein_g
+from qwedge.special import EisensteinTable, eisenstein_g
 
 F = Fraction
 
@@ -107,7 +109,69 @@ def test_bracket_weight_four():
 
 def test_bracket_failure_reported():
     # the unshifted <p_3> is NOT quasimodular of weight 4 (the shift matters)
-    from qwedge.partitions import hook_power_sum
     b = q_bracket(lambda lam: hook_power_sum(lam, 3), 24)
     with pytest.raises(NotInSpan):
         fit_series(b, 4, margin=10)
+
+
+# -- the shared basis against monomials built afresh ------------------------------
+
+
+def _fit_reference(s, weight, margin):
+    """(coefficients, first failing exponent or None) of the fit with every
+    monomial built afresh: Gauss-Jordan on the first dim coefficients, then the
+    candidate rebuilt through QMElement.series and compared on the window."""
+    monos = weight_monomials(weight)
+    dim, span = len(monos), len(monos) + margin
+    basis = [monomial_series(abc, span - 1) for abc in monos]
+    aug = [[b.coefficient(e) for b in basis] + [s.coefficient(e)] for e in range(dim)]
+    for col in range(dim):  # the windows used here are nonsingular
+        piv = next(r for r in range(col, dim) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(dim):
+            if r != col:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    coeffs = tuple(row[dim] for row in aug)
+    fit = QMElement(weight, tuple(monos), coeffs).series(span - 1)
+    bad = next((e for e in range(span) if fit.coefficient(e) != s.coefficient(e)), None)
+    return coeffs, bad
+
+
+def test_eisenstein_table_monomials_are_the_products():
+    N = 12
+    table = EisensteinTable(N)
+    g2, g4, g6 = (eisenstein_g(k, N) for k in (2, 4, 6))
+    assert table.monomial((0, 0, 0)) == QSeries.one(N)
+    assert table.monomial((2, 1, 1)) == g2 * g2 * g4 * g6
+    assert table.monomial((0, 3, 0)) == g4 * g4 * g4
+    assert table.monomial((1, 0, 0)) is table.g(2)  # formed once, then kept
+
+
+def test_fit_fails_at_the_same_exponent_as_a_fresh_basis():
+    N = 24
+    cases = [(eisenstein_g(4, N), 6, 8),
+             (QSeries.from_coeffs([F(1)] * (N + 1)), 4, 10),
+             (q_bracket(lambda lam: hook_power_sum(lam, 3), N), 4, 10),
+             (eisenstein_g(2, N) * eisenstein_g(6, N) + QSeries.monomial(1, 11, N), 8, 8)]
+    for s, weight, margin in cases:
+        bad = _fit_reference(s, weight, margin)[1]
+        assert bad is not None
+        with pytest.raises(NotInSpan) as err:
+            fit_series(s, weight, margin)
+        assert err.value.exponent == bad
+        with pytest.raises(NotInSpan) as err:
+            fit_series(s, weight, margin, EisensteinTable(N))
+        assert err.value.exponent == bad
+
+
+@pytest.mark.parametrize("ks, order", [((1, 1), 40), ((3,), 40), ((3, 5), 60), ((5, 5), 60)])
+def test_fit_of_criterion_04_brackets_matches_a_fresh_basis(ks, order):
+    b = q_bracket(shifted_hook_moment(ks), order)
+    w = bracket_weight(ks)
+    coeffs, bad = _fit_reference(b, w, 10)
+    assert bad is None
+    want = QMElement(w, tuple(weight_monomials(w)), coeffs)
+    assert fit_series(b, w, 10) == want
+    assert fit_series(b, w, 10, EisensteinTable(order)) == want
+    assert want.series(order) == b  # and the fit holds past the window

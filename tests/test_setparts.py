@@ -2,6 +2,8 @@
 partition multiplicities (through the exp-derivative expansion)."""
 
 import math
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwedge.setparts import (
+    block_counts,
     compositions,
     near_singleton_partitions,
     ordered_block_sum,
@@ -233,6 +236,22 @@ def test_verify_counts():
     assert rep.ok
     assert rep.details == {"sum1": 1, "sum2": 1, "sum3": 0}
     assert verify_counts(1).details["sum3"] == 1
+
+
+def test_block_counts_are_the_stirling_numbers():
+    rows = block_counts(8)
+    for n in range(9):
+        by_blocks = Counter(len(sp) for sp in set_partitions(_items(n)))
+        assert rows[n] == [by_blocks[b] for b in range(n + 1)]
+    assert rows[8][3] == 966  # S(8, 3)
+
+
+def test_verify_counts_at_n_40_is_fast():
+    # Bell(40) is about 1.6e35 partitions; the block counts are 861 numbers
+    start = time.perf_counter()
+    rep = verify_counts(40)
+    assert time.perf_counter() - start < 1.0
+    assert rep.ok and rep.details == {"sum1": 1, "sum2": 1, "sum3": 0}
 
 
 def test_verify_counts_rejects_empty_range():
