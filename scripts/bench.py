@@ -3,6 +3,8 @@
 median end-to-end metrics to BENCH_<pr>.json.
 
     python3 scripts/bench.py --pr N --seeds 101 102 103
+    python3 scripts/bench.py --pr N --seeds 101 102 103 --parent ../parent \\
+        --runs change.jsonl --parent-runs parent.jsonl
 
 Each (workload, seed) is one `perfbench/run.py --trace 0` run of the
 `run_seconds` that BENCHMARK.json sets, in a child process, one at a time,
@@ -12,6 +14,14 @@ third quartile over the seeds of each run's figure, with the operations
 attempted and failed.  `--runs FILE` also appends the raw run records to
 FILE, the JSON lines that `perfbench/compare.py` reads.  Nothing under
 `perfbench/` is written.
+
+`--parent DIR` also runs each (workload, seed) on the tree DIR, the commit the
+checkout is compared with, next to the checkout's run; which of the two goes
+first alternates from seed to seed.  Its raw records go to `--parent-runs FILE`,
+so that `perfbench/compare.py PARENT_FILE FILE` compares the two sides.
+BENCH_<pr>.json then also holds the parent's medians and, per workload and
+end-to-end metric, how many of the seed pairs the checkout won (ties count
+for neither side), which is printed as well.
 """
 
 from __future__ import annotations
@@ -51,6 +61,36 @@ def summarize(records: list[dict], names: list[str]) -> dict:
             "metrics": metrics}
 
 
+def pairs_won(parent: list[dict], change: list[dict], metric: dict) -> list[int]:
+    """[pairs the change won, pairs compared] for one metric, pairing the two
+    sides' runs by workload and seed."""
+    name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+    before = {(r["workload"], r["seed"]): r["metrics"][name]["value"]
+              for r in parent if name in r["metrics"]}
+    after = [(before[key], r["metrics"][name]["value"]) for r in change
+             if name in r["metrics"] and (key := (r["workload"], r["seed"])) in before]
+    return [sum(sign * (b - a) < 0 for a, b in after), len(after)]
+
+
+class Side:
+    """One tree's runs, appended to a JSON-lines file."""
+
+    def __init__(self, tree: Path, runs: Path):
+        self.tree, self.runs = tree, runs
+        self.start = runs.read_text().count("\n") if runs.exists() else 0
+
+    def run(self, workload: str, seed: int, seconds: int) -> None:
+        print(f"{workload} seed {seed} on {self.tree}", file=sys.stderr, flush=True)
+        subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                        "--seed", str(seed), "--seconds", str(seconds),
+                        "--trace", "0", "--out", str(self.runs)],
+                       cwd=self.tree, check=True, stdout=subprocess.DEVNULL)
+
+    def records(self) -> list[dict]:
+        return [json.loads(line) for line in self.runs.read_text().splitlines()[self.start:]
+                if line.strip()]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="names the output BENCH_<pr>.json")
@@ -59,6 +99,10 @@ def main(argv=None) -> int:
                     help="the tree to measure; its BENCHMARK.json and perfbench/ are used")
     ap.add_argument("--runs", type=Path, default=None,
                     help="also append the raw run records to this JSON-lines file")
+    ap.add_argument("--parent", type=Path, default=None,
+                    help="also measure this tree, in alternating pairs with the checkout")
+    ap.add_argument("--parent-runs", type=Path, default=None,
+                    help="append the parent's raw run records to this JSON-lines file")
     a = ap.parse_args(argv)
 
     checkout = a.checkout.resolve()
@@ -68,21 +112,38 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
 
     with tempfile.TemporaryDirectory() as tmp:
-        runs = a.runs.resolve() if a.runs else Path(tmp) / "runs.jsonl"
-        start = runs.read_text().count("\n") if runs.exists() else 0
+        change = Side(checkout, a.runs.resolve() if a.runs else Path(tmp) / "runs.jsonl")
+        sides = [change]
+        if a.parent is not None:
+            parent_runs = a.parent_runs.resolve() if a.parent_runs else Path(tmp) / "parent.jsonl"
+            sides.insert(0, Side(a.parent.resolve(), parent_runs))
         for workload in workloads:
-            for seed in a.seeds:
-                print(f"{workload} seed {seed}", file=sys.stderr, flush=True)
-                subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                                "--seed", str(seed), "--seconds", str(seconds),
-                                "--trace", "0", "--out", str(runs)],
-                               cwd=checkout, check=True, stdout=subprocess.DEVNULL)
-        records = [json.loads(line) for line in runs.read_text().splitlines()[start:]
-                   if line.strip()]
+            for k, seed in enumerate(a.seeds):
+                for side in sides if k % 2 == 0 else sides[::-1]:
+                    side.run(workload, seed, seconds)
+        records = [side.records() for side in sides]
+
+    def by_workload(recs: list[dict]) -> dict:
+        return {w: summarize([r for r in recs if r["workload"] == w], names)
+                for w in workloads}
 
     out = {"pr": a.pr, "seconds": seconds, "seeds": a.seeds,
-           "workloads": {w: summarize([r for r in records if r["workload"] == w], names)
-                         for w in workloads}}
+           "workloads": by_workload(records[-1])}
+    if a.parent is not None:
+        won = {w: {m["name"]: pairs_won(*([r for r in recs if r["workload"] == w]
+                                          for recs in records), m)
+                   for m in bench["end_to_end"]}
+               for w in workloads}
+        out["parent"] = by_workload(records[0])
+        out["pairs_won"] = won
+        for w in workloads:
+            for name, (wins, pairs) in won[w].items():
+                before = out["parent"][w]["metrics"].get(name, {})
+                after = out["workloads"][w]["metrics"].get(name, {})
+                if before and after:
+                    print(f"{w:9s} {name:13s} {before['median']:10.5g} -> "
+                          f"{after['median']:<10.5g} won {wins} of {pairs} pairs "
+                          f"(parent quartiles {before['q1']:.5g}..{before['q3']:.5g})")
     path = checkout / f"BENCH_{a.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)

@@ -8,7 +8,9 @@ Verbs:
   suite          every identity once at its default parameters, as a JSON array
 
 `suite` output is deterministic: fixed default points, fixed enumeration
-orders, reports sorted by identity id, no timing fields.  Each verb imports
+orders, reports sorted by identity id, no timing fields.  `suite` runs the
+character half of the table in a forked child and the theta half itself, or
+every id itself where `os.fork` is missing or fails.  Each verb imports
 only the library module it runs (and what that module imports), when it runs
 it.  Exit codes: 0 all pass, 1 verification failure, 2 usage error (including
 parameter values a verifier, `series` or `skew-npoint` rejects, reported as a
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -86,6 +89,13 @@ def _cutoffs(a) -> tuple[int, int]:
     return hi - 5, hi
 
 
+def _unordered(a, **kwargs) -> dict:
+    """`kwargs`, the arguments of a check that has no truncation order to set."""
+    if a.order is not None:
+        raise ValueError(f"--order {a.order}: this check has no truncation order to set")
+    return kwargs
+
+
 def _phi_vanish_args(a) -> dict:
     if a.order is not None:
         raise ValueError("--order sets the theta kind's term count; the algebraic "
@@ -115,10 +125,10 @@ _VERIFIERS = {
     "poch-telescope": ("correlators", "verify_poch_telescope", lambda a: dict(
         u=(F(1, 2), 0), v_root=F(1, 3), v_exp=1, a=0, b=_or(a.n, 4),
         order=_or(a.order, 12))),
-    "cyclic-identity": ("qdiff", "verify_cyclic_identity", lambda a: dict(
-        m=_or(a.m, 2), k=_or(a.k, 2), q0=_or(a.q, F(1, 4)))),
-    "residue": ("qdiff", "verify_residue", lambda a: dict(
-        n=_or(a.n, 1), k=_or(a.k, 1), m=_or(a.m, 1), q0=_or(a.q, F(1, 16)))),
+    "cyclic-identity": ("qdiff", "verify_cyclic_identity", lambda a: _unordered(
+        a, m=_or(a.m, 2), k=_or(a.k, 2), q0=_or(a.q, F(1, 4)))),
+    "residue": ("qdiff", "verify_residue", lambda a: _unordered(
+        a, n=_or(a.n, 1), k=_or(a.k, 1), m=_or(a.m, 1), q0=_or(a.q, F(1, 16)))),
     "t-vanish": ("qdiff", "verify_t_vanish", lambda a: dict(
         s_values=_or(a.points, (F(2), F(1, 2))), order=_or(a.order, 10))),
     "phi-vanish": ("qdiff", "verify_phi_vanish", _phi_vanish_args),
@@ -133,11 +143,12 @@ _VERIFIERS = {
         order=_or(a.order, 24))),
     "theta-derivs": ("special", "verify_theta_derivs", lambda a: dict(
         order=_or(a.order, 30))),
-    "xi-binomial": ("special", "verify_xi_binomial", lambda a: dict(
-        n_max=_or(a.n, 12))),
+    "xi-binomial": ("special", "verify_xi_binomial", lambda a: _unordered(
+        a, n_max=_or(a.n, 12))),
     "xi-generating": ("special", "verify_xi_generating", lambda a: dict(
         order=_or(a.order, 20))),
-    "counts": ("setparts", "verify_counts", lambda a: dict(n_max=_or(a.n, 8))),
+    "counts": ("setparts", "verify_counts", lambda a: _unordered(
+        a, n_max=_or(a.n, 8))),
     "bracket-qm": ("quasimodular", "verify_bracket_qm", lambda a: dict(
         ks=(a.k,) if a.k is not None else (1, 1), order=_or(a.order, 24))),
     "derivation-closure": ("quasimodular", "verify_derivation_closure", lambda a: dict(
@@ -187,22 +198,88 @@ def _blank_args() -> argparse.Namespace:
                               k=None, K=None, seed=None)
 
 
+# `suite` runs the ids of these modules in a forked child: the character and
+# quasi-modularity half of the paper.  It shares no state with the theta
+# correlation functions (correlators, qdiff) that the parent runs meanwhile, so
+# each process imports and parses only its own half of the library.
+_FORKED_MODULES = frozenset({"characters", "skewchar", "quasimodular", "special",
+                             "setparts"})
+
+
+def _suite_lines(ids, blank) -> tuple[dict, int]:
+    """id -> report line without timing, for each of `ids`; and how many failed."""
+    lines, failed = {}, 0
+    for i in ids:
+        rep = REGISTRY[i](blank)
+        failed += not rep.ok
+        lines[i] = _dumps(rep.to_jsonable(with_timing=False))
+    return lines, failed
+
+
+def _fork_suite(ids, blank) -> tuple[int, int] | None:
+    """Run `ids` in a forked child, which writes to a pipe its failure count and
+    report lines, one a line, or else the traceback of what it raised.  Returns
+    the child's pid and the pipe's read end, or None where `os.fork` is missing
+    or fails.  The child leaves through `os._exit` whatever happens, so it never
+    returns into the caller of `main`."""
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    r, w = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        os.close(r)
+        try:
+            lines, failed = _suite_lines(ids, blank)
+            text, ok = "\n".join([str(failed), *lines.values()]), True
+        except Exception:  # noqa: BLE001 - reported by the parent, on stderr
+            import traceback
+            text, ok = traceback.format_exc(), False
+        with open(w, "w", encoding="utf-8") as pipe:
+            pipe.write(text)
+        status = 0 if ok else 1
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, r: int) -> tuple[int, str]:
+    """The forked child's exit code and all it wrote to the pipe."""
+    with open(r, encoding="utf-8") as pipe:
+        text = pipe.read()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), text
+
+
 def _cmd_suite(a) -> int:
     ids = sorted(REGISTRY)
     blank = _blank_args()
-    out = sys.stdout
-    out.write("[\n")
-    failed = 0
-    for i in ids:
-        rep = REGISTRY[i](blank)
-        if not rep.ok:
-            failed += 1
-        out.write(_dumps(rep.to_jsonable(with_timing=False)) + ",\n")
-        out.flush()
+    forked = [i for i in ids if _VERIFIERS[i][0] in _FORKED_MODULES]
+    child = _fork_suite(forked, blank)
+    if child is None:
+        forked = []
+    try:
+        lines, failed = _suite_lines([i for i in ids if i not in forked], blank)
+    finally:
+        code, text = _reap(*child) if child else (0, "0")
+    if code:
+        sys.stderr.write(text or f"qwedge suite: the forked half exited with {code}\n")
+        return 1
+    count, *forked_lines = text.split("\n")
+    lines.update(zip(forked, forked_lines))
+    failed += int(count)
     agg = {"identity": "aggregate",
            "status": "pass" if failed == 0 else "fail",
            "total": len(ids), "failed": failed}
-    out.write(_dumps(agg) + "\n]\n")
+    sys.stdout.write("[\n" + "".join(lines[i] + ",\n" for i in ids)
+                     + _dumps(agg) + "\n]\n")
     return 0 if failed == 0 else 1
 
 

@@ -124,6 +124,7 @@ def fit_series(s: QSeries, weight: int, margin: int = 10,
     The first dim(basis) coefficients determine a candidate; the next `margin`
     coefficients must then agree or NotInSpan reports the first failing exponent.
     Odd (or negative) weight has the empty basis, so only the zero series fits.
+    Every basis series starts at q^0, so a nonzero term below q^0 fails at once.
     The basis comes from `table`, which fits at one order may share; its order
     must be at least dim + margin - 1.  The candidate is checked against the
     same basis.
@@ -133,6 +134,9 @@ def fit_series(s: QSeries, weight: int, margin: int = 10,
     span = dim + margin
     if s.upper < span - 1:
         raise InsufficientOrder(span - 1, int(s.upper))
+    low = s.valuation()
+    if low is not None and low < 0:
+        raise NotInSpan(weight, low)
     target = [s.coefficient(e) for e in range(span)]
     if dim == 0:
         fitted, fit = QMElement(weight, (), ()), [ZERO] * span

@@ -2,8 +2,11 @@
 JSON shapes, and suite determinism."""
 
 import json
+import os
+import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -132,9 +135,10 @@ def test_series_bracket_k_zero_exits_2(capsys):
 # exit 2 and a JSON error, never passed or failed
 DEGENERATE_FLAGS = {
     "bracket-qm": [["--k", "0"], ["--k", "-1"], ["--order", "0"], ["--order", "-1"]],
-    "counts": [["--n", "0"], ["--n", "-1"]],
+    # counts, cyclic-identity, residue and xi-binomial have no order to set
+    "counts": [["--n", "0"], ["--n", "-1"], ["--order", "-1"]],
     "cyclic-identity": [["--q", "0"], ["--q", "1"], ["--q", "1/9"], ["--m", "0"],
-                        ["--m", "-1"], ["--k", "0"]],
+                        ["--m", "-1"], ["--k", "0"], ["--order", "-1"]],
     "derivation-closure": [["--order", "0"], ["--order", "-1"]],
     "diffeq-f": [["--order", "0"], ["--order", "-1"], ["--q", "0"], ["--q", "1"]],
     "diffeq-h": [["--order", "0"], ["--order", "-1"], ["--k", "0"], ["--q", "0"],
@@ -149,7 +153,8 @@ DEGENERATE_FLAGS = {
     "poch-telescope": [["--order", "-1"], ["--n", "0"], ["--n", "-1"]],
     "qgauss": [["--order", "-1"]],
     "r-diffeq": [["--order", "-1"]],
-    "residue": [["--n", "0"], ["--k", "0"], ["--q", "0"], ["--q", "1"]],
+    "residue": [["--n", "0"], ["--k", "0"], ["--q", "0"], ["--q", "1"],
+                ["--order", "-1"]],
     "skew-npoint": [["--order", "-1"], ["--n", "0"], ["--k", "0"]],
     "t-vanish": [["--order", "-1"], ["--points", "2"]],
     "theta-derivs": [["--order", "-1"]],
@@ -157,7 +162,7 @@ DEGENERATE_FLAGS = {
     "theta-expansion": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],
     "triple-product": [["--order", "-1"]],
     "v-consistency": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],
-    "xi-binomial": [["--n", "1"], ["--n", "0"], ["--n", "-3"]],
+    "xi-binomial": [["--n", "1"], ["--n", "0"], ["--n", "-3"], ["--order", "-1"]],
     "xi-generating": [["--order", "-1"]],
 }
 
@@ -238,6 +243,69 @@ def test_suite_is_deterministic_across_runs():
                            "total": len(cli.REGISTRY), "failed": 0}
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block outlasts `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_suite_counts_failures_from_both_halves(monkeypatch, capsys):
+    # triple-product runs in the forked child, qgauss in the parent
+    assert cli._VERIFIERS["triple-product"][0] in cli._FORKED_MODULES
+    assert cli._VERIFIERS["qgauss"][0] not in cli._FORKED_MODULES
+    for name in ("triple-product", "qgauss"):
+        monkeypatch.setitem(cli.REGISTRY, name,
+                            lambda a, name=name: Report(name, "forced", {}, "fail"))
+    code, out = run_main(capsys, "suite")
+    reports = json.loads(out)
+    assert code == 1
+    assert [r["identity"] for r in reports[:-1]] == sorted(cli.REGISTRY)
+    assert [r["identity"] for r in reports if r["status"] == "fail"] == [
+        "qgauss", "triple-product", "aggregate"]
+    assert reports[-1] == {"identity": "aggregate", "status": "fail",
+                           "total": len(cli.REGISTRY), "failed": 2}
+
+
+@needs_fork
+def test_suite_reports_an_error_in_the_forked_half(monkeypatch, capsys):
+    def boom(a):
+        raise RuntimeError("boom in the forked half")
+    monkeypatch.setitem(cli.REGISTRY, "triple-product", boom)
+    with _deadline(60):
+        code = cli.main(["suite"])
+    captured = capsys.readouterr()
+    assert code != 0
+    assert "RuntimeError: boom in the forked half" in captured.err
+    assert captured.out == ""
+
+
+def _refuse_fork():
+    raise OSError("fork refused")
+
+
+@pytest.mark.parametrize("fork", ["missing", "raises"])
+def test_suite_without_fork_is_byte_identical(monkeypatch, capsys, fork):
+    code, forked = run_main(capsys, "suite")
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    code_alone, alone = run_main(capsys, "suite")
+    assert code == code_alone == 0
+    assert alone == forked
+
+
 def _modules_after(code: str) -> set[str]:
     probe = code + "\nimport sys\nprint(' '.join(sys.modules), file=sys.stderr)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -263,8 +331,10 @@ def test_verify_imports_only_its_own_module():
     assert loaded == BASE_MODULES | {"qwedge.setparts"}
 
 
-# `import qwedge.cli`, and `verify` of one id per library module at its defaults
-_IMPORT_PATHS = {"cli": "import qwedge.cli"} | {
+# `import qwedge.cli`, `verify` of one id per library module at its defaults, and
+# the parent's side of `suite`
+_IMPORT_PATHS = {"cli": "import qwedge.cli",
+                 "suite": "from qwedge import cli\ncli.main(['suite'])"} | {
     module: f"from qwedge import cli\ncli.main(['verify', '{name}'])"
     for name, (module, _, _) in reversed(cli._VERIFIERS.items())}
 
@@ -274,6 +344,18 @@ def test_no_dataclasses_or_inspect_on_any_import_path(path):
     # `import dataclasses` pulls in `inspect`: most of what the package cost to import
     added = _modules_after(_IMPORT_PATHS[path]) - _modules_after("pass")
     assert not {"dataclasses", "inspect"} & added
+
+
+def test_suite_loads_no_pool_module():
+    added = _modules_after(_IMPORT_PATHS["suite"]) - _modules_after("pass")
+    assert not {m for m in added if m.split(".")[0] in ("multiprocessing", "concurrent")}
+
+
+@needs_fork
+def test_suite_parent_imports_only_the_theta_half():
+    loaded = _qwedge_modules_after(_IMPORT_PATHS["suite"])
+    assert loaded == BASE_MODULES | {f"qwedge.{m}" for m in (
+        "correlators", "qdiff", "partitions", "setparts", "special")}
 
 
 def test_verifier_errors_are_value_errors():

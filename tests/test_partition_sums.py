@@ -5,6 +5,7 @@ definition, and sums over `partitions_of`; the engine must agree exactly.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from qwedge.partitions import (
     partitions_of,
     q_bracket,
 )
-from qwedge.qdiff import f_numeric, h_numeric
+from qwedge.qdiff import DivergentPoint, f_numeric, h_numeric
 from qwedge.quasimodular import shifted_hook_moment
 from qwedge.special import xi_value
 
@@ -137,15 +138,24 @@ def _numeric_reference(weight, q0, lo, hi):
        cut=st.tuples(st.integers(min_value=0, max_value=6),
                      st.integers(min_value=1, max_value=9)).filter(lambda c: c[0] < c[1]))
 @example(svals=(F(7, 5), F(5, 11), F(13, 11)), q0=Q9, cut=(3, 6))
+@example(svals=(F(7, 5), F(11, 7), F(13, 11)), q0=F(4, 25), cut=(0, 1))
 @settings(max_examples=25, deadline=None)
 def test_numeric_sums_match_enumeration(svals, q0, cut):
     """The integer rows, the closing over one denominator and the integer
-    q0-sums against the Fraction references, one partition at a time."""
+    q0-sums against the Fraction references, one partition at a time.  A point
+    with a subset product of t's outside (q0, 1/q0) must be rejected instead."""
     lo, hi = cut
+    convergent = all(q0 < math.prod(s * s for s in sub) < 1 / q0
+                     for r in range(1, len(svals) + 1)
+                     for sub in itertools.combinations(svals, r))
     for weight, ref, numeric in ((FWeight, _f_reference, f_numeric),
                                  (HWeight, _h_reference, h_numeric)):
         assert partition_sums(weight(svals), hi).coeffs == _enumerated(ref(svals), hi)
-        assert numeric(svals, q0, cut) == _numeric_reference(ref(svals), q0, lo, hi)
+        if convergent:
+            assert numeric(svals, q0, cut) == _numeric_reference(ref(svals), q0, lo, hi)
+        else:
+            with pytest.raises(DivergentPoint):
+                numeric(svals, q0, cut)
 
 
 def test_weights_on_single_partitions_match_references():

@@ -62,6 +62,13 @@ def test_fit_rejects_non_quasimodular():
         fit_series(s, 4, margin=10)
 
 
+def test_fit_rejects_terms_below_q0():
+    s = eisenstein_g(2, 15) + QSeries.monomial(1, -1, 16)
+    with pytest.raises(NotInSpan) as err:
+        fit_series(s, 2, 10)
+    assert err.value.exponent == -1
+
+
 def test_fit_insufficient_order():
     g2 = eisenstein_g(2, 5)
     with pytest.raises(InsufficientOrder):
