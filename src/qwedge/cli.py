@@ -12,9 +12,11 @@ orders, reports sorted by identity id, no timing fields.  `suite` runs the
 character half of the table in a forked child and the theta half itself, or
 every id itself where `os.fork` is missing or fails.  Each verb imports
 only the library module it runs (and what that module imports), when it runs
-it.  Exit codes: 0 all pass, 1 verification failure, 2 usage error (including
-parameter values a verifier, `series` or `skew-npoint` rejects, reported as a
-JSON error object on stdout).
+it.  `verify`, `series` and `skew-npoint` each read the flags that their
+table row names, and reject any other flag given.  Exit codes: 0 all pass, 1
+verification failure, 2 usage error (including a flag the command does not
+read and parameter values a verifier, `series` or `skew-npoint` rejects, each
+reported as a JSON error object on stdout).
 """
 
 from __future__ import annotations
@@ -48,22 +50,34 @@ def _points(text: str) -> tuple[F, ...]:
     return tuple(_fraction(p) for p in text.split(","))
 
 
-def _or(value, default):
-    return default if value is None else value
+# the flags of verify, series and skew-npoint: name -> (type, help).  Each
+# command reads those its builder names and rejects the rest.
+_FLAGS = {
+    "order": (int, "truncation or grade bound"),
+    "points": (_points, "comma-separated rational square roots s1,s2,..."),
+    "q": (_fraction, "base rational q value"),
+    "n": (int, "variable count or top index"),
+    "m": (int, "shift or multiplicity parameter"),
+    "k": (int, "derivative order, weight, or position"),
+    "K": (int, "number of higher variables"),
+    "seed": (int, "sample random evaluation points instead of defaults"),
+}
 
 
-def _resolve_points(a: argparse.Namespace, n_default: int) -> tuple[F, ...]:
+def _resolve_points(points, n, seed) -> tuple[F, ...]:
     """Evaluation points as square roots s (the verifiers square them)."""
-    if a.points is not None:
-        if a.n is not None and a.n != len(a.points):
+    if points is not None:
+        if seed is not None:
+            raise ValueError("--seed and --points both choose the points; pass one")
+        if n is not None and n != len(points):
             raise ValueError("--n disagrees with the number of --points entries")
-        return a.points
-    n = _or(a.n, n_default)
+        return points
+    n = 2 if n is None else n
     if n < 1:
         raise ValueError(f"--n {n}: need at least one variable")
-    if a.seed is not None:
+    if seed is not None:
         from .correlators import EvalPoint
-        rng = random.Random(a.seed)
+        rng = random.Random(seed)
         while True:
             s = tuple(F(rng.randint(2, 12), rng.randint(1, 6)) for _ in range(n))
             try:
@@ -76,97 +90,87 @@ def _resolve_points(a: argparse.Namespace, n_default: int) -> tuple[F, ...]:
     return tuple(F(p) for p in DEFAULT_S[:n])
 
 
-# -- the verifier table ---------------------------------------------------------------
-# id -> (module, function, keyword arguments from the parsed flags).  Defaults are
-# light enough that `suite` (which runs every id once) stays fast; heavier
-# configurations are reached through the flags.
-
-def _cutoffs(a) -> tuple[int, int]:
-    hi = _or(a.order, 18)
-    if hi < 5:
-        raise ValueError(f"--order {hi} sets the cutoffs ({hi - 5}, {hi}); "
+def _cutoffs(order: int) -> tuple[int, int]:
+    if order < 5:
+        raise ValueError(f"--order {order} sets the cutoffs ({order - 5}, {order}); "
                          "the order must be at least 5")
-    return hi - 5, hi
+    return order - 5, order
 
 
-def _unordered(a, **kwargs) -> dict:
-    """`kwargs`, the arguments of a check that has no truncation order to set."""
-    if a.order is not None:
-        raise ValueError(f"--order {a.order}: this check has no truncation order to set")
-    return kwargs
+def _one_point(points) -> F:
+    if len(points) != 1:
+        raise ValueError(f"--points gives {len(points)} values of s; the check takes one")
+    return points[0]
 
 
-def _phi_vanish_args(a) -> dict:
-    if a.order is not None:
-        raise ValueError("--order sets the theta kind's term count; the algebraic "
-                         "kind checked here has no truncation")
-    if a.q is not None:
-        raise ValueError("--q sets the theta kind's nome; the algebraic kind checked "
-                         "here does not read it")
-    return dict(f_kind="algebraic", n=_or(a.n, 3))
-
+# -- the verifier table ---------------------------------------------------------------
+# id -> (module, function, builder).  The builder's keyword parameters are the
+# flags the id reads, with their defaults; it returns the verifier's keyword
+# arguments.  A default of None marks a flag that changes the check's shape
+# rather than a value of it.  Defaults are light enough that `suite` (which
+# runs every id once) stays fast; heavier configurations are reached through
+# the flags.
 
 _VERIFIERS = {
-    "npoint": ("correlators", "verify_npoint", lambda a: dict(
-        s_values=_resolve_points(a, 2), order=_or(a.order, 12))),
-    "diffeq-f": ("qdiff", "verify_diffeq_f", lambda a: dict(
-        s_values=_or(a.points, (F(2), F(5, 4))), q0=_or(a.q, F(1, 9)),
-        cutoffs=_cutoffs(a))),
-    "diffeq-h": ("qdiff", "verify_diffeq_h", lambda a: dict(
-        s_values=_or(a.points, (F(2), F(5, 4))), q0=_or(a.q, F(1, 9)),
-        k=_or(a.k, 1), cutoffs=_cutoffs(a))),
-    "diffeq-t": ("qdiff", "verify_diffeq_t", lambda a: dict(
-        s_values=_or(a.points, (F(2), F(3))), order=_or(a.order, 8))),
-    "r-diffeq": ("qdiff", "verify_r_diffeq", lambda a: dict(
-        s_values=_or(a.points, (F(2), F(3))), s0=F(7, 5), j0=_or(a.m, 0),
-        order=_or(a.order, 8))),
-    "qgauss": ("correlators", "verify_qgauss", lambda a: dict(
-        a=(F(1, 2), 1), b=(F(1, 3), 1), c=(F(1, 6), 3), order=_or(a.order, 12))),
-    "poch-telescope": ("correlators", "verify_poch_telescope", lambda a: dict(
-        u=(F(1, 2), 0), v_root=F(1, 3), v_exp=1, a=0, b=_or(a.n, 4),
-        order=_or(a.order, 12))),
-    "cyclic-identity": ("qdiff", "verify_cyclic_identity", lambda a: _unordered(
-        a, m=_or(a.m, 2), k=_or(a.k, 2), q0=_or(a.q, F(1, 4)))),
-    "residue": ("qdiff", "verify_residue", lambda a: _unordered(
-        a, n=_or(a.n, 1), k=_or(a.k, 1), m=_or(a.m, 1), q0=_or(a.q, F(1, 16)))),
-    "t-vanish": ("qdiff", "verify_t_vanish", lambda a: dict(
-        s_values=_or(a.points, (F(2), F(1, 2))), order=_or(a.order, 10))),
-    "phi-vanish": ("qdiff", "verify_phi_vanish", _phi_vanish_args),
-    "elliptic-transform": ("characters", "verify_elliptic_transform", lambda a: dict(
-        K=_or(a.K, 2), N=_or(a.order, 3))),
-    "theta-expansion": ("characters", "verify_theta_expansion", lambda a: dict(
-        K=_or(a.K, 2), N=_or(a.order, 3))),
-    "triple-product": ("characters", "verify_triple_product", lambda a: dict(
-        N=_or(a.order, 12))),
-    "theta-diffeq": ("special", "verify_theta_diffeq", lambda a: dict(
-        m=_or(a.m, 2), s=a.points[0] if a.points else F(3, 2), shift=0,
-        order=_or(a.order, 24))),
-    "theta-derivs": ("special", "verify_theta_derivs", lambda a: dict(
-        order=_or(a.order, 30))),
-    "xi-binomial": ("special", "verify_xi_binomial", lambda a: _unordered(
-        a, n_max=_or(a.n, 12))),
-    "xi-generating": ("special", "verify_xi_generating", lambda a: dict(
-        order=_or(a.order, 20))),
-    "counts": ("setparts", "verify_counts", lambda a: _unordered(
-        a, n_max=_or(a.n, 8))),
-    "bracket-qm": ("quasimodular", "verify_bracket_qm", lambda a: dict(
-        ks=(a.k,) if a.k is not None else (1, 1), order=_or(a.order, 24))),
-    "derivation-closure": ("quasimodular", "verify_derivation_closure", lambda a: dict(
-        order=_or(a.order, 24))),
-    "skew-npoint": ("skewchar", "verify_skew_npoint", lambda a: dict(
-        n=_or(a.n, 2), N_z=_or(a.k, 3), N_q=_or(a.order, 12))),
-    "h-equals-g": ("skewchar", "verify_h_equals_g", lambda a: dict(
-        order=_or(a.order, 24))),
-    "v-consistency": ("characters", "verify_v_consistency", lambda a: dict(
-        K=_or(a.K, 2), N=_or(a.order, 3))),
+    "npoint": ("correlators", "verify_npoint", lambda points=None, n=None, seed=None,
+               order=12: dict(s_values=_resolve_points(points, n, seed), order=order)),
+    "diffeq-f": ("qdiff", "verify_diffeq_f", lambda points=(F(2), F(5, 4)), q=F(1, 9),
+                 order=18: dict(s_values=points, q0=q, cutoffs=_cutoffs(order))),
+    "diffeq-h": ("qdiff", "verify_diffeq_h", lambda points=(F(2), F(5, 4)), q=F(1, 9),
+                 k=1, order=18: dict(s_values=points, q0=q, k=k,
+                                     cutoffs=_cutoffs(order))),
+    "diffeq-t": ("qdiff", "verify_diffeq_t", lambda points=(F(2), F(3)), order=8: dict(
+        s_values=points, order=order)),
+    "r-diffeq": ("qdiff", "verify_r_diffeq", lambda points=(F(2), F(3)), m=0,
+                 order=8: dict(s_values=points, s0=F(7, 5), j0=m, order=order)),
+    "qgauss": ("correlators", "verify_qgauss", lambda order=12: dict(
+        a=(F(1, 2), 1), b=(F(1, 3), 1), c=(F(1, 6), 3), order=order)),
+    "poch-telescope": ("correlators", "verify_poch_telescope", lambda n=4, order=12:
+                       dict(u=(F(1, 2), 0), v_root=F(1, 3), v_exp=1, a=0, b=n,
+                            order=order)),
+    "cyclic-identity": ("qdiff", "verify_cyclic_identity", lambda m=2, k=2, q=F(1, 4):
+                        dict(m=m, k=k, q0=q)),
+    "residue": ("qdiff", "verify_residue", lambda n=1, k=1, m=1, q=F(1, 16): dict(
+        n=n, k=k, m=m, q0=q)),
+    "t-vanish": ("qdiff", "verify_t_vanish", lambda points=(F(2), F(1, 2)), order=10:
+                 dict(s_values=points, order=order)),
+    # the algebraic kind: no truncation order and no nome
+    "phi-vanish": ("qdiff", "verify_phi_vanish",
+                   lambda n=3: dict(f_kind="algebraic", n=n)),
+    "elliptic-transform": ("characters", "verify_elliptic_transform",
+                           lambda K=2, order=3: dict(K=K, N=order)),
+    "theta-expansion": ("characters", "verify_theta_expansion",
+                        lambda K=2, order=3: dict(K=K, N=order)),
+    "triple-product": ("characters", "verify_triple_product",
+                       lambda order=12: dict(N=order)),
+    "theta-diffeq": ("special", "verify_theta_diffeq", lambda m=2, points=(F(3, 2),),
+                     order=24: dict(m=m, s=_one_point(points), shift=0, order=order)),
+    "theta-derivs": ("special", "verify_theta_derivs",
+                     lambda order=30: dict(order=order)),
+    "xi-binomial": ("special", "verify_xi_binomial", lambda n=12: dict(n_max=n)),
+    "xi-generating": ("special", "verify_xi_generating",
+                      lambda order=20: dict(order=order)),
+    "counts": ("setparts", "verify_counts", lambda n=8: dict(n_max=n)),
+    # without --k, the product <(p1 - xi(-1))^2>
+    "bracket-qm": ("quasimodular", "verify_bracket_qm", lambda k=None, order=24: dict(
+        ks=(1, 1) if k is None else (k,), order=order)),
+    "derivation-closure": ("quasimodular", "verify_derivation_closure", lambda order=24:
+                           dict(order=order)),
+    "skew-npoint": ("skewchar", "verify_skew_npoint", lambda n=2, k=3, order=12: dict(
+        n=n, N_z=k, N_q=order)),
+    "h-equals-g": ("skewchar", "verify_h_equals_g", lambda order=24: dict(order=order)),
+    "v-consistency": ("characters", "verify_v_consistency", lambda K=2, order=3: dict(
+        K=K, N=order)),
 }
 
 
-def _lazy(module: str, function: str, args):
-    """A verifier of the table as a callable of the parsed flags; its module is
-    imported on the first call, so a process pays only for what it runs."""
-    def run(a):
-        return getattr(import_module(f".{module}", __package__), function)(**args(a))
+def _lazy(module: str, function: str, build):
+    """A verifier of the table as a callable of the flags given, a dict; its
+    module is imported on the first call, so a process pays only for what it
+    runs."""
+    def run(flags):
+        verifier = getattr(import_module(f".{module}", __package__), function)
+        return verifier(**build(**flags))
     return run
 
 
@@ -177,6 +181,20 @@ REGISTRY = {name: _lazy(*row) for name, row in _VERIFIERS.items()}
 _PARAM_ERRORS = (SeriesError, ValueError, ZeroDivisionError)
 
 
+def _given(a, build, name: str) -> dict:
+    """The flags given on the command line (argparse defaults each to None), as
+    keyword arguments of `build`; a ValueError names any of them that `build`
+    does not read."""
+    code = build.__code__
+    reads = code.co_varnames[:code.co_argcount]
+    given = {f: getattr(a, f) for f in _FLAGS if getattr(a, f) is not None}
+    for flag in given:
+        if flag not in reads:
+            raise ValueError(f"--{flag}: {name} reads only "
+                             + ", ".join(f"--{r}" for r in reads))
+    return given
+
+
 def _rejected(key: str, name: str, err: Exception) -> int:
     print(_dumps({key: name, "status": "error", "detail": str(err)}))
     return 2
@@ -185,17 +203,12 @@ def _rejected(key: str, name: str, err: Exception) -> int:
 def _cmd_verify(a) -> int:
     t0 = time.perf_counter()
     try:
-        rep = REGISTRY[a.id](a)
+        rep = REGISTRY[a.id](_given(a, _VERIFIERS[a.id][2], a.id))
     except _PARAM_ERRORS as err:
         return _rejected("identity", a.id, err)
     rep.elapsed_ms = (time.perf_counter() - t0) * 1000
     print(_dumps(rep.to_jsonable()))
     return 0 if rep.ok else 1
-
-
-def _blank_args() -> argparse.Namespace:
-    return argparse.Namespace(order=None, points=None, q=None, n=None, m=None,
-                              k=None, K=None, seed=None)
 
 
 # `suite` runs the ids of these modules in a forked child: the character and
@@ -206,17 +219,17 @@ _FORKED_MODULES = frozenset({"characters", "skewchar", "quasimodular", "special"
                              "setparts"})
 
 
-def _suite_lines(ids, blank) -> tuple[dict, int]:
+def _suite_lines(ids) -> tuple[dict, int]:
     """id -> report line without timing, for each of `ids`; and how many failed."""
     lines, failed = {}, 0
     for i in ids:
-        rep = REGISTRY[i](blank)
+        rep = REGISTRY[i]({})
         failed += not rep.ok
         lines[i] = _dumps(rep.to_jsonable(with_timing=False))
     return lines, failed
 
 
-def _fork_suite(ids, blank) -> tuple[int, int] | None:
+def _fork_suite(ids) -> tuple[int, int] | None:
     """Run `ids` in a forked child, which writes to a pipe its failure count and
     report lines, one a line, or else the traceback of what it raised.  Returns
     the child's pid and the pipe's read end, or None where `os.fork` is missing
@@ -239,7 +252,7 @@ def _fork_suite(ids, blank) -> tuple[int, int] | None:
     try:
         os.close(r)
         try:
-            lines, failed = _suite_lines(ids, blank)
+            lines, failed = _suite_lines(ids)
             text, ok = "\n".join([str(failed), *lines.values()]), True
         except Exception:  # noqa: BLE001 - reported by the parent, on stderr
             import traceback
@@ -260,13 +273,12 @@ def _reap(pid: int, r: int) -> tuple[int, str]:
 
 def _cmd_suite(a) -> int:
     ids = sorted(REGISTRY)
-    blank = _blank_args()
     forked = [i for i in ids if _VERIFIERS[i][0] in _FORKED_MODULES]
-    child = _fork_suite(forked, blank)
+    child = _fork_suite(forked)
     if child is None:
         forked = []
     try:
-        lines, failed = _suite_lines([i for i in ids if i not in forked], blank)
+        lines, failed = _suite_lines([i for i in ids if i not in forked])
     finally:
         code, text = _reap(*child) if child else (0, "0")
     if code:
@@ -283,51 +295,46 @@ def _cmd_suite(a) -> int:
     return 0 if failed == 0 else 1
 
 
+# name -> (module, builder).  The builder's keyword parameters are the flags the
+# series reads, with their defaults; it returns the series as a function of the
+# module.
+_SERIES = {
+    "eta": ("special", lambda order=12: lambda m: m.eta(order)),
+    "theta": ("special", lambda order=12: lambda m: m.theta00(order)),
+    "eisenstein": ("special", lambda k=2, order=12: lambda m: m.eisenstein_g(k, order)),
+    "xi": ("special", lambda order=20: lambda m: m.xi_generating_series(order)),
+    "omega": ("characters", lambda K=2, order=4: lambda m: m.omega_series(K, order)),
+    "v-char": ("characters", lambda K=2, order=4: lambda m: m.V_series(K, order)),
+    "psi": ("skewchar", lambda K=2, order=6: lambda m: m.psi_series(K, order)),
+    "bracket": ("quasimodular", lambda k=1, order=12: lambda m: m.q_bracket(
+        m.shifted_hook_moment((k,)), order)),
+}
+
+
 def _cmd_series(a) -> int:
-    name, order = a.name, a.order
+    module, build = _SERIES[a.name]
     try:
-        if order is not None and order < 0:
-            raise ValueError(f"--order {order} is negative; a series needs order >= 0")
-        if name == "eta":
-            from .special import eta
-            obj = eta(_or(order, 12)).to_jsonable()
-        elif name == "theta":
-            from .special import theta00
-            obj = theta00(_or(order, 12)).to_jsonable()
-        elif name == "eisenstein":
-            from .special import eisenstein_g
-            obj = eisenstein_g(_or(a.k, 2), _or(order, 12)).to_jsonable()
-        elif name == "xi":
-            from .special import xi_generating_series
-            obj = xi_generating_series(_or(order, 20)).to_jsonable()
-        elif name == "bracket":
-            from .partitions import q_bracket
-            from .quasimodular import shifted_hook_moment
-            ks = (_or(a.k, 1),)
-            obj = q_bracket(shifted_hook_moment(ks), _or(order, 12)).to_jsonable()
-        elif name == "omega":
-            from .characters import omega_series
-            obj = omega_series(_or(a.K, 2), _or(order, 4)).to_json()
-        elif name == "v-char":
-            from .characters import V_series
-            obj = V_series(_or(a.K, 2), _or(order, 4)).to_json()
-        else:  # psi; argparse rejects anything not in choices
-            from .skewchar import psi_series
-            obj = psi_series(_or(a.K, 2), _or(order, 6)).to_json()
+        make = build(**_given(a, build, a.name))
+        if a.order is not None and a.order < 0:
+            raise ValueError(f"--order {a.order} is negative; a series needs order >= 0")
+        obj = make(import_module(f".{module}", __package__))
     except _PARAM_ERRORS as err:
-        return _rejected("series", name, err)
-    print(_dumps(obj))
+        return _rejected("series", a.name, err)
+    # QSeries has `to_jsonable`; the multivariate series have `to_json`
+    print(_dumps(obj.to_json() if hasattr(obj, "to_json") else obj.to_jsonable()))
     return 0
 
 
+def _skew_args(n=1, k=3, order=10) -> tuple[int, int, int]:
+    """The flags `skew-npoint` reads: variables, z-degree and q-order."""
+    return n, k, order
+
+
 def _cmd_skew(a) -> int:
-    from .skewchar import npoint_skew_brute, npoint_skew_closed
-    n, nz, nq = _or(a.n, 1), _or(a.k, 3), _or(a.order, 10)
     try:
-        if a.brute:
-            poly = npoint_skew_brute(n, nz, nq, (nz + 1) // 2)
-        else:
-            poly = npoint_skew_closed(n, nz, nq)
+        n, nz, nq = _skew_args(**_given(a, _skew_args, "skew-npoint"))
+        from .skewchar import npoint_skew_brute, npoint_skew_closed
+        poly = (npoint_skew_brute if a.brute else npoint_skew_closed)(n, nz, nq)
     except _PARAM_ERRORS as err:
         return _rejected("skew-npoint", "brute" if a.brute else "closed", err)
     print(_dumps(poly.to_json()))
@@ -335,16 +342,8 @@ def _cmd_skew(a) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", type=int, help="truncation or grade bound")
-    p.add_argument("--points", type=_points,
-                   help="comma-separated rational square roots s1,s2,...")
-    p.add_argument("--q", type=_fraction, help="base rational q value")
-    p.add_argument("--n", type=int, help="variable count or top index")
-    p.add_argument("--m", type=int, help="shift or multiplicity parameter")
-    p.add_argument("--k", type=int, help="derivative order, weight, or position")
-    p.add_argument("--K", type=int, help="number of higher variables")
-    p.add_argument("--seed", type=int,
-                   help="sample random evaluation points instead of defaults")
+    for flag, (kind, text) in _FLAGS.items():
+        p.add_argument(f"--{flag}", type=kind, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -359,8 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=_cmd_verify)
 
     ps = sub.add_parser("series", help="print a truncated series as JSON")
-    ps.add_argument("name", choices=["eta", "theta", "eisenstein", "xi",
-                                     "omega", "v-char", "psi", "bracket"])
+    ps.add_argument("name", choices=list(_SERIES))
     _add_common_flags(ps)
     ps.set_defaults(func=_cmd_series)
 

@@ -9,6 +9,7 @@ form; the two must agree coefficient by coefficient.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import add
@@ -289,49 +290,36 @@ def npoint_skew_closed(n: int, N_z: int, N_q: int) -> OddPolynomial:
     return total.scale(eta_inv)
 
 
-def npoint_skew_brute(n: int, N_z: int, N_q: int, J: int,
-                      cross_check: bool = True) -> OddPolynomial:
-    """Direct route: apply the odd tau-derivatives to the character by exponent
+def npoint_skew_brute(n: int, N_z: int, N_q: int) -> OddPolynomial:
+    """Direct route: apply the odd tau-derivatives to the character (in the
+    (N_z + 1) // 2 variables that z-degree N_z needs) by exponent
     multiplication, specialize the higher variables away, and assemble the
-    generating polynomial.  Optionally re-derives every coefficient through the
+    generating polynomial.  Re-derives every coefficient through the
     log-derivative product expansion and demands exact agreement.
     """
     _check_npoint_params(n, N_z, N_q)
     k_max = (N_z + 1) // 2
-    if J < k_max:
-        raise ValueError(f"need J >= {k_max} to cover z-degree {N_z}")
-    psi = psi_series(J, N_q)
+    psi = psi_series(k_max, N_q)
     psi0 = psi.collapse()
     out: dict[tuple[int, ...], object] = {}
-    for ks in _index_tuples(n, k_max):
+    for ks in itertools.product(range(1, k_max + 1), repeat=n):
         series = psi
         norm = 1
         for k in ks:
             series = series.tau_derive(k)
             norm *= math.factorial(2 * k - 1)
         coeff = series.collapse() * F(1, norm)
-        if cross_check:
-            expansion = QSeries.zero(N_q)
-            for mu in set_partitions(tuple(range(1, n + 1))):
-                term = QSeries.one(N_q)
-                for block in mu:
-                    s = 2 * sum(ks[i - 1] for i in block)
-                    term = term * h_series(len(block), s, N_q)
-                expansion = expansion + term
-            if coeff != psi0 * expansion * F(1, norm):
-                raise SeriesError(
-                    f"log-derivative expansion disagrees at indices {ks}")
+        expansion = QSeries.zero(N_q)
+        for mu in set_partitions(tuple(range(1, n + 1))):
+            term = QSeries.one(N_q)
+            for block in mu:
+                s = 2 * sum(ks[i - 1] for i in block)
+                term = term * h_series(len(block), s, N_q)
+            expansion = expansion + term
+        if coeff != psi0 * expansion * F(1, norm):
+            raise SeriesError(f"log-derivative expansion disagrees at indices {ks}")
         out[tuple(2 * k - 1 for k in ks)] = coeff
     return OddPolynomial(n, N_z, out)
-
-
-def _index_tuples(n: int, k_max: int):
-    if n == 0:
-        yield ()
-        return
-    for k in range(1, k_max + 1):
-        for rest in _index_tuples(n - 1, k_max):
-            yield (k,) + rest
 
 
 def verify_skew_npoint(n: int = 2, N_z: int = 5, N_q: int = 15) -> Report:
@@ -341,7 +329,7 @@ def verify_skew_npoint(n: int = 2, N_z: int = 5, N_q: int = 15) -> Report:
                  "its set-partition closed form")
     params = {"n": n, "N_z": N_z, "N_q": N_q}
     closed = npoint_skew_closed(n, N_z, N_q)
-    brute = npoint_skew_brute(n, N_z, N_q, (N_z + 1) // 2)
+    brute = npoint_skew_brute(n, N_z, N_q)
     if closed == brute:
         return Report("skew-npoint", statement, params, "pass",
                       order_checked=N_q,

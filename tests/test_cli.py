@@ -147,7 +147,7 @@ DEGENERATE_FLAGS = {
     "elliptic-transform": [["--order", "0"], ["--order", "-1"], ["--K", "0"]],
     "h-equals-g": [["--order", "-1"]],
     "npoint": [["--order", "-1"], ["--n", "0"], ["--n", "-1"],
-               ["--n", "0", "--seed", "3"]],
+               ["--n", "0", "--seed", "3"], ["--seed", "3", "--points", "2,3"]],
     # the algebraic kind reads neither --order nor --q
     "phi-vanish": [["--order", "0"], ["--q", "1/16"], ["--n", "0"], ["--n", "6"]],
     "poch-telescope": [["--order", "-1"], ["--n", "0"], ["--n", "-1"]],
@@ -158,7 +158,7 @@ DEGENERATE_FLAGS = {
     "skew-npoint": [["--order", "-1"], ["--n", "0"], ["--k", "0"]],
     "t-vanish": [["--order", "-1"], ["--points", "2"]],
     "theta-derivs": [["--order", "-1"]],
-    "theta-diffeq": [["--order", "-1"], ["--m", "0"]],
+    "theta-diffeq": [["--order", "-1"], ["--m", "0"], ["--points", "3/2,5"]],
     "theta-expansion": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],
     "triple-product": [["--order", "-1"]],
     "v-consistency": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],
@@ -180,6 +180,96 @@ def test_degenerate_flags_exit_2(capsys, identity):
         assert set(rep) == {"identity", "status", "detail"}, argv
         if argv == ["--order", "-1"]:  # the detail names what was wrong
             assert "order" in rep["detail"], (argv, rep["detail"])
+
+
+# the flags each command reads, each with the value that reproduces the bare
+# command (None where no value does: without the flag the check takes another
+# shape).  Written out here rather than read from cli, so that a slip in one of
+# its rows shows up.
+VERIFY_READS = {
+    "bracket-qm": {"k": None, "order": "24"},
+    "counts": {"n": "8"},
+    "cyclic-identity": {"m": "2", "k": "2", "q": "1/4"},
+    "derivation-closure": {"order": "24"},
+    "diffeq-f": {"points": "2,5/4", "q": "1/9", "order": "18"},
+    "diffeq-h": {"points": "2,5/4", "q": "1/9", "k": "1", "order": "18"},
+    "diffeq-t": {"points": "2,3", "order": "8"},
+    "elliptic-transform": {"K": "2", "order": "3"},
+    "h-equals-g": {"order": "24"},
+    "npoint": {"points": "2,3", "n": "2", "seed": None, "order": "12"},
+    "phi-vanish": {"n": "3"},
+    "poch-telescope": {"n": "4", "order": "12"},
+    "qgauss": {"order": "12"},
+    "r-diffeq": {"points": "2,3", "m": "0", "order": "8"},
+    "residue": {"n": "1", "k": "1", "m": "1", "q": "1/16"},
+    "skew-npoint": {"n": "2", "k": "3", "order": "12"},
+    "t-vanish": {"points": "2,1/2", "order": "10"},
+    "theta-derivs": {"order": "30"},
+    "theta-diffeq": {"m": "2", "points": "3/2", "order": "24"},
+    "theta-expansion": {"K": "2", "order": "3"},
+    "triple-product": {"order": "12"},
+    "v-consistency": {"K": "2", "order": "3"},
+    "xi-binomial": {"n": "12"},
+    "xi-generating": {"order": "20"},
+}
+SERIES_READS = {
+    "eta": {"order": "12"},
+    "theta": {"order": "12"},
+    "eisenstein": {"k": "2", "order": "12"},
+    "xi": {"order": "20"},
+    "omega": {"K": "2", "order": "4"},
+    "v-char": {"K": "2", "order": "4"},
+    "psi": {"K": "2", "order": "6"},
+    "bracket": {"k": "1", "order": "12"},
+}
+SKEW_READS = {"n": "1", "k": "3", "order": "10"}
+
+# a valid value of each flag, given where the command does not read it
+FLAG_VALUES = {"order": "4", "points": "2", "q": "1/2", "n": "2", "m": "1",
+               "k": "1", "K": "1", "seed": "1"}
+
+# (argv before the flags, JSON key of an error, its value, flags read)
+COMMANDS = [(["verify", i], "identity", i, reads) for i, reads in VERIFY_READS.items()]
+COMMANDS += [(["series", s], "series", s, reads) for s, reads in SERIES_READS.items()]
+COMMANDS += [(["skew-npoint"], "skew-npoint", "closed", SKEW_READS)]
+COMMAND_IDS = [" ".join(c[0]) for c in COMMANDS]
+
+
+def test_flag_tables_cover_every_command():
+    assert set(VERIFY_READS) == set(cli.REGISTRY)
+    assert set(SERIES_READS) == set(cli._SERIES)
+    assert set(FLAG_VALUES) == set(cli._FLAGS)
+    assert [sum(map(len, t.values())) for t in (VERIFY_READS, SERIES_READS)] == [50, 13]
+    assert len(SKEW_READS) == 3
+
+
+@pytest.mark.parametrize("head,key,value,reads", COMMANDS, ids=COMMAND_IDS)
+def test_every_unread_flag_exits_2(capsys, head, key, value, reads):
+    for flag in sorted(set(FLAG_VALUES) - set(reads)):
+        code, out = run_main(capsys, *head, f"--{flag}", FLAG_VALUES[flag])
+        rep = json.loads(out)
+        assert (code, set(rep), rep[key], rep["status"]) == (
+            2, {key, "status", "detail"}, value, "error"), flag
+        assert rep["detail"].startswith(f"--{flag}:"), (flag, rep["detail"])
+
+
+def _without_timing(out: str) -> dict:
+    rep = json.loads(out)
+    rep.pop("elapsed_ms", None)
+    return rep
+
+
+@pytest.mark.parametrize("head,reads", [(c[0], c[3]) for c in COMMANDS],
+                         ids=COMMAND_IDS)
+def test_every_read_flag_at_its_default_is_the_bare_command(capsys, head, reads):
+    code, out = run_main(capsys, *head)
+    bare = _without_timing(out)
+    assert code == 0
+    for flag, default in reads.items():
+        if default is None:
+            continue
+        code, out = run_main(capsys, *head, f"--{flag}", default)
+        assert (code, _without_timing(out)) == (0, bare), flag
 
 
 def test_unknown_id_is_usage_error():

@@ -158,22 +158,17 @@ def test_npoint_closed_n1_is_eta_inv_gcal():
 
 
 def test_npoint_single_derivative_is_eisenstein():
-    brute = npoint_skew_brute(1, 3, 20, 2)
+    brute = npoint_skew_brute(1, 3, 20)
     # z^1: D_1 Psi / (eta normalization) = eta^{-1} G_2; z^3 route uses D_3
     eta_inv = eta(20).inv()
     assert brute.terms[(1,)] == eta_inv * eisenstein_g(2, 20)
     assert brute.terms[(3,)] == eta_inv * eisenstein_g(4, 20) * F(1, 6)
 
 
-def test_npoint_brute_requires_enough_variables():
-    with pytest.raises(ValueError):
-        npoint_skew_brute(2, 5, 10, 2)
-
-
 def test_npoint_cross_check_runs():
-    # cross_check=True re-derives every coefficient from the log-derivative
+    # the brute route re-derives every coefficient from the log-derivative
     # expansion; reaching here without SeriesError is the assertion
-    npoint_skew_brute(2, 3, 10, 2, cross_check=True)
+    npoint_skew_brute(2, 3, 10)
 
 
 def test_skew_npoint_agreement():
