@@ -189,7 +189,7 @@ class MultiSeries:
             nums[e2] = nums.get(e2, 0) + c
         return _series(j0 - 1, self.grade, self.den, {e: c for e, c in nums.items() if c})
 
-    def to_json(self) -> dict:
+    def to_jsonable(self) -> dict:
         den = self.den
         return {"K": self.K, "grade": str(self.grade),
                 "terms": [{"exps": [str(F(x, den)) for x in e], "coeff": str(c)}

@@ -320,8 +320,7 @@ def _cmd_series(a) -> int:
         obj = make(import_module(f".{module}", __package__))
     except _PARAM_ERRORS as err:
         return _rejected("series", a.name, err)
-    # QSeries has `to_jsonable`; the multivariate series have `to_json`
-    print(_dumps(obj.to_json() if hasattr(obj, "to_json") else obj.to_jsonable()))
+    print(_dumps(obj.to_jsonable()))
     return 0
 
 
@@ -337,7 +336,7 @@ def _cmd_skew(a) -> int:
         poly = (npoint_skew_brute if a.brute else npoint_skew_closed)(n, nz, nq)
     except _PARAM_ERRORS as err:
         return _rejected("skew-npoint", "brute" if a.brute else "closed", err)
-    print(_dumps(poly.to_json()))
+    print(_dumps(poly.to_jsonable()))
     return 0
 
 

@@ -37,7 +37,7 @@ from .setparts import (
     stabilizer_multiplicity,
     subset_fold,
 )
-from .special import ThetaLattice, theta_deriv_value
+from .special import ThetaLattice, ThetaValues
 
 F = Fraction
 
@@ -392,19 +392,17 @@ def verify_cyclic_identity(m: int, k: int, q0=F(1, 4)) -> Report:
 # -- residues at the shifted unit-product divisors ----------------------------------
 
 
-def _theta_ratio(deriv: int, s: Fraction, q0: Fraction, terms: int) -> Fraction:
-    return theta_deriv_value(deriv, s, q0, terms) / theta_deriv_value(0, s, q0, terms)
-
-
-def _u_value(svals: tuple[Fraction, ...], q0: Fraction, terms: int) -> Fraction:
+def _u_value(svals: tuple[Fraction, ...], table: ThetaValues) -> Fraction:
+    """U at t_k = svals[k]^2; the table's factor cancels in the log-derivative
+    ratios, which are ratios of lattice sums, and enters once per value."""
     if len(svals) == 0:
         return ONE
     if len(svals) == 1:
-        return 1 / theta_deriv_value(0, svals[0], q0, terms)
+        return 1 / table.value(0, svals[0])
     if len(svals) == 2:
         s1, s2 = svals
-        logsum = _theta_ratio(1, s1, q0, terms) + _theta_ratio(1, s2, q0, terms)
-        return logsum / theta_deriv_value(0, s1 * s2, q0, terms)
+        logsum = sum(table.lattice(1, s) / table.lattice(0, s) for s in svals)
+        return logsum / table.value(0, s1 * s2)
     raise ValueError("closed-form values implemented for at most two variables")
 
 
@@ -421,6 +419,10 @@ def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
     root = _sqrt_or_raise(q0)
     if not 1 <= k <= n <= 2:
         raise ValueError("implemented for n <= 2 and 1 <= k <= n")
+    if m == 0 and k >= 2:
+        raise ValueError(f"m = 0 with k = {k}: the expected residue m^(k-1) is 0, "
+                         "so no relative tolerance applies")
+    table = ThetaValues(q0, terms)
     rest = (F(3),) * (n - k)
     params = {"n": n, "k": k, "m": m, "q0": q0, "terms": terms,
               "eps": list(eps_pair), "tol": tol}
@@ -431,12 +433,12 @@ def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
             s1 /= F(3)
         svals = (s1,) + (F(3),) * (k - 1) + rest
         delta = (1 + eps) ** 2 - 1
-        return delta, delta * _u_value(svals, q0, terms)
+        return delta, delta * _u_value(svals, table)
 
     (d1, g1) = g_at(F(eps_pair[0]))
     (d2, g2) = g_at(F(eps_pair[1]))
     estimate = (d1 * g2 - d2 * g1) / (d1 - d2)
-    rest_val = _u_value(rest, q0, terms)
+    rest_val = _u_value(rest, table)
     rest_prod = ONE
     for s in rest:
         rest_prod *= s * s
@@ -487,16 +489,22 @@ def require_simple_zero(fval, fderiv, tiny: Fraction) -> None:
 
 
 def _phi_function(f_kind: str, q0: Fraction, terms: int):
+    """(fval, fderiv, factor): f and (x d/dx)^m f are factor times fval and
+    fderiv(m, .), bare lattice sums of one `ThetaValues` for the theta kind.
+    Each chain of `phi_sum` has one more derivative than division, so the sum
+    for f is factor * phi_sum(fval, fderiv, .)."""
     if f_kind == "algebraic":
         # two half-power terms: a single term is the q -> 0 limit of the theta
         # factor and makes the whole sum collapse identically, hiding the decay
         c = F(1, 7)
         return (lambda s: (s - 1 / s) + c * (s ** 3 - 1 / s ** 3),
                 lambda mm, s: F(1, 2) ** mm * (s - (-1) ** mm / s)
-                + c * F(3, 2) ** mm * (s ** 3 - (-1) ** mm / s ** 3))
+                + c * F(3, 2) ** mm * (s ** 3 - (-1) ** mm / s ** 3),
+                ONE)
     if f_kind == "theta":
-        return (lambda s: theta_deriv_value(0, s, q0, terms),
-                lambda mm, s: theta_deriv_value(mm, s, q0, terms))
+        table = ThetaValues(q0, terms)
+        return (lambda s: table.lattice(0, s), lambda mm, s: table.lattice(mm, s),
+                table.factor)
     raise ValueError(f"unknown function kind {f_kind!r}")
 
 
@@ -527,15 +535,16 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
                  "to zero as the first argument approaches one")
     q0 = F(q0)
     points = [locus_point(n, e) for e in eps_pair]
-    fval, fderiv = _phi_function(f_kind, q0, terms)
-    require_simple_zero(fval, fderiv, q0 ** terms if f_kind == "theta" else ZERO)
+    fval, fderiv, factor = _phi_function(f_kind, q0, terms)
+    require_simple_zero(lambda s: factor * fval(s), lambda mm, s: factor * fderiv(mm, s),
+                        q0 ** terms if f_kind == "theta" else ZERO)
     params = {"f": f_kind, "n": n, "eps": list(eps_pair),
               "ratio_bound": ratio_bound}
     if f_kind == "theta":
         params["q0"] = q0
         params["terms"] = terms
 
-    values = [phi_sum(fval, fderiv, p) for p in points]
+    values = [factor * phi_sum(fval, fderiv, p) for p in points]
     # when the sum vanishes identically on the locus (the theta instance does)
     # only truncation dust remains; accept anything under the floor
     floor = q0 ** terms

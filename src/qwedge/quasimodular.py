@@ -10,7 +10,7 @@ from fractions import Fraction
 from .partitions import HookMomentWeight, q_bracket
 from .reports import FrozenRecord, Report
 from .series import ONE, ZERO, QSeries
-from .special import EisensteinTable, eisenstein_g, xi_value
+from .special import EisensteinTable, xi_value
 
 F = Fraction
 
@@ -44,20 +44,6 @@ def weight_monomials(weight: int) -> list[tuple[int, int, int]]:
             rest = weight - 6 * c - 4 * b
             out.append((rest // 2, b, c))
     return out
-
-
-def monomial_series(abc: tuple[int, int, int], order: int) -> QSeries:
-    """G2^a G4^b G6^c to `order`, built afresh from powers: the reference for
-    the `EisensteinTable` that the fits and verifiers share."""
-    a, b, c = abc
-    s = QSeries.one(order)
-    if a:
-        s = s * eisenstein_g(2, order) ** a
-    if b:
-        s = s * eisenstein_g(4, order) ** b
-    if c:
-        s = s * eisenstein_g(6, order) ** c
-    return s
 
 
 def _combination(basis, coeffs, order: int) -> QSeries:

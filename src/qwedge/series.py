@@ -337,48 +337,13 @@ class QSeries:
                 return (off + j, Fraction(x, da), Fraction(y, db))
         return None
 
-    # -- evaluation and serialization ------------------------------------------
-
-    def eval_at(self, q0: Fraction) -> Fraction:
-        """Sum the known coefficients at an exact rational q0.
-
-        Fractional offsets require q0 to have the matching exact root.
-        """
-        q0 = _as_frac(q0)
-        # slot k carries u^{offset+k} where u = q^{step}; evaluate in the base variable
-        base = q0
-        if self.step != 1:
-            root = rational_sqrt(q0) if self.step == Fraction(1, 2) else None
-            if root is None:
-                raise SeriesError(f"cannot evaluate step-{self.step} series at {q0}")
-            base = root
-        off = self.offset
-        if off.denominator == 1:
-            scale = base ** off.numerator
-        elif off.denominator == 2:
-            r = rational_sqrt(base)
-            if r is None:
-                raise SeriesError(f"half-integer offset needs a square point, got {base}")
-            scale = r ** (2 * off).numerator
-        else:
-            raise SeriesError(f"cannot evaluate offset {off} at a rational point")
-        # Horner in ints: sum_k nums[k] bn^k bd^{N-k}, over den * bd^N
-        bn, bd = base.numerator, base.denominator
-        acc, p = 0, 1
-        for c in reversed(self.nums):
-            acc = acc * bn + c * p
-            p *= bd
-        return scale * Fraction(acc, self.den * (p // bd))
+    # -- serialization ----------------------------------------------------------
 
     def to_jsonable(self) -> dict:
         d = {"offset": str(self.offset), "coeffs": [str(c) for c in self.coeffs]}
         if self.step != 1:
             d["base_step"] = str(self.step)
         return d
-
-    @staticmethod
-    def from_jsonable(d: dict) -> QSeries:
-        return QSeries(Fraction(d["offset"]), d["coeffs"], Fraction(d.get("base_step", "1")))
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])

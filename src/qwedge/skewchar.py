@@ -80,7 +80,7 @@ class OddMultiSeries:
             nums[e[0]] += c
         return QSeries.from_nums(nums, self.den, F(self.anomaly[0], self.anomaly_den))
 
-    def to_json(self) -> dict:
+    def to_jsonable(self) -> dict:
         den = self.den
         return {"J": self.J, "grade": str(self.grade),
                 "terms": [{"exps": [str(x) for x in self._exps(e)], "coeff": str(F(c, den))}
@@ -215,16 +215,11 @@ class OddPolynomial:
             return False
         return all(self.terms[e] == other.terms[e] for e in self.terms)
 
-    def to_json(self) -> dict:
+    def to_jsonable(self) -> dict:
         out = []
         for e in sorted(self.terms):
             c = self.terms[e]
-            if isinstance(c, QSeries):
-                val = {"offset": str(c.offset), "coeffs": [str(x) for x in c.coeffs]}
-                if c.step != 1:
-                    val["base_step"] = str(c.step)
-            else:
-                val = str(c)
+            val = c.to_jsonable() if isinstance(c, QSeries) else str(c)
             out.append({"z": list(e), "coeff": val})
         return {"nvars": self.nvars, "zdeg": self.zdeg, "terms": out}
 

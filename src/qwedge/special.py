@@ -254,50 +254,79 @@ def theta_product_series(s: Fraction, order: int) -> QSeries:
     return (s - 1 / s) * e2 * a * b
 
 
+class ThetaValues:
+    """Truncated values of (x d/dx)^k Theta at x = s^2 q0^shift for one rational
+    0 < q0 < 1 and cut `terms`, as bare lattice sums and the one factor
+    (q0; q0)_terms^{-3} they share; a ratio of values is one of lattice sums.
+
+    `lattice(k, s, shift)` sums |n| <= terms of sum_n (-1)^n (n+1/2)^k s^{2n+1}
+    q0^{e(n)}, e(n) = n(n+1)/2 + shift(n+1/2), and `value` is `factor` times
+    it.  The cut Euler product sets the error: a value is off by a relative
+    3 q0^{terms+1} or so, while the lattice tail is only O(q0^{terms^2/2}).
+
+    The sums run in integers: with s = a/b, E = 2 terms + 1 and the powers of
+    q0 = u/w written r^{f(n)}, r = q0 for even `shift` and r = q0^{1/2} (which
+    must be rational) for odd `shift`, each term is an integer over 2^k a^E b^E
+    r_num^{-f_lo} r_den^{f_hi}, f_lo <= 0 <= f_hi bounding f.  One walk per
+    (s, shift) keeps those integers without (n+1/2)^k, so each k is one dot
+    product; `factor` is w^{3 terms(terms+1)/2} / prod_m (w^m - u^m)^3.
+    Create one per verifier call, like `ThetaLattice`.
+    """
+
+    def __init__(self, q0: Fraction, terms: int):
+        q0 = F(q0)
+        if not 0 < q0 < 1:
+            raise ValueError(f"q0 = {q0} is outside (0, 1), where the theta "
+                             "lattice sum and the Euler product converge")
+        self.q0, self.terms = q0, terms
+        u, w = q0.numerator, q0.denominator
+        euler = 1
+        for m in range(1, terms + 1):
+            euler *= w ** m - u ** m
+        self.factor = F(w ** (3 * (terms * (terms + 1) // 2)), euler ** 3)
+        self._walks: dict[tuple, tuple] = {}
+
+    def _walk(self, s: Fraction, shift: int) -> tuple[list, int]:
+        """The pairs (2n+1, signed integer term) and their denominator without 2^k."""
+        key = (s.numerator, s.denominator, shift)
+        if key in self._walks:
+            return self._walks[key]
+        if shift % 2:
+            r, halves = rational_sqrt(self.q0), 1
+            if r is None:
+                raise SeriesError(f"{self.q0} has no rational square root for the "
+                                  f"half-integer exponents of shift {shift}")
+        else:
+            r, halves = self.q0, 2
+        # f(n) = 2 e(n) / halves, the exponent of r in q0^{e(n)}
+        ns = range(-self.terms, self.terms + 1)
+        fs = [(n * (n + 1) + shift * (2 * n + 1)) // halves for n in ns]
+        f_lo, f_hi = min(0, *fs), max(0, *fs)
+        a, b = s.numerator, s.denominator
+        ru, rw = r.numerator, r.denominator
+        e_top = 2 * self.terms + 1
+        pairs = []
+        for n, f in zip(ns, fs):
+            m = 2 * n + 1
+            term = a ** (e_top + m) * b ** (e_top - m) * ru ** (f - f_lo) * rw ** (f_hi - f)
+            pairs.append((m, -term if n % 2 else term))
+        den = (a * b) ** e_top * ru ** -f_lo * rw ** f_hi
+        return self._walks.setdefault(key, (pairs, den))
+
+    def lattice(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
+        """The value without its factor (q0; q0)_terms^{-3}."""
+        pairs, den = self._walk(F(s), shift)
+        return F(sum(m ** k * t for m, t in pairs), 2 ** k * den)
+
+    def value(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
+        return self.factor * self.lattice(k, s, shift)
+
+
 def theta_deriv_value(k: int, s: Fraction, q0: Fraction, terms: int,
                       shift: int = 0) -> Fraction:
-    """Truncated numeric value of (x d/dx)^k Theta at x = s^2 q0^shift.
-
-    Sums |n| <= terms of the lattice sum sum_n (-1)^n (n+1/2)^k s^{2n+1} q0^{e(n)},
-    e(n) = n(n+1)/2 + shift(n+1/2), and divides by the cube of the Euler product
-    cut at `terms` factors.  The cut product sets the error: the value is off by
-    a relative 3 q0^{terms+1} or so, while the lattice tail is only
-    O(q0^{terms^2/2}).
-
-    The sum runs in integers: with s = a/b, E = 2 terms + 1 and the powers of
-    q0 = u/w written r^{f(n)}, r = q0 for even `shift` and r = q0^{1/2} (which
-    must be rational) for odd `shift`, where every e(n) is a half-integer, each
-    term is an integer over 2^k a^E b^E r_num^{-f_lo} r_den^{f_hi}, f_lo <= 0 <=
-    f_hi bounding f.  The Euler product is prod_m (w^m - u^m) over a power of w;
-    one Fraction is formed at the end.
-    """
-    s, q0 = F(s), F(q0)
-    if shift % 2:
-        r, halves = rational_sqrt(q0), 1
-        if r is None:
-            raise SeriesError(f"{q0} has no rational square root for the "
-                              f"half-integer exponents of shift {shift}")
-    else:
-        r, halves = q0, 2
-    # f(n) = 2 e(n) / halves, the exponent of r in q0^{e(n)}
-    fs = {n: (n * (n + 1) + shift * (2 * n + 1)) // halves
-          for n in range(-terms, terms + 1)}
-    f_lo, f_hi = min([0, *fs.values()]), max([0, *fs.values()])
-    a, b = s.numerator, s.denominator
-    ru, rw = r.numerator, r.denominator
-    e_top = 2 * terms + 1
-    total = 0
-    for n, f in fs.items():
-        m = 2 * n + 1
-        term = m ** k * a ** (e_top + m) * b ** (e_top - m) \
-            * ru ** (f - f_lo) * rw ** (f_hi - f)
-        total += -term if n % 2 else term
-    u, w = q0.numerator, q0.denominator
-    euler = 1
-    for m in range(1, terms + 1):
-        euler *= w ** m - u ** m
-    den = 2 ** k * (a * b) ** e_top * ru ** -f_lo * rw ** f_hi * euler ** 3
-    return F(total * w ** (3 * (terms * (terms + 1) // 2)), den)
+    """Truncated numeric value of (x d/dx)^k Theta at x = s^2 q0^shift: one
+    `ThetaValues` entry, on a table that lives for this call only."""
+    return ThetaValues(q0, terms).value(k, s, shift)
 
 
 def theta_at_one_derivative(k: int, order: int) -> QSeries:

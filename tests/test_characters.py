@@ -118,7 +118,7 @@ def test_charge_slice_keeps_only_requested_charge():
 
 
 def test_to_json_shape():
-    js = omega_series(1, 1).to_json()
+    js = omega_series(1, 1).to_jsonable()
     assert js["K"] == 1 and js["grade"] == "1"
     assert all(set(t) == {"exps", "coeff"} for t in js["terms"])
     assert all(isinstance(x, str) for t in js["terms"] for x in t["exps"])
@@ -173,7 +173,7 @@ class _FractionSeries:
     def collapse(self, j0):
         return self._with(self.grade, [(e[:j0], c) for e, c in self.terms.items()], j0 - 1)
 
-    def to_json(self):
+    def to_jsonable(self):
         return {"K": self.K, "grade": str(self.grade),
                 "terms": [{"exps": [str(x) for x in e], "coeff": str(c)}
                           for e, c in sorted(self.terms.items())]}
@@ -214,7 +214,7 @@ def test_integer_lattice_matches_fraction_series(data):
     for got, want in pairs:
         assert (got.K, got.grade) == (want.K, want.grade)
         assert got.terms == want.terms
-        assert got.to_json() == want.to_json()
+        assert got.to_jsonable() == want.to_jsonable()
     # which key a mismatch reports, and None exactly on equal maps
     for (x, rx), (y, ry) in ((pairs[0], pairs[1]), (pairs[1], pairs[2]),
                              (pairs[0], pairs[4]), (pairs[3], (b * a, rb * ra))):

@@ -154,7 +154,9 @@ DEGENERATE_FLAGS = {
     "qgauss": [["--order", "-1"]],
     "r-diffeq": [["--order", "-1"]],
     "residue": [["--n", "0"], ["--k", "0"], ["--q", "0"], ["--q", "1"],
-                ["--order", "-1"]],
+                ["--order", "-1"], ["--q", "4"], ["--q", "9/4"],
+                ["--n", "2", "--k", "2", "--m", "0"],
+                ["--n", "2", "--k", "2", "--m", "0", "--q", "1/4"]],
     "skew-npoint": [["--order", "-1"], ["--n", "0"], ["--k", "0"]],
     "t-vanish": [["--order", "-1"], ["--points", "2"]],
     "theta-derivs": [["--order", "-1"]],
@@ -180,6 +182,14 @@ def test_degenerate_flags_exit_2(capsys, identity):
         assert set(rep) == {"identity", "status", "detail"}, argv
         if argv == ["--order", "-1"]:  # the detail names what was wrong
             assert "order" in rep["detail"], (argv, rep["detail"])
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--q", "0"], "q0 = 0 "), (["--q", "1"], "q0 = 1 "), (["--q", "4"], "q0 = 4 "),
+    (["--q", "9/4"], "q0 = 9/4 "), (["--n", "2", "--k", "2", "--m", "0"], "m = 0 ")])
+def test_residue_rejections_name_the_parameter(capsys, argv, named):
+    code, out = run_main(capsys, "verify", "residue", *argv)
+    assert code == 2 and named in json.loads(out)["detail"]
 
 
 # the flags each command reads, each with the value that reproduces the bare

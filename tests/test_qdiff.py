@@ -11,6 +11,7 @@ from qwedge.qdiff import (
     check_convergent,
     f_numeric,
     h_numeric,
+    locus_point,
     phi_sum,
     r_series,
     require_simple_zero,
@@ -183,7 +184,8 @@ def test_residue_pole_coefficients():
 
 
 def test_phi_sum_two_variable_closed_form():
-    fval, fderiv = _phi_function("algebraic", F(1, 16), 10)
+    fval, fderiv, factor = _phi_function("algebraic", F(1, 16), 10)
+    assert factor == 1
     svals = (F(2), F(3))
     expected = fderiv(1, F(1)) * (fderiv(1, F(2)) / fval(F(2))
                                   + fderiv(1, F(3)) / fval(F(3)))
@@ -215,8 +217,20 @@ def _phi_by_compositions(fval, fderiv, svals):
     ("theta", (F(11, 10), F(2), F(3), F(10, 66))),
 ])
 def test_phi_sum_equals_the_composition_loop(kind, svals):
-    fval, fderiv = _phi_function(kind, F(1, 16), 10)
+    fval, fderiv, _ = _phi_function(kind, F(1, 16), 10)
     assert phi_sum(fval, fderiv, svals) == _phi_by_compositions(fval, fderiv, svals)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_phi_sum_of_bare_lattice_sums_times_the_factor_once(n):
+    """Each chain has one more derivative than division, so the Euler factor
+    applied once to the sum of bare lattice sums gives the sum of true values."""
+    q0, terms = F(1, 16), 12
+    fval, fderiv, factor = _phi_function("theta", q0, terms)
+    svals = locus_point(n, F(1, 10))
+    true = phi_sum(lambda s: theta_deriv_value(0, s, q0, terms),
+                   lambda m, s: theta_deriv_value(m, s, q0, terms), svals)
+    assert factor * phi_sum(fval, fderiv, svals) == true != 0
 
 
 def test_phi_vanish_algebraic_is_not_vacuous():

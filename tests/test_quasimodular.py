@@ -11,7 +11,6 @@ from qwedge.quasimodular import (
     QMElement,
     bracket_weight,
     fit_series,
-    monomial_series,
     shifted_hook_moment,
     verify_bracket_qm,
     verify_derivation_closure,
@@ -122,6 +121,17 @@ def test_bracket_failure_reported():
 
 
 # -- the shared basis against monomials built afresh ------------------------------
+
+
+def monomial_series(abc, order):
+    """G2^a G4^b G6^c to `order`, built afresh from powers: the reference for
+    the `EisensteinTable` that the fits and verifiers share."""
+    a, b, c = abc
+    s = QSeries.one(order)
+    for k, e in ((2, a), (4, b), (6, c)):
+        if e:
+            s = s * eisenstein_g(k, order) ** e
+    return s
 
 
 def _fit_reference(s, weight, margin):

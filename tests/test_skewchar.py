@@ -102,7 +102,7 @@ def test_tau_derive_chains_match_fraction_route(data):
         assert psi.terms == ref
     got, want = psi.collapse(), _fraction_collapse(ref, N)
     assert (got.offset, got.coeffs) == (want.offset, want.coeffs)
-    assert psi.to_json()["terms"] == [{"exps": [str(x) for x in e], "coeff": str(c)}
+    assert psi.to_jsonable()["terms"] == [{"exps": [str(x) for x in e], "coeff": str(c)}
                                       for e, c in sorted(ref.items())]
 
 

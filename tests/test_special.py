@@ -6,6 +6,7 @@ import pytest
 
 from qwedge.series import QSeries, SeriesError, euler_product, rational_sqrt
 from qwedge.special import (
+    ThetaValues,
     bernoulli,
     eisenstein_g,
     eta,
@@ -147,7 +148,9 @@ def test_theta_value_matches_series_eval():
     for k in (0, 1, 2):
         for s in (F(2), F(3, 2)):
             val = theta_deriv_value(k, s, q0, terms=40)
-            ser = theta_deriv_series(k, s, 24).eval_at(q0)
+            ser = theta_deriv_series(k, s, 24)
+            assert (ser.offset, ser.step) == (0, 1)
+            ser = sum((c * q0 ** j for j, c in enumerate(ser.coeffs)), F(0))
             assert abs(val - ser) < F(1, 10) ** 10, (k, s)
 
 
@@ -184,11 +187,23 @@ def _theta_value_by_fractions(k, s, q0, terms, shift):
 @pytest.mark.parametrize("q0, shifts", [(F(1, 16), (-2, -1, 0, 1, 2)),
                                         (F(1, 8), (-2, 0, 2))])
 def test_theta_value_matches_fraction_loop(q0, shifts):
+    """One table serves the grid: each (s, shift) walk serves every k."""
+    table = ThetaValues(q0, 12)
     for k in range(5):
         for shift in shifts:
             for s in (F(3, 2), F(5, 11), F(1)):
-                assert theta_deriv_value(k, s, q0, 12, shift) == \
-                    _theta_value_by_fractions(k, s, q0, 12, shift), (k, shift, s)
+                value = table.value(k, s, shift)
+                assert value == _theta_value_by_fractions(k, s, q0, 12, shift), \
+                    (k, shift, s)
+                assert table.lattice(k, s, shift) * table.factor == value
+    assert theta_deriv_value(3, F(5, 11), q0, 12, shifts[-1]) == \
+        table.value(3, F(5, 11), shifts[-1])
+
+
+@pytest.mark.parametrize("q0", [F(0), F(1), F(4)])
+def test_theta_values_need_q0_inside_the_unit_interval(q0):
+    with pytest.raises(ValueError, match="outside"):
+        ThetaValues(q0, 12)
 
 
 def test_theta_value_odd_shift_needs_square_q0():
