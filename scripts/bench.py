@@ -22,6 +22,11 @@ so that `perfbench/compare.py PARENT_FILE FILE` compares the two sides.
 BENCH_<pr>.json then also holds the parent's medians and, per workload and
 end-to-end metric, how many of the seed pairs the checkout won (ties count
 for neither side), which is printed as well.
+
+After the timed runs, `perfbench/run.py --trace 1` runs once per workload on
+each side, at the first seed; each run's per-layer medians go under "layers"
+(the parent's under "parent_layers"), so that a change can show in which layer
+its saving sits.  Each nonzero per-layer metric is printed.
 """
 
 from __future__ import annotations
@@ -86,6 +91,16 @@ class Side:
                         "--trace", "0", "--out", str(self.runs)],
                        cwd=self.tree, check=True, stdout=subprocess.DEVNULL)
 
+    def trace(self, workload: str, seed: int, seconds: int) -> dict:
+        """The per-layer medians of one traced run, from its last line of stdout."""
+        print(f"{workload} seed {seed} on {self.tree}, traced", file=sys.stderr, flush=True)
+        out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                              "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"],
+                             cwd=self.tree, check=True, stdout=subprocess.PIPE,
+                             text=True).stdout
+        metrics = json.loads(out.splitlines()[-1])["metrics"]
+        return {name: m["value"] for name, m in metrics.items()}
+
     def records(self) -> list[dict]:
         return [json.loads(line) for line in self.runs.read_text().splitlines()[self.start:]
                 if line.strip()]
@@ -122,6 +137,10 @@ def main(argv=None) -> int:
                 for side in sides if k % 2 == 0 else sides[::-1]:
                     side.run(workload, seed, seconds)
         records = [side.records() for side in sides]
+        layers = [{} for _ in sides]
+        for workload in workloads:
+            for side, found in zip(sides, layers):
+                found[workload] = side.trace(workload, a.seeds[0], seconds)
 
     def by_workload(recs: list[dict]) -> dict:
         return {w: summarize([r for r in recs if r["workload"] == w], names)
@@ -144,6 +163,15 @@ def main(argv=None) -> int:
                     print(f"{w:9s} {name:13s} {before['median']:10.5g} -> "
                           f"{after['median']:<10.5g} won {wins} of {pairs} pairs "
                           f"(parent quartiles {before['q1']:.5g}..{before['q3']:.5g})")
+    out["layers"] = layers[-1]
+    if a.parent is not None:
+        out["parent_layers"] = layers[0]
+    for w in workloads:
+        for name, after in layers[-1][w].items():
+            before = layers[0][w].get(name, after)
+            if before or after:
+                print(f"{w:9s} {name:42s} {before:10.4g} -> {after:<10.4g}"
+                      if a.parent is not None else f"{w:9s} {name:42s} {after:10.4g}")
     path = checkout / f"BENCH_{a.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(path)

@@ -378,8 +378,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with `--flag value` written `--flag=value` for the flags of `_FLAGS`
+    whose value starts with a single `-`: argparse takes `-1` for a value but
+    `-2,3` or `-1/4` for an option, and would stop with a usage error before
+    the command can reject the value with a JSON error."""
+    flags = {f"--{f}" for f in _FLAGS}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in flags and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv))
     return args.func(args)
 
 

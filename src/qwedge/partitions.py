@@ -2,11 +2,14 @@
 
 Partitions are tuples of weakly decreasing positive ints; () is the empty partition.
 Sums over all partitions of a weight built row by row (`RowWeight`) run through
-one engine, `partition_sums`, a DP over part values.  Its rows run on integers,
+one engine, `slot_table`, a DP over part values.  Its rows run on integers,
 each slot at a fixed scale chosen for the order, and each row count closes with
 one rational vector that is linear in the slots; the closings share one
-denominator, so no Fraction is formed per state.  Enumeration stays for
-everything else and as the reference the tests compare against.
+denominator, so no Fraction is formed per state.  `partition_sums` closes
+every state into the coefficients of a QSeries; the numeric sums at a point q0
+(`qdiff`) fold the powers of q0 over the sizes first and close once per row
+count.  Enumeration stays for everything else and as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -110,18 +113,19 @@ def hook_power_sum(lam: Partition, r: int) -> Fraction:
 
 
 class RowWeight:
-    """A partition weight assembled row by row, for `partition_sums`.
+    """A partition weight assembled row by row, for `slot_table`.
 
     The weight keeps a vector of `slots` integers.  `start(order)` fixes, for
     partitions of size at most `order`, a scale per slot: slot j holds its exact
     value times scale_j, and the scales are chosen so that every row keeps the
     slots integral.  `row(v, i, vec)` returns vec after row i (1-indexed) of part
-    value v.  The weight of a partition with `ell` rows is linear in the slots:
-    the dot product of vec with `closing(ell)`, rational per-slot coefficients
-    already divided by the slot scales (tails over the empty rows past ell go
-    here), given as (nums, den): int numerators over one positive int
-    denominator.  Calling the weight on a partition applies its rows in order,
-    then closes, which is the per-partition reference.
+    value v, as a new list, which the engine may add into.  The weight of a
+    partition with `ell` rows is linear in the slots: the dot product of vec
+    with `closing(ell)`, rational per-slot coefficients already divided by the
+    slot scales (tails over the empty rows past ell go here), given as
+    (nums, den): int numerators over one positive int denominator.  Calling the
+    weight on a partition applies its rows in order, then closes, which is the
+    per-partition reference.
     """
 
     slots = 1
@@ -144,16 +148,18 @@ class RowWeight:
         return Fraction(sum(x * c for x, c in zip(vec, nums)), den)
 
 
-def partition_sums(weight: RowWeight, order: int) -> QSeries:
-    """sum_m c_m q^m valid to q^order, c_m the sum of weight(lam) over the
-    partitions of m.
+def slot_table(weight: RowWeight, order: int) -> tuple[list[list], list[list[int]], int]:
+    """(table, closings, den): the DP that every partition sum of `weight` to
+    size `order` runs on, and the closings it is read through.
 
-    A DP over part values v = order..1, largest first, so a part's row index is
-    one more than the rows placed before it.  table[s][r] sums the integer slot
-    vectors of all partial partitions of size s with r rows; ascending s updated
-    in place lets a value repeat.  Visits O(order^2 log order) states instead of
-    every partition.  The closings of all row counts go over the lcm of their
-    denominators first, so each state closes with one integer dot product.
+    table[s][r] sums the integer slot vectors of all partitions of size s with r
+    rows (None where there is none).  The DP runs over part values v = order..1,
+    largest first, so a part's row index is one more than the rows placed
+    before it; ascending s updated in place lets a value repeat, and each merge
+    adds the new row's vector into the state's own list.  Visits
+    O(order^2 log order) states instead of every partition.  closings[r] is
+    `weight.closing(r)` over den, the lcm of their denominators, so a state of r
+    rows closes with one integer dot product.
     """
     weight.start(order)
     table: list[list] = [[[1] + [0] * (weight.slots - 1)]] + [[] for _ in range(order)]
@@ -167,10 +173,22 @@ def partition_sums(weight: RowWeight, order: int) -> QSeries:
                 if len(dst) <= r + 1:
                     dst.extend([None] * (r + 2 - len(dst)))
                 cur = dst[r + 1]
-                dst[r + 1] = out if cur is None else [a + b for a, b in zip(cur, out)]
+                if cur is None:
+                    dst[r + 1] = out
+                else:
+                    for k, x in enumerate(out):
+                        if x:
+                            cur[k] += x
     closings = [weight.closing(ell) for ell in range(max(map(len, table)))]
     den = math.lcm(*(d for _, d in closings))
-    closings = [[c * (den // d) for c in cl] for cl, d in closings]
+    return table, [[c * (den // d) for c in cl] for cl, d in closings], den
+
+
+def partition_sums(weight: RowWeight, order: int) -> QSeries:
+    """sum_m c_m q^m valid to q^order, c_m the sum of weight(lam) over the
+    partitions of m: each state of `slot_table` closes with one integer dot
+    product."""
+    table, closings, den = slot_table(weight, order)
     nums = [sum(x * c for vec, cl in zip(states, closings) if vec is not None
                 for x, c in zip(vec, cl) if x)
             for states in table]

@@ -27,7 +27,7 @@ from .correlators import (
     t_series,
     theta_block_sum,
 )
-from .partitions import RowWeight, partition_sums
+from .partitions import RowWeight, slot_table
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, rational_sqrt
 from .setparts import (
@@ -85,28 +85,38 @@ def _bracket_numeric(weight: RowWeight, q0: Fraction,
     cutoff, times the Euler product cut there; drift is the movement since the
     smaller cutoff and serves as the truncation error estimate.
 
-    With q0 = u/w and c_m = nums[m] / den, both sums and the product are
-    integers over den w^hi and w^{hi(hi+1)/2}; one Fraction is formed for each
-    result.
+    With q0 = u/w, the slot vectors of `slot_table` are folded with
+    u^s w^{hi - s} over the sizes s of each row count, those up to lo and those
+    past it apart, so each row count closes with two dot products instead of
+    one per state.  The sums and the product are integers over den w^hi and
+    w^{hi(hi+1)/2}; one Fraction is formed for each result.
     """
     lo, hi = min(cutoffs), max(cutoffs)
     if not 0 <= lo < hi:
         raise ValueError(f"cutoffs {list(cutoffs)} need 0 <= lower < upper")
-    sums = partition_sums(weight, hi)
+    table, closings, den = slot_table(weight, hi)
     u, w = q0.numerator, q0.denominator
-    total = snapshot = 0
-    um, wm = 1, w ** hi  # u^m and w^{hi - m}
-    for m, c in enumerate(sums.nums):
-        total += c * um * wm
+    low = [[0] * weight.slots for _ in closings]  # sizes 0..lo, then lo+1..hi
+    high = [[0] * weight.slots for _ in closings]
+    um, wm = 1, w ** hi  # u^s and w^{hi - s}
+    for s, states in enumerate(table):
+        scale = um * wm
         um *= u
         wm //= w
-        if m == lo:
-            snapshot = total
+        for acc, vec in zip(high if s > lo else low, states):
+            if vec is not None:
+                for k, x in enumerate(vec):
+                    if x:
+                        acc[k] += x * scale
+    head = tail = 0
+    for cl, a, b in zip(closings, low, high):
+        head += sum(x * c for x, c in zip(a, cl) if x)
+        tail += sum(x * c for x, c in zip(b, cl) if x)
     euler = 1
     for m in range(1, hi + 1):
         euler *= w ** m - u ** m
-    den = sums.den * w ** (hi + hi * (hi + 1) // 2)
-    return F(euler * total, den), F(abs(euler) * abs(total - snapshot), den)
+    den *= w ** (hi + hi * (hi + 1) // 2)
+    return F(euler * (head + tail), den), F(abs(euler) * abs(tail), den)
 
 
 def f_numeric(svals: tuple[Fraction, ...], q0: Fraction,
@@ -536,8 +546,10 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
     q0 = F(q0)
     points = [locus_point(n, e) for e in eps_pair]
     fval, fderiv, factor = _phi_function(f_kind, q0, terms)
+    # the theta values are truncated at `terms` factors; the algebraic ones are exact
+    floor = q0 ** terms if f_kind == "theta" else ZERO
     require_simple_zero(lambda s: factor * fval(s), lambda mm, s: factor * fderiv(mm, s),
-                        q0 ** terms if f_kind == "theta" else ZERO)
+                        floor)
     params = {"f": f_kind, "n": n, "eps": list(eps_pair),
               "ratio_bound": ratio_bound}
     if f_kind == "theta":
@@ -545,9 +557,13 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
         params["terms"] = terms
 
     values = [factor * phi_sum(fval, fderiv, p) for p in points]
+    if values[0] == 0 and f_kind == "algebraic":
+        # at n = 2 the two chains cancel, as f(1/x) = -f(x): zero at every
+        # distance, with nothing to decay
+        raise ValueError(f"n = {n}: the algebraic composition sum is exactly 0 at "
+                         f"eps = {eps_pair[0]}, so no decay can be checked")
     # when the sum vanishes identically on the locus (the theta instance does)
     # only truncation dust remains; accept anything under the floor
-    floor = q0 ** terms
     ok = (abs(values[1]) <= ratio_bound * abs(values[0])
           or (abs(values[0]) <= floor and abs(values[1]) <= floor))
     return Report("phi-vanish", statement, params,

@@ -1,0 +1,58 @@
+"""scripts/bench.py on two stand-in trees whose perfbench/run.py prints fixed
+figures, so the pairing, the medians and the traced layers can be checked
+without running the real benchmark."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FAKE_RUN = '''
+import argparse, json
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace", "--out"):
+    ap.add_argument(flag)
+a = ap.parse_args()
+wall = {wall} + int(a.seed) / 1000
+if a.trace == "1":
+    print("traced passes")
+    print(json.dumps({{"metrics": {{"qdiff.numeric.self_s": {{"value": {layer}}},
+                                   "series.mul.calls": {{"value": 0}}}}}}))
+else:
+    record = {{"workload": a.workload, "seed": int(a.seed), "attempted": 7, "failed": 0,
+              "correct": True, "metrics": {{"wall_s": {{"value": wall, "unit": "s"}}}}}}
+    with open(a.out, "a") as f:
+        f.write(json.dumps(record) + "\\n")
+    print(json.dumps(record))
+'''
+
+
+def _tree(path: Path, wall: float, layer: float) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(FAKE_RUN.format(wall=wall, layer=layer))
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1,
+        "workloads": [{"name": "numeric"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+    }))
+    return path
+
+
+def test_bench_pairs_the_sides_and_stores_one_traced_run_each(tmp_path):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    change = _tree(tmp_path / "change", wall=0.040, layer=0.005)
+    parent = _tree(tmp_path / "parent", wall=0.045, layer=0.002)
+
+    assert bench.main(["--pr", "0", "--seeds", "1", "2", "3",
+                       "--checkout", str(change), "--parent", str(parent)]) == 0
+    out = json.loads((change / "BENCH_0.json").read_text())
+
+    assert out["workloads"]["numeric"]["metrics"]["wall_s"]["median"] == 0.042
+    assert out["parent"]["numeric"]["metrics"]["wall_s"]["median"] == 0.047
+    assert out["pairs_won"]["numeric"]["wall_s"] == [3, 3]
+    assert out["layers"] == {"numeric": {"qdiff.numeric.self_s": 0.005,
+                                         "series.mul.calls": 0}}
+    assert out["parent_layers"]["numeric"]["qdiff.numeric.self_s"] == 0.002

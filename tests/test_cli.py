@@ -147,14 +147,16 @@ DEGENERATE_FLAGS = {
     "elliptic-transform": [["--order", "0"], ["--order", "-1"], ["--K", "0"]],
     "h-equals-g": [["--order", "-1"]],
     "npoint": [["--order", "-1"], ["--n", "0"], ["--n", "-1"],
-               ["--n", "0", "--seed", "3"], ["--seed", "3", "--points", "2,3"]],
-    # the algebraic kind reads neither --order nor --q
-    "phi-vanish": [["--order", "0"], ["--q", "1/16"], ["--n", "0"], ["--n", "6"]],
+               ["--n", "0", "--seed", "3"], ["--seed", "3", "--points", "2,3"],
+               ["--points", "-2,3"]],
+    # the algebraic kind reads neither --order nor --q; at n = 2 its sum is 0
+    "phi-vanish": [["--order", "0"], ["--q", "1/16"], ["--n", "0"], ["--n", "6"],
+                   ["--n", "2"]],
     "poch-telescope": [["--order", "-1"], ["--n", "0"], ["--n", "-1"]],
     "qgauss": [["--order", "-1"]],
     "r-diffeq": [["--order", "-1"]],
     "residue": [["--n", "0"], ["--k", "0"], ["--q", "0"], ["--q", "1"],
-                ["--order", "-1"], ["--q", "4"], ["--q", "9/4"],
+                ["--order", "-1"], ["--q", "4"], ["--q", "9/4"], ["--q", "-1/4"],
                 ["--n", "2", "--k", "2", "--m", "0"],
                 ["--n", "2", "--k", "2", "--m", "0", "--q", "1/4"]],
     "skew-npoint": [["--order", "-1"], ["--n", "0"], ["--k", "0"]],
@@ -248,7 +250,7 @@ COMMAND_IDS = [" ".join(c[0]) for c in COMMANDS]
 def test_flag_tables_cover_every_command():
     assert set(VERIFY_READS) == set(cli.REGISTRY)
     assert set(SERIES_READS) == set(cli._SERIES)
-    assert set(FLAG_VALUES) == set(cli._FLAGS)
+    assert set(FLAG_VALUES) == set(DASH_VALUES) == set(cli._FLAGS)
     assert [sum(map(len, t.values())) for t in (VERIFY_READS, SERIES_READS)] == [50, 13]
     assert len(SKEW_READS) == 3
 
@@ -261,6 +263,23 @@ def test_every_unread_flag_exits_2(capsys, head, key, value, reads):
         assert (code, set(rep), rep[key], rep["status"]) == (
             2, {key, "status", "detail"}, value, "error"), flag
         assert rep["detail"].startswith(f"--{flag}:"), (flag, rep["detail"])
+
+
+# a value of each flag that starts with `-` and that argparse, given it as an
+# argument of its own, reads as an option: int() reads -1_0 as -10
+DASH_VALUES = {"order": "-1_0", "points": "-2,3", "q": "-1/4", "n": "-1_0",
+               "m": "-1_0", "k": "-1_0", "K": "-1_0", "seed": "-1_0"}
+
+
+@pytest.mark.parametrize("head,key,value,reads", COMMANDS, ids=COMMAND_IDS)
+def test_every_read_flag_takes_a_value_that_starts_with_a_dash(capsys, head, key,
+                                                               value, reads):
+    """`--flag -1/4` runs as `--flag=-1/4` does: the command itself reads the
+    value, and prints a report or a JSON error object."""
+    for flag in reads:
+        code, out = run_main(capsys, *head, f"--{flag}", DASH_VALUES[flag])
+        code_eq, out_eq = run_main(capsys, *head, f"--{flag}={DASH_VALUES[flag]}")
+        assert (code, _without_timing(out)) == (code_eq, _without_timing(out_eq)), flag
 
 
 def _without_timing(out: str) -> dict:

@@ -124,38 +124,56 @@ def test_f_and_h_sums_match_enumeration(svals, order):
     assert partition_sums(HWeight(svals), order).coeffs == _enumerated(_h_reference(svals), order)
 
 
-def _numeric_reference(weight, q0, lo, hi):
-    coeffs = _enumerated(weight, hi)
+def _numeric_reference(coeffs, q0, lo):
+    """(value, drift) from the coefficients c_0..c_hi: sum_m c_m q0^m to each
+    cutoff, size by size, times the Euler product cut at hi."""
     total = sum(c * q0 ** m for m, c in enumerate(coeffs))
     snapshot = sum(c * q0 ** m for m, c in enumerate(coeffs[:lo + 1]))
     euler = F(1)
-    for m in range(1, hi + 1):
+    for m in range(1, len(coeffs)):
         euler *= 1 - q0 ** m
     return euler * total, abs(euler) * abs(total - snapshot)
 
 
-@given(svals=points, q0=st.sampled_from([Q9, F(1, 16), F(4, 25)]),
+@given(svals=st.one_of(st.just(()), points), q0=st.sampled_from([Q9, F(1, 16), F(4, 25)]),
        cut=st.tuples(st.integers(min_value=0, max_value=6),
                      st.integers(min_value=1, max_value=9)).filter(lambda c: c[0] < c[1]))
 @example(svals=(F(7, 5), F(5, 11), F(13, 11)), q0=Q9, cut=(3, 6))
 @example(svals=(F(7, 5), F(11, 7), F(13, 11)), q0=F(4, 25), cut=(0, 1))
+@example(svals=(), q0=Q9, cut=(2, 7))
+@example(svals=(F(7, 5), F(11, 7)), q0=F(1, 16), cut=(8, 9))
 @settings(max_examples=25, deadline=None)
 def test_numeric_sums_match_enumeration(svals, q0, cut):
-    """The integer rows, the closing over one denominator and the integer
-    q0-sums against the Fraction references, one partition at a time.  A point
-    with a subset product of t's outside (q0, 1/q0) must be rejected instead."""
+    """The integer rows, the closings over one denominator and the q0-powers
+    folded over the sizes of each row count against the Fraction references,
+    one partition at a time.  A point with a subset product of t's outside
+    (q0, 1/q0) must be rejected instead."""
     lo, hi = cut
     convergent = all(q0 < math.prod(s * s for s in sub) < 1 / q0
                      for r in range(1, len(svals) + 1)
                      for sub in itertools.combinations(svals, r))
     for weight, ref, numeric in ((FWeight, _f_reference, f_numeric),
                                  (HWeight, _h_reference, h_numeric)):
-        assert partition_sums(weight(svals), hi).coeffs == _enumerated(ref(svals), hi)
+        coeffs = _enumerated(ref(svals), hi)
+        assert partition_sums(weight(svals), hi).coeffs == coeffs
         if convergent:
-            assert numeric(svals, q0, cut) == _numeric_reference(ref(svals), q0, lo, hi)
+            assert numeric(svals, q0, cut) == _numeric_reference(coeffs, q0, lo)
         else:
             with pytest.raises(DivergentPoint):
                 numeric(svals, q0, cut)
+
+
+@pytest.mark.parametrize("n, cut", [(1, (11, 14)), (2, (11, 14)), (3, (11, 14)),
+                                    (1, (25, 30)), (2, (25, 30))])
+def test_numeric_sums_equal_the_per_size_evaluation(n, cut):
+    """At the cutoffs of the benchmark and of criterion 07, where enumeration is
+    out of reach: the fold over sizes gives the Fractions of evaluating the
+    series of `partition_sums` at q0 coefficient by coefficient."""
+    svals = (F(3, 2), F(5, 4), F(4, 3))[:n]
+    lo, hi = cut
+    for weight, numeric in ((FWeight, f_numeric), (HWeight, h_numeric)):
+        coeffs = partition_sums(weight(svals), hi).coeffs
+        assert numeric(svals, Q9, cut) == _numeric_reference(coeffs, Q9, lo)
 
 
 def test_weights_on_single_partitions_match_references():

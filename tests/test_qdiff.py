@@ -239,6 +239,15 @@ def test_phi_vanish_algebraic_is_not_vacuous():
     assert rep.tolerance_info["wide"] != 0.0
 
 
+def test_phi_vanish_algebraic_rejects_a_sum_that_is_exactly_zero():
+    """At n = 2 the two chains cancel, as f(1/x) = -f(x): the sum is 0 at
+    every distance, so the decay check would pass on nothing."""
+    fval, fderiv, _ = _phi_function("algebraic", F(1, 16), 10)
+    assert phi_sum(fval, fderiv, locus_point(2, F(1, 10))) == 0
+    with pytest.raises(ValueError, match="n = 2"):
+        verify_phi_vanish("algebraic", 2)
+
+
 def test_phi_vanish_theta():
     rep = verify_phi_vanish("theta", 3, terms=30)
     assert rep.ok
