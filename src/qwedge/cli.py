@@ -332,11 +332,11 @@ def _skew_args(n=1, k=3, order=10) -> tuple[int, int, int]:
 def _cmd_skew(a) -> int:
     try:
         n, nz, nq = _skew_args(**_given(a, _skew_args, "skew-npoint"))
-        from .skewchar import npoint_skew_brute, npoint_skew_closed
-        poly = (npoint_skew_brute if a.brute else npoint_skew_closed)(n, nz, nq)
+        from .skewchar import npoint_jsonable, npoint_skew_brute, npoint_skew_closed
+        slots = (npoint_skew_brute if a.brute else npoint_skew_closed)(n, nz, nq)
     except _PARAM_ERRORS as err:
         return _rejected("skew-npoint", "brute" if a.brute else "closed", err)
-    print(_dumps(poly.to_jsonable()))
+    print(_dumps(npoint_jsonable(slots, n, nz)))
     return 0
 
 

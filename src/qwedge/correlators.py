@@ -38,10 +38,9 @@ class EvalPoint(FrozenRecord):
     subsets are still checked); the symmetrized series are finite there.
     """
 
-    __slots__ = ("s", "q0", "allow_full")
+    __slots__ = ("s", "allow_full")
 
-    def __init__(self, s: tuple[Fraction, ...], q0: Fraction | None = None,
-                 allow_full: bool = False):
+    def __init__(self, s: tuple[Fraction, ...], allow_full: bool = False):
         s = tuple(F(x) for x in s)
         for x in s:
             if x <= 0:
@@ -54,7 +53,7 @@ class EvalPoint(FrozenRecord):
                     prod *= s[i]
                 if prod == 1:
                     raise DivisorHit(tuple(i + 1 for i in subset))
-        self._set(s=s, q0=None if q0 is None else F(q0), allow_full=allow_full)
+        self._set(s=s, allow_full=allow_full)
 
     @property
     def n(self) -> int:
@@ -65,11 +64,11 @@ class EvalPoint(FrozenRecord):
         return tuple(x * x for x in self.s)
 
     def permuted(self, perm) -> EvalPoint:
-        return EvalPoint(tuple(self.s[i] for i in perm), self.q0, self.allow_full)
+        return EvalPoint(tuple(self.s[i] for i in perm), self.allow_full)
 
     def merged(self, blocks) -> EvalPoint:
         """One s per block: the product of the block's s values (1-indexed blocks)."""
-        return EvalPoint(block_products(self.s, blocks), self.q0, self.allow_full)
+        return EvalPoint(block_products(self.s, blocks), self.allow_full)
 
     def s_prod(self, positions) -> Fraction:
         prod = ONE

@@ -417,7 +417,7 @@ def _u_value(svals: tuple[Fraction, ...], table: ThetaValues) -> Fraction:
 
 
 def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
-                   eps_pair=(F(1, 10), F(1, 100)), terms: int = 60,
+                   eps_pair=(F(1, 100), F(1, 1000)), terms: int = 60,
                    tol=F(1, 25)) -> Report:
     """Near the divisor q0^m t_1..t_k = 1 the correlation value has a simple pole
     whose residue is an explicit constant times the value on the remaining

@@ -2,13 +2,15 @@
 n-point function computed two independent ways.
 
 The character lives in variables q1, q3, q5, ...; tau-derivatives act as
-multiply-by-exponent.  The n-point generating polynomial is assembled once by
-direct differentiation of the character and once from the set-partition closed
-form; the two must agree coefficient by coefficient.
+multiply-by-exponent.  The n-point function needs no z-container: it is a dict
+from odd z-exponent tuples to q-series, one slot per index tuple, filled once by
+direct differentiation and once from the set-partition closed form; the two
+must agree slot by slot.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +18,7 @@ from operator import add
 from types import MappingProxyType
 
 from .reports import Report
-from .series import ONE, ZERO, QSeries, SeriesError
+from .series import ZERO, QSeries, SeriesError
 from .setparts import set_partitions
 from .special import divisor_power_sum, eisenstein_g, eta, zeta_value
 
@@ -87,7 +89,11 @@ class OddMultiSeries:
                           for e, c in sorted(self.nums.items())]}
 
 
-def psi_series(J: int, N: int, max_exponent: int = 10 ** 12) -> OddMultiSeries:
+# the largest q_{2J-1} exponent n^{2J-1} the character may carry
+MAX_EXPONENT = 10 ** 12
+
+
+def psi_series(J: int, N: int) -> OddMultiSeries:
     """Anomaly prefactor q1^{zeta(-1)/2} q3^{zeta(-3)/2} ... times
     prod_{n>=1} (1 - q1^n q3^{n^3} ...)^{-1}, truncated at q1-grade N.
     """
@@ -96,9 +102,9 @@ def psi_series(J: int, N: int, max_exponent: int = 10 ** 12) -> OddMultiSeries:
     # product part on the integer exponent grid; the anomaly rides along apart
     terms: dict[tuple[int, ...], int] = {(0,) * J: 1}
     for n in range(1, N + 1):
-        if n ** (2 * J - 1) > max_exponent:
+        if n ** (2 * J - 1) > MAX_EXPONENT:
             raise GradeOverflow(
-                f"exponent {n}^{2 * J - 1} exceeds the ceiling {max_exponent}")
+                f"exponent {n}^{2 * J - 1} exceeds the ceiling {MAX_EXPONENT}")
         shifts = tuple(n ** (2 * j - 1) for j in range(1, J + 1))
         geom = [tuple(m * s for s in shifts) for m in range(N // n + 1)]
         new: dict[tuple[int, ...], int] = {}
@@ -160,72 +166,11 @@ def verify_h_equals_g(pairs=((1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
     return Report("h-equals-g", statement, params, "pass", order_checked=order)
 
 
-# -- polynomials in z with series coefficients ---------------------------------------
-
-
-def _nonzero(c) -> bool:
-    return not c.is_zero() if isinstance(c, QSeries) else bool(c)
-
-
-class OddPolynomial:
-    """Truncated polynomial in z_1..z_nvars; coefficients are QSeries (or plain
-    rationals).  Per-variable degree is capped at zdeg."""
-
-    __slots__ = ("nvars", "zdeg", "terms")
-
-    def __init__(self, nvars: int, zdeg: int, terms: dict[tuple[int, ...], object]):
-        self.nvars, self.zdeg = nvars, zdeg
-        self.terms = {e: c for e, c in terms.items() if _nonzero(c)}
-
-    @staticmethod
-    def zero(nvars: int, zdeg: int) -> OddPolynomial:
-        return OddPolynomial(nvars, zdeg, {})
-
-    def __add__(self, other: OddPolynomial) -> OddPolynomial:
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        zdeg = min(self.zdeg, other.zdeg)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return OddPolynomial(self.nvars, zdeg, terms)
-
-    def __mul__(self, other: OddPolynomial) -> OddPolynomial:
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        zdeg = min(self.zdeg, other.zdeg)
-        terms: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if max(e) > zdeg:
-                    continue
-                c = c1 * c2
-                terms[e] = terms[e] + c if e in terms else c
-        return OddPolynomial(self.nvars, zdeg, terms)
-
-    def scale(self, c) -> OddPolynomial:
-        return OddPolynomial(self.nvars, self.zdeg,
-                             {e: v * c for e, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OddPolynomial):
-            return NotImplemented
-        if self.nvars != other.nvars or set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
-
-    def to_jsonable(self) -> dict:
-        out = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            val = c.to_jsonable() if isinstance(c, QSeries) else str(c)
-            out.append({"z": list(e), "coeff": val})
-        return {"nvars": self.nvars, "zdeg": self.zdeg, "terms": out}
+# -- the n-point function, one slot per index tuple ---------------------------------
 
 
 def _check_npoint_params(n: int, N_z: int, N_q: int) -> None:
-    """Parameter floors: below them the polynomial has no term to compare."""
+    """Parameter floors: below them the n-point function has no slot to compare."""
     if n < 1:
         raise ValueError("need n >= 1")
     if N_z < 1:
@@ -234,92 +179,79 @@ def _check_npoint_params(n: int, N_z: int, N_q: int) -> None:
         raise ValueError(f"q-order {N_q} is negative; need N_q >= 0")
 
 
-def _eps_gcal_block(block: tuple[int, ...], nvars: int, N_z: int,
-                    N_q: int) -> OddPolynomial:
-    """The oddified block series in the block's variables: for each weight 2r,
-    the derivative power of the Eisenstein series times the odd monomials
-    z^{2l_1-1}...z^{2l_m-1} with l_1+...+l_m = r + m - 1."""
-    m = len(block)
-    lmax = (N_z + 1) // 2
-    out: dict[tuple[int, ...], object] = {}
-    for r in range(1, m * lmax - m + 2):
-        g = eisenstein_g(2 * r, N_q)
-        for _ in range(m - 1):
-            g = g.derive()
-        target = r + m - 1
-        for ls in _compositions_bounded(target, m, lmax):
-            e = [0] * nvars
-            coeff = ONE
-            for pos, l in zip(block, ls):
-                e[pos - 1] = 2 * l - 1
-                coeff /= math.factorial(2 * l - 1)
-            key = tuple(e)
-            term = g * coeff
-            out[key] = out[key] + term if key in out else term
-    return OddPolynomial(nvars, N_z, out)
+def _index_tuples(n: int, N_z: int):
+    """The index tuples ks in [1, (N_z + 1) // 2]^n, each with the odd
+    z-exponents (2k_i - 1) of its slot and its norm prod_i (2k_i - 1)!."""
+    for ks in itertools.product(range(1, (N_z + 1) // 2 + 1), repeat=n):
+        yield ks, tuple(2 * k - 1 for k in ks), math.prod(
+            math.factorial(2 * k - 1) for k in ks)
 
 
-def _compositions_bounded(total: int, parts: int, lmax: int):
-    """Ordered tuples of `parts` integers in [1, lmax] summing to `total`."""
-    if parts == 1:
-        if 1 <= total <= lmax:
-            yield (total,)
-        return
-    for first in range(1, min(lmax, total - parts + 1) + 1):
-        for rest in _compositions_bounded(total - first, parts - 1, lmax):
-            yield (first,) + rest
+def _partition_expansion(block, ks: tuple[int, ...], N_q: int) -> QSeries:
+    """The sum over set partitions mu of {1..len(ks)} of prod_{B in mu}
+    block(|B|, 2 sum_{i in B} k_i, N_q): over `g_series` blocks the closed
+    form, over `h_series` blocks the log-derivative expansion."""
+    total = None
+    for mu in set_partitions(tuple(range(len(ks)))):
+        term = None
+        for B in mu:
+            fac = block(len(B), 2 * sum(ks[i] for i in B), N_q)
+            term = fac if term is None else term * fac
+        total = term if total is None else total + term
+    return total
 
 
-def npoint_skew_closed(n: int, N_z: int, N_q: int) -> OddPolynomial:
-    """Set-partition closed form: the inverse eta series times the sum over
-    partitions of {1..n} of products of oddified block series."""
-    _check_npoint_params(n, N_z, N_q)
-    eta_inv = eta(N_q).inv()
-    total = OddPolynomial.zero(n, N_z)
-    for mu in set_partitions(tuple(range(1, n + 1))):
-        prod = None
-        for block in mu:
-            fac = _eps_gcal_block(block, n, N_z, N_q)
-            prod = fac if prod is None else prod * fac
-        total = total + prod
-    return total.scale(eta_inv)
-
-
-def npoint_skew_brute(n: int, N_z: int, N_q: int) -> OddPolynomial:
-    """Direct route: apply the odd tau-derivatives to the character (in the
-    (N_z + 1) // 2 variables that z-degree N_z needs) by exponent
-    multiplication, specialize the higher variables away, and assemble the
-    generating polynomial.  Re-derives every coefficient through the
-    log-derivative product expansion and demands exact agreement.
+def npoint_skew_closed(n: int, N_z: int, N_q: int) -> dict[tuple[int, ...], QSeries]:
+    """Set-partition closed form: the slot z_1^{2k_1-1}...z_n^{2k_n-1} is the
+    inverse eta series times the sum over set partitions of the products of
+    block series D^{|B|-1} G_{2 sum_B k - 2|B| + 2}, over prod_i (2k_i - 1)!.
+    Blocks touch disjoint variables, so every product lands on its own slot.
     """
     _check_npoint_params(n, N_z, N_q)
-    k_max = (N_z + 1) // 2
-    psi = psi_series(k_max, N_q)
+    eta_inv = eta(N_q).inv()
+    block = functools.cache(g_series)
+    out = {}
+    for ks, z, norm in _index_tuples(n, N_z):
+        coeff = eta_inv * _partition_expansion(block, ks, N_q) * F(1, norm)
+        if not coeff.is_zero():
+            out[z] = coeff
+    return out
+
+
+def npoint_skew_brute(n: int, N_z: int, N_q: int) -> dict[tuple[int, ...], QSeries]:
+    """Direct route: apply the odd tau-derivatives to the character (in the
+    (N_z + 1) // 2 variables that z-degree N_z needs) by exponent
+    multiplication and specialize the higher variables away, one slot per
+    index tuple.  Re-derives every coefficient through the log-derivative
+    product expansion and demands exact agreement.
+    """
+    _check_npoint_params(n, N_z, N_q)
+    psi = psi_series((N_z + 1) // 2, N_q)
     psi0 = psi.collapse()
-    out: dict[tuple[int, ...], object] = {}
-    for ks in itertools.product(range(1, k_max + 1), repeat=n):
+    block = functools.cache(h_series)
+    out = {}
+    for ks, z, norm in _index_tuples(n, N_z):
         series = psi
-        norm = 1
         for k in ks:
             series = series.tau_derive(k)
-            norm *= math.factorial(2 * k - 1)
-        coeff = series.collapse() * F(1, norm)
-        expansion = QSeries.zero(N_q)
-        for mu in set_partitions(tuple(range(1, n + 1))):
-            term = QSeries.one(N_q)
-            for block in mu:
-                s = 2 * sum(ks[i - 1] for i in block)
-                term = term * h_series(len(block), s, N_q)
-            expansion = expansion + term
-        if coeff != psi0 * expansion * F(1, norm):
+        derived = series.collapse()
+        if derived != psi0 * _partition_expansion(block, ks, N_q):
             raise SeriesError(f"log-derivative expansion disagrees at indices {ks}")
-        out[tuple(2 * k - 1 for k in ks)] = coeff
-    return OddPolynomial(n, N_z, out)
+        coeff = derived * F(1, norm)
+        if not coeff.is_zero():
+            out[z] = coeff
+    return out
+
+
+def npoint_jsonable(slots: dict[tuple[int, ...], QSeries], n: int, N_z: int) -> dict:
+    """The JSON form of an n-point function: its slots in exponent order."""
+    return {"nvars": n, "zdeg": N_z,
+            "terms": [{"z": list(z), "coeff": slots[z].to_jsonable()} for z in sorted(slots)]}
 
 
 def verify_skew_npoint(n: int = 2, N_z: int = 5, N_q: int = 15) -> Report:
-    """The directly differentiated n-point polynomial equals the set-partition
-    closed form, coefficient by coefficient."""
+    """The directly differentiated n-point function equals the set-partition
+    closed form, slot by slot."""
     statement = ("the skew n-point function from direct differentiation matches "
                  "its set-partition closed form")
     params = {"n": n, "N_z": N_z, "N_q": N_q}
@@ -327,9 +259,7 @@ def verify_skew_npoint(n: int = 2, N_z: int = 5, N_q: int = 15) -> Report:
     brute = npoint_skew_brute(n, N_z, N_q)
     if closed == brute:
         return Report("skew-npoint", statement, params, "pass",
-                      order_checked=N_q,
-                      details={"z_terms": len(closed.terms)})
-    bad = sorted(e for e in set(closed.terms) | set(brute.terms)
-                 if closed.terms.get(e) != brute.terms.get(e))
+                      order_checked=N_q, details={"z_terms": len(closed)})
+    bad = sorted(z for z in closed.keys() | brute.keys() if closed.get(z) != brute.get(z))
     return Report("skew-npoint", statement, params, "fail",
                   first_mismatch={"z": list(bad[0])})

@@ -110,6 +110,13 @@ def test_verify_skew_npoint_below_floor_exits_2(capsys):
     assert json.loads(out)["status"] == "error"
 
 
+def test_psi_past_the_exponent_ceiling_exits_2(capsys):
+    code, out = run_main(capsys, "series", "psi", "--K", "7", "--order", "9")
+    assert code == 2
+    assert json.loads(out) == {"series": "psi", "status": "error",
+                               "detail": "exponent 9^13 exceeds the ceiling 1000000000000"}
+
+
 @pytest.mark.parametrize("name", ["eta", "bracket", "psi"])
 def test_negative_series_order_exits_2(capsys, name):
     code, out = run_main(capsys, "series", name, "--order", "-1")
@@ -341,6 +348,25 @@ def test_skew_npoint_routes_agree(capsys):
     assert closed == brute
     d = json.loads(closed)
     assert d["nvars"] == 1 and d["zdeg"] == 3
+
+
+# `skew-npoint --n 2 --k 3 --order 2`, byte for byte: both routes print it
+SKEW_2_3_2 = (
+    '{"nvars":2,"zdeg":3,"terms":['
+    '{"z":[1,1],"coeff":{"offset":"-1/24","coeffs":["1/576","529/576","2209/288"]}},'
+    '{"z":[1,3],"coeff":{"offset":"-1/24","coeffs":["-1/34560","5543/34560","56447/17280"]}},'
+    '{"z":[3,1],"coeff":{"offset":"-1/24","coeffs":["-1/34560","5543/34560","56447/17280"]}},'
+    '{"z":[3,3],"coeff":{"offset":"-1/24",'
+    '"coeffs":["1/2073600","58081/2073600","1960801/1036800"]}}]}'
+    "\n")
+
+
+@pytest.mark.parametrize("route", ["--closed", "--brute"])
+def test_skew_npoint_prints_the_golden_json(capsys, route):
+    code, out = run_main(capsys, "skew-npoint", route, "--n", "2", "--k", "3",
+                         "--order", "2")
+    assert code == 0
+    assert out == SKEW_2_3_2
 
 
 def _run_suite() -> subprocess.CompletedProcess:

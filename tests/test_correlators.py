@@ -60,13 +60,17 @@ def test_evalpoint_merged_and_permuted():
 
 
 def test_evalpoint_is_an_immutable_value():
-    p = EvalPoint((2, F(3)), q0=F(1, 9))
-    assert p == EvalPoint((F(2), F(3)), q0=F(1, 9)) and p != EvalPoint((F(2), F(3)))
-    assert {p: 1}[EvalPoint((F(2), F(3)), q0=F(1, 9))] == 1
+    p = EvalPoint((2, F(3)))
+    assert p == EvalPoint((F(2), F(3))) and p != EvalPoint((F(2), F(3)), allow_full=True)
+    assert p != EvalPoint((F(3), F(2)))
+    assert {p: 1}[EvalPoint((F(2), F(3)))] == 1
+    assert hash(p) == hash(EvalPoint((2, 3)))
     with pytest.raises(AttributeError):
         p.s = (F(5),)
     with pytest.raises(AttributeError):
-        del p.q0
+        p.allow_full = True
+    with pytest.raises(AttributeError):
+        del p.allow_full
 
 
 # -- ordered index sums: the H weight against hand geometric series ----------------

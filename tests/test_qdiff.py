@@ -180,6 +180,15 @@ def test_residue_pole_coefficients():
     assert verify_residue(2, 2, 1).ok
 
 
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
+@pytest.mark.parametrize("m", [-10, -5, 5, 10])
+def test_residue_holds_far_from_the_unit_divisor(n, k, m):
+    # the linear extrapolation's error grows with |m|; at the default distances
+    # it stays well inside the tolerance out to |m| = 10
+    rep = verify_residue(n, k, m)
+    assert rep.ok, rep.tolerance_info
+
+
 # -- the odd-function composition sum ------------------------------------------------
 
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwedge import skewchar
 from qwedge.partitions import partition_count
 from qwedge.quasimodular import fit_series
 from qwedge.series import QSeries, SeriesError
 from qwedge.skewchar import (
+    MAX_EXPONENT,
     GradeOverflow,
     g_series,
     h_series,
@@ -51,8 +53,11 @@ def test_psi_grade_one_terms():
 
 
 def test_psi_overflow_guard():
-    with pytest.raises(GradeOverflow):
-        psi_series(3, 20, max_exponent=100)
+    # 9^13 passes the ceiling MAX_EXPONENT = 10^12, 8^13 does not
+    assert 8 ** 13 <= MAX_EXPONENT < 9 ** 13
+    psi_series(7, 8)
+    with pytest.raises(GradeOverflow, match=str(MAX_EXPONENT)):
+        psi_series(7, 9)
     with pytest.raises(ValueError):
         psi_series(0, 5)
 
@@ -151,9 +156,9 @@ def test_npoint_closed_n1_is_eta_inv_gcal():
     # one variable: the z^{2r-1} slot is eta^{-1} G_{2r} / (2r-1)!
     closed = npoint_skew_closed(1, 5, 15)
     eta_inv = eta(15).inv()
-    assert sorted(closed.terms) == [(1,), (3,), (5,)]
+    assert sorted(closed) == [(1,), (3,), (5,)]
     for r in (1, 2, 3):
-        assert closed.terms[(2 * r - 1,)] == \
+        assert closed[(2 * r - 1,)] == \
             eta_inv * eisenstein_g(2 * r, 15) * F(1, math.factorial(2 * r - 1))
 
 
@@ -161,8 +166,8 @@ def test_npoint_single_derivative_is_eisenstein():
     brute = npoint_skew_brute(1, 3, 20)
     # z^1: D_1 Psi / (eta normalization) = eta^{-1} G_2; z^3 route uses D_3
     eta_inv = eta(20).inv()
-    assert brute.terms[(1,)] == eta_inv * eisenstein_g(2, 20)
-    assert brute.terms[(3,)] == eta_inv * eisenstein_g(4, 20) * F(1, 6)
+    assert brute[(1,)] == eta_inv * eisenstein_g(2, 20)
+    assert brute[(3,)] == eta_inv * eisenstein_g(4, 20) * F(1, 6)
 
 
 def test_npoint_cross_check_runs():
@@ -175,6 +180,18 @@ def test_skew_npoint_agreement():
     assert verify_skew_npoint(1, 5, 15).ok
     assert verify_skew_npoint(2, 5, 15).ok
     assert verify_skew_npoint(3, 3, 12).ok
+
+
+def test_skew_npoint_names_the_first_mismatched_slot(monkeypatch):
+    # a slot one route lacks is a mismatch, as is a slot whose series differ
+    closed = npoint_skew_closed(2, 3, 4)
+    missing = {z: c for z, c in closed.items() if z != (1, 3)}
+    monkeypatch.setattr(skewchar, "npoint_skew_closed", lambda *a: missing)
+    rep = verify_skew_npoint(2, 3, 4)
+    assert rep.status == "fail" and rep.first_mismatch == {"z": [1, 3]}
+    changed = {**closed, (3, 3): closed[(3, 3)] * F(2)}
+    monkeypatch.setattr(skewchar, "npoint_skew_closed", lambda *a: changed)
+    assert verify_skew_npoint(2, 3, 4).first_mismatch == {"z": [3, 3]}
 
 
 def test_psi_taylor_coefficients_are_quasimodular():
