@@ -15,8 +15,9 @@ only the library module it runs (and what that module imports), when it runs
 it.  `verify`, `series` and `skew-npoint` each read the flags that their
 table row names, and reject any other flag given.  Exit codes: 0 all pass, 1
 verification failure, 2 usage error (including a flag the command does not
-read and parameter values a verifier, `series` or `skew-npoint` rejects, each
-reported as a JSON error object on stdout).
+read, a value that does not parse as the flag's type, and parameter values a
+verifier, `series` or `skew-npoint` rejects, each reported as a JSON error
+object on stdout).
 """
 
 from __future__ import annotations
@@ -39,28 +40,36 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
+
 def _fraction(text: str) -> F:
     try:
         return F(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+        raise ValueError(f"not a rational: {text!r}") from None
 
 
 def _points(text: str) -> tuple[F, ...]:
     return tuple(_fraction(p) for p in text.split(","))
 
 
-# the flags of verify, series and skew-npoint: name -> (type, help).  Each
-# command reads those its builder names and rejects the rest.
+# the flags of verify, series and skew-npoint: name -> (parser, help).  Each
+# command reads those its builder names, parses their values itself, and
+# rejects the rest.
 _FLAGS = {
-    "order": (int, "truncation or grade bound"),
+    "order": (_integer, "truncation or grade bound"),
     "points": (_points, "comma-separated rational square roots s1,s2,..."),
     "q": (_fraction, "base rational q value"),
-    "n": (int, "variable count or top index"),
-    "m": (int, "shift or multiplicity parameter"),
-    "k": (int, "derivative order, weight, or position"),
-    "K": (int, "number of higher variables"),
-    "seed": (int, "sample random evaluation points instead of defaults"),
+    "n": (_integer, "variable count or top index"),
+    "m": (_integer, "shift or multiplicity parameter"),
+    "k": (_integer, "derivative order, weight, or position"),
+    "K": (_integer, "number of higher variables"),
+    "seed": (_integer, "sample random evaluation points instead of defaults"),
 }
 
 
@@ -182,16 +191,23 @@ _PARAM_ERRORS = (SeriesError, ValueError, ZeroDivisionError)
 
 
 def _given(a, build, name: str) -> dict:
-    """The flags given on the command line (argparse defaults each to None), as
-    keyword arguments of `build`; a ValueError names any of them that `build`
-    does not read."""
+    """The flags given on the command line (argparse keeps each as text, or
+    None), parsed, as keyword arguments of `build`; a ValueError names any of
+    them that `build` does not read or whose value does not parse."""
     code = build.__code__
     reads = code.co_varnames[:code.co_argcount]
-    given = {f: getattr(a, f) for f in _FLAGS if getattr(a, f) is not None}
-    for flag in given:
+    given = {}
+    for flag, (parse, _) in _FLAGS.items():
+        text = getattr(a, flag)
+        if text is None:
+            continue
         if flag not in reads:
             raise ValueError(f"--{flag}: {name} reads only "
                              + ", ".join(f"--{r}" for r in reads))
+        try:
+            given[flag] = parse(text)
+        except ValueError as err:
+            raise ValueError(f"--{flag}: {err}") from None
     return given
 
 
@@ -314,9 +330,10 @@ _SERIES = {
 def _cmd_series(a) -> int:
     module, build = _SERIES[a.name]
     try:
-        make = build(**_given(a, build, a.name))
-        if a.order is not None and a.order < 0:
-            raise ValueError(f"--order {a.order} is negative; a series needs order >= 0")
+        given = _given(a, build, a.name)
+        make = build(**given)
+        if given.get("order", 0) < 0:
+            raise ValueError(f"--order {given['order']} is negative; a series needs order >= 0")
         obj = make(import_module(f".{module}", __package__))
     except _PARAM_ERRORS as err:
         return _rejected("series", a.name, err)
@@ -341,8 +358,8 @@ def _cmd_skew(a) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    for flag, (kind, text) in _FLAGS.items():
-        p.add_argument(f"--{flag}", type=kind, help=text)
+    for flag, (_, text) in _FLAGS.items():
+        p.add_argument(f"--{flag}", help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -138,13 +138,12 @@ class IndexWeight(_PointWeight):
         for k, i in enumerate(self.idx):
             self.by_row.setdefault(i, []).append(k)
 
-    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
-        w = vec[0]
-        if i in self.by_row:
-            p = self.powers(2 * (v - i) + 1)
-            for k in self.by_row[i]:
-                w *= p[k]
-        return [w]
+    def row(self, v: int, i: int):
+        if i not in self.by_row:
+            return list
+        p = self.powers(2 * (v - i) + 1)
+        w = math.prod(p[k] for k in self.by_row[i])
+        return lambda vec: [vec[0] * w]
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         num, den = 1, 1
@@ -215,13 +214,17 @@ class HWeight(_PointWeight):
             if self.diffs[m] == 0:  # x_m = 1
                 raise DivisorHit(tuple(range(m + 1, n + 1)))
 
-    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
-        p = self.powers(2 * (v - i) + 1)
-        out = list(vec)
-        for j in range(len(p) - 1, -1, -1):
-            if out[j]:
-                out[j + 1] += out[j] * p[j]
-        return out
+    def row(self, v: int, i: int):
+        steps = list(enumerate(self.powers(2 * (v - i) + 1)))[::-1]
+
+        def apply(vec: list[int]) -> list[int]:
+            out = list(vec)
+            for j, p in steps:
+                if out[j]:
+                    out[j + 1] += out[j] * p
+            return out
+
+        return apply
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         # slot j over its scale g_0 ... g_{j-1}: c_j x_j^{ell+1} g_j ... g_{n-1}
@@ -271,8 +274,8 @@ class FWeight(_PointWeight):
         super().__init__(svals)
         self.slots = 1 << len(self.svals)
 
-    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
-        return eps_row(vec, self.powers(2 * (v - i) + 1))
+    def row(self, v: int, i: int):
+        return eps_row(self.powers(2 * (v - i) + 1))
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         # with s = a/b, factor k over g_k |a^2 - b^2|: eps_k's 1/g_k is |a^2 - b^2|,

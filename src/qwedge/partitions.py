@@ -2,14 +2,14 @@
 
 Partitions are tuples of weakly decreasing positive ints; () is the empty partition.
 Sums over all partitions of a weight built row by row (`RowWeight`) run through
-one engine, `slot_table`, a DP over part values.  Its rows run on integers,
-each slot at a fixed scale chosen for the order, and each row count closes with
-one rational vector that is linear in the slots; the closings share one
-denominator, so no Fraction is formed per state.  `partition_sums` closes
-every state into the coefficients of a QSeries; the numeric sums at a point q0
-(`qdiff`) fold the powers of q0 over the sizes first and close once per row
-count.  Enumeration stays for everything else and as the reference the tests
-compare against.
+one engine, `slot_table`, a DP over part values that keeps one column of states
+per row count and applies one row map per (part value, row index) to a whole
+column.  The slots are integers at a fixed scale chosen for the order, and each
+column closes with one rational vector over a shared denominator, so no
+Fraction is formed per state.  `partition_sums` closes every state into the
+coefficients of a QSeries; the numeric sums at a point q0 (`qdiff`) fold the
+powers of q0 over each column's sizes and close once per column.  Enumeration
+stays for everything else and as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -46,21 +46,14 @@ def partitions_up_to(n: int) -> Iterator[Partition]:
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
     """p(n) by the pentagonal-number recurrence."""
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n:
-            break
-        sign = -1 if k % 2 == 0 else 1
+    if n <= 0:
+        return int(n == 0)
+    total, k = 0, 1
+    while (g1 := k * (3 * k - 1) // 2) <= n:  # and g2 = k (3k + 1) / 2 = g1 + k
+        sign = 1 if k % 2 else -1
         total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
+        if g1 + k <= n:
+            total += sign * partition_count(n - g1 - k)
         k += 1
     return total
 
@@ -76,9 +69,7 @@ def frobenius(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
     m_i = lam_i - i, n_i = lam'_i - i (1-indexed), for i up to the diagonal length.
     """
     lamt = transpose(lam)
-    d = 0
-    while d < len(lam) and lam[d] > d:
-        d += 1
+    d = sum(1 for i, part in enumerate(lam) if part > i)  # lam_i - i falls strictly
     arms = tuple(lam[i] - (i + 1) for i in range(d))
     legs = tuple(lamt[i] - (i + 1) for i in range(d))
     return arms, legs
@@ -91,11 +82,7 @@ def from_frobenius(arms: tuple[int, ...], legs: tuple[int, ...]) -> Partition:
     rows = [arms[i] + (i + 1) for i in range(d)]
     # row i+1..: cells strictly below the diagonal, read off the legs
     cols = [legs[i] + (i + 1) for i in range(d)]
-    extra: list[int] = []
-    for r in range(d, max(cols, default=0)):
-        width = sum(1 for c in cols if c > r)
-        if width:
-            extra.append(width)
+    extra = [w for r in range(d, max(cols, default=0)) if (w := sum(c > r for c in cols))]
     return tuple(rows) + tuple(extra)
 
 
@@ -117,15 +104,15 @@ class RowWeight:
 
     The weight keeps a vector of `slots` integers.  `start(order)` fixes, for
     partitions of size at most `order`, a scale per slot: slot j holds its exact
-    value times scale_j, and the scales are chosen so that every row keeps the
-    slots integral.  `row(v, i, vec)` returns vec after row i (1-indexed) of part
-    value v, as a new list, which the engine may add into.  The weight of a
-    partition with `ell` rows is linear in the slots: the dot product of vec
-    with `closing(ell)`, rational per-slot coefficients already divided by the
-    slot scales (tails over the empty rows past ell go here), given as
-    (nums, den): int numerators over one positive int denominator.  Calling the
-    weight on a partition applies its rows in order, then closes, which is the
-    per-partition reference.
+    value times scale_j, chosen so that every row keeps the slots integral.
+    `row(v, i)` is the row map of row i (1-indexed) of part value v: a function
+    from a slot vector to a new list, which the engine may add into, with its
+    factors built once, when the map is.  The weight of a partition with `ell`
+    rows is the dot product of its vector with `closing(ell)`: per-slot
+    rationals already divided by the slot scales (tails over the empty rows
+    past ell go here), as int numerators over one positive int denominator.
+    Calling the weight on a partition applies its row maps in order, then
+    closes, which is the per-partition reference.
     """
 
     slots = 1
@@ -133,7 +120,7 @@ class RowWeight:
     def start(self, order: int) -> None:
         """Fix the slot scales for partitions of size at most `order`."""
 
-    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
+    def row(self, v: int, i: int) -> Callable[[list[int]], list[int]]:
         raise NotImplementedError
 
     def closing(self, ell: int) -> tuple[list[int], int]:
@@ -143,55 +130,58 @@ class RowWeight:
         self.start(sum(lam))
         vec = [1] + [0] * (self.slots - 1)
         for i, part in enumerate(lam, 1):
-            vec = self.row(part, i, vec)
+            vec = self.row(part, i)(vec)
         nums, den = self.closing(len(lam))
         return Fraction(sum(x * c for x, c in zip(vec, nums)), den)
 
 
 def slot_table(weight: RowWeight, order: int) -> tuple[list[list], list[list[int]], int]:
-    """(table, closings, den): the DP that every partition sum of `weight` to
+    """(cols, closings, den): the DP that every partition sum of `weight` to
     size `order` runs on, and the closings it is read through.
 
-    table[s][r] sums the integer slot vectors of all partitions of size s with r
+    cols[r][s] sums the integer slot vectors of all partitions of size s with r
     rows (None where there is none).  The DP runs over part values v = order..1,
-    largest first, so a part's row index is one more than the rows placed
-    before it; ascending s updated in place lets a value repeat, and each merge
-    adds the new row's vector into the state's own list.  Visits
-    O(order^2 log order) states instead of every partition.  closings[r] is
-    `weight.closing(r)` over den, the lcm of their denominators, so a state of r
-    rows closes with one integer dot product.
+    largest first, so a part's row index is one more than the rows before it.
+    Pass v walks the columns r ascending while (r + 1) v <= order: a state of
+    column r has r parts of at least v, so its size s is at least r v, and one
+    map `weight.row(v, r + 1)` adds every state with s <= order - v into column
+    r + 1 at size s + v, which is walked next, so a value repeats.  That is
+    order // v maps per pass and O(order^2 log order) states, not every
+    partition.  closings[r] is `weight.closing(r)` over den, the lcm of their
+    denominators, so a state of r rows closes with one integer dot product.
     """
     weight.start(order)
-    table: list[list] = [[[1] + [0] * (weight.slots - 1)]] + [[] for _ in range(order)]
+    cols = [[[1] + [0] * (weight.slots - 1)] + [None] * order]
     for v in range(order, 0, -1):
-        for s in range(order - v + 1):
-            dst = table[s + v]
-            for r, vec in enumerate(table[s]):
-                if vec is None:
+        for r in range(order // v):
+            if len(cols) == r + 1:
+                cols.append([None] * (order + 1))
+            apply, src, dst = weight.row(v, r + 1), cols[r], cols[r + 1]
+            for s in range(r * v, order - v + 1):
+                if src[s] is None:
                     continue
-                out = weight.row(v, r + 1, vec)
-                if len(dst) <= r + 1:
-                    dst.extend([None] * (r + 2 - len(dst)))
-                cur = dst[r + 1]
+                out, cur = apply(src[s]), dst[s + v]
                 if cur is None:
-                    dst[r + 1] = out
+                    dst[s + v] = out
                 else:
                     for k, x in enumerate(out):
                         if x:
                             cur[k] += x
-    closings = [weight.closing(ell) for ell in range(max(map(len, table)))]
+    closings = [weight.closing(ell) for ell in range(len(cols))]
     den = math.lcm(*(d for _, d in closings))
-    return table, [[c * (den // d) for c in cl] for cl, d in closings], den
+    return cols, [[c * (den // d) for c in cl] for cl, d in closings], den
 
 
 def partition_sums(weight: RowWeight, order: int) -> QSeries:
     """sum_m c_m q^m valid to q^order, c_m the sum of weight(lam) over the
     partitions of m: each state of `slot_table` closes with one integer dot
-    product."""
-    table, closings, den = slot_table(weight, order)
-    nums = [sum(x * c for vec, cl in zip(states, closings) if vec is not None
-                for x, c in zip(vec, cl) if x)
-            for states in table]
+    product, through the closing of its column."""
+    cols, closings, den = slot_table(weight, order)
+    nums = [0] * (order + 1)
+    for col, cl in zip(cols, closings):
+        for s, vec in enumerate(col):
+            if vec is not None:
+                nums[s] += sum(x * c for x, c in zip(vec, cl) if x)
     return QSeries.from_nums(nums, den)
 
 
@@ -207,15 +197,21 @@ def eps_closing(inside: list[int], outside: list[int]) -> list[int]:
     return comp
 
 
-def eps_row(vec: list, factors: list) -> list:
-    """vec * prod_j (1 + factors[j] eps_j) in Q[eps]/(eps_j^2), zero slots skipped."""
-    out = list(vec)
-    for j, p in enumerate(factors):
-        bit = 1 << j
-        for mask in range(len(out)):
-            if not mask & bit and out[mask]:
-                out[mask | bit] += out[mask] * p
-    return out
+def eps_row(factors: list[int]) -> Callable[[list[int]], list[int]]:
+    """The row map vec -> vec * prod_j (1 + factors[j] eps_j) in Q[eps]/(eps_j^2):
+    for each j in turn, slot S | j gains slot S times factors[j] for every mask
+    S without j.  Zero factors and zero slots are skipped."""
+    steps = [(mask, mask | 1 << j, p) for j, p in enumerate(factors) if p
+             for mask in range(1 << len(factors)) if not mask >> j & 1]
+
+    def apply(vec: list[int]) -> list[int]:
+        out = list(vec)
+        for src, dst, p in steps:
+            if out[src]:
+                out[dst] += out[src] * p
+        return out
+
+    return apply
 
 
 class HookMomentWeight(RowWeight):
@@ -230,17 +226,18 @@ class HookMomentWeight(RowWeight):
     """
 
     def __init__(self, ks: tuple[int, ...], shifts):
-        self.ks = tuple(ks)
+        self.ks, shifts = tuple(ks), [Fraction(c) for c in shifts]
+        if len(shifts) != len(self.ks):
+            raise ValueError(f"{len(self.ks)} moments ks but {len(shifts)} shifts")
         self.slots = 1 << len(self.ks)
         # factor j over 2^k_j times the shift's denominator
-        shifts = [Fraction(c) for c in shifts]
         self.comp = (eps_closing([c.denominator for c in shifts],
                                  [-c.numerator << k for c, k in zip(shifts, self.ks)]),
                      math.prod(c.denominator << k for c, k in zip(shifts, self.ks)))
 
-    def row(self, v: int, i: int, vec: list[int]) -> list[int]:
+    def row(self, v: int, i: int) -> Callable[[list[int]], list[int]]:
         a, b = 2 * (v - i) + 1, 1 - 2 * i
-        return eps_row(vec, [a ** k - b ** k for k in self.ks])
+        return eps_row([a ** k - b ** k for k in self.ks])
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         return self.comp

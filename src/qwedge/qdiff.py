@@ -85,33 +85,30 @@ def _bracket_numeric(weight: RowWeight, q0: Fraction,
     cutoff, times the Euler product cut there; drift is the movement since the
     smaller cutoff and serves as the truncation error estimate.
 
-    With q0 = u/w, the slot vectors of `slot_table` are folded with
-    u^s w^{hi - s} over the sizes s of each row count, those up to lo and those
-    past it apart, so each row count closes with two dot products instead of
-    one per state.  The sums and the product are integers over den w^hi and
+    With q0 = u/w, the slot vectors of each row-count column of `slot_table`
+    are folded with u^s w^{hi - s} over their sizes s, those up to lo and those
+    past it apart, so each column closes with two dot products instead of one
+    per state.  The sums and the product are integers over den w^hi and
     w^{hi(hi+1)/2}; one Fraction is formed for each result.
     """
     lo, hi = min(cutoffs), max(cutoffs)
     if not 0 <= lo < hi:
         raise ValueError(f"cutoffs {list(cutoffs)} need 0 <= lower < upper")
-    table, closings, den = slot_table(weight, hi)
+    cols, closings, den = slot_table(weight, hi)
     u, w = q0.numerator, q0.denominator
-    low = [[0] * weight.slots for _ in closings]  # sizes 0..lo, then lo+1..hi
-    high = [[0] * weight.slots for _ in closings]
-    um, wm = 1, w ** hi  # u^s and w^{hi - s}
-    for s, states in enumerate(table):
-        scale = um * wm
-        um *= u
-        wm //= w
-        for acc, vec in zip(high if s > lo else low, states):
+    scales = [u ** s * w ** (hi - s) for s in range(hi + 1)]
+    head = tail = 0
+    for col, cl in zip(cols, closings):
+        low = [0] * weight.slots  # sizes 0..lo, then lo+1..hi
+        high = [0] * weight.slots
+        for s, vec in enumerate(col):
             if vec is not None:
+                acc, scale = high if s > lo else low, scales[s]
                 for k, x in enumerate(vec):
                     if x:
                         acc[k] += x * scale
-    head = tail = 0
-    for cl, a, b in zip(closings, low, high):
-        head += sum(x * c for x, c in zip(a, cl) if x)
-        tail += sum(x * c for x, c in zip(b, cl) if x)
+        head += sum(x * c for x, c in zip(low, cl) if x)
+        tail += sum(x * c for x, c in zip(high, cl) if x)
     euler = 1
     for m in range(1, hi + 1):
         euler *= w ** m - u ** m

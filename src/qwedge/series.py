@@ -38,9 +38,7 @@ class MixedStep(SeriesError):
 def _as_frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
@@ -388,23 +386,25 @@ def q_pochhammer(c, j, n: int | None, order: int) -> QSeries:
     if n is None:
         if j <= 0:
             raise SeriesError("infinite q-Pochhammer needs a positive starting exponent")
-        ks = range(0, max(0, order - j + 1))
-    else:
-        if n < 0:
-            raise ValueError("negative length")
-        ks = range(n)
-    neg = sum(min(0, j + k) for k in ks)
-    work = order - neg  # slack so negative-exponent factors still cover q^order
-    result = QSeries.one(work)
-    for k in ks:
-        e = j + k
-        if e > work:
-            continue  # touches only exponents beyond q^order
-        result = result * binomial_factor(c, e, work)
-    rel = int(Fraction(order) - result.offset)
-    if 0 <= rel < result.trunc_order:
-        result = result.truncate(rel)
-    return result
+        n = max(0, order - j + 1)
+    elif n < 0:
+        raise ValueError("negative length")
+    work = order - sum(min(0, j + k) for k in range(n))  # slack for negative exponents
+    top = max(work, 0)  # the product: nums over den from q^offset, slots 0..top
+    nums, den, offset = [1] + [0] * top, 1, 0
+    p, d = c.numerator, c.denominator
+    # a factor past q^work reaches only exponents beyond q^order and is dropped
+    for e in range(j, min(j + n, work + 1)):
+        # (1 - c q^e) in place, top down: slot m takes x nums[m] + y nums[m - g];
+        # for e < 0 the offset moves down instead
+        x, y, g = (d, -p, e) if e >= 0 else (-p, d, -e)
+        for m in range(top, g - 1, -1):
+            nums[m] = x * nums[m] + y * nums[m - g]
+        for m in range(min(g, top + 1)):
+            nums[m] *= x
+        den, offset = den * d, offset + min(e, 0)
+    rel = order - offset
+    return _reduced(Fraction(offset), nums[: rel + 1] if 0 <= rel < top else nums, den, ONE)
 
 
 def euler_product(order: int) -> QSeries:

@@ -257,7 +257,7 @@ COMMAND_IDS = [" ".join(c[0]) for c in COMMANDS]
 def test_flag_tables_cover_every_command():
     assert set(VERIFY_READS) == set(cli.REGISTRY)
     assert set(SERIES_READS) == set(cli._SERIES)
-    assert set(FLAG_VALUES) == set(DASH_VALUES) == set(cli._FLAGS)
+    assert set(FLAG_VALUES) == set(DASH_VALUES) == set(BAD_VALUES) == set(cli._FLAGS)
     assert [sum(map(len, t.values())) for t in (VERIFY_READS, SERIES_READS)] == [50, 13]
     assert len(SKEW_READS) == 3
 
@@ -276,6 +276,23 @@ def test_every_unread_flag_exits_2(capsys, head, key, value, reads):
 # argument of its own, reads as an option: int() reads -1_0 as -10
 DASH_VALUES = {"order": "-1_0", "points": "-2,3", "q": "-1/4", "n": "-1_0",
                "m": "-1_0", "k": "-1_0", "K": "-1_0", "seed": "-1_0"}
+
+# a value of each flag that does not parse as its type
+BAD_VALUES = {"order": "x", "points": "1/0,2", "q": "abc", "n": "1.5", "m": "2/1",
+              "k": "one", "K": "", "seed": "1e3"}
+
+
+@pytest.mark.parametrize("head,key,value,reads", COMMANDS, ids=COMMAND_IDS)
+def test_every_read_flag_rejects_a_value_that_does_not_parse(capsys, head, key, value,
+                                                             reads):
+    """Exit 2 with a JSON error object naming the flag, as for any rejected
+    value; never argparse's usage error."""
+    for flag in reads:
+        code, out = run_main(capsys, *head, f"--{flag}", BAD_VALUES[flag])
+        rep = json.loads(out)
+        assert (code, set(rep), rep[key], rep["status"]) == (
+            2, {key, "status", "detail"}, value, "error"), flag
+        assert rep["detail"].startswith(f"--{flag}: not a"), (flag, rep["detail"])
 
 
 @pytest.mark.parametrize("head,key,value,reads", COMMANDS, ids=COMMAND_IDS)

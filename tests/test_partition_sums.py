@@ -197,3 +197,30 @@ def test_index_weight_reads_parts_by_row():
 def test_partition_sums_of_the_empty_product_count_partitions():
     assert partition_sums(HookMomentWeight((), ()), 12).nums == \
         (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
+
+
+def test_hook_moment_shifts_must_match_the_moments():
+    with pytest.raises(ValueError, match="2 moments ks but 1 shifts"):
+        HookMomentWeight((1, 2), (F(-1, 24),))
+    with pytest.raises(ValueError, match="1 moments ks but 2 shifts"):
+        HookMomentWeight((1,), (F(-1, 24), F(0)))
+
+
+class _CountingHookMoment(HookMomentWeight):
+    def __init__(self, ks, shifts):
+        super().__init__(ks, shifts)
+        self.asked = []
+
+    def row(self, v, i):
+        self.asked.append((v, i))
+        return super().row(v, i)
+
+
+@pytest.mark.parametrize("ks", [(1,), (1, 1), (2, 3)])
+def test_engine_asks_one_row_map_per_value_and_row(ks):
+    """The engine builds the factors of a row once per (part value, row index),
+    not once per state: at order 24 that is sum_v floor(24 / v) = 84 maps."""
+    weight = _CountingHookMoment(ks, [xi_value(-k) for k in ks])
+    assert q_bracket(weight, 24) == q_bracket(shifted_hook_moment(ks), 24)
+    assert len(weight.asked) == len(set(weight.asked)) <= 84
+    assert all(v * i <= 24 for v, i in weight.asked)

@@ -76,6 +76,44 @@ def test_pochhammer_negative_start():
     assert p.upper == 5
 
 
+def _binomial_product(c, j, n, order):
+    """(c q^j; q)_n as QSeries products of `binomial_factor`, with the rules of
+    `q_pochhammer`: slack for the negative exponents, factors past the order
+    dropped, then truncated at q^order."""
+    ks = range(max(0, order - j + 1)) if n is None else range(n)
+    work = order - sum(min(0, j + k) for k in ks)
+    result = QSeries.one(work)
+    for k in ks:
+        if j + k <= work:
+            result = result * binomial_factor(c, j + k, work)
+    rel = order - result.offset
+    return result.truncate(int(rel)) if rel >= 0 else result
+
+
+@pytest.mark.parametrize("c", [1, F(1, 4), F(-3, 7), F(9, 4), 2])
+def test_pochhammer_equals_the_product_of_binomial_factors(c):
+    for j in (-3, -1, 0, 1, 2, 5):
+        for n in (None, 0, 1, 2, 5):
+            for order in (0, 1, 3, 8, 24):
+                if n is None and j <= 0:
+                    with pytest.raises(SeriesError):
+                        q_pochhammer(c, j, n, order)
+                    continue
+                got, want = q_pochhammer(c, j, n, order), _binomial_product(c, j, n, order)
+                assert (got.offset, got.den, got.nums, got.step) == \
+                    (want.offset, want.den, want.nums, want.step), (j, n, order)
+
+
+def test_euler_product_is_the_product_of_one_minus_q_powers():
+    for order in range(41):
+        nums = [1] + [0] * order
+        for m in range(1, order + 1):
+            for k in range(order, m - 1, -1):
+                nums[k] -= nums[k - m]
+        e = euler_product(order)
+        assert (e.offset, e.den, e.nums) == (0, 1, tuple(nums)), order
+
+
 def test_pochhammer_rejects_fractional_exponent():
     with pytest.raises(NonIntegerOffsetGap):
         q_pochhammer(1, F(1, 2), 2, 5)
