@@ -46,7 +46,7 @@ def run(cfg: Config) -> None:
         rhs = u_series(point, order)
         t2 = time.perf_counter()
         lead = ", ".join(str(lhs.coefficient(lhs.offset + k))
-                         for k in range(cfg.shown))
+                         for k in range(min(cfg.shown, order + 1)))
         label = "(" + ",".join(str(s) for s in svals) + ")"
         print(f"{label:24} {order:5} {t1 - t0:7.2f}s {t2 - t1:7.2f}s  {lhs == rhs!s:5}  "
               f"q^{lhs.offset} * [{lead}, ...]")

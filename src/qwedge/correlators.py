@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .partitions import RowWeight, eps_closing, eps_row, q_bracket
 from .reports import FrozenRecord, Report, series_report
-from .series import ONE, ZERO, QSeries, binomial_factor, euler_product, q_pochhammer
+from .series import ONE, QSeries, binomial_factor, euler_product, q_pochhammer
 from .setparts import ordered_block_sum, set_partitions, subset_fold
 from .special import ThetaLattice, theta_deriv_series
 
@@ -48,20 +48,13 @@ class EvalPoint(FrozenRecord):
         top = len(s) - 1 if allow_full else len(s)
         for r in range(1, top + 1):
             for subset in itertools.combinations(range(len(s)), r):
-                prod = ONE
-                for i in subset:
-                    prod *= s[i]
-                if prod == 1:
+                if math.prod(s[i] for i in subset) == 1:
                     raise DivisorHit(tuple(i + 1 for i in subset))
         self._set(s=s, allow_full=allow_full)
 
     @property
     def n(self) -> int:
         return len(self.s)
-
-    @property
-    def t(self) -> tuple[Fraction, ...]:
-        return tuple(x * x for x in self.s)
 
     def permuted(self, perm) -> EvalPoint:
         return EvalPoint(tuple(self.s[i] for i in perm), self.allow_full)
@@ -71,26 +64,12 @@ class EvalPoint(FrozenRecord):
         return EvalPoint(block_products(self.s, blocks), self.allow_full)
 
     def s_prod(self, positions) -> Fraction:
-        prod = ONE
-        for i in positions:
-            prod *= self.s[i]
-        return prod
+        return math.prod((self.s[i] for i in positions), start=ONE)
 
 
 def block_products(svals: tuple[Fraction, ...], blocks) -> tuple[Fraction, ...]:
     """The product of svals over each block of 1-indexed positions."""
-    out = []
-    for b in blocks:
-        prod = ONE
-        for i in b:
-            prod *= svals[i - 1]
-        out.append(prod)
-    return tuple(out)
-
-
-def t_power(s: Fraction, exponent_times_two: int) -> Fraction:
-    """t^{e} for half-integer e given 2e, as s^{2e}; the positive branch throughout."""
-    return s ** exponent_times_two
+    return tuple(math.prod(svals[i - 1] for i in b) for b in blocks)
 
 
 # -- q-brackets of index monomials: brute and product form -----------------------
@@ -149,7 +128,7 @@ class IndexWeight(_PointWeight):
         num, den = 1, 1
         for k, i in enumerate(self.idx):
             if i > ell:
-                w = t_power(self.svals[k], 1 - 2 * i)
+                w = self.svals[k] ** (1 - 2 * i)
                 num, den = num * w.numerator, den * w.denominator
             else:
                 den *= self.scales[k]
@@ -172,9 +151,7 @@ def bracket_monomial_product(idx: tuple[int, ...], point: EvalPoint, order: int)
     if any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 1:
         raise ValueError("indices must be strictly increasing and start at 1 or later")
     num = euler_product(order)
-    scalar = ONE
-    for k, i in enumerate(idx):
-        scalar *= t_power(point.s[k], 1 - 2 * i)
+    scalar = math.prod(point.s[k] ** (1 - 2 * i) for k, i in enumerate(idx))
     denom = q_pochhammer(ONE, 1, idx[0] - 1, order)
     for k in range(1, r):
         c = point.s_prod(range(k)) ** 2
@@ -272,6 +249,9 @@ class FWeight(_PointWeight):
 
     def __init__(self, svals: tuple[Fraction, ...]):
         super().__init__(svals)
+        for k, s in enumerate(self.svals, 1):
+            if s == 1:  # t_k = 1: the closing divides by t_k - 1
+                raise DivisorHit((k,))
         self.slots = 1 << len(self.svals)
 
     def row(self, v: int, i: int):
@@ -354,8 +334,8 @@ def close_t(block: QSeries, order: int) -> QSeries:
     return block * (euler_product(order).inv() ** 3)
 
 
-def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None,
-             lattice: ThetaLattice | None = None) -> QSeries:
+def u_series(point: EvalPoint, order: int,
+             shifts: tuple[int, ...] | None = None) -> QSeries:
     """The determinant closed form for F.
 
     The paper's form sums, over the orderings of the points, an n x n
@@ -370,19 +350,19 @@ def u_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None
     lattice sums.
 
     shifts[k] multiplies t_k by q^{shifts[k]}, which the theta factors absorb as
-    exponent shifts.  `lattice` may be shared by evaluations at one order.
+    exponent shifts.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
-    lattice = ThetaLattice.reuse(lattice, order)
+    lattice = ThetaLattice(order)
     return close_u(theta_block_sum(point, shifts, lattice), point, shifts, lattice)
 
 
-def t_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None,
-             lattice: ThetaLattice | None = None) -> QSeries:
+def t_series(point: EvalPoint, order: int,
+             shifts: tuple[int, ...] | None = None) -> QSeries:
     """T = Theta(t_1..t_n) * U, assembled from its ordered-block expansion:
 
     sum over ordered set partitions gamma of (-1)^{n + l} Theta^{(#gamma_1)}(1)
@@ -399,7 +379,7 @@ def t_series(point: EvalPoint, order: int, shifts: tuple[int, ...] | None = None
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
-    return close_t(theta_block_sum(point, shifts, ThetaLattice.reuse(lattice, order)), order)
+    return close_t(theta_block_sum(point, shifts, ThetaLattice(order)), order)
 
 
 def t_series_via_u(point: EvalPoint, order: int,
@@ -442,11 +422,6 @@ class FormalDivergence(ValueError):
 
 
 Monomial = tuple[Fraction, int]  # (coefficient, q-exponent)
-
-
-def _finite_poch(mono: Monomial, n: int, order: int) -> QSeries:
-    coef, expo = mono
-    return q_pochhammer(coef, expo, n, order)
 
 
 def _infinite_poch(mono: Monomial, order: int) -> QSeries:
@@ -594,11 +569,11 @@ def verify_poch_telescope(u: Monomial, v_root: Fraction, v_exp: int,
 
     lhs = QSeries.zero(work).shift(F((1 + v_exp) * (1 - 2 * (a + 1)), 2))
     for i in range(a + 1, b):
-        den = _finite_poch((u[0], u[1] + a), i - a, work) \
-            * _finite_poch((uv[0], uv[1] + i), b - i, work)
+        den = q_pochhammer(u[0], u[1] + a, i - a, work) \
+            * q_pochhammer(uv[0], uv[1] + i, b - i, work)
         lhs = lhs + qv_half_power(1 - 2 * i) * den.inv()
-    d1 = _finite_poch((u[0], u[1] + a), b - a - 1, work)
-    d2 = _finite_poch((uv[0], uv[1] + a + 1), b - a - 1, work)
+    d1 = q_pochhammer(u[0], u[1] + a, b - a - 1, work)
+    d2 = q_pochhammer(uv[0], uv[1] + a + 1, b - a - 1, work)
     bracket = qv_half_power(3 - 2 * b) * d1.inv() - qv_half_power(1 - 2 * a) * d2.inv()
     one_minus_qv = QSeries.one(work) - QSeries.monomial(v_root * v_root, 1 + v_exp, work)
     rhs = bracket * one_minus_qv.inv()

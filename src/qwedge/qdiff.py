@@ -72,9 +72,7 @@ def check_convergent(svals: tuple[Fraction, ...], q0: Fraction) -> None:
     n = len(svals)
     for r in range(1, n + 1):
         for subset in itertools.combinations(range(n), r):
-            prod = ONE
-            for i in subset:
-                prod *= svals[i] * svals[i]
+            prod = math.prod(svals[i] * svals[i] for i in subset)
             if not (q0 < prod < 1 / q0):
                 raise DivergentPoint(tuple(i + 1 for i in subset), prod)
 
@@ -109,29 +107,51 @@ def _bracket_numeric(weight: RowWeight, q0: Fraction,
                         acc[k] += x * scale
         head += sum(x * c for x, c in zip(low, cl) if x)
         tail += sum(x * c for x, c in zip(high, cl) if x)
-    euler = 1
-    for m in range(1, hi + 1):
-        euler *= w ** m - u ** m
+    euler = math.prod(w ** m - u ** m for m in range(1, hi + 1))
     den *= w ** (hi + hi * (hi + 1) // 2)
     return F(euler * (head + tail), den), F(abs(euler) * abs(tail), den)
+
+
+def _point_numeric(weight, svals, q0, cutoffs) -> tuple[Fraction, Fraction]:
+    """(value, drift) of the q0-bracket of the row weight `weight(svals)`."""
+    svals = tuple(F(x) for x in svals)
+    q0 = F(q0)
+    check_convergent(svals, q0)
+    return _bracket_numeric(weight(svals), q0, cutoffs)
 
 
 def f_numeric(svals: tuple[Fraction, ...], q0: Fraction,
               cutoffs: tuple[int, int] = (25, 30)) -> tuple[Fraction, Fraction]:
     """Numeric value of the full correlation sum F at t_k = svals[k]^2."""
-    svals = tuple(F(x) for x in svals)
-    q0 = F(q0)
-    check_convergent(svals, q0)
-    return _bracket_numeric(FWeight(svals), q0, cutoffs)
+    return _point_numeric(FWeight, svals, q0, cutoffs)
 
 
 def h_numeric(svals: tuple[Fraction, ...], q0: Fraction,
               cutoffs: tuple[int, int] = (25, 30)) -> tuple[Fraction, Fraction]:
     """Numeric value of the strictly-increasing-index sum H."""
-    svals = tuple(F(x) for x in svals)
-    q0 = F(q0)
-    check_convergent(svals, q0)
-    return _bracket_numeric(HWeight(svals), q0, cutoffs)
+    return _point_numeric(HWeight, svals, q0, cutoffs)
+
+
+def _merge_first(n: int):
+    """(sign(n, |pi|), pi) over the merge-with-the-first set partitions pi of
+    {1..n}: the expansion that a q-shift of the first variable produces."""
+    for pi in near_singleton_partitions(tuple(range(1, n + 1))):
+        yield sign(n, len(pi)), pi
+
+
+def _numeric_report(identity: str, statement: str, params: dict, lhs, terms) -> Report:
+    """A numeric difference equation lhs = sum of coef * value over the terms
+    (coef, (value, drift)), with lhs a (value, drift) too.  It passes when the
+    two sides differ by at most 3 times the drift of both, each term's drift
+    weighted by |coef|: a heuristic bound, not a proven one."""
+    value, drift = lhs
+    rhs = sum(c * v for c, (v, _) in terms)
+    bound = 3 * (drift + sum(abs(c) * e for c, (_, e) in terms))
+    diff = abs(value - rhs)
+    return Report(identity, statement, params, "pass" if diff <= bound else "fail",
+                  tolerance_info={"difference": float(diff), "bound": float(bound),
+                                  "lhs": float(value), "rhs": float(rhs),
+                                  "bound_kind": "heuristic"})
 
 
 def verify_diffeq_f(s_values, q0, cutoffs: tuple[int, int] = (25, 30)) -> Report:
@@ -143,27 +163,12 @@ def verify_diffeq_f(s_values, q0, cutoffs: tuple[int, int] = (25, 30)) -> Report
     svals = tuple(F(x) for x in s_values)
     q0 = F(q0)
     root = _sqrt_or_raise(q0)
-    n = len(svals)
     params = {"s": list(svals), "q0": q0, "cutoffs": list(cutoffs)}
-    lhs, drift = f_numeric((root * svals[0],) + svals[1:], q0, cutoffs)
-    tfull = ONE
-    for s in svals:
-        tfull *= s * s
-    pref = root * tfull
-    rhs_sum = ZERO
-    rhs_drift = ZERO
-    for pi in near_singleton_partitions(tuple(range(1, n + 1))):
-        v, e = f_numeric(block_products(svals, pi), q0, cutoffs)
-        rhs_sum += sign(n, len(pi)) * v
-        rhs_drift += e
-    rhs = -pref * rhs_sum
-    bound = 3 * (drift + pref * rhs_drift)
-    diff = abs(lhs - rhs)
-    return Report("diffeq-f", statement, params,
-                  "pass" if diff <= bound else "fail",
-                  tolerance_info={"difference": float(diff), "bound": float(bound),
-                                  "lhs": float(lhs), "rhs": float(rhs),
-                                  "bound_kind": "heuristic"})
+    lhs = f_numeric((root * svals[0],) + svals[1:], q0, cutoffs)
+    pref = root * math.prod(s * s for s in svals)
+    terms = [(-pref * sgn, f_numeric(block_products(svals, pi), q0, cutoffs))
+             for sgn, pi in _merge_first(len(svals))]
+    return _numeric_report("diffeq-f", statement, params, lhs, terms)
 
 
 def verify_diffeq_h(s_values, q0, k: int,
@@ -180,35 +185,16 @@ def verify_diffeq_h(s_values, q0, k: int,
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}")
     params = {"s": list(svals), "q0": q0, "k": k, "cutoffs": list(cutoffs)}
-    shifted = svals[:k - 1] + (root * svals[k - 1],) + svals[k:]
-    lhs, drift = h_numeric(shifted, q0, cutoffs)
-    tfull = ONE
-    for s in svals:
-        tfull *= s * s
-    tk = svals[k - 1] ** 2
-    qtk = q0 * tk
-    v, e = h_numeric(svals, q0, cutoffs)
-    rhs = -root * tfull * v
-    weighted_drift = drift + root * tfull * e
-    if k < n:
+    lhs = h_numeric(svals[:k - 1] + (root * svals[k - 1],) + svals[k:], q0, cutoffs)
+    terms = [(-root * math.prod(s * s for s in svals), h_numeric(svals, q0, cutoffs))]
+    qtk = q0 * svals[k - 1] ** 2
+    if k < n:  # k merged with k + 1
         merged = svals[:k - 1] + (root * svals[k - 1] * svals[k],) + svals[k + 1:]
-        v, e = h_numeric(merged, q0, cutoffs)
-        coef = qtk / (1 - qtk)
-        rhs += coef * v
-        weighted_drift += abs(coef) * e
-    if k > 1:
+        terms.append((qtk / (1 - qtk), h_numeric(merged, q0, cutoffs)))
+    if k > 1:  # k - 1 merged with k
         merged = svals[:k - 2] + (root * svals[k - 2] * svals[k - 1],) + svals[k:]
-        v, e = h_numeric(merged, q0, cutoffs)
-        coef = 1 / (1 - qtk)
-        rhs -= coef * v
-        weighted_drift += abs(coef) * e
-    bound = 3 * weighted_drift
-    diff = abs(lhs - rhs)
-    return Report("diffeq-h", statement, params,
-                  "pass" if diff <= bound else "fail",
-                  tolerance_info={"difference": float(diff), "bound": float(bound),
-                                  "lhs": float(lhs), "rhs": float(rhs),
-                                  "bound_kind": "heuristic"})
+        terms.append((-1 / (1 - qtk), h_numeric(merged, q0, cutoffs)))
+    return _numeric_report("diffeq-h", statement, params, lhs, terms)
 
 
 # -- exact difference equations through the theta factors ---------------------------
@@ -227,7 +213,6 @@ def verify_diffeq_t(s_values, order: int) -> Report:
     n = point.n
     params = {"s": list(point.s), "order": order}
     shifts = (1,) + (0,) * (n - 1)
-    pis = list(near_singleton_partitions(tuple(range(1, n + 1))))
     # the merged points' prefix products are subset products of this point's
     lattice = ThetaLattice(order)
 
@@ -239,10 +224,10 @@ def verify_diffeq_t(s_values, order: int) -> Report:
 
     lhs_t, lhs_u = both(point, shifts)
     rhs_t = sum_u = QSeries.zero(order)
-    for pi in pis:
+    for sgn, pi in _merge_first(n):
         merged = point.merged(pi)
         term_t, term_u = both(merged, (0,) * merged.n)
-        if sign(n, len(pi)) < 0:
+        if sgn < 0:
             term_t, term_u = -term_t, -term_u
         rhs_t, sum_u = rhs_t + term_t, sum_u + term_u
     rep_t = series_report("diffeq-t", statement, params, lhs_t, rhs_t)
@@ -272,13 +257,21 @@ def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
     The block factor is (-1)^{|B|-1} times the ratio at t_0 t_P; every ratio
     is one of lattice sums, since (q)_inf^{-3} cancels in it.  As one subset DP
     (`theta_block_sum` at t_0) it divides by Theta(t_0 t_P) once per prefix P,
-    the empty prefix at the end.
+    the empty prefix at the end.  Where s0 s_P = 1 that Theta vanishes at
+    every shift, so such a proper prefix is rejected up front; the full
+    product is never inverted and may be 1.
     """
     n = point.n
     if shifts is None:
         shifts = (0,) * n
     s0 = F(s0)
-    lattice = ThetaLattice.reuse(lattice, order)
+    for p, s in enumerate(subset_fold(point.s, s0, operator.mul)[:-1]):
+        if s == 1:
+            positions = tuple(i + 1 for i in range(n) if p >> i & 1)
+            raise ValueError(f"the spectator s0 = {s0} times s over positions "
+                             f"{positions} is 1, so Theta(t0 t_P) there has no inverse")
+    if lattice is None:
+        lattice = ThetaLattice(order)
     return theta_block_sum(point, shifts, lattice, s0, j0) * lattice.inverse(s0, j0)
 
 
@@ -296,9 +289,9 @@ def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
     lattice = ThetaLattice(order)
     lhs = r_series(point, s0, j0, order, shifts, lattice)
     rhs = QSeries.zero(order)
-    for pi in near_singleton_partitions(tuple(range(1, n + 1))):
+    for sgn, pi in _merge_first(n):
         term = r_series(point.merged(pi), s0, j0, order, lattice=lattice)
-        rhs = rhs + (term if sign(n, len(pi)) > 0 else -term)
+        rhs = rhs + (term if sgn > 0 else -term)
     return series_report("r-diffeq", statement, params, lhs, rhs)
 
 
@@ -310,10 +303,7 @@ def verify_t_vanish(s_values, order: int) -> Report:
     svals = tuple(F(x) for x in s_values)
     if len(svals) < 2:
         raise ValueError("need at least two variables")
-    prod = ONE
-    for s in svals:
-        prod *= s
-    if prod != 1:
+    if math.prod(svals) != 1:
         raise ValueError("the product of the s values must be exactly 1")
     point = EvalPoint(svals, allow_full=True)
     params = {"s": list(svals), "order": order}
@@ -326,9 +316,7 @@ def verify_t_vanish(s_values, order: int) -> Report:
 
 def _poch_value(c: Fraction, start: int, length: int, q0: Fraction) -> Fraction:
     """(c q^start; q)_length at q0, which must not vanish: it divides a chain."""
-    out = ONE
-    for j in range(length):
-        out *= 1 - c * q0 ** (start + j)
+    out = math.prod((1 - c * q0 ** (start + j) for j in range(length)), start=ONE)
     if out == 0:
         raise ValueError(f"q0 = {q0} is a pole of the chain: the Pochhammer factor "
                          f"({c} q^{start}; q)_{length} vanishes")
@@ -382,9 +370,7 @@ def verify_cyclic_identity(m: int, k: int, q0=F(1, 4)) -> Report:
         for ivec in itertools.combinations_with_replacement(range(1, m + 1), k):
             w = stabilizer_multiplicity(ivec) * _chain_value(ivec, t_rot, q0, m)
             plain += w
-            numer = ONE
-            for s, i in zip(s_rot, ivec):
-                numer *= s ** (1 - 2 * i)
+            numer = math.prod(s ** (1 - 2 * i) for s, i in zip(s_rot, ivec))
             half += numer * w
     expect_plain = F(m ** (k - 1), math.factorial(k - 1))
     expect_half = (-1) ** (m - 1) * root ** (m * m) * expect_plain
@@ -446,9 +432,7 @@ def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
     (d2, g2) = g_at(F(eps_pair[1]))
     estimate = (d1 * g2 - d2 * g1) / (d1 - d2)
     rest_val = _u_value(rest, table)
-    rest_prod = ONE
-    for s in rest:
-        rest_prod *= s * s
+    rest_prod = math.prod((s * s for s in rest), start=ONE)
     expected = (-1) ** m * root ** (m * m) * m ** (k - 1) * rest_val / rest_prod ** m
     diff = abs(estimate - expected)
     bound = tol * abs(expected)

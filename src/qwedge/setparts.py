@@ -196,16 +196,3 @@ def verify_counts(n_max: int = 8) -> Report:
     return Report("counts", statement, {"n_max": n_max}, status, n_max,
                   details={"sum1": s1, "sum2": s2, "sum3": s3})
 
-
-def partition_multiplicities(s: int, max_i: int | None = None) -> Iterator[dict[int, int]]:
-    """All {i: k_i} with sum i*k_i = s, i <= max_i."""
-    if s == 0:
-        yield {}
-        return
-    top = s if max_i is None else min(s, max_i)
-    for i in range(top, 0, -1):
-        for k in range(1, s // i + 1):
-            for rest in partition_multiplicities(s - i * k, i - 1):
-                d = dict(rest)
-                d[i] = k
-                yield d

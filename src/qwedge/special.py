@@ -14,13 +14,14 @@ they are assembled from the lattice sums and apply (q)_inf^{-3} at most once.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+from .partitions import partitions_of
 from .reports import Report, series_report
 from .series import (ONE, ZERO, QSeries, SeriesError, euler_product, q_pochhammer,
                      rational_sqrt)
-from .setparts import partition_multiplicities
 
 F = Fraction
 
@@ -216,15 +217,6 @@ class ThetaLattice:
         self._sums: dict[tuple, QSeries] = {}
         self._inverses: dict[tuple, QSeries] = {}
 
-    @staticmethod
-    def reuse(lattice: ThetaLattice | None, order: int) -> ThetaLattice:
-        """`lattice` if one is given, which must be of `order`; else a new table."""
-        if lattice is None:
-            return ThetaLattice(order)
-        if lattice.order != order:
-            raise ValueError(f"a lattice of order {lattice.order} cannot serve order {order}")
-        return lattice
-
     def sum(self, k: int, s: Fraction, shift: int) -> QSeries:
         key = (k, s.numerator, s.denominator, shift)
         found = self._sums.get(key)
@@ -280,9 +272,7 @@ class ThetaValues:
                              "lattice sum and the Euler product converge")
         self.q0, self.terms = q0, terms
         u, w = q0.numerator, q0.denominator
-        euler = 1
-        for m in range(1, terms + 1):
-            euler *= w ** m - u ** m
+        euler = math.prod(w ** m - u ** m for m in range(1, terms + 1))
         self.factor = F(w ** (3 * (terms * (terms + 1) // 2)), euler ** 3)
         self._walks: dict[tuple, tuple] = {}
 
@@ -322,18 +312,6 @@ class ThetaValues:
         return self.factor * self.lattice(k, s, shift)
 
 
-def theta_deriv_value(k: int, s: Fraction, q0: Fraction, terms: int,
-                      shift: int = 0) -> Fraction:
-    """Truncated numeric value of (x d/dx)^k Theta at x = s^2 q0^shift: one
-    `ThetaValues` entry, on a table that lives for this call only."""
-    return ThetaValues(q0, terms).value(k, s, shift)
-
-
-def theta_at_one_derivative(k: int, order: int) -> QSeries:
-    """The q-series (x d/dx)^k Theta |_{x=1}; vanishes identically for even k."""
-    return theta_deriv_series(k, ONE, order, 0)
-
-
 def theta_odd_derivative_closed_form(m: int, order: int,
                                      table: EisensteinTable | None = None) -> QSeries:
     """(2m+1)! sum over partitions 1^{k_1} 2^{k_2} ... of m of
@@ -345,11 +323,8 @@ def theta_odd_derivative_closed_form(m: int, order: int,
     if table is None:
         table = EisensteinTable(order)
     total = QSeries.zero(order)
-    for combo in partition_multiplicities(m):
-        length = sum(combo.values())
-        coef = F((-2) ** length)
-        for k in combo.values():
-            coef /= math.factorial(k)
+    for combo in map(Counter, partitions_of(m)):
+        coef = F((-2) ** combo.total(), math.prod(map(math.factorial, combo.values())))
         term = QSeries.const(coef, order)
         for i, k in combo.items():
             gi = table.g(2 * i) * F(1, math.factorial(2 * i))
@@ -370,7 +345,7 @@ def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
     cube = euler_product(order).inv() ** 3
     table = EisensteinTable(order)
     for m in m_values:
-        # theta_at_one_derivative(2m + 1, order), with the shared cube
+        # theta_deriv_series(2m + 1, 1, order), with the shared cube
         lhs = theta_lattice_series(2 * m + 1, ONE, order) * cube
         rhs = theta_odd_derivative_closed_form(m, order, table)
         r = series_report("theta-derivs", statement, {"m": m, "order": order}, lhs, rhs)

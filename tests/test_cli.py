@@ -341,6 +341,17 @@ def test_bad_point_values_exit_2(capsys):
     assert json.loads(out)["status"] == "error"
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["diffeq-f", "--points", "2,1"], "positions (2,) equals 1"),
+    # q0^(1/2) s_1 = 1/2 * 2 = 1
+    (["diffeq-f", "--q", "1/4"], "positions (1,) equals 1"),
+    (["r-diffeq", "--points", "5/7,2"], "s0 = 7/5 times s over positions (1,) is 1")])
+def test_a_point_on_a_divisor_exits_2_naming_it(capsys, argv, named):
+    code, out = run_main(capsys, "verify", *argv)
+    rep = json.loads(out)
+    assert (code, rep["status"]) == (2, "error") and named in rep["detail"]
+
+
 def test_point_count_mismatch_exits_2(capsys):
     code, out = run_main(capsys, "verify", "npoint", "--n", "3",
                          "--points", "2,3")

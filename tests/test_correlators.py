@@ -32,7 +32,7 @@ from qwedge.correlators import (
 from qwedge.qdiff import r_series
 from qwedge.series import QSeries, q_pochhammer
 from qwedge.setparts import compositions, set_partitions, sign
-from qwedge.special import ThetaLattice, theta_deriv_series
+from qwedge.special import theta_deriv_series
 
 F = Fraction
 
@@ -54,7 +54,6 @@ def test_evalpoint_rejects_divisor():
 
 def test_evalpoint_merged_and_permuted():
     p = EvalPoint((F(2), F(3), F(5)))
-    assert p.t == (F(4), F(9), F(25))
     assert p.permuted((2, 0, 1)).s == (F(5), F(2), F(3))
     assert p.merged([(1, 2), (3,)]).s == (F(6), F(5))
 
@@ -285,14 +284,6 @@ def test_closed_forms_cancel_the_euler_factor_exactly(n):
                                 _t_with_full_thetas(point, order, shifts))
             assert _same_series(r_series(point, F(7, 5), 1, order, shifts),
                                 _r_with_full_thetas(point, F(7, 5), 1, order, shifts))
-
-
-def test_shared_lattice_must_match_the_order():
-    point = EvalPoint((F(2), F(3)))
-    lattice = ThetaLattice(6)
-    assert u_series(point, 6, lattice=lattice) == u_series(point, 6)
-    with pytest.raises(ValueError, match="order 6 cannot serve order 5"):
-        t_series(point, 5, lattice=lattice)
 
 
 # numerators and denominators from disjoint sets of primes: no subset product of

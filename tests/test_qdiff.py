@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from qwedge import qdiff
+from qwedge.correlators import DivisorHit, EvalPoint, FWeight
 from qwedge.qdiff import (
     DivergentPoint,
     SimpleZeroViolated,
@@ -25,10 +27,11 @@ from qwedge.qdiff import (
     verify_t_vanish,
 )
 from qwedge.setparts import compositions
-from qwedge.special import theta_deriv_series, theta_deriv_value
+from qwedge.special import ThetaValues, theta_deriv_series
 
 F = Fraction
 Q9 = F(1, 9)
+P3 = (F(3, 2), F(5, 4), F(4, 3))
 
 
 # -- convergence guard ---------------------------------------------------------------
@@ -54,13 +57,24 @@ def test_nonsquare_q0_rejected():
 
 def test_f_numeric_single_variable_is_inverse_theta():
     value, drift = f_numeric((F(2),), Q9, (20, 25))
-    closed = 1 / theta_deriv_value(0, F(2), Q9, 40)
+    closed = 1 / ThetaValues(Q9, 40).value(0, F(2))
     assert abs(value - closed) <= 5 * drift + F(1, 10**20)
 
 
 def test_h_numeric_empty_is_one():
     value, drift = h_numeric((), Q9, (15, 20))
     assert abs(value - 1) <= 5 * drift + F(1, 10**15)
+
+
+def test_f_numeric_names_a_unit_argument():
+    # t_2 = 1: F's closing divides by t_2 - 1, as H's by 1 - t_2
+    for numeric in (f_numeric, h_numeric):
+        with pytest.raises(DivisorHit) as exc:
+            numeric((F(2, 3), F(1)), Q9, (6, 8))
+        assert exc.value.subset == (2,)
+    with pytest.raises(DivisorHit) as exc:
+        FWeight((F(1), F(2)))
+    assert exc.value.subset == (1,)
 
 
 @pytest.mark.parametrize("cutoffs", [(-2, 3), (5, 5), (-1, -1)])
@@ -84,6 +98,40 @@ def test_diffeq_h_two_variables_both_positions():
     for k in (1, 2):
         rep = verify_diffeq_h((F(2), F(5, 4)), Q9, k, (20, 25))
         assert rep.ok, k
+
+
+def test_diffeq_h_interior_position_merges_both_neighbours():
+    rep = verify_diffeq_h(P3, Q9, 2, (11, 14))
+    assert rep.ok, rep.tolerance_info
+
+
+def _offset_at(monkeypatch, name, target):
+    """Make qdiff's `name` (f_numeric or h_numeric) return its value plus 1 at
+    the point `target` alone."""
+    real = getattr(qdiff, name)
+
+    def offset(svals, q0, cutoffs):
+        value, drift = real(svals, q0, cutoffs)
+        return (value + 1 if tuple(svals) == target else value), drift
+
+    monkeypatch.setattr(qdiff, name, offset)
+
+
+# the shifted point, then the merge-with-the-first points of (3/2, 5/4, 4/3)
+@pytest.mark.parametrize("target", [(F(1, 2), F(5, 4), F(4, 3)), P3,
+                                    (F(15, 8), F(4, 3)), (F(2), F(5, 4)), (F(5, 2),)])
+def test_diffeq_f_fails_when_one_value_is_off(monkeypatch, target):
+    _offset_at(monkeypatch, "f_numeric", target)
+    assert verify_diffeq_f(P3, Q9, (11, 14)).status == "fail"
+
+
+# the shifted point, the point itself, and its merges of position 2 with 3 and
+# with 1
+@pytest.mark.parametrize("target", [(F(3, 2), F(5, 12), F(4, 3)), P3,
+                                    (F(3, 2), F(5, 9)), (F(5, 8), F(4, 3))])
+def test_diffeq_h_fails_when_one_value_is_off(monkeypatch, target):
+    _offset_at(monkeypatch, "h_numeric", target)
+    assert verify_diffeq_h(P3, Q9, 2, (11, 14)).status == "fail"
 
 
 def test_diffeq_h_rejects_bad_position():
@@ -125,6 +173,19 @@ def test_r_diffeq():
     assert verify_r_diffeq((F(2), F(3)), F(7, 5), 0, 10).ok
     assert verify_r_diffeq((F(2), F(3)), F(7, 5), 1, 8).ok
     assert verify_r_diffeq((F(2), F(3), F(5)), F(7, 5), 0, 6).ok
+
+
+def test_r_series_rejects_a_spectator_divisor():
+    # s0 s_1 = 1: Theta(t0 t_1) is inverted and vanishes
+    with pytest.raises(ValueError, match=r"s0 = 7/5 times s over positions \(1,\) is 1"):
+        r_series(EvalPoint((F(5, 7), F(2))), F(7, 5), 0, 6)
+    with pytest.raises(ValueError, match=r"positions \(1,\) is 1"):
+        verify_r_diffeq((F(5, 7), F(2)), F(7, 5), 1, 6)
+    # s0 = 1 at the empty prefix
+    with pytest.raises(ValueError, match=r"s0 = 1 times s over positions \(\) is 1"):
+        r_series(EvalPoint((F(2), F(3))), F(1), 0, 6)
+    # s0 s_1 s_2 = 1: the full product is never inverted
+    assert verify_r_diffeq((F(2), F(5, 14)), F(7, 5), 0, 8).ok
 
 
 def test_r_series_single_block_value():
@@ -237,8 +298,8 @@ def test_phi_sum_of_bare_lattice_sums_times_the_factor_once(n):
     q0, terms = F(1, 16), 12
     fval, fderiv, factor = _phi_function("theta", q0, terms)
     svals = locus_point(n, F(1, 10))
-    true = phi_sum(lambda s: theta_deriv_value(0, s, q0, terms),
-                   lambda m, s: theta_deriv_value(m, s, q0, terms), svals)
+    table = ThetaValues(q0, terms)
+    true = phi_sum(lambda s: table.value(0, s), lambda m, s: table.value(m, s), svals)
     assert factor * phi_sum(fval, fderiv, svals) == true != 0
 
 

@@ -1,5 +1,5 @@
 """Set-partition families, signs, the composition recurrence, and integer
-partition multiplicities (through the exp-derivative expansion)."""
+partitions as multiplicity maps (through the exp-derivative expansion)."""
 
 import math
 import time
@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwedge.partitions import partitions_of
 from qwedge.setparts import (
     block_counts,
     compositions,
     near_singleton_partitions,
     ordered_block_sum,
-    partition_multiplicities,
     set_partitions,
     sign,
     signed_composition_sums,
@@ -155,10 +155,11 @@ def test_stabilizer_multiplicity():
 def exp_derivative_expansion(f_derivs, s):
     """Faa di Bruno: the s-th derivative of exp(f) over exp(f) is s! times the sum
     over {i: k_i} with sum i*k_i = s of prod_i (f^{(i)} / i!)^{k_i} / k_i!, so it
-    is right exactly when partition_multiplicities lists each such set once.
+    is right exactly when the partitions of s, as Counters of their parts, list
+    each such set once (`theta_odd_derivative_closed_form` sums over them).
     f_derivs[i] holds the i-th derivative of f; index 0 is unused."""
     total = F(0)
-    for combo in partition_multiplicities(s):
+    for combo in map(Counter, partitions_of(s)):
         term = F(1)
         for i, k in combo.items():
             term *= (f_derivs[i] / math.factorial(i)) ** k / math.factorial(k)

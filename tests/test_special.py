@@ -11,9 +11,7 @@ from qwedge.special import (
     eisenstein_g,
     eta,
     theta00,
-    theta_at_one_derivative,
     theta_deriv_series,
-    theta_deriv_value,
     theta_lattice_series,
     theta_odd_derivative_closed_form,
     theta_product_series,
@@ -94,10 +92,10 @@ def test_theta00_product_form():
 
 def test_theta_at_one_small_orders():
     # Theta(1) = 0; Theta'(1) = 1; Theta''(1) = 0
-    assert theta_at_one_derivative(0, 12).is_zero()
-    assert theta_at_one_derivative(1, 12) == QSeries.one(12)
-    assert theta_at_one_derivative(2, 12).is_zero()
-    assert theta_at_one_derivative(4, 12).is_zero()
+    assert theta_deriv_series(0, F(1), 12).is_zero()
+    assert theta_deriv_series(1, F(1), 12) == QSeries.one(12)
+    assert theta_deriv_series(2, F(1), 12).is_zero()
+    assert theta_deriv_series(4, F(1), 12).is_zero()
 
 
 def test_theta_odd_derivatives_closed_forms():
@@ -145,9 +143,10 @@ def test_theta_qshift_series():
 
 def test_theta_value_matches_series_eval():
     q0 = F(1, 9)
+    table = ThetaValues(q0, 40)
     for k in (0, 1, 2):
         for s in (F(2), F(3, 2)):
-            val = theta_deriv_value(k, s, q0, terms=40)
+            val = table.value(k, s)
             ser = theta_deriv_series(k, s, 24)
             assert (ser.offset, ser.step) == (0, 1)
             ser = sum((c * q0 ** j for j, c in enumerate(ser.coeffs)), F(0))
@@ -158,8 +157,9 @@ def test_theta_value_qshift_consistency():
     # difference equation at the value level, shift needs square q0
     q0 = F(1, 16)
     s = F(3, 2)
-    lhs = theta_deriv_value(0, s, q0, terms=40, shift=1)
-    rhs = -1 / (s * s) * _rat_root_pow(q0) * theta_deriv_value(0, s, q0, terms=40)
+    table = ThetaValues(q0, 40)
+    lhs = table.value(0, s, shift=1)
+    rhs = -1 / (s * s) * _rat_root_pow(q0) * table.value(0, s)
     assert abs(lhs - rhs) < F(1, 10) ** 12
 
 
@@ -196,7 +196,7 @@ def test_theta_value_matches_fraction_loop(q0, shifts):
                 assert value == _theta_value_by_fractions(k, s, q0, 12, shift), \
                     (k, shift, s)
                 assert table.lattice(k, s, shift) * table.factor == value
-    assert theta_deriv_value(3, F(5, 11), q0, 12, shifts[-1]) == \
+    assert ThetaValues(q0, 12).value(3, F(5, 11), shifts[-1]) == \
         table.value(3, F(5, 11), shifts[-1])
 
 
@@ -208,7 +208,7 @@ def test_theta_values_need_q0_inside_the_unit_interval(q0):
 
 def test_theta_value_odd_shift_needs_square_q0():
     with pytest.raises(SeriesError, match="no rational square root"):
-        theta_deriv_value(0, F(3, 2), F(1, 8), 12, shift=1)
+        ThetaValues(F(1, 8), 12).value(0, F(3, 2), shift=1)
 
 
 def test_xi_generating_report():
