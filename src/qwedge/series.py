@@ -212,13 +212,25 @@ class QSeries:
         lo, hi = (self, other) if gap >= 0 else (other, self)
         base = abs(gap)  # hi's slot 0 sits at lo's slot `base`
         n = min(lo.trunc_order, base + hi.trunc_order)
-        den = math.lcm(lo.den, hi.den)
-        scale = den // lo.den
+        g = math.gcd(lo.den, hi.den)
+        scale = hi.den // g
         out = [c * scale for c in lo.nums[: n + 1]]
-        scale = den // hi.den
+        den = lo.den * scale
+        scale = lo.den // g
         for j, c in enumerate(hi.nums[: max(0, n + 1 - base)], base):
             out[j] += c * scale
-        return _reduced(lo.offset, out, den, self.step)
+        if lo.trunc_order != base + hi.trunc_order:
+            return _reduced(lo.offset, out, den, self.step)  # a cut window
+        # Both operands are reduced and whole, so a prime of lo.den / g (or of
+        # hi.den / g) divides no sum unless it divides every numerator of lo
+        # (of hi) too: a common factor of the sums and den divides g
+        # (Knuth, TAOCP 4.5.1).
+        if g != 1:
+            g = math.gcd(g, *out)
+            if g != 1:
+                out = [c // g for c in out]
+                den //= g
+        return _series(lo.offset, tuple(out), den, self.step)
 
     def __neg__(self) -> QSeries:
         return _series(self.offset, tuple(-c for c in self.nums), self.den, self.step)
@@ -242,7 +254,14 @@ class QSeries:
             if x:
                 for j, y in enumerate(b[: n + 1 - i], i):
                     out[j] += x * y
-        return _reduced(self.offset + other.offset, out, self.den * other.den, self.step)
+        # most factors sit at offset 0, where the Fraction add is wasted
+        if not self.offset:
+            offset = other.offset
+        elif not other.offset:
+            offset = self.offset
+        else:
+            offset = self.offset + other.offset
+        return _reduced(offset, out, self.den * other.den, self.step)
 
     __rmul__ = __mul__
 

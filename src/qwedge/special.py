@@ -151,12 +151,19 @@ def theta00(order: int) -> QSeries:
 
 # -- the odd theta function and its invariant derivatives ------------------------
 
-def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
-    """The bare lattice sum sum_n (-1)^n (n+1/2)^k q^{n(n+1)/2} x^{n+1/2} at
-    x = s^2 q^shift, valid to relative `order`: (x d/dx)^k Theta without its
-    (q)_inf^{-3} factor.  Only O(sqrt(order)) coefficients are nonzero.
+def _check_derivative_order(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"derivative order k = {k} is negative; (x d/dx)^k "
+                         "Theta needs k >= 0")
 
-    The positive square-root branch makes x^{n+1/2} = s^{2n+1} q^{shift(n+1/2)}.
+
+def _lattice_walk(s: Fraction, order: int, shift: int) -> tuple[list, int, Fraction]:
+    """The terms of the lattice sum at x = s^2 q^shift to relative `order`, for
+    every k at once: triples (slot, m, signed integer) with m = 2n+1, their
+    denominator without 2^k, and the offset of slot 0.
+
+    (n+1/2)^k s^{2n+1} = m^k a^{m+e_neg} b^{e_pos-m} / (2^k a^e_neg b^e_pos)
+    with s = a/b and e_neg, e_pos bounding -m and m over the terms kept.
     """
     s = F(s)
     if s <= 0:
@@ -182,15 +189,37 @@ def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSe
     while twice_e(n) <= target:
         ns.append(n)
         n += 1
-    # (n+1/2)^k s^{2n+1} = (2n+1)^k a^{2n+1+e_neg} b^{e_pos-(2n+1)} / (2^k a^e_neg b^e_pos)
     e_neg = max(0, -(2 * min(ns) + 1))
     e_pos = max(0, 2 * max(ns) + 1)
-    nums = [0] * (order + 1)
+    terms = []
     for n in ns:
         m = 2 * n + 1
-        term = m ** k * a ** (m + e_neg) * b ** (e_pos - m)
-        nums[(twice_e(n) - lowest) // 2] += -term if n % 2 else term
-    return QSeries.from_nums(nums, 2 ** k * a ** e_neg * b ** e_pos, F(lowest, 2))
+        term = a ** (m + e_neg) * b ** (e_pos - m)
+        terms.append(((twice_e(n) - lowest) // 2, m, -term if n % 2 else term))
+    return terms, a ** e_neg * b ** e_pos, F(lowest, 2)
+
+
+def _lattice_sum(walk: tuple[list, int, Fraction], k: int, order: int) -> QSeries:
+    """lattice_k from its walk: the dot product of the terms with m^k, over 2^k
+    times the walk's denominator."""
+    terms, den, offset = walk
+    nums = [0] * (order + 1)
+    for slot, m, term in terms:
+        nums[slot] += m ** k * term
+    return QSeries.from_nums(nums, 2 ** k * den, offset)
+
+
+def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
+    """The bare lattice sum sum_n (-1)^n (n+1/2)^k q^{n(n+1)/2} x^{n+1/2} at
+    x = s^2 q^shift, valid to relative `order`: (x d/dx)^k Theta without its
+    (q)_inf^{-3} factor.  Only O(sqrt(order)) coefficients are nonzero.
+
+    The positive square-root branch makes x^{n+1/2} = s^{2n+1} q^{shift(n+1/2)}.
+    One lattice walk lists the signed integer terms for every k; this is the
+    walk's dot product with (2n+1)^k, the same route as `ThetaLattice.sum`.
+    """
+    _check_derivative_order(k)
+    return _lattice_sum(_lattice_walk(s, order, shift), k, order)
 
 
 def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
@@ -204,9 +233,11 @@ def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeri
 
 class ThetaLattice:
     """The lattice sums lattice_k and inverses lattice_0^{-1} that theta closed
-    forms need at one order, each built on first use and kept by (k, s, shift);
-    s enters the keys as its numerator and denominator, which hash faster than
-    the Fraction.
+    forms need at one order, each built on first use and kept by (k, s, shift).
+    Like `ThetaValues`, it walks the lattice once per (s, shift) and forms every
+    `sum(k, s, shift)` from that walk as one dot product, so the k asked for at
+    one argument share it.  s enters the keys as its numerator and denominator,
+    which hash faster than the Fraction.
 
     Create one per closed-form evaluation, or one per verifier call for the
     evaluations it compares; it holds what it built only as long as they keep it.
@@ -214,6 +245,7 @@ class ThetaLattice:
 
     def __init__(self, order: int):
         self.order = order
+        self._walks: dict[tuple, tuple] = {}
         self._sums: dict[tuple, QSeries] = {}
         self._inverses: dict[tuple, QSeries] = {}
 
@@ -221,7 +253,12 @@ class ThetaLattice:
         key = (k, s.numerator, s.denominator, shift)
         found = self._sums.get(key)
         if found is None:
-            found = self._sums[key] = theta_lattice_series(k, s, self.order, shift)
+            _check_derivative_order(k)
+            walk_key = key[1:]
+            walk = self._walks.get(walk_key)
+            if walk is None:
+                walk = self._walks[walk_key] = _lattice_walk(s, self.order, shift)
+            found = self._sums[key] = _lattice_sum(walk, k, self.order)
         return found
 
     def inverse(self, s: Fraction, shift: int) -> QSeries:
@@ -305,6 +342,7 @@ class ThetaValues:
 
     def lattice(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
         """The value without its factor (q0; q0)_terms^{-3}."""
+        _check_derivative_order(k)
         pairs, den = self._walk(F(s), shift)
         return F(sum(m ** k * t for m, t in pairs), 2 ** k * den)
 

@@ -153,6 +153,26 @@ def test_add_alignment_and_truncation():
     assert c.upper == 2
 
 
+def test_add_reduces_a_cut_window_in_full():
+    """The cut drops the 1/2 that made the left operand's den 2, so the
+    sum's numerators share that 2 with the den and are reduced in full."""
+    c = QSeries(0, [1, F(1, 2)]) + QSeries(0, [1])
+    assert (c.nums, c.den) == ((2,), 1)
+
+
+def test_add_cancels_the_factors_the_denominators_share():
+    c = S([F(1, 6)]) + S([F(1, 3)])
+    assert (c.nums, c.den) == ((1,), 2)
+    c = S([F(1, 6), F(5, 4)], offset=1) + S([F(1, 3), F(7, 4)], offset=1)
+    assert (c.nums, c.den) == ((1, 6), 2)
+
+
+def test_add_cancelling_to_zero_has_den_one():
+    a = S([F(1, 6), F(-5, 4), F(2, 9)], offset=F(1, 2))
+    for z in (a + (-a), a - a):
+        assert z.is_zero() and (z.nums, z.den) == ((0, 0, 0), 1)
+
+
 def test_add_rejects_noninteger_gap():
     with pytest.raises(NonIntegerOffsetGap):
         S([1], offset=0) + S([1], offset=F(1, 2))

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from qwedge import special
 from qwedge.series import QSeries, SeriesError, euler_product, rational_sqrt
 from qwedge.special import (
+    ThetaLattice,
     ThetaValues,
     bernoulli,
     eisenstein_g,
@@ -241,3 +243,48 @@ def test_theta_lattice_series_matches_fraction_sum(s):
                     want[int(e[n] - low)] += sign * (n + F(1, 2)) ** k * s ** (2 * n + 1)
             got = theta_lattice_series(k, s, order, shift)
             assert (got.offset, got.step, list(got.coeffs)) == (low, 1, want), (k, shift)
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: theta_lattice_series(k, F(2), 3),
+    lambda k: theta_deriv_series(k, F(2), 3),
+    lambda k: ThetaLattice(3).sum(k, F(2), 0),
+    lambda k: ThetaValues(F(1, 9), 8).lattice(k, F(2)),
+    lambda k: ThetaValues(F(1, 9), 8).value(k, F(2)),
+], ids=["theta_lattice_series", "theta_deriv_series", "ThetaLattice.sum",
+        "ThetaValues.lattice", "ThetaValues.value"])
+def test_negative_derivative_order_is_named(call):
+    with pytest.raises(ValueError, match="k = -1 is negative"):
+        call(-1)
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 12])
+def test_lattice_table_sums_equal_the_series(order):
+    """Every k the table forms from its one walk per (s, shift) is the series
+    `theta_lattice_series` forms from its own walk, exactly as stored."""
+    table = ThetaLattice(order)
+    for s in (F(2), F(3, 2), F(5, 7), F(11, 3), F(1301, 1009)):
+        for shift in range(-3, 5):
+            for k in range(7):
+                got = table.sum(k, s, shift)
+                want = theta_lattice_series(k, s, order, shift)
+                assert (got.offset, got.den, got.nums) == \
+                    (want.offset, want.den, want.nums), (k, s, shift)
+
+
+def test_lattice_table_walks_once_per_argument(monkeypatch):
+    walks = []
+    walk = special._lattice_walk
+
+    def counted(s, order, shift):
+        walks.append((s, shift))
+        return walk(s, order, shift)
+
+    monkeypatch.setattr(special, "_lattice_walk", counted)
+    table = ThetaLattice(6)
+    args = [(F(3, 2), 0), (F(3, 2), 1), (F(5, 7), -2)]
+    for s, shift in args:
+        for k in range(9):
+            table.sum(k, s, shift)
+        table.inverse(s, shift)
+    assert walks == args
