@@ -26,13 +26,13 @@ class Config:
 
 def run(cfg: Config) -> None:
     for kind in ("algebraic", "theta"):
-        fval, fderiv, factor = _phi_function(kind, cfg.q0, cfg.terms)
+        table, factor = _phi_function(kind, cfg.q0, cfg.terms)
         print(f"{kind}:")
         print(f"  {'eps':>8} {'|sum|':>12} {'ratio':>10}")
         prev = None
         for eps in cfg.eps_list:
             svals = locus_point(cfg.n, eps)
-            value = abs(factor * phi_sum(fval, fderiv, svals))
+            value = abs(factor * phi_sum(table, svals))
             ratio = "" if not prev else f"{float(value / prev):10.4f}"
             print(f"  {str(eps):>8} {float(value):12.3e} {ratio:>10}")
             prev = value if value else None

@@ -300,11 +300,13 @@ def theta_block_sum(point: EvalPoint, shifts: tuple[int, ...], lattice: ThetaLat
           * prod_{0 < k < r} lattice_0(t_0 t_{P_k})^{-1},
 
     P_k = B_1 u ... u B_k and t_0 = s0^2 q^{j0}; t_P carries the shifts of P.
-    One DP over subset masks (`setparts.ordered_block_sum`): the block factor
-    lattice_{|B|} is formed once per prefix P and size |B|, and the inverse once
-    per prefix.  No inverse is taken at the empty or the full prefix, where
-    the argument may be 1.  An even-size first block at argument 1 is skipped,
-    since Theta^{(k)}(1) vanishes for even k.
+    Any table with the `sum` and `inverse` of `ThetaLattice` serves, such as a
+    `ThetaValues` of numbers at one q0.  One DP over subset masks
+    (`setparts.ordered_block_sum`): the block factor lattice_{|B|} is formed
+    once per prefix P and size |B|, and the inverse once per prefix.  No
+    inverse is taken at the empty or the full prefix, where the argument may
+    be 1.  An even-size first block at argument 1 is skipped, since
+    Theta^{(k)}(1) vanishes for even k.
     """
     s_of = subset_fold(point.s, F(s0), operator.mul)
     j_of = subset_fold(tuple(shifts), j0, operator.add)

@@ -32,7 +32,6 @@ from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, rational_sqrt
 from .setparts import (
     near_singleton_partitions,
-    ordered_block_sum,
     sign,
     stabilizer_multiplicity,
     subset_fold,
@@ -40,6 +39,11 @@ from .setparts import (
 from .special import ThetaLattice, ThetaValues
 
 F = Fraction
+
+RESIDUE_EPS = (F(1, 100), F(1, 1000))  # approach distances of `verify_residue`
+RESIDUE_TOL = F(1, 25)  # its relative tolerance
+PHI_EPS = (F(1, 10), F(1, 100))  # approach distances of `verify_phi_vanish`
+PHI_RATIO_BOUND = F(1, 5)  # the decay it asks between them
 
 
 class DivergentPoint(ValueError):
@@ -386,25 +390,19 @@ def verify_cyclic_identity(m: int, k: int, q0=F(1, 4)) -> Report:
 
 
 def _u_value(svals: tuple[Fraction, ...], table: ThetaValues) -> Fraction:
-    """U at t_k = svals[k]^2; the table's factor cancels in the log-derivative
-    ratios, which are ratios of lattice sums, and enters once per value."""
-    if len(svals) == 0:
+    """U at t_k = svals[k]^2 as `u_series` forms it; the factor cancels in U."""
+    if not svals:
         return ONE
-    if len(svals) == 1:
-        return 1 / table.value(0, svals[0])
-    if len(svals) == 2:
-        s1, s2 = svals
-        logsum = sum(table.lattice(1, s) / table.lattice(0, s) for s in svals)
-        return logsum / table.value(0, s1 * s2)
-    raise ValueError("closed-form values implemented for at most two variables")
+    point = EvalPoint(svals)
+    zeros = (0,) * point.n
+    return close_u(theta_block_sum(point, zeros, table), point, zeros, table)
 
 
-def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
-                   eps_pair=(F(1, 100), F(1, 1000)), terms: int = 60,
-                   tol=F(1, 25)) -> Report:
+def verify_residue(n: int, k: int, m: int, q0=F(1, 16), terms: int = 60) -> Report:
     """Near the divisor q0^m t_1..t_k = 1 the correlation value has a simple pole
     whose residue is an explicit constant times the value on the remaining
-    variables.  Approach along t -> (1+eps)^2 and extrapolate linearly to 0.
+    variables.  Approach along t -> (1+eps)^2 for eps in `RESIDUE_EPS`,
+    extrapolate linearly to 0 and compare within `RESIDUE_TOL`, relative.
     """
     statement = ("the residue at a q-shifted unit-product divisor equals an explicit "
                  "constant times the correlation value in the remaining variables")
@@ -418,84 +416,84 @@ def verify_residue(n: int, k: int, m: int, q0=F(1, 16),
     table = ThetaValues(q0, terms)
     rest = (F(3),) * (n - k)
     params = {"n": n, "k": k, "m": m, "q0": q0, "terms": terms,
-              "eps": list(eps_pair), "tol": tol}
+              "eps": list(RESIDUE_EPS), "tol": RESIDUE_TOL}
 
     def g_at(eps: Fraction) -> tuple[Fraction, Fraction]:
-        s1 = root ** (-m) * (1 + eps)  # sqrt of q0^{-m} (1+eps)^2 over the others
-        for _ in range(1, k):
-            s1 /= F(3)
+        # sqrt of q0^{-m} (1+eps)^2 over the others
+        s1 = root ** (-m) * (1 + eps) / 3 ** (k - 1)
         svals = (s1,) + (F(3),) * (k - 1) + rest
         delta = (1 + eps) ** 2 - 1
         return delta, delta * _u_value(svals, table)
 
-    (d1, g1) = g_at(F(eps_pair[0]))
-    (d2, g2) = g_at(F(eps_pair[1]))
+    (d1, g1), (d2, g2) = map(g_at, RESIDUE_EPS)
     estimate = (d1 * g2 - d2 * g1) / (d1 - d2)
     rest_val = _u_value(rest, table)
     rest_prod = math.prod((s * s for s in rest), start=ONE)
     expected = (-1) ** m * root ** (m * m) * m ** (k - 1) * rest_val / rest_prod ** m
     diff = abs(estimate - expected)
-    bound = tol * abs(expected)
+    bound = RESIDUE_TOL * abs(expected)
     return Report("residue", statement, params,
                   "pass" if diff <= bound else "fail",
                   tolerance_info={"estimate": float(estimate),
                                   "expected": float(expected),
                                   "relative_error": float(diff / abs(expected)),
-                                  "tolerance": float(tol),
+                                  "tolerance": float(RESIDUE_TOL),
                                   "bound_kind": "heuristic"})
 
 
 # -- the odd-function vanishing sum --------------------------------------------------
 
 
-def phi_sum(fval, fderiv, svals: tuple[Fraction, ...]) -> Fraction:
-    """Composition sum of invariant-derivative ratios of an odd function:
+def phi_sum(table, svals: tuple[Fraction, ...]) -> Fraction:
+    """Composition sum of invariant-derivative ratios of an odd function f:
 
         sum over ordered set partitions (B_1, ..., B_l), |B_1| odd, of
           (-1)^l f^{(|B_1|)}(1) prod_{k >= 2} f^{(|B_k|)}(x_P) / f(x_P),
 
-    x_P the product of t over P = B_1 u ... u B_{k-1}; even first-block sizes
-    drop out, as f^{(k)}(1) vanishes for them.  The block factor is
-    -f^{(|B|)}(x_P), and one subset DP (`setparts.ordered_block_sum`) divides by
-    f(x_P) once per prefix P: each value of f and its derivatives is taken once.
-
-    fval(s) and fderiv(m, s) evaluate f and (x d/dx)^m f at x = s^2.
+    x_P the product of t over P = B_1 u ... u B_{k-1}; table.sum(k, s, 0) is
+    (x d/dx)^k f and table.inverse(s, 0) is 1/f, at x = s^2.  It is (-1)^n
+    `theta_block_sum`: each block's -1 here is (-1)^{|B|} times its sign
+    (-1)^{|B|-1} there, and the even first blocks skipped there have
+    f^{(|B|)}(1) = 0.  The product of all t may be 1, no other subset product.
     """
-    s_of = subset_fold(tuple(svals), ONE, operator.mul)
-
-    def leaf(k: int, p: int) -> Fraction | None:
-        if not p and k % 2 == 0:
-            return None
-        return -fderiv(k, s_of[p])
-
-    return ordered_block_sum(len(svals), leaf, lambda p, acc: acc / fval(s_of[p]))
+    point = EvalPoint(svals, allow_full=True)
+    block = theta_block_sum(point, (0,) * point.n, table)
+    return -block if point.n % 2 else block
 
 
-def require_simple_zero(fval, fderiv, tiny: Fraction) -> None:
-    """f must vanish at 1 (up to the numeric floor `tiny`) with f'(1) != 0."""
-    if abs(fval(ONE)) > tiny:
+def require_simple_zero(table, factor: Fraction, tiny: Fraction) -> None:
+    """f = factor * table.sum(0, ., 0) must vanish at 1 (up to the numeric floor
+    `tiny`) with f'(1) != 0."""
+    if abs(factor * table.sum(0, ONE, 0)) > tiny:
         raise SimpleZeroViolated("f(1) is not zero")
-    if abs(fderiv(1, ONE)) <= tiny:
+    if abs(factor * table.sum(1, ONE, 0)) <= tiny:
         raise SimpleZeroViolated("f'(1) vanishes; the zero at 1 is not simple")
 
 
+class _AlgebraicOdd:
+    """The `phi_sum` table of f(x) = (x^{1/2} - x^{-1/2}) + (x^{3/2} - x^{-3/2})/7,
+    exact and with no q.  A single half-power term is the q -> 0 limit of the
+    theta factor and makes the whole sum collapse identically, hiding the decay.
+    """
+
+    def sum(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
+        return (F(1, 2) ** k * (s - (-1) ** k / s)
+                + F(1, 7) * F(3, 2) ** k * (s ** 3 - (-1) ** k / s ** 3))
+
+    def inverse(self, s: Fraction, shift: int) -> Fraction:
+        return 1 / self.sum(0, s, shift)
+
+
 def _phi_function(f_kind: str, q0: Fraction, terms: int):
-    """(fval, fderiv, factor): f and (x d/dx)^m f are factor times fval and
-    fderiv(m, .), bare lattice sums of one `ThetaValues` for the theta kind.
-    Each chain of `phi_sum` has one more derivative than division, so the sum
-    for f is factor * phi_sum(fval, fderiv, .)."""
+    """(table, factor): f and (x d/dx)^m f are factor times table.sum(m, ., 0),
+    bare lattice sums of one `ThetaValues` for the theta kind.  Each chain of
+    `phi_sum` has one more derivative than division, so the sum for f is
+    factor * phi_sum(table, .)."""
     if f_kind == "algebraic":
-        # two half-power terms: a single term is the q -> 0 limit of the theta
-        # factor and makes the whole sum collapse identically, hiding the decay
-        c = F(1, 7)
-        return (lambda s: (s - 1 / s) + c * (s ** 3 - 1 / s ** 3),
-                lambda mm, s: F(1, 2) ** mm * (s - (-1) ** mm / s)
-                + c * F(3, 2) ** mm * (s ** 3 - (-1) ** mm / s ** 3),
-                ONE)
+        return _AlgebraicOdd(), ONE
     if f_kind == "theta":
         table = ThetaValues(q0, terms)
-        return (lambda s: table.lattice(0, s), lambda mm, s: table.lattice(mm, s),
-                table.factor)
+        return table, table.factor
     raise ValueError(f"unknown function kind {f_kind!r}")
 
 
@@ -515,41 +513,38 @@ def locus_point(n: int, eps: Fraction) -> tuple[Fraction, ...]:
     return (first,) + middles[: n - 2] + (last,)
 
 
-def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40,
-                      eps_pair=(F(1, 10), F(1, 100)),
-                      ratio_bound=F(1, 5)) -> Report:
+def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40) -> Report:
     """With all arguments multiplying to 1, the composition sum tends to zero as
-    the first argument approaches 1; verified by the decay between two
-    approach distances.
+    the first argument approaches 1; verified by the decay between the two
+    approach distances `PHI_EPS`.
     """
     statement = ("the odd-function composition sum on the unit-product locus decays "
                  "to zero as the first argument approaches one")
     q0 = F(q0)
-    points = [locus_point(n, e) for e in eps_pair]
-    fval, fderiv, factor = _phi_function(f_kind, q0, terms)
+    points = [locus_point(n, e) for e in PHI_EPS]
+    table, factor = _phi_function(f_kind, q0, terms)
     # the theta values are truncated at `terms` factors; the algebraic ones are exact
     floor = q0 ** terms if f_kind == "theta" else ZERO
-    require_simple_zero(lambda s: factor * fval(s), lambda mm, s: factor * fderiv(mm, s),
-                        floor)
-    params = {"f": f_kind, "n": n, "eps": list(eps_pair),
-              "ratio_bound": ratio_bound}
+    require_simple_zero(table, factor, floor)
+    params = {"f": f_kind, "n": n, "eps": list(PHI_EPS),
+              "ratio_bound": PHI_RATIO_BOUND}
     if f_kind == "theta":
         params["q0"] = q0
         params["terms"] = terms
 
-    values = [factor * phi_sum(fval, fderiv, p) for p in points]
+    values = [factor * phi_sum(table, p) for p in points]
     if values[0] == 0 and f_kind == "algebraic":
         # at n = 2 the two chains cancel, as f(1/x) = -f(x): zero at every
         # distance, with nothing to decay
         raise ValueError(f"n = {n}: the algebraic composition sum is exactly 0 at "
-                         f"eps = {eps_pair[0]}, so no decay can be checked")
+                         f"eps = {PHI_EPS[0]}, so no decay can be checked")
     # when the sum vanishes identically on the locus (the theta instance does)
     # only truncation dust remains; accept anything under the floor
-    ok = (abs(values[1]) <= ratio_bound * abs(values[0])
+    ok = (abs(values[1]) <= PHI_RATIO_BOUND * abs(values[0])
           or (abs(values[0]) <= floor and abs(values[1]) <= floor))
     return Report("phi-vanish", statement, params,
                   "pass" if ok else "fail",
                   tolerance_info={"wide": float(values[0]),
                                   "narrow": float(values[1]),
-                                  "ratio_bound": float(ratio_bound),
+                                  "ratio_bound": float(PHI_RATIO_BOUND),
                                   "bound_kind": "heuristic"})

@@ -148,17 +148,18 @@ def g_series(r: int, s_even: int, order: int) -> QSeries:
     return g
 
 
-def verify_h_equals_g(pairs=((1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3),
-                             (2, 4), (3, 3), (3, 4)),
-                      order: int = 30) -> Report:
+H_EQUALS_G_PAIRS = tuple((r, j) for r in range(1, 4) for j in range(r, 5))
+
+
+def verify_h_equals_g(order: int = 30) -> Report:
     """The double divisor sum and the differentiated Eisenstein series agree for
-    every (derivative count, weight tag) pair."""
+    each (derivative count r, weight tag j) of `H_EQUALS_G_PAIRS`."""
     statement = ("the log-derivative divisor sums of the odd-variable character "
                  "equal derivatives of Eisenstein series")
     if order < 0:
         raise ValueError(f"order = {order} checks no coefficient; need order >= 0")
-    params = {"pairs": [list(p) for p in pairs], "order": order}
-    for r, sumj in pairs:
+    params = {"pairs": [list(p) for p in H_EQUALS_G_PAIRS], "order": order}
+    for r, sumj in H_EQUALS_G_PAIRS:
         s = 2 * sumj
         if h_series(r, s, order) != g_series(r, s, order):
             return Report("h-equals-g", statement, params, "fail",

@@ -288,9 +288,10 @@ class ThetaValues:
     0 < q0 < 1 and cut `terms`, as bare lattice sums and the one factor
     (q0; q0)_terms^{-3} they share; a ratio of values is one of lattice sums.
 
-    `lattice(k, s, shift)` sums |n| <= terms of sum_n (-1)^n (n+1/2)^k s^{2n+1}
-    q0^{e(n)}, e(n) = n(n+1)/2 + shift(n+1/2), and `value` is `factor` times
-    it.  The cut Euler product sets the error: a value is off by a relative
+    `sum(k, s, shift)` sums |n| <= terms of sum_n (-1)^n (n+1/2)^k s^{2n+1}
+    q0^{e(n)}, e(n) = n(n+1)/2 + shift(n+1/2), and the value is `factor` times
+    it; `inverse(s, shift)` is 1 / sum(0, s, shift), as in `ThetaLattice`.
+    The cut Euler product sets the error: a value is off by a relative
     3 q0^{terms+1} or so, while the lattice tail is only O(q0^{terms^2/2}).
 
     The sums run in integers: with s = a/b, E = 2 terms + 1 and the powers of
@@ -340,14 +341,14 @@ class ThetaValues:
         den = (a * b) ** e_top * ru ** -f_lo * rw ** f_hi
         return self._walks.setdefault(key, (pairs, den))
 
-    def lattice(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
+    def sum(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
         """The value without its factor (q0; q0)_terms^{-3}."""
         _check_derivative_order(k)
         pairs, den = self._walk(F(s), shift)
         return F(sum(m ** k * t for m, t in pairs), 2 ** k * den)
 
-    def value(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
-        return self.factor * self.lattice(k, s, shift)
+    def inverse(self, s: Fraction, shift: int) -> Fraction:
+        return 1 / self.sum(0, s, shift)
 
 
 def theta_odd_derivative_closed_form(m: int, order: int,

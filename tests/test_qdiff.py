@@ -57,7 +57,8 @@ def test_nonsquare_q0_rejected():
 
 def test_f_numeric_single_variable_is_inverse_theta():
     value, drift = f_numeric((F(2),), Q9, (20, 25))
-    closed = 1 / ThetaValues(Q9, 40).value(0, F(2))
+    table = ThetaValues(Q9, 40)
+    closed = 1 / (table.factor * table.sum(0, F(2)))
     assert abs(value - closed) <= 5 * drift + F(1, 10**20)
 
 
@@ -250,16 +251,48 @@ def test_residue_holds_far_from_the_unit_divisor(n, k, m):
     assert rep.ok, rep.tolerance_info
 
 
+def test_residue_estimate_is_free_of_the_euler_truncation():
+    # U is formed from bare lattice sums, so the cut Euler product (off by
+    # about 3 q0^{terms+1}) does not reach the estimate
+    a, b = (verify_residue(1, 1, -10, q0=F(4, 9), terms=terms).tolerance_info["estimate"]
+            for terms in (20, 30))
+    assert abs(a - b) <= 1e-12 * abs(b)
+
+
+def _u_closed_form(svals, table):
+    """U at n <= 2 in theta values: 1/Theta(t_1), and
+    (Theta'/Theta(t_1) + Theta'/Theta(t_2)) / Theta(t_1 t_2)."""
+    def value(k, s):
+        return table.factor * table.sum(k, s)
+
+    if len(svals) == 1:
+        return 1 / value(0, svals[0])
+    s1, s2 = svals
+    return sum(value(1, s) / value(0, s) for s in svals) / value(0, s1 * s2)
+
+
+@pytest.mark.parametrize("svals", [(F(2),), (F(5, 4),), (F(7, 5),), (F(2), F(5, 4)),
+                                   (F(5, 4), F(7, 5)), (F(7, 5), F(2))])
+@pytest.mark.parametrize("q0", [F(1, 16), F(4, 9)])
+@pytest.mark.parametrize("terms", [8, 20])
+def test_u_value_is_the_closed_form_times_theta_prime_at_one(svals, q0, terms):
+    """The block sum leads with Theta'(1) as a truncated value, which is 1 in
+    the limit; the closed forms leave it out."""
+    table = ThetaValues(q0, terms)
+    assert qdiff._u_value(svals, table) == \
+        _u_closed_form(svals, table) * table.factor * table.sum(1, F(1))
+
+
 # -- the odd-function composition sum ------------------------------------------------
 
 
 def test_phi_sum_two_variable_closed_form():
-    fval, fderiv, factor = _phi_function("algebraic", F(1, 16), 10)
+    table, factor = _phi_function("algebraic", F(1, 16), 10)
     assert factor == 1
     svals = (F(2), F(3))
-    expected = fderiv(1, F(1)) * (fderiv(1, F(2)) / fval(F(2))
-                                  + fderiv(1, F(3)) / fval(F(3)))
-    assert phi_sum(fval, fderiv, svals) == expected
+    expected = table.sum(1, F(1)) * (table.sum(1, F(2)) / table.sum(0, F(2))
+                                     + table.sum(1, F(3)) / table.sum(0, F(3)))
+    assert phi_sum(table, svals) == expected
 
 
 def _phi_by_compositions(fval, fderiv, svals):
@@ -287,8 +320,9 @@ def _phi_by_compositions(fval, fderiv, svals):
     ("theta", (F(11, 10), F(2), F(3), F(10, 66))),
 ])
 def test_phi_sum_equals_the_composition_loop(kind, svals):
-    fval, fderiv, _ = _phi_function(kind, F(1, 16), 10)
-    assert phi_sum(fval, fderiv, svals) == _phi_by_compositions(fval, fderiv, svals)
+    table, _ = _phi_function(kind, F(1, 16), 10)
+    assert phi_sum(table, svals) == _phi_by_compositions(
+        lambda s: table.sum(0, s), table.sum, svals)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -296,11 +330,11 @@ def test_phi_sum_of_bare_lattice_sums_times_the_factor_once(n):
     """Each chain has one more derivative than division, so the Euler factor
     applied once to the sum of bare lattice sums gives the sum of true values."""
     q0, terms = F(1, 16), 12
-    fval, fderiv, factor = _phi_function("theta", q0, terms)
+    table, factor = _phi_function("theta", q0, terms)
     svals = locus_point(n, F(1, 10))
-    table = ThetaValues(q0, terms)
-    true = phi_sum(lambda s: table.value(0, s), lambda m, s: table.value(m, s), svals)
-    assert factor * phi_sum(fval, fderiv, svals) == true != 0
+    true = _phi_by_compositions(lambda s: factor * table.sum(0, s),
+                                lambda m, s: factor * table.sum(m, s), svals)
+    assert factor * phi_sum(table, svals) == true != 0
 
 
 def test_phi_vanish_algebraic_is_not_vacuous():
@@ -312,8 +346,8 @@ def test_phi_vanish_algebraic_is_not_vacuous():
 def test_phi_vanish_algebraic_rejects_a_sum_that_is_exactly_zero():
     """At n = 2 the two chains cancel, as f(1/x) = -f(x): the sum is 0 at
     every distance, so the decay check would pass on nothing."""
-    fval, fderiv, _ = _phi_function("algebraic", F(1, 16), 10)
-    assert phi_sum(fval, fderiv, locus_point(2, F(1, 10))) == 0
+    table, _ = _phi_function("algebraic", F(1, 16), 10)
+    assert phi_sum(table, locus_point(2, F(1, 10))) == 0
     with pytest.raises(ValueError, match="n = 2"):
         verify_phi_vanish("algebraic", 2)
 
@@ -323,8 +357,15 @@ def test_phi_vanish_theta():
     assert rep.ok
 
 
+class _Table:
+    """A `phi_sum` table of f and its derivatives, given as f(k, s)."""
+
+    def __init__(self, f):
+        self.sum = lambda k, s, shift=0: f(k, s)
+
+
 def test_simple_zero_guard():
     with pytest.raises(SimpleZeroViolated):
-        require_simple_zero(lambda s: s + 1 / s, lambda m, s: F(1), F(0))
+        require_simple_zero(_Table(lambda k, s: F(1) if k else s + 1 / s), 1, F(0))
     with pytest.raises(SimpleZeroViolated):
-        require_simple_zero(lambda s: F(0), lambda m, s: F(0), F(0))
+        require_simple_zero(_Table(lambda k, s: F(0)), 1, F(0))

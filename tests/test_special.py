@@ -148,7 +148,7 @@ def test_theta_value_matches_series_eval():
     table = ThetaValues(q0, 40)
     for k in (0, 1, 2):
         for s in (F(2), F(3, 2)):
-            val = table.value(k, s)
+            val = table.factor * table.sum(k, s)
             ser = theta_deriv_series(k, s, 24)
             assert (ser.offset, ser.step) == (0, 1)
             ser = sum((c * q0 ** j for j, c in enumerate(ser.coeffs)), F(0))
@@ -160,8 +160,8 @@ def test_theta_value_qshift_consistency():
     q0 = F(1, 16)
     s = F(3, 2)
     table = ThetaValues(q0, 40)
-    lhs = table.value(0, s, shift=1)
-    rhs = -1 / (s * s) * _rat_root_pow(q0) * table.value(0, s)
+    lhs = table.factor * table.sum(0, s, shift=1)
+    rhs = -1 / (s * s) * _rat_root_pow(q0) * table.factor * table.sum(0, s)
     assert abs(lhs - rhs) < F(1, 10) ** 12
 
 
@@ -194,12 +194,13 @@ def test_theta_value_matches_fraction_loop(q0, shifts):
     for k in range(5):
         for shift in shifts:
             for s in (F(3, 2), F(5, 11), F(1)):
-                value = table.value(k, s, shift)
+                value = table.factor * table.sum(k, s, shift)
                 assert value == _theta_value_by_fractions(k, s, q0, 12, shift), \
                     (k, shift, s)
-                assert table.lattice(k, s, shift) * table.factor == value
-    assert ThetaValues(q0, 12).value(3, F(5, 11), shifts[-1]) == \
-        table.value(3, F(5, 11), shifts[-1])
+                if k == 0 and s != 1:
+                    assert table.inverse(s, shift) == 1 / table.sum(0, s, shift)
+    assert ThetaValues(q0, 12).sum(3, F(5, 11), shifts[-1]) == \
+        table.sum(3, F(5, 11), shifts[-1])
 
 
 @pytest.mark.parametrize("q0", [F(0), F(1), F(4)])
@@ -210,7 +211,7 @@ def test_theta_values_need_q0_inside_the_unit_interval(q0):
 
 def test_theta_value_odd_shift_needs_square_q0():
     with pytest.raises(SeriesError, match="no rational square root"):
-        ThetaValues(F(1, 8), 12).value(0, F(3, 2), shift=1)
+        ThetaValues(F(1, 8), 12).sum(0, F(3, 2), shift=1)
 
 
 def test_xi_generating_report():
@@ -249,10 +250,10 @@ def test_theta_lattice_series_matches_fraction_sum(s):
     lambda k: theta_lattice_series(k, F(2), 3),
     lambda k: theta_deriv_series(k, F(2), 3),
     lambda k: ThetaLattice(3).sum(k, F(2), 0),
-    lambda k: ThetaValues(F(1, 9), 8).lattice(k, F(2)),
-    lambda k: ThetaValues(F(1, 9), 8).value(k, F(2)),
+    lambda k: ThetaValues(F(1, 9), 8).sum(k, F(2)),
+    lambda k, table=ThetaValues(F(1, 9), 8): table.factor * table.sum(k, F(2)),
 ], ids=["theta_lattice_series", "theta_deriv_series", "ThetaLattice.sum",
-        "ThetaValues.lattice", "ThetaValues.value"])
+        "ThetaValues.sum", "factor * sum"])
 def test_negative_derivative_order_is_named(call):
     with pytest.raises(ValueError, match="k = -1 is negative"):
         call(-1)
