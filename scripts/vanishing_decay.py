@@ -6,7 +6,8 @@ The sum is evaluated at arguments (1+eps, s_2, ..., adjusted last) with the
 product held at exactly 1; it should tend to zero as eps does.  The table
 shows the values and successive ratios for both shipped odd functions.  The
 theta instance vanishes identically on the locus, so its column shows pure
-truncation dust.
+truncation dust.  A point where a prefix product lands on a zero of the
+theta function (s^2 an integer power of q0) is reported as rejected.
 """
 
 import argparse
@@ -32,7 +33,11 @@ def run(cfg: Config) -> None:
         prev = None
         for eps in cfg.eps_list:
             svals = locus_point(cfg.n, eps)
-            value = abs(factor * phi_sum(table, svals))
+            try:
+                value = abs(factor * phi_sum(table, svals))
+            except ValueError as err:  # a point on a zero of f has no ratio
+                print(f"  {str(eps):>8} rejected: {err}")
+                break
             ratio = "" if not prev else f"{float(value / prev):10.4f}"
             print(f"  {str(eps):>8} {float(value):12.3e} {ratio:>10}")
             prev = value if value else None

@@ -17,7 +17,8 @@ from fractions import Fraction
 from .partitions import RowWeight, eps_closing, eps_row, q_bracket
 from .reports import FrozenRecord, Report, series_report
 from .series import ONE, QSeries, binomial_factor, euler_product, q_pochhammer
-from .setparts import ordered_block_sum, set_partitions, subset_fold
+from .setparts import (first_subset, ordered_block_sum, positions, set_partitions,
+                       subset_fold)
 from .special import ThetaLattice, theta_deriv_series
 
 F = Fraction
@@ -36,21 +37,27 @@ class EvalPoint(FrozenRecord):
 
     allow_full admits points where the product over ALL variables is 1 (proper
     subsets are still checked); the symmetrized series are finite there.
+    `products[mask]` is the product of s over the positions of mask, from one
+    `subset_fold`: the divisor check and the theta block sums read it, and a
+    merged point takes its products from its parent's.
     """
 
-    __slots__ = ("s", "allow_full")
+    __slots__ = ("s", "allow_full", "products")
 
     def __init__(self, s: tuple[Fraction, ...], allow_full: bool = False):
         s = tuple(F(x) for x in s)
         for x in s:
             if x <= 0:
                 raise ValueError("square roots must be positive; pass |s|")
-        top = len(s) - 1 if allow_full else len(s)
-        for r in range(1, top + 1):
-            for subset in itertools.combinations(range(len(s)), r):
-                if math.prod(s[i] for i in subset) == 1:
-                    raise DivisorHit(tuple(i + 1 for i in subset))
-        self._set(s=s, allow_full=allow_full)
+        products = subset_fold(s, ONE, operator.mul)
+        top = len(products) - 1 if allow_full else len(products)
+        hit = first_subset(p for p in range(1, top) if products[p] == 1)
+        if hit is not None:
+            raise DivisorHit(positions(hit))
+        self._set(s=s, allow_full=allow_full, products=products)
+
+    def _fields(self) -> tuple:
+        return (self.s, self.allow_full)  # the products follow from s
 
     @property
     def n(self) -> int:
@@ -60,8 +67,17 @@ class EvalPoint(FrozenRecord):
         return EvalPoint(tuple(self.s[i] for i in perm), self.allow_full)
 
     def merged(self, blocks) -> EvalPoint:
-        """One s per block: the product of the block's s values (1-indexed blocks)."""
-        return EvalPoint(block_products(self.s, blocks), self.allow_full)
+        """One s per block: the product of the block's s values (1-indexed
+        blocks, disjoint).  A subset of the blocks stands for the union of
+        their positions, so its product is one of this point's, already
+        checked."""
+        unions = subset_fold(tuple(sum(1 << (i - 1) for i in b) for b in blocks),
+                             0, operator.or_)
+        products = [self.products[u] for u in unions]
+        point = object.__new__(EvalPoint)
+        point._set(s=tuple(products[1 << k] for k in range(len(blocks))),
+                   allow_full=self.allow_full, products=products)
+        return point
 
     def s_prod(self, positions) -> Fraction:
         return math.prod((self.s[i] for i in positions), start=ONE)
@@ -300,16 +316,27 @@ def theta_block_sum(point: EvalPoint, shifts: tuple[int, ...], lattice: ThetaLat
           * prod_{0 < k < r} lattice_0(t_0 t_{P_k})^{-1},
 
     P_k = B_1 u ... u B_k and t_0 = s0^2 q^{j0}; t_P carries the shifts of P.
-    Any table with the `sum` and `inverse` of `ThetaLattice` serves, such as a
-    `ThetaValues` of numbers at one q0.  One DP over subset masks
+    Any table with the `sum`, `inverse` and `states` of `ThetaLattice` serves,
+    such as a `ThetaValues` of numbers at one q0.  One DP over subset masks
     (`setparts.ordered_block_sum`): the block factor lattice_{|B|} is formed
     once per prefix P and size |B|, and the inverse once per prefix.  No
     inverse is taken at the empty or the full prefix, where the argument may
     be 1.  An even-size first block at argument 1 is skipped, since
     Theta^{(k)}(1) vanishes for even k.
+
+    A prefix state is symmetric in the (s, shift) of its positions, so it is
+    named by their multiset with (s0, j0) and kept in `lattice.states`: the
+    sums of one check over points that share such a multiset, as a point and
+    its merged points do, form each state and each product with a leaf once.
     """
-    s_of = subset_fold(point.s, F(s0), operator.mul)
+    if s0 == 1:
+        s_of = point.products
+    else:
+        s_of = [s0 * x for x in point.products]
     j_of = subset_fold(tuple(shifts), j0, operator.add)
+    anchor = (s0.numerator, s0.denominator, j0)
+    atoms = tuple((s.numerator, s.denominator, j) for s, j in zip(point.s, shifts))
+    names = [(anchor, m) for m in subset_fold(atoms, (), _joined)]
 
     def leaf(k: int, p: int) -> QSeries | None:
         if k % 2 == 0 and j_of[p] == 0 and s_of[p] == 1:
@@ -320,14 +347,19 @@ def theta_block_sum(point: EvalPoint, shifts: tuple[int, ...], lattice: ThetaLat
     def close(p: int, acc: QSeries) -> QSeries:
         return acc * lattice.inverse(s_of[p], j_of[p])
 
-    return ordered_block_sum(point.n, leaf, close)
+    return ordered_block_sum(point.n, leaf, close, names, lattice.states)
+
+
+def _joined(multiset: tuple, atom: tuple) -> tuple:
+    """The sorted tuple `multiset` with `atom` added."""
+    return tuple(sorted(multiset + (atom,)))
 
 
 def close_u(block: QSeries, point: EvalPoint, shifts: tuple[int, ...],
             lattice: ThetaLattice) -> QSeries:
     """U from the point's `theta_block_sum`: times Theta(t_1..t_n)^{-1}, whose
     (q)_inf^3 cancels against the block factors'."""
-    return block * lattice.inverse(point.s_prod(range(point.n)), sum(shifts))
+    return block * lattice.inverse(point.products[-1], sum(shifts))
 
 
 def close_t(block: QSeries, order: int) -> QSeries:

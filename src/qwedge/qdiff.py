@@ -31,7 +31,9 @@ from .partitions import RowWeight, slot_table
 from .reports import Report, series_report
 from .series import ONE, ZERO, QSeries, rational_sqrt
 from .setparts import (
+    first_subset,
     near_singleton_partitions,
+    positions,
     sign,
     stabilizer_multiplicity,
     subset_fold,
@@ -71,14 +73,15 @@ def _sqrt_or_raise(q0: Fraction) -> Fraction:
 
 def check_convergent(svals: tuple[Fraction, ...], q0: Fraction) -> None:
     """Every nonempty subset product of the t's must lie strictly inside
-    (q0, 1/q0); otherwise the coefficient growth beats the q0 powers.
+    (q0, 1/q0); otherwise the coefficient growth beats the q0 powers.  The
+    products come from one `subset_fold`, and the subset named is the
+    smallest offending one, first in lexicographic order among those.
     """
-    n = len(svals)
-    for r in range(1, n + 1):
-        for subset in itertools.combinations(range(n), r):
-            prod = math.prod(svals[i] * svals[i] for i in subset)
-            if not (q0 < prod < 1 / q0):
-                raise DivergentPoint(tuple(i + 1 for i in subset), prod)
+    prods = subset_fold(tuple(s * s for s in svals), ONE, operator.mul)
+    top = 1 / q0
+    hit = first_subset(p for p in range(1, len(prods)) if not q0 < prods[p] < top)
+    if hit is not None:
+        raise DivergentPoint(positions(hit), prods[hit])
 
 
 def _bracket_numeric(weight: RowWeight, q0: Fraction,
@@ -204,11 +207,23 @@ def verify_diffeq_h(s_values, q0, k: int,
 # -- exact difference equations through the theta factors ---------------------------
 
 
+def _signed_sum(terms) -> QSeries:
+    """The sum of sgn * term over the pairs (sgn, term)."""
+    total = None
+    for sgn, term in terms:
+        term = term if sgn > 0 else -term
+        total = term if total is None else total + term
+    return total
+
+
 def verify_diffeq_t(s_values, order: int) -> Report:
     """Both theta-side series satisfy the same merge-with-the-first expansion,
     exactly: the block series without prefactor, the determinant series with
     -q^{1/2} t_1..t_n.  The two differ only in how they close the same block
-    sum (`theta_block_sum`), which is formed once per point.
+    sum (`theta_block_sum`): each side's signed block sums are added first,
+    then closed once as `t_series` and once as `u_series` close them, since
+    every merged point has the product t_1..t_n.  The block sums share one
+    `ThetaLattice` and so every prefix state that their points have in common.
     """
     statement = ("q-shifting the first variable expands both theta-side series over "
                  "merge-with-the-first set partitions, exactly, coefficient by "
@@ -217,27 +232,17 @@ def verify_diffeq_t(s_values, order: int) -> Report:
     n = point.n
     params = {"s": list(point.s), "order": order}
     shifts = (1,) + (0,) * (n - 1)
-    # the merged points' prefix products are subset products of this point's
+    zeros = (0,) * n
     lattice = ThetaLattice(order)
-
-    def both(pt: EvalPoint, sh: tuple[int, ...]) -> tuple[QSeries, QSeries]:
-        """(T, U) at pt, closed from one block sum as `t_series` and
-        `u_series` close it."""
-        block = theta_block_sum(pt, sh, lattice)
-        return close_t(block, order), close_u(block, pt, sh, lattice)
-
-    lhs_t, lhs_u = both(point, shifts)
-    rhs_t = sum_u = QSeries.zero(order)
-    for sgn, pi in _merge_first(n):
-        merged = point.merged(pi)
-        term_t, term_u = both(merged, (0,) * merged.n)
-        if sgn < 0:
-            term_t, term_u = -term_t, -term_u
-        rhs_t, sum_u = rhs_t + term_t, sum_u + term_u
-    rep_t = series_report("diffeq-t", statement, params, lhs_t, rhs_t)
-    tfull = point.s_prod(range(n)) ** 2
-    rhs_u = QSeries.monomial(-tfull, F(1, 2), order) * sum_u
-    rep_u = series_report("diffeq-t", statement, params, lhs_u, rhs_u)
+    lhs = theta_block_sum(point, shifts, lattice)
+    rhs = _signed_sum((sgn, theta_block_sum(merged, (0,) * merged.n, lattice))
+                      for sgn, merged in _merged_points(point))
+    rep_t = series_report("diffeq-t", statement, params, close_t(lhs, order),
+                          close_t(rhs, order))
+    tfull = point.products[-1] ** 2
+    rhs_u = QSeries.monomial(-tfull, F(1, 2), order) * close_u(rhs, point, zeros, lattice)
+    rep_u = series_report("diffeq-t", statement, params,
+                          close_u(lhs, point, shifts, lattice), rhs_u)
 
     ok = rep_t.ok and rep_u.ok
     failing = rep_t if not rep_t.ok else rep_u
@@ -247,6 +252,12 @@ def verify_diffeq_t(s_values, order: int) -> Report:
                   first_mismatch=None if ok else failing.first_mismatch,
                   details={"block_series": rep_t.status,
                            "determinant_series": rep_u.status})
+
+
+def _merged_points(point: EvalPoint):
+    """(sign, merged point) over `_merge_first` of the point's positions."""
+    for sgn, pi in _merge_first(point.n):
+        yield sgn, point.merged(pi)
 
 
 def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
@@ -269,11 +280,14 @@ def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
     if shifts is None:
         shifts = (0,) * n
     s0 = F(s0)
-    for p, s in enumerate(subset_fold(point.s, s0, operator.mul)[:-1]):
-        if s == 1:
-            positions = tuple(i + 1 for i in range(n) if p >> i & 1)
+    # a merged point's prefixes are among its parent's, so checking the
+    # parent's covers them; s0 = 0 is the lattice sums' to reject
+    target = 1 / s0 if s0 else None
+    for p, s in enumerate(point.products[:-1]):
+        if s == target:
             raise ValueError(f"the spectator s0 = {s0} times s over positions "
-                             f"{positions} is 1, so Theta(t0 t_P) there has no inverse")
+                             f"{positions(p)} is 1, so Theta(t0 t_P) there has no "
+                             "inverse")
     if lattice is None:
         lattice = ThetaLattice(order)
     return theta_block_sum(point, shifts, lattice, s0, j0) * lattice.inverse(s0, j0)
@@ -281,7 +295,10 @@ def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
 
 def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
     """The auxiliary-variable composition series obeys the same
-    merge-with-the-first expansion as the correlation sums."""
+    merge-with-the-first expansion as the correlation sums.  Every term of the
+    expansion ends with Theta(t_0)^{-1}, so the right side adds the merged
+    points' block sums first and divides once; the block sums share one
+    `ThetaLattice` with the left side's `r_series`."""
     statement = ("the composition series with an auxiliary spectator variable "
                  "re-expands over merge-with-the-first set partitions under a "
                  "q-shift of the first variable")
@@ -292,10 +309,9 @@ def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
     shifts = (1,) + (0,) * (n - 1)
     lattice = ThetaLattice(order)
     lhs = r_series(point, s0, j0, order, shifts, lattice)
-    rhs = QSeries.zero(order)
-    for sgn, pi in _merge_first(n):
-        term = r_series(point.merged(pi), s0, j0, order, lattice=lattice)
-        rhs = rhs + (term if sgn > 0 else -term)
+    rhs = _signed_sum((sgn, theta_block_sum(merged, (0,) * merged.n, lattice, s0, j0))
+                      for sgn, merged in _merged_points(point))
+    rhs = rhs * lattice.inverse(s0, j0)
     return series_report("r-diffeq", statement, params, lhs, rhs)
 
 
@@ -475,6 +491,9 @@ class _AlgebraicOdd:
     exact and with no q.  A single half-power term is the q -> 0 limit of the
     theta factor and makes the whole sum collapse identically, hiding the decay.
     """
+
+    def __init__(self):
+        self.states: dict = {}
 
     def sum(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
         return (F(1, 2) ** k * (s - (-1) ** k / s)

@@ -58,18 +58,17 @@ def _fill(s: QSeries, offset: Fraction, nums: tuple[int, ...], den: int,
           step: Fraction) -> QSeries:
     if not nums:
         raise ValueError("QSeries needs at least one coefficient slot")
-    put = object.__setattr__
-    put(s, "offset", offset)
-    put(s, "nums", nums)
-    put(s, "den", den)
-    put(s, "step", step)
-    put(s, "_coeffs", None)
+    _put_offset(s, offset)
+    _put_nums(s, nums)
+    _put_den(s, den)
+    _put_step(s, step)
+    _put_coeffs(s, None)
     return s
 
 
 def _series(offset: Fraction, nums: tuple[int, ...], den: int, step: Fraction) -> QSeries:
     """The series sum_k nums[k]/den q^{offset+k}; nums over den must be reduced, den > 0."""
-    return _fill(object.__new__(QSeries), offset, nums, den, step)
+    return _fill(_new(QSeries), offset, nums, den, step)
 
 
 def _reduced(offset: Fraction, nums, den: int, step: Fraction) -> QSeries:
@@ -117,7 +116,7 @@ class QSeries:
         if view is None:
             den = self.den
             view = tuple(Fraction(c, den) for c in self.nums)
-            object.__setattr__(self, "_coeffs", view)
+            _put_coeffs(self, view)
         return view
 
     @property
@@ -202,7 +201,7 @@ class QSeries:
             raise MixedStep(f"cannot combine step {self.step} with step {other.step}")
 
     def __add__(self, other: QSeries) -> QSeries:
-        if not isinstance(other, QSeries):
+        if type(other) is not QSeries:
             return NotImplemented
         self._check_step(other)
         gap = _gap(self.offset, other.offset)
@@ -211,15 +210,17 @@ class QSeries:
                 f"offsets {self.offset} and {other.offset} differ by a non-integer")
         lo, hi = (self, other) if gap >= 0 else (other, self)
         base = abs(gap)  # hi's slot 0 sits at lo's slot `base`
-        n = min(lo.trunc_order, base + hi.trunc_order)
+        lo_nums, hi_nums = lo.nums, hi.nums
+        lo_top, hi_top = len(lo_nums) - 1, base + len(hi_nums) - 1
+        n = min(lo_top, hi_top)
         g = math.gcd(lo.den, hi.den)
         scale = hi.den // g
-        out = [c * scale for c in lo.nums[: n + 1]]
+        out = [c * scale for c in lo_nums[: n + 1]]
         den = lo.den * scale
         scale = lo.den // g
-        for j, c in enumerate(hi.nums[: max(0, n + 1 - base)], base):
+        for j, c in enumerate(hi_nums[: max(0, n + 1 - base)], base):
             out[j] += c * scale
-        if lo.trunc_order != base + hi.trunc_order:
+        if lo_top != hi_top:
             return _reduced(lo.offset, out, den, self.step)  # a cut window
         # Both operands are reduced and whole, so a prime of lo.den / g (or of
         # hi.den / g) divides no sum unless it divides every numerator of lo
@@ -239,21 +240,25 @@ class QSeries:
         return self + (-other)
 
     def __mul__(self, other) -> QSeries:
-        if isinstance(other, (int, Fraction)):  # an int is its own numerator, over 1
-            return _reduced(self.offset, [other.numerator * x for x in self.nums],
-                            self.den * other.denominator, self.step)
-        if not isinstance(other, QSeries):
+        if type(other) is not QSeries:
+            if isinstance(other, (int, Fraction)):  # an int is its own numerator, over 1
+                return _reduced(self.offset, [other.numerator * x for x in self.nums],
+                                self.den * other.denominator, self.step)
             return NotImplemented
         self._check_step(other)
-        n = min(self.trunc_order, other.trunc_order)
-        a, b = self.nums[: n + 1], other.nums[: n + 1]
-        if a.count(0) < b.count(0):
-            a, b = b, a  # walk the sparser operand (lattice sums: O(sqrt N) nonzeros)
-        out = [0] * (n + 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b[: n + 1 - i], i):
-                    out[j] += x * y
+        a, b = self.nums, other.nums
+        n = min(len(a), len(b))
+        if n == 1:  # one slot: no loop
+            out = [a[0] * b[0]]
+        else:
+            a, b = a[:n], b[:n]
+            if a.count(0) < b.count(0):
+                a, b = b, a  # walk the sparser operand (lattice sums: O(sqrt N) nonzeros)
+            out = [0] * n
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b[: n - i], i):
+                        out[j] += x * y
         # most factors sit at offset 0, where the Fraction add is wasted
         if not self.offset:
             offset = other.offset
@@ -367,6 +372,12 @@ class QSeries:
         if self.trunc_order >= 8:
             shown += ", ..."
         return f"QSeries(q^{self.offset} * [{shown}]; N={self.trunc_order})"
+
+
+# results are built through the slot descriptors, past the immutable __setattr__
+_new = object.__new__
+_put_offset, _put_nums, _put_den, _put_step, _put_coeffs = (
+    QSeries.__dict__[name].__set__ for name in QSeries.__slots__)
 
 
 def binomial_factor(c, exponent: int, order: int) -> QSeries:

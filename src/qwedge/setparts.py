@@ -51,18 +51,29 @@ def compositions(items: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:
         yield from itertools.permutations(sp)
 
 
-def ordered_block_sum(n: int, leaf: Callable, close: Callable):
+_MISSING = object()
+
+
+def ordered_block_sum(n: int, leaf: Callable, close: Callable, names, known: dict):
     """Sum over the ordered set partitions (B_1, ..., B_r) of {1..n} of the chains
 
         leaf(|B_1|, P_0) close(P_1, .) leaf(|B_2|, P_1) ... close(P_{r-1}, .) leaf(|B_r|, P_{r-1}),
 
     where P_k = B_1 u ... u B_k is a bit mask (bit i - 1 for element i), so each
     block's factor depends only on its size and on the union before it.  The
-    sum runs as one DP over masks: X[0] = 1, acc[S] = the sum over nonempty
-    B inside S of X[S - B] * leaf(|B|, S - B), X[S] = close(S, acc[S]).  Each
-    product X[P] * leaf(k, P) is formed once and added into acc[P u B] for
-    every B of size k outside P: n 2^{n-1} products and 3^n - 2^n additions,
-    where the chains number Fubini(n).
+    sum runs as one DP over masks in pull form: X[0] = 1, and for 0 < S
+
+        acc[S] = sum over nonempty B inside S of X[S - B] * leaf(|B|, S - B),
+        X[S] = close(S, acc[S]),
+
+    each state X[S] asked for by the first acc that needs it.  `names[p]`
+    names prefix p: prefixes with one name must have one X and the same
+    leaf factors, and `known` holds X[p] under (names[p], 0) and the product
+    X[p] * leaf(k, p) under (names[p], k), so a state or product already in
+    `known` (from this sum or an earlier one over the same dict) is neither
+    formed nor pulled again.  With distinct names and an empty dict every
+    product X[P] * leaf(k, P) is formed once: n 2^{n-1} products and
+    3^n - 2^n additions, where the chains number Fubini(n).
 
     Returns acc[full]; the last close is the caller's.  `close` must be linear,
     `leaf` returns None for a factor that is exactly zero, and the values need
@@ -71,27 +82,35 @@ def ordered_block_sum(n: int, leaf: Callable, close: Callable):
     """
     if n < 1:
         raise ValueError(f"n = {n}: the block sum needs n >= 1")
-    full = (1 << n) - 1
-    acc: list = [None] * (full + 1)
-    for p in range(full):  # every proper subset of p is a smaller int
-        if p:
-            if acc[p] is None:
-                continue
-            x = close(p, acc[p])
-        products = [None] * (n + 1)
-        for k in range(1, n - p.bit_count() + 1):
-            factor = leaf(k, p)
-            if factor is not None:
-                products[k] = x * factor if p else factor
-        rest = full ^ p
-        b = rest
-        while b:  # the nonempty submasks of rest
-            term = products[b.bit_count()]
+
+    def pull(s: int):
+        acc = None
+        b = s
+        while b:  # the nonempty submasks B of s, each with its prefix s - B
+            term = product(s ^ b, b.bit_count())
             if term is not None:
-                s = p | b
-                acc[s] = term if acc[s] is None else acc[s] + term
-            b = (b - 1) & rest
-    return acc[full]
+                acc = term if acc is None else acc + term
+            b = (b - 1) & s
+        return acc
+
+    def product(p: int, k: int):
+        name = names[p]
+        term = known.get((name, k), _MISSING)
+        if term is _MISSING:
+            if p:
+                x = known.get((name, 0), _MISSING)
+                if x is _MISSING:
+                    acc = pull(p)
+                    x = known[name, 0] = None if acc is None else close(p, acc)
+                term = None if x is None else leaf(k, p)
+                if term is not None:
+                    term = x * term
+            else:
+                term = leaf(k, p)
+            known[name, k] = term
+        return term
+
+    return pull((1 << n) - 1)
 
 
 def subset_fold(values: tuple, start, op: Callable) -> list:
@@ -102,6 +121,19 @@ def subset_fold(values: tuple, start, op: Callable) -> list:
         low = mask & -mask
         out[mask] = op(out[mask ^ low], values[low.bit_length() - 1])
     return out
+
+
+def positions(mask: int) -> tuple[int, ...]:
+    """The 1-indexed positions of the set bits of mask."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def first_subset(masks) -> int | None:
+    """Of the masks, the one with the fewest elements and, among those, the
+    first in lexicographic order of `positions` (the order of
+    `itertools.combinations`); None for no mask.  A scan in mask order would
+    name {1, 2, 3} (mask 7) before {1, 4} (mask 9)."""
+    return min(masks, key=lambda p: (p.bit_count(), positions(p)), default=None)
 
 
 def sign(n: int, num_blocks: int) -> int:

@@ -163,7 +163,9 @@ def _lattice_walk(s: Fraction, order: int, shift: int) -> tuple[list, int, Fract
     denominator without 2^k, and the offset of slot 0.
 
     (n+1/2)^k s^{2n+1} = m^k a^{m+e_neg} b^{e_pos-m} / (2^k a^e_neg b^e_pos)
-    with s = a/b and e_neg, e_pos bounding -m and m over the terms kept.
+    with s = a/b and e_neg, e_pos bounding -m and m over the terms kept.  The
+    terms run over n ascending as one running product: times a^2 and over
+    b^2 per step.
     """
     s = F(s)
     if s <= 0:
@@ -176,26 +178,27 @@ def _lattice_walk(s: Fraction, order: int, shift: int) -> tuple[list, int, Fract
         """Twice the q-exponent of the n-th summand: n(n+1) + shift(2n+1)."""
         return n * (n + 1) + shift * (2 * n + 1)
 
-    # exponents are unimodal with vertex at n = -(2 shift + 1)/2; walk outward
+    # exponents are unimodal with vertex at n = -(2 shift + 1)/2, so the n kept
+    # form one interval [lo, hi] about it
     n0 = -shift - 1  # floor of the vertex
     lowest = min(twice_e(n0), twice_e(n0 + 1))
     target = lowest + 2 * order
-    ns = []
-    n = n0
-    while twice_e(n) <= target:
-        ns.append(n)
-        n -= 1
-    n = n0 + 1
-    while twice_e(n) <= target:
-        ns.append(n)
-        n += 1
-    e_neg = max(0, -(2 * min(ns) + 1))
-    e_pos = max(0, 2 * max(ns) + 1)
+    lo, hi = n0 + 1, n0
+    while twice_e(lo - 1) <= target:
+        lo -= 1
+    while twice_e(hi + 1) <= target:
+        hi += 1
+    e_neg = max(0, -(2 * lo + 1))
+    e_pos = max(0, 2 * hi + 1)
+    a2, b2 = a * a, b * b
+    term = a ** (2 * lo + 1 + e_neg) * b ** (e_pos - 2 * lo - 1)
+    slot = (twice_e(lo) - lowest) // 2
     terms = []
-    for n in ns:
-        m = 2 * n + 1
-        term = a ** (m + e_neg) * b ** (e_pos - m)
-        terms.append(((twice_e(n) - lowest) // 2, m, -term if n % 2 else term))
+    for n in range(lo, hi + 1):
+        terms.append((slot, 2 * n + 1, -term if n % 2 else term))
+        if n < hi:
+            term = term * a2 // b2
+            slot += n + 1 + shift  # half of twice_e(n + 1) - twice_e(n)
     return terms, a ** e_neg * b ** e_pos, F(lowest, 2)
 
 
@@ -239,6 +242,10 @@ class ThetaLattice:
     one argument share it.  s enters the keys as its numerator and denominator,
     which hash faster than the Fraction.
 
+    `states` keeps the prefix states and their products with a block factor
+    that `correlators.theta_block_sum` forms on this table, by the multiset of
+    the prefix's arguments, so the block sums of one check share them.
+
     Create one per closed-form evaluation, or one per verifier call for the
     evaluations it compares; it holds what it built only as long as they keep it.
     """
@@ -248,6 +255,7 @@ class ThetaLattice:
         self._walks: dict[tuple, tuple] = {}
         self._sums: dict[tuple, QSeries] = {}
         self._inverses: dict[tuple, QSeries] = {}
+        self.states: dict = {}
 
     def sum(self, k: int, s: Fraction, shift: int) -> QSeries:
         key = (k, s.numerator, s.denominator, shift)
@@ -300,7 +308,8 @@ class ThetaValues:
     r_num^{-f_lo} r_den^{f_hi}, f_lo <= 0 <= f_hi bounding f.  One walk per
     (s, shift) keeps those integers without (n+1/2)^k, so each k is one dot
     product; `factor` is w^{3 terms(terms+1)/2} / prod_m (w^m - u^m)^3.
-    Create one per verifier call, like `ThetaLattice`.
+    Like `ThetaLattice`, it keeps the block states of `theta_block_sum` in
+    `states`.  Create one per verifier call.
     """
 
     def __init__(self, q0: Fraction, terms: int):
@@ -313,9 +322,13 @@ class ThetaValues:
         euler = math.prod(w ** m - u ** m for m in range(1, terms + 1))
         self.factor = F(w ** (3 * (terms * (terms + 1) // 2)), euler ** 3)
         self._walks: dict[tuple, tuple] = {}
+        self.states: dict = {}
 
     def _walk(self, s: Fraction, shift: int) -> tuple[list, int]:
-        """The pairs (2n+1, signed integer term) and their denominator without 2^k."""
+        """The pairs (2n+1, signed integer term) and their denominator without
+        2^k.  The s-part runs as one product over n ascending (times a^2, over
+        b^2 per step); each power of r is formed once per exponent f, which
+        two n share."""
         key = (s.numerator, s.denominator, shift)
         if key in self._walks:
             return self._walks[key]
@@ -333,11 +346,18 @@ class ThetaValues:
         a, b = s.numerator, s.denominator
         ru, rw = r.numerator, r.denominator
         e_top = 2 * self.terms + 1
+        a2, b2 = a * a, b * b
+        part = a2 * b ** (2 * e_top - 2)  # a^{e_top + m} b^{e_top - m} at n = -terms
+        r_parts: dict[int, int] = {}
         pairs = []
         for n, f in zip(ns, fs):
-            m = 2 * n + 1
-            term = a ** (e_top + m) * b ** (e_top - m) * ru ** (f - f_lo) * rw ** (f_hi - f)
-            pairs.append((m, -term if n % 2 else term))
+            if n > -self.terms:
+                part = part * a2 // b2
+            rp = r_parts.get(f)
+            if rp is None:
+                rp = r_parts[f] = ru ** (f - f_lo) * rw ** (f_hi - f)
+            term = part * rp
+            pairs.append((2 * n + 1, -term if n % 2 else term))
         den = (a * b) ** e_top * ru ** -f_lo * rw ** f_hi
         return self._walks.setdefault(key, (pairs, den))
 
@@ -348,7 +368,31 @@ class ThetaValues:
         return F(sum(m ** k * t for m, t in pairs), 2 ** k * den)
 
     def inverse(self, s: Fraction, shift: int) -> Fraction:
+        """1 / sum(0, s, shift).  Theta vanishes wherever s^2 q0^shift is an
+        integer power of q0, and a truncated sum there is only the cut's
+        error, so such an s is rejected with a ValueError naming the power."""
+        s = F(s)
+        j = _power_of(s * s, self.q0)
+        if j is not None:
+            raise ValueError(f"s = {s} puts Theta on a zero: s^2 = q0^{j} with "
+                             f"q0 = {self.q0}, so the value has no inverse")
         return 1 / self.sum(0, s, shift)
+
+
+def _power_of(t: Fraction, q0: Fraction) -> int | None:
+    """The integer j with t = q0^j, or None; 0 < q0 < 1 and t > 0."""
+    if t == 1:
+        return 0
+    u, w = q0.numerator, q0.denominator  # w >= 2
+    top, other = (t.denominator, t.numerator) if t < 1 else (t.numerator, t.denominator)
+    if top % w:
+        return None
+    j, power = 1, w
+    while power < top:
+        j, power = j + 1, power * w
+    if power != top or other != u ** j:
+        return None
+    return j if t < 1 else -j
 
 
 def theta_odd_derivative_closed_form(m: int, order: int,

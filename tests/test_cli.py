@@ -165,7 +165,10 @@ DEGENERATE_FLAGS = {
     "residue": [["--n", "0"], ["--k", "0"], ["--q", "0"], ["--q", "1"],
                 ["--order", "-1"], ["--q", "4"], ["--q", "9/4"], ["--q", "-1/4"],
                 ["--n", "2", "--k", "2", "--m", "0"],
-                ["--n", "2", "--k", "2", "--m", "0", "--q", "1/4"]],
+                ["--n", "2", "--k", "2", "--m", "0", "--q", "1/4"],
+                # the spectator s = 3 puts t = 9 on a zero of Theta: q0^-1, q0^-2
+                ["--n", "2", "--q", "1/9"], ["--n", "2", "--k", "2", "--q", "1/9"],
+                ["--n", "2", "--q", "1/3"]],
     "skew-npoint": [["--order", "-1"], ["--n", "0"], ["--k", "0"]],
     "t-vanish": [["--order", "-1"], ["--points", "2"]],
     "theta-derivs": [["--order", "-1"]],
@@ -195,7 +198,9 @@ def test_degenerate_flags_exit_2(capsys, identity):
 
 @pytest.mark.parametrize("argv, named", [
     (["--q", "0"], "q0 = 0 "), (["--q", "1"], "q0 = 1 "), (["--q", "4"], "q0 = 4 "),
-    (["--q", "9/4"], "q0 = 9/4 "), (["--n", "2", "--k", "2", "--m", "0"], "m = 0 ")])
+    (["--q", "9/4"], "q0 = 9/4 "), (["--n", "2", "--k", "2", "--m", "0"], "m = 0 "),
+    (["--n", "2", "--q", "1/9"], "s = 3 puts Theta on a zero: s^2 = q0^-1 "),
+    (["--n", "2", "--q", "1/3"], "q0 = 1/3 ")])
 def test_residue_rejections_name_the_parameter(capsys, argv, named):
     code, out = run_main(capsys, "verify", "residue", *argv)
     assert code == 2 and named in json.loads(out)["detail"]

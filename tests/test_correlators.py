@@ -23,6 +23,7 @@ from qwedge.correlators import (
     qgauss_sum,
     t_series,
     t_series_via_u,
+    theta_block_sum,
     u_series,
     verify_f_block_routes,
     verify_npoint,
@@ -30,9 +31,9 @@ from qwedge.correlators import (
     verify_qgauss,
 )
 from qwedge.qdiff import r_series
-from qwedge.series import QSeries, q_pochhammer
-from qwedge.setparts import compositions, set_partitions, sign
-from qwedge.special import theta_deriv_series
+from qwedge.series import ONE, QSeries, q_pochhammer
+from qwedge.setparts import compositions, near_singleton_partitions, set_partitions, sign
+from qwedge.special import ThetaLattice, theta_deriv_series
 
 F = Fraction
 
@@ -52,10 +53,31 @@ def test_evalpoint_rejects_divisor():
         EvalPoint((F(-2),))
 
 
+def test_evalpoint_names_the_smallest_divisor_subset_first():
+    # {1, 4} and {2, 3} both multiply to 1, as does {1, 2, 3} at the second
+    # point; the smallest, then lexicographically first, is named: a scan in
+    # mask order would name (2, 3) (mask 6) and (1, 2, 3) (mask 7)
+    for svals in ((2, 3, F(1, 3), F(1, 2)), (2, 3, F(1, 6), F(1, 2))):
+        with pytest.raises(DivisorHit) as exc:
+            EvalPoint(svals)
+        assert exc.value.subset == (1, 4)
+        assert str(exc.value) == "product of t over positions (1, 4) equals 1"
+    # allow_full admits the full product alone
+    EvalPoint((2, 3, F(1, 6)), allow_full=True)
+    with pytest.raises(DivisorHit) as exc:
+        EvalPoint((2, 3, F(1, 6)))
+    assert exc.value.subset == (1, 2, 3)
+
+
 def test_evalpoint_merged_and_permuted():
     p = EvalPoint((F(2), F(3), F(5)))
     assert p.permuted((2, 0, 1)).s == (F(5), F(2), F(3))
-    assert p.merged([(1, 2), (3,)]).s == (F(6), F(5))
+    merged = p.merged([(1, 2), (3,)])
+    assert merged.s == (F(6), F(5))
+    # the merged point's subset products are its parent's, as a fresh point forms them
+    assert merged.products == EvalPoint((F(6), F(5))).products == [1, 6, 5, 30]
+    assert merged == EvalPoint((F(6), F(5)))
+    assert p.merged([(2,), (1, 3)]).products == EvalPoint((F(3), F(10))).products
 
 
 def test_evalpoint_is_an_immutable_value():
@@ -284,6 +306,37 @@ def test_closed_forms_cancel_the_euler_factor_exactly(n):
                                 _t_with_full_thetas(point, order, shifts))
             assert _same_series(r_series(point, F(7, 5), 1, order, shifts),
                                 _r_with_full_thetas(point, F(7, 5), 1, order, shifts))
+
+
+SHIFT_PATTERNS = (lambda n: (0,) * n, lambda n: (1,) + (0,) * (n - 1),
+                  lambda n: tuple((-1) ** i * (i % 3) for i in range(n)))
+
+
+def _block_sum_points(n):
+    """A point, a permutation of it and its merge-with-the-first points: points
+    that share prefix multisets."""
+    point = EvalPoint((F(3, 2), F(5, 4), F(7, 5), F(11, 7))[:n])
+    yield point
+    yield point.permuted(tuple(reversed(range(n))))
+    for pi in near_singleton_partitions(tuple(range(1, n + 1))):
+        yield point.merged(pi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_sums_on_a_shared_table_equal_fresh_ones(n):
+    """The states a table keeps for one block sum serve the next exactly: each
+    sum on one shared table equals, as stored, the sum on a table of its own."""
+    for s0, j0 in ((ONE, 0), (F(7, 5), 1), (F(2, 9), -3)):
+        for order in (0, 3):
+            shared = ThetaLattice(order)
+            for pattern in SHIFT_PATTERNS:
+                for point in _block_sum_points(n):
+                    shifts = pattern(point.n)
+                    got = theta_block_sum(point, shifts, shared, s0, j0)
+                    want = theta_block_sum(point, shifts, ThetaLattice(order), s0, j0)
+                    assert (got.offset, got.step, got.den, got.nums) == \
+                        (want.offset, want.step, want.den, want.nums), (point, shifts)
+            assert shared.states
 
 
 # numerators and denominators from disjoint sets of primes: no subset product of

@@ -1,5 +1,6 @@
 """Difference equations and singularity structure, exact and numeric."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from qwedge.qdiff import (
     verify_residue,
     verify_t_vanish,
 )
-from qwedge.setparts import compositions
-from qwedge.special import ThetaValues, theta_deriv_series
+from qwedge.correlators import theta_block_sum
+from qwedge.series import ONE
+from qwedge.setparts import compositions, near_singleton_partitions
+from qwedge.special import ThetaLattice, ThetaValues, theta_deriv_series
 
 F = Fraction
 Q9 = F(1, 9)
@@ -45,6 +48,22 @@ def test_divergent_point_rejected():
     with pytest.raises(DivergentPoint):
         check_convergent((F(2),), F(1, 4))  # t = 1/q0 exactly, boundary excluded
     check_convergent((F(2), F(5, 4)), Q9)  # fine
+
+
+def test_divergent_point_names_the_smallest_subset_first():
+    # t = (9/4, 9/4, 9/4, 25/4) at q0 = 1/9: {1, 2, 3} (729/64, mask 7) and
+    # {1, 4}, {2, 4}, {3, 4} (225/16) leave (1/9, 9); a scan in mask order
+    # would name (1, 2, 3)
+    with pytest.raises(DivergentPoint) as exc:
+        check_convergent((F(3, 2), F(3, 2), F(3, 2), F(5, 2)), Q9)
+    assert (exc.value.subset, exc.value.product) == ((1, 4), F(225, 16))
+    assert str(exc.value) == ("product of t over positions (1, 4) is 225/16, outside "
+                              "the open interval (q0, 1/q0)")
+    # two offending pairs, t_1 t_4 = 9 and t_2 t_3 = 1/9: the lexicographically
+    # first, (1, 4), before (2, 3) (mask 6)
+    with pytest.raises(DivergentPoint) as exc:
+        check_convergent((F(2), F(1, 2), F(2, 3), F(3, 2)), Q9)
+    assert (exc.value.subset, exc.value.product) == ((1, 4), F(9))
 
 
 def test_nonsquare_q0_rejected():
@@ -170,6 +189,54 @@ def test_r_recurrence_under_q_shift():
         assert lhs == rhs, m
 
 
+class _CountingStates(dict):
+    """A `states` dict that counts the writes to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def _counting_lattices(monkeypatch):
+    made = []
+
+    class CountingLattice(ThetaLattice):
+        def __init__(self, order):
+            super().__init__(order)
+            self.states = _CountingStates()
+            made.append(self)
+
+    monkeypatch.setattr(qdiff, "ThetaLattice", CountingLattice)
+    return made
+
+
+@pytest.mark.parametrize("verify, args", [
+    (verify_diffeq_t, (P3 + (F(7, 5),), 2)),
+    (verify_r_diffeq, (P3 + (F(7, 5),), F(9, 7), 1, 2))])
+def test_merged_points_share_block_states(monkeypatch, verify, args):
+    """At n = 4 the point and its 8 merged points form each keyed prefix state
+    and each product with a block factor once, on one table, and fewer than
+    a table per point would."""
+    made = _counting_lattices(monkeypatch)
+    assert verify(*args).ok
+    (table,) = made
+    assert set(table.states.writes.values()) == {1}
+    fresh = 0
+    point = EvalPoint(args[0])
+    shifts = (1, 0, 0, 0)
+    s0_j0 = args[2:4] if verify is verify_r_diffeq else (ONE, 0)
+    for pt, sh in [(point, shifts)] + [(point.merged(pi), (0,) * len(pi))
+                                       for pi in near_singleton_partitions((1, 2, 3, 4))]:
+        own = ThetaLattice(2)
+        theta_block_sum(pt, sh, own, *s0_j0)
+        fresh += len(own.states)
+    assert len(table.states) < fresh
+
+
 def test_r_diffeq():
     assert verify_r_diffeq((F(2), F(3)), F(7, 5), 0, 10).ok
     assert verify_r_diffeq((F(2), F(3)), F(7, 5), 1, 8).ok
@@ -235,6 +302,14 @@ def test_cyclic_identity_names_the_vanishing_factor():
     # t_1 = 3^2 = 9, so the factor (q t_1; q) = 1 - 9 q vanishes at q0 = 1/9
     with pytest.raises(ValueError, match=r"q0 = 1/9 .*\(9 q\^1; q\)_1 vanishes"):
         verify_cyclic_identity(2, 2, F(1, 9))
+
+
+def test_phi_vanish_rejects_a_zero_of_theta():
+    # at n = 4 the locus point holds s = 3, and t = 9 = 1/q0 is a zero of Theta
+    with pytest.raises(ValueError, match=r"s = 3 puts Theta on a zero: s\^2 = q0\^-1"):
+        verify_phi_vanish("theta", 4, q0=Q9)
+    with pytest.raises(ValueError, match=r"s = 3 .* q0\^-1"):
+        verify_residue(2, 1, 1, q0=Q9)
 
 
 def test_residue_pole_coefficients():

@@ -18,6 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
     ("bracket_scan.py", ["--max-weight", "4", "--max-factors", "1", "--order", "12",
                          "--margin", "4"], "(3)*G2^2 + (1/2)*G4"),
     ("vanishing_decay.py", ["--n", "3", "--terms", "10", "--eps", "1/10"], "theta:"),
+    # s = 3 sits on a zero of Theta at q0 = 1/9
+    ("vanishing_decay.py", ["--n", "4", "--q0", "1/9", "--terms", "10", "--eps", "1/10"],
+     "1/10 rejected: s = 3 puts Theta on a zero"),
 ])
 def test_script_runs(script, args, expect):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))

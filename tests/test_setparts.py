@@ -14,8 +14,10 @@ from qwedge.partitions import partitions_of
 from qwedge.setparts import (
     block_counts,
     compositions,
+    first_subset,
     near_singleton_partitions,
     ordered_block_sum,
+    positions,
     set_partitions,
     sign,
     signed_composition_sums,
@@ -53,8 +55,10 @@ def test_blocks_are_canonical():
 def test_ordered_block_sum_counts_compositions():
     fubinis = [1, 1, 3, 13, 75, 541, 4683]
     for n in range(1, 7):
-        assert ordered_block_sum(n, lambda k, p: 1, lambda p, acc: acc) == fubinis[n]
-        assert ordered_block_sum(n, lambda k, p: -1, lambda p, acc: acc) \
+        names = range(1 << n)
+        assert ordered_block_sum(n, lambda k, p: 1, lambda p, acc: acc, names, {}) \
+            == fubinis[n]
+        assert ordered_block_sum(n, lambda k, p: -1, lambda p, acc: acc, names, {}) \
             == signed_composition_sums(n)[n]
 
 
@@ -77,13 +81,52 @@ def test_ordered_block_sum_matches_the_chain_per_composition():
                 term = 0 if factor is None else term * factor
                 prefix |= sum(1 << (i - 1) for i in block)
             expected += term
-        assert ordered_block_sum(n, leaf, close) == expected
+        assert ordered_block_sum(n, leaf, close, range(1 << n), {}) == expected
+
+
+def test_ordered_block_sum_reads_known_states_by_name():
+    # factors that depend on a prefix only through its size: naming each
+    # prefix by its size gives the same sum from one state per size
+    calls = Counter()
+
+    def leaf(k, p):
+        calls["leaf"] += 1
+        return F(k + 3, p.bit_count() + 2)
+
+    def close(p, acc):
+        calls["close"] += 1
+        return acc * F(p.bit_count() + 1, 5)
+
+    for n in range(1, 6):
+        calls.clear()
+        by_mask = ordered_block_sum(n, leaf, close, range(1 << n), {})
+        assert calls["close"] == 2 ** n - 2
+        calls.clear()
+        known = {}
+        by_size = ordered_block_sum(n, leaf, close, [p.bit_count() for p in range(1 << n)],
+                                    known)
+        assert by_size == by_mask
+        assert calls["close"] == max(0, n - 1)
+        assert calls["leaf"] == n * (n + 1) // 2
+        # a second sum over the same dict forms nothing
+        calls.clear()
+        assert ordered_block_sum(n, leaf, close, [p.bit_count() for p in range(1 << n)],
+                                 known) == by_mask
+        assert not calls
+
+
+def test_first_subset_is_smallest_then_lexicographic():
+    # {1, 4} (mask 9) before {1, 2, 3} (mask 7), and {1, 4} before {2, 3} (mask 6)
+    assert first_subset([7, 9, 6]) == 9
+    assert positions(9) == (1, 4)
+    assert first_subset([12, 10]) == 10
+    assert first_subset(iter([])) is None
 
 
 def test_ordered_block_sum_edges():
-    assert ordered_block_sum(3, lambda k, p: None, lambda p, acc: acc) is None
+    assert ordered_block_sum(3, lambda k, p: None, lambda p, acc: acc, range(8), {}) is None
     with pytest.raises(ValueError, match="n >= 1"):
-        ordered_block_sum(0, lambda k, p: 1, lambda p, acc: acc)
+        ordered_block_sum(0, lambda k, p: 1, lambda p, acc: acc, range(1), {})
 
 
 def test_near_singleton_family():

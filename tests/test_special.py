@@ -289,3 +289,78 @@ def test_lattice_table_walks_once_per_argument(monkeypatch):
             table.sum(k, s, shift)
         table.inverse(s, shift)
     assert walks == args
+
+
+def _lattice_walk_by_powers(s, order, shift):
+    """`special._lattice_walk` with one `**` pair per term, n walked outward."""
+    a, b = s.numerator, s.denominator
+
+    def twice_e(n):
+        return n * (n + 1) + shift * (2 * n + 1)
+
+    n0 = -shift - 1
+    lowest = min(twice_e(n0), twice_e(n0 + 1))
+    ns = [n for n in range(n0 - order - 2, n0 + order + 4)
+          if twice_e(n) <= lowest + 2 * order]
+    e_neg = max(0, -(2 * min(ns) + 1))
+    e_pos = max(0, 2 * max(ns) + 1)
+    terms = []
+    for n in ns:
+        term = a ** (2 * n + 1 + e_neg) * b ** (e_pos - 2 * n - 1)
+        terms.append(((twice_e(n) - lowest) // 2, 2 * n + 1, -term if n % 2 else term))
+    return terms, a ** e_neg * b ** e_pos, F(lowest, 2)
+
+
+@pytest.mark.parametrize("s", [F(1), F(2), F(1, 3), F(1327, 1051)])
+def test_lattice_walk_running_powers_match_direct_powers(s):
+    for order in range(25):
+        for shift in range(-6, 7):
+            terms, den, offset = special._lattice_walk(s, order, shift)
+            want_terms, want_den, want_offset = _lattice_walk_by_powers(s, order, shift)
+            assert sorted(terms) == sorted(want_terms), (order, shift)
+            assert (den, offset) == (want_den, want_offset), (order, shift)
+
+
+def _values_walk_by_powers(q0, terms, s, shift):
+    """`ThetaValues._walk` with a `**` per factor of every term."""
+    r, halves = (rational_sqrt(q0), 1) if shift % 2 else (q0, 2)
+    ns = range(-terms, terms + 1)
+    fs = [(n * (n + 1) + shift * (2 * n + 1)) // halves for n in ns]
+    f_lo, f_hi = min(0, *fs), max(0, *fs)
+    a, b, e_top = s.numerator, s.denominator, 2 * terms + 1
+    pairs = []
+    for n, f in zip(ns, fs):
+        m = 2 * n + 1
+        term = a ** (e_top + m) * b ** (e_top - m) * r.numerator ** (f - f_lo) \
+            * r.denominator ** (f_hi - f)
+        pairs.append((m, -term if n % 2 else term))
+    den = (a * b) ** e_top * r.numerator ** -f_lo * r.denominator ** f_hi
+    return pairs, den
+
+
+@pytest.mark.parametrize("q0", [F(1, 9), F(1, 16), F(4, 9)])
+def test_values_walk_running_powers_match_direct_powers(q0):
+    for terms in (1, 2, 5, 20, 30):
+        table = ThetaValues(q0, terms)
+        for s in (F(1), F(2), F(1, 3), F(1327, 1051)):
+            for shift in range(-3, 4):
+                pairs, den = table._walk(s, shift)
+                want_pairs, want_den = _values_walk_by_powers(q0, terms, s, shift)
+                assert sorted(pairs) == sorted(want_pairs), (terms, s, shift)
+                assert den == want_den, (terms, s, shift)
+    with pytest.raises(SeriesError, match="no rational square root"):
+        ThetaValues(F(1, 2), 5)._walk(F(3, 2), 1)
+
+
+@pytest.mark.parametrize("q0, s, power", [
+    (F(1, 9), F(3), -1), (F(1, 9), F(1, 3), 1), (F(1, 9), F(1), 0),
+    (F(1, 9), F(1, 27), 3), (F(4, 9), F(3, 2), -1), (F(4, 9), F(8, 27), 3)])
+def test_theta_values_reject_a_zero_of_theta(q0, s, power):
+    """Theta(q0^j) = 0 for every integer j: s^2 q0^shift = q0^{j + shift}."""
+    table = ThetaValues(q0, 12)
+    for shift in (-1, 0, 2):
+        with pytest.raises(ValueError, match=rf"s = {s} .* s\^2 = q0\^{power} "):
+            table.inverse(s, shift)
+    # next to a zero, and where only one side of s^2 is a power of q0
+    for near in (s * F(101, 100), F(1, 9) if q0 == F(4, 9) else F(2, 9)):
+        assert table.inverse(near, 0) == 1 / table.sum(0, near, 0)
