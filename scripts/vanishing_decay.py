@@ -27,14 +27,14 @@ class Config:
 
 def run(cfg: Config) -> None:
     for kind in ("algebraic", "theta"):
-        table, factor = _phi_function(kind, cfg.q0, cfg.terms)
+        table = _phi_function(kind, cfg.q0, cfg.terms)
         print(f"{kind}:")
         print(f"  {'eps':>8} {'|sum|':>12} {'ratio':>10}")
         prev = None
         for eps in cfg.eps_list:
             svals = locus_point(cfg.n, eps)
             try:
-                value = abs(factor * phi_sum(table, svals))
+                value = abs(table.factor * phi_sum(table, svals))
             except ValueError as err:  # a point on a zero of f has no ratio
                 print(f"  {str(eps):>8} rejected: {err}")
                 break

@@ -362,12 +362,6 @@ def close_u(block: QSeries, point: EvalPoint, shifts: tuple[int, ...],
     return block * lattice.inverse(point.products[-1], sum(shifts))
 
 
-def close_t(block: QSeries, order: int) -> QSeries:
-    """T from the point's `theta_block_sum`: times the (q)_inf^{-3} of its
-    leading factor."""
-    return block * (euler_product(order).inv() ** 3)
-
-
 def u_series(point: EvalPoint, order: int,
              shifts: tuple[int, ...] | None = None) -> QSeries:
     """The determinant closed form for F.
@@ -413,7 +407,8 @@ def t_series(point: EvalPoint, order: int,
         shifts = (0,) * n
     if n == 0:
         return QSeries.one(order)
-    return close_t(theta_block_sum(point, shifts, ThetaLattice(order)), order)
+    lattice = ThetaLattice(order)
+    return theta_block_sum(point, shifts, lattice) * lattice.factor
 
 
 def t_series_via_u(point: EvalPoint, order: int,

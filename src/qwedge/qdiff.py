@@ -22,7 +22,6 @@ from .correlators import (
     FWeight,
     HWeight,
     block_products,
-    close_t,
     close_u,
     t_series,
     theta_block_sum,
@@ -207,10 +206,14 @@ def verify_diffeq_h(s_values, q0, k: int,
 # -- exact difference equations through the theta factors ---------------------------
 
 
-def _signed_sum(terms) -> QSeries:
-    """The sum of sgn * term over the pairs (sgn, term)."""
+def _merged_block_sum(point: EvalPoint, lattice: ThetaLattice, s0: Fraction,
+                      j0: int) -> QSeries:
+    """The signed sum of `theta_block_sum` at t_0 = s0^2 q^{j0} over the points
+    `_merge_first` merges from the point's positions, all unshifted."""
     total = None
-    for sgn, term in terms:
+    for sgn, pi in _merge_first(point.n):
+        merged = point.merged(pi)
+        term = theta_block_sum(merged, (0,) * merged.n, lattice, s0, j0)
         term = term if sgn > 0 else -term
         total = term if total is None else total + term
     return total
@@ -235,10 +238,9 @@ def verify_diffeq_t(s_values, order: int) -> Report:
     zeros = (0,) * n
     lattice = ThetaLattice(order)
     lhs = theta_block_sum(point, shifts, lattice)
-    rhs = _signed_sum((sgn, theta_block_sum(merged, (0,) * merged.n, lattice))
-                      for sgn, merged in _merged_points(point))
-    rep_t = series_report("diffeq-t", statement, params, close_t(lhs, order),
-                          close_t(rhs, order))
+    rhs = _merged_block_sum(point, lattice, ONE, 0)
+    rep_t = series_report("diffeq-t", statement, params, lhs * lattice.factor,
+                          rhs * lattice.factor)
     tfull = point.products[-1] ** 2
     rhs_u = QSeries.monomial(-tfull, F(1, 2), order) * close_u(rhs, point, zeros, lattice)
     rep_u = series_report("diffeq-t", statement, params,
@@ -252,12 +254,6 @@ def verify_diffeq_t(s_values, order: int) -> Report:
                   first_mismatch=None if ok else failing.first_mismatch,
                   details={"block_series": rep_t.status,
                            "determinant_series": rep_u.status})
-
-
-def _merged_points(point: EvalPoint):
-    """(sign, merged point) over `_merge_first` of the point's positions."""
-    for sgn, pi in _merge_first(point.n):
-        yield sgn, point.merged(pi)
 
 
 def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
@@ -309,9 +305,7 @@ def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
     shifts = (1,) + (0,) * (n - 1)
     lattice = ThetaLattice(order)
     lhs = r_series(point, s0, j0, order, shifts, lattice)
-    rhs = _signed_sum((sgn, theta_block_sum(merged, (0,) * merged.n, lattice, s0, j0))
-                      for sgn, merged in _merged_points(point))
-    rhs = rhs * lattice.inverse(s0, j0)
+    rhs = _merged_block_sum(point, lattice, s0, j0) * lattice.inverse(s0, j0)
     return series_report("r-diffeq", statement, params, lhs, rhs)
 
 
@@ -477,12 +471,12 @@ def phi_sum(table, svals: tuple[Fraction, ...]) -> Fraction:
     return -block if point.n % 2 else block
 
 
-def require_simple_zero(table, factor: Fraction, tiny: Fraction) -> None:
-    """f = factor * table.sum(0, ., 0) must vanish at 1 (up to the numeric floor
-    `tiny`) with f'(1) != 0."""
-    if abs(factor * table.sum(0, ONE, 0)) > tiny:
+def require_simple_zero(table, tiny: Fraction) -> None:
+    """f = table.factor * table.sum(0, ., 0) must vanish at 1 (up to the numeric
+    floor `tiny`) with f'(1) != 0."""
+    if abs(table.factor * table.sum(0, ONE, 0)) > tiny:
         raise SimpleZeroViolated("f(1) is not zero")
-    if abs(factor * table.sum(1, ONE, 0)) <= tiny:
+    if abs(table.factor * table.sum(1, ONE, 0)) <= tiny:
         raise SimpleZeroViolated("f'(1) vanishes; the zero at 1 is not simple")
 
 
@@ -491,6 +485,8 @@ class _AlgebraicOdd:
     exact and with no q.  A single half-power term is the q -> 0 limit of the
     theta factor and makes the whole sum collapse identically, hiding the decay.
     """
+
+    factor = 1
 
     def __init__(self):
         self.states: dict = {}
@@ -504,15 +500,14 @@ class _AlgebraicOdd:
 
 
 def _phi_function(f_kind: str, q0: Fraction, terms: int):
-    """(table, factor): f and (x d/dx)^m f are factor times table.sum(m, ., 0),
-    bare lattice sums of one `ThetaValues` for the theta kind.  Each chain of
-    `phi_sum` has one more derivative than division, so the sum for f is
-    factor * phi_sum(table, .)."""
+    """The table of f: f and (x d/dx)^m f are table.factor times
+    table.sum(m, ., 0), bare lattice sums of one `ThetaValues` for the theta
+    kind.  Each chain of `phi_sum` has one more derivative than division, so
+    the sum for f is table.factor * phi_sum(table, .)."""
     if f_kind == "algebraic":
-        return _AlgebraicOdd(), ONE
+        return _AlgebraicOdd()
     if f_kind == "theta":
-        table = ThetaValues(q0, terms)
-        return table, table.factor
+        return ThetaValues(q0, terms)
     raise ValueError(f"unknown function kind {f_kind!r}")
 
 
@@ -541,17 +536,17 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40) -> Repo
                  "to zero as the first argument approaches one")
     q0 = F(q0)
     points = [locus_point(n, e) for e in PHI_EPS]
-    table, factor = _phi_function(f_kind, q0, terms)
+    table = _phi_function(f_kind, q0, terms)
     # the theta values are truncated at `terms` factors; the algebraic ones are exact
     floor = q0 ** terms if f_kind == "theta" else ZERO
-    require_simple_zero(table, factor, floor)
+    require_simple_zero(table, floor)
     params = {"f": f_kind, "n": n, "eps": list(PHI_EPS),
               "ratio_bound": PHI_RATIO_BOUND}
     if f_kind == "theta":
         params["q0"] = q0
         params["terms"] = terms
 
-    values = [factor * phi_sum(table, p) for p in points]
+    values = [table.factor * phi_sum(table, p) for p in points]
     if values[0] == 0 and f_kind == "algebraic":
         # at n = 2 the two chains cancel, as f(1/x) = -f(x): zero at every
         # distance, with nothing to decay

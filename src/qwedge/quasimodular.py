@@ -14,6 +14,10 @@ from .special import EisensteinTable, xi_value
 
 F = Fraction
 
+BRACKET_MARGIN = 10  # fit margin of `verify_bracket_qm`
+CLOSURE_WEIGHTS = (2, 4, 6)  # weights `verify_derivation_closure` derives
+CLOSURE_MARGIN = 8  # and its fit margin
+
 
 class FitError(ValueError):
     pass
@@ -176,16 +180,16 @@ def bracket_weight(ks: tuple[int, ...]) -> int:
     return sum(k + 1 for k in ks)
 
 
-def verify_bracket_qm(ks: tuple[int, ...], order: int = 30, margin: int = 10) -> Report:
+def verify_bracket_qm(ks: tuple[int, ...], order: int = 30) -> Report:
     """The q-bracket of prod (p_k - xi(-k)) lies in the expected graded piece."""
     statement = ("q-brackets of shifted hook-moment products are quasimodular of "
                  "weight sum(k_i + 1)")
     ks = tuple(int(k) for k in ks)
     w = bracket_weight(ks)
     b = q_bracket(shifted_hook_moment(ks), order)
-    params = {"ks": list(ks), "order": order, "margin": margin, "weight": w}
+    params = {"ks": list(ks), "order": order, "margin": BRACKET_MARGIN, "weight": w}
     try:
-        elt = fit_series(b, w, margin)
+        elt = fit_series(b, w, BRACKET_MARGIN)
     except NotInSpan as err:
         return Report("bracket-qm", statement, params, "fail",
                       first_mismatch={"exponent": err.exponent})
@@ -194,20 +198,20 @@ def verify_bracket_qm(ks: tuple[int, ...], order: int = 30, margin: int = 10) ->
                   order_checked=order, details=details)
 
 
-def verify_derivation_closure(weights=(2, 4, 6), order: int = 30,
-                              margin: int = 8) -> Report:
-    """q d/dq maps the weight-w graded piece into the weight-(w+2) piece."""
+def verify_derivation_closure(order: int = 30) -> Report:
+    """q d/dq maps the weight-w graded piece into the weight-(w+2) piece, for
+    each w in `CLOSURE_WEIGHTS`."""
     statement = "the derivation q d/dq raises weight by exactly 2 on the graded ring"
-    params = {"weights": list(weights), "order": order, "margin": margin}
+    params = {"weights": list(CLOSURE_WEIGHTS), "order": order, "margin": CLOSURE_MARGIN}
     if order < 0:
         raise ValueError(f"order {order} is negative; the check needs order >= 0")
     table = EisensteinTable(order)
     checked = {}
-    for w in weights:
+    for w in CLOSURE_WEIGHTS:
         for abc in weight_monomials(w):
             d = table.monomial(abc).derive()
             try:
-                elt = fit_series(d, w + 2, margin, table)
+                elt = fit_series(d, w + 2, CLOSURE_MARGIN, table)
             except NotInSpan as err:
                 return Report("derivation-closure", statement, params, "fail",
                               first_mismatch={"monomial": list(abc),

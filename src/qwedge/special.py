@@ -6,9 +6,10 @@ All theta machinery works at multiplicative points x = s^2 * q^shift with s an e
 positive rational, so every series coefficient stays a Fraction.  The square root
 x^{1/2} always means the positive branch s * q^{shift/2}.
 
-Theta is the lattice sum `theta_lattice_series` times (q)_inf^{-3}.  The theta
-closed forms (correlators, qdiff) are ratios in which that factor cancels, so
-they are assembled from the lattice sums and apply (q)_inf^{-3} at most once.
+Theta is a lattice sum times (q)_inf^{-3}, the `factor` of the table that holds
+the sums: `ThetaLattice` as q-series, `ThetaValues` as numbers at one q0.  The
+theta closed forms (correlators, qdiff) are ratios in which that factor
+cancels, so they are assembled from the lattice sums and apply it at most once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .partitions import partitions_of
 from .reports import Report, series_report
@@ -151,131 +152,121 @@ def theta00(order: int) -> QSeries:
 
 # -- the odd theta function and its invariant derivatives ------------------------
 
-def _check_derivative_order(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"derivative order k = {k} is negative; (x d/dx)^k "
-                         "Theta needs k >= 0")
-
-
-def _lattice_walk(s: Fraction, order: int, shift: int) -> tuple[list, int, Fraction]:
-    """The terms of the lattice sum at x = s^2 q^shift to relative `order`, for
-    every k at once: triples (slot, m, signed integer) with m = 2n+1, their
-    denominator without 2^k, and the offset of slot 0.
-
-    (n+1/2)^k s^{2n+1} = m^k a^{m+e_neg} b^{e_pos-m} / (2^k a^e_neg b^e_pos)
-    with s = a/b and e_neg, e_pos bounding -m and m over the terms kept.  The
-    terms run over n ascending as one running product: times a^2 and over
-    b^2 per step.
+def _lattice_walk(s: Fraction, lo: int, hi: int) -> tuple[list[int], int]:
+    """The signed s-parts of the lattice terms n = lo..hi and their denominator:
+    s^{2n+1} = a^{m+e_neg} b^{e_pos-m} / (a^e_neg b^e_pos) with s = a/b, m = 2n+1
+    and e_neg, e_pos bounding -m and m over the n, the numerator taken with
+    sign (-1)^n.  The parts run as one product over n ascending: times a^2
+    and over b^2 per step.
     """
-    s = F(s)
-    if s <= 0:
-        raise ValueError("s must be a positive rational")
-    if order < 0:
-        raise ValueError(f"order {order} is negative; a theta series needs order >= 0")
     a, b = s.numerator, s.denominator
-
-    def twice_e(n: int) -> int:
-        """Twice the q-exponent of the n-th summand: n(n+1) + shift(2n+1)."""
-        return n * (n + 1) + shift * (2 * n + 1)
-
-    # exponents are unimodal with vertex at n = -(2 shift + 1)/2, so the n kept
-    # form one interval [lo, hi] about it
-    n0 = -shift - 1  # floor of the vertex
-    lowest = min(twice_e(n0), twice_e(n0 + 1))
-    target = lowest + 2 * order
-    lo, hi = n0 + 1, n0
-    while twice_e(lo - 1) <= target:
-        lo -= 1
-    while twice_e(hi + 1) <= target:
-        hi += 1
-    e_neg = max(0, -(2 * lo + 1))
-    e_pos = max(0, 2 * hi + 1)
+    e_neg, e_pos = max(0, -(2 * lo + 1)), max(0, 2 * hi + 1)
     a2, b2 = a * a, b * b
-    term = a ** (2 * lo + 1 + e_neg) * b ** (e_pos - 2 * lo - 1)
-    slot = (twice_e(lo) - lowest) // 2
-    terms = []
+    part = a ** (2 * lo + 1 + e_neg) * b ** (e_pos - 2 * lo - 1)
+    parts = []
     for n in range(lo, hi + 1):
-        terms.append((slot, 2 * n + 1, -term if n % 2 else term))
+        parts.append(-part if n % 2 else part)
         if n < hi:
-            term = term * a2 // b2
-            slot += n + 1 + shift  # half of twice_e(n + 1) - twice_e(n)
-    return terms, a ** e_neg * b ** e_pos, F(lowest, 2)
+            part = part * a2 // b2
+    return parts, a ** e_neg * b ** e_pos
 
 
-def _lattice_sum(walk: tuple[list, int, Fraction], k: int, order: int) -> QSeries:
-    """lattice_k from its walk: the dot product of the terms with m^k, over 2^k
-    times the walk's denominator."""
-    terms, den, offset = walk
-    nums = [0] * (order + 1)
-    for slot, m, term in terms:
-        nums[slot] += m ** k * term
-    return QSeries.from_nums(nums, 2 ** k * den, offset)
-
-
-def theta_lattice_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
-    """The bare lattice sum sum_n (-1)^n (n+1/2)^k q^{n(n+1)/2} x^{n+1/2} at
-    x = s^2 q^shift, valid to relative `order`: (x d/dx)^k Theta without its
-    (q)_inf^{-3} factor.  Only O(sqrt(order)) coefficients are nonzero.
-
-    The positive square-root branch makes x^{n+1/2} = s^{2n+1} q^{shift(n+1/2)}.
-    One lattice walk lists the signed integer terms for every k; this is the
-    walk's dot product with (2n+1)^k, the same route as `ThetaLattice.sum`.
-    """
-    _check_derivative_order(k)
-    return _lattice_sum(_lattice_walk(s, order, shift), k, order)
-
-
-def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
-    """(x d/dx)^k Theta at x = s^2 q^shift, as a q-series valid to relative `order`.
-
-    Theta(x) = (q)_inf^{-3} sum_n (-1)^n q^{n(n+1)/2} x^{n+1/2}; the derivative
-    inserts (n+1/2)^k into the lattice sum (`theta_lattice_series`).
-    """
-    return theta_lattice_series(k, s, order, shift) * (euler_product(order).inv() ** 3)
-
-
-class ThetaLattice:
-    """The lattice sums lattice_k and inverses lattice_0^{-1} that theta closed
-    forms need at one order, each built on first use and kept by (k, s, shift).
-    Like `ThetaValues`, it walks the lattice once per (s, shift) and forms every
-    `sum(k, s, shift)` from that walk as one dot product, so the k asked for at
-    one argument share it.  s enters the keys as its numerator and denominator,
-    which hash faster than the Fraction.
+class _ThetaTable:
+    """The lattice sums lattice_k = sum_n (-1)^n (n+1/2)^k x^{n+1/2} q^{n(n+1)/2}
+    at x = s^2 q^shift and the inverses lattice_0^{-1}, each formed on first
+    use and kept by (k, s, shift).  The lattice is walked once per (s, shift),
+    and every k at that argument is read from the walk as one dot product.  s
+    enters the keys as its numerator and denominator, which hash faster than
+    the Fraction.  Theta itself is `factor` times lattice_0.
 
     `states` keeps the prefix states and their products with a block factor
     that `correlators.theta_block_sum` forms on this table, by the multiset of
     the prefix's arguments, so the block sums of one check share them.
+
+    A layout supplies `_walk(s, shift)`, `_read(walk, k)` and `_invert(s, shift)`.
+    """
+
+    def __init__(self):
+        self._walks: dict[tuple, tuple] = {}
+        self._sums: dict[tuple, object] = {}
+        self._inverses: dict[tuple, object] = {}
+        self.states: dict = {}
+
+    def sum(self, k: int, s: Fraction, shift: int = 0):
+        key = (k, s.numerator, s.denominator, shift)
+        found = self._sums.get(key)
+        if found is None:
+            if k < 0:
+                raise ValueError(f"derivative order k = {k} is negative; (x d/dx)^k "
+                                 "Theta needs k >= 0")
+            walk = self._walks.get(key[1:])
+            if walk is None:
+                if s <= 0:
+                    raise ValueError("s must be a positive rational")
+                walk = self._walks[key[1:]] = self._walk(s, shift)
+            found = self._sums[key] = self._read(walk, k)
+        return found
+
+    def inverse(self, s: Fraction, shift: int):
+        """lattice_0^{-1}: Theta(x)^{-1} without its 1 / `factor`."""
+        key = (s.numerator, s.denominator, shift)
+        found = self._inverses.get(key)
+        if found is None:
+            found = self._inverses[key] = self._invert(s, shift)
+        return found
+
+
+class ThetaLattice(_ThetaTable):
+    """The lattice sums as q-series valid to relative `order`, and `factor`,
+    (q)_inf^{-3} at that order, formed on first use.  Only O(sqrt(order))
+    coefficients of a sum are nonzero.
 
     Create one per closed-form evaluation, or one per verifier call for the
     evaluations it compares; it holds what it built only as long as they keep it.
     """
 
     def __init__(self, order: int):
+        super().__init__()
         self.order = order
-        self._walks: dict[tuple, tuple] = {}
-        self._sums: dict[tuple, QSeries] = {}
-        self._inverses: dict[tuple, QSeries] = {}
-        self.states: dict = {}
 
-    def sum(self, k: int, s: Fraction, shift: int) -> QSeries:
-        key = (k, s.numerator, s.denominator, shift)
-        found = self._sums.get(key)
-        if found is None:
-            _check_derivative_order(k)
-            walk_key = key[1:]
-            walk = self._walks.get(walk_key)
-            if walk is None:
-                walk = self._walks[walk_key] = _lattice_walk(s, self.order, shift)
-            found = self._sums[key] = _lattice_sum(walk, k, self.order)
-        return found
+    @cached_property
+    def factor(self) -> QSeries:
+        return euler_product(self.order).inv() ** 3
 
-    def inverse(self, s: Fraction, shift: int) -> QSeries:
-        """lattice_0^{-1}: Theta(x)^{-1} without its (q)_inf^3."""
-        key = (s.numerator, s.denominator, shift)
-        found = self._inverses.get(key)
-        if found is None:
-            found = self._inverses[key] = self.sum(0, s, shift).inv()
-        return found
+    def _walk(self, s: Fraction, shift: int) -> tuple[list, int, Fraction]:
+        """Triples (slot, 2n+1, signed s-part) and the s-parts' denominator and
+        the offset of slot 0.  With i = n + shift the positive branch
+        x^{n+1/2} = s^{2n+1} q^{shift(n+1/2)} puts term n at twice the
+        q-exponent i(i+1) - shift^2, so the terms kept are i = -h-1..h, term i
+        in slot i(i+1)/2, over the offset -shift^2/2."""
+        if self.order < 0:
+            raise ValueError(f"order {self.order} is negative; a theta series "
+                             "needs order >= 0")
+        h = (math.isqrt(8 * self.order + 1) - 1) // 2
+        parts, den = _lattice_walk(s, -h - 1 - shift, h - shift)
+        terms = [(i * (i + 1) // 2, 2 * (i - shift) + 1, part)
+                 for i, part in zip(range(-h - 1, h + 1), parts)]
+        return terms, den, F(-shift * shift, 2)
+
+    def _read(self, walk: tuple[list, int, Fraction], k: int) -> QSeries:
+        terms, den, offset = walk
+        nums = [0] * (self.order + 1)
+        for slot, m, part in terms:
+            nums[slot] += m ** k * part
+        return QSeries.from_nums(nums, 2 ** k * den, offset)
+
+    def _invert(self, s: Fraction, shift: int) -> QSeries:
+        return self.sum(0, s, shift).inv()
+
+
+def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
+    """(x d/dx)^k Theta at x = s^2 q^shift, as a q-series valid to relative `order`.
+
+    Theta(x) = (q)_inf^{-3} sum_n (-1)^n q^{n(n+1)/2} x^{n+1/2}; the derivative
+    inserts (n+1/2)^k into the lattice sum (`ThetaLattice.sum`).
+    """
+    lattice = ThetaLattice(order)
+    return lattice.sum(k, F(s), shift) * lattice.factor
 
 
 def theta_product_series(s: Fraction, order: int) -> QSeries:
@@ -291,87 +282,58 @@ def theta_product_series(s: Fraction, order: int) -> QSeries:
     return (s - 1 / s) * e2 * a * b
 
 
-class ThetaValues:
-    """Truncated values of (x d/dx)^k Theta at x = s^2 q0^shift for one rational
-    0 < q0 < 1 and cut `terms`, as bare lattice sums and the one factor
-    (q0; q0)_terms^{-3} they share; a ratio of values is one of lattice sums.
+class ThetaValues(_ThetaTable):
+    """The lattice sums as exact numbers for one rational 0 < q0 < 1, cut to
+    |n| <= `terms`, and the one factor (q0; q0)_terms^{-3} they share; a ratio
+    of values is one of lattice sums.  The cut Euler product sets the error: a
+    value is off by a relative 3 q0^{terms+1} or so, while the lattice tail is
+    only O(q0^{terms^2/2}).
 
-    `sum(k, s, shift)` sums |n| <= terms of sum_n (-1)^n (n+1/2)^k s^{2n+1}
-    q0^{e(n)}, e(n) = n(n+1)/2 + shift(n+1/2), and the value is `factor` times
-    it; `inverse(s, shift)` is 1 / sum(0, s, shift), as in `ThetaLattice`.
-    The cut Euler product sets the error: a value is off by a relative
-    3 q0^{terms+1} or so, while the lattice tail is only O(q0^{terms^2/2}).
-
-    The sums run in integers: with s = a/b, E = 2 terms + 1 and the powers of
-    q0 = u/w written r^{f(n)}, r = q0 for even `shift` and r = q0^{1/2} (which
-    must be rational) for odd `shift`, each term is an integer over 2^k a^E b^E
-    r_num^{-f_lo} r_den^{f_hi}, f_lo <= 0 <= f_hi bounding f.  One walk per
-    (s, shift) keeps those integers without (n+1/2)^k, so each k is one dot
-    product; `factor` is w^{3 terms(terms+1)/2} / prod_m (w^m - u^m)^3.
-    Like `ThetaLattice`, it keeps the block states of `theta_block_sum` in
-    `states`.  Create one per verifier call.
+    s^2 q0^shift = (s q0^{shift/2})^2, so every walk runs at shift 0, where
+    the powers q0^{n(n+1)/2} are taken over w^{T(T+1)/2} (q0 = u/w,
+    T = `terms`) and formed once per table; an odd shift needs a rational
+    q0^{1/2}.  Create one per verifier call.
     """
 
     def __init__(self, q0: Fraction, terms: int):
+        super().__init__()
         q0 = F(q0)
         if not 0 < q0 < 1:
             raise ValueError(f"q0 = {q0} is outside (0, 1), where the theta "
                              "lattice sum and the Euler product converge")
         self.q0, self.terms = q0, terms
         u, w = q0.numerator, q0.denominator
+        top = terms * (terms + 1) // 2
         euler = math.prod(w ** m - u ** m for m in range(1, terms + 1))
-        self.factor = F(w ** (3 * (terms * (terms + 1) // 2)), euler ** 3)
-        self._walks: dict[tuple, tuple] = {}
-        self.states: dict = {}
+        self.factor = F(w ** (3 * top), euler ** 3)
+        # u^e w^{top-e} for e = n(n+1)/2, n = -terms..terms; n and -n-1 share e
+        powers = [u ** e * w ** (top - e)
+                  for e in (i * (i + 1) // 2 for i in range(terms + 1))]
+        self._q_parts = powers[:terms][::-1] + powers
+        self._q_den = w ** top
 
     def _walk(self, s: Fraction, shift: int) -> tuple[list, int]:
-        """The pairs (2n+1, signed integer term) and their denominator without
-        2^k.  The s-part runs as one product over n ascending (times a^2, over
-        b^2 per step); each power of r is formed once per exponent f, which
-        two n share."""
-        key = (s.numerator, s.denominator, shift)
-        if key in self._walks:
-            return self._walks[key]
+        """The pairs (2n+1, signed integer term) and their denominator without 2^k."""
         if shift % 2:
-            r, halves = rational_sqrt(self.q0), 1
-            if r is None:
+            root = rational_sqrt(self.q0)
+            if root is None:
                 raise SeriesError(f"{self.q0} has no rational square root for the "
                                   f"half-integer exponents of shift {shift}")
+            s = s * root ** shift
         else:
-            r, halves = self.q0, 2
-        # f(n) = 2 e(n) / halves, the exponent of r in q0^{e(n)}
-        ns = range(-self.terms, self.terms + 1)
-        fs = [(n * (n + 1) + shift * (2 * n + 1)) // halves for n in ns]
-        f_lo, f_hi = min(0, *fs), max(0, *fs)
-        a, b = s.numerator, s.denominator
-        ru, rw = r.numerator, r.denominator
-        e_top = 2 * self.terms + 1
-        a2, b2 = a * a, b * b
-        part = a2 * b ** (2 * e_top - 2)  # a^{e_top + m} b^{e_top - m} at n = -terms
-        r_parts: dict[int, int] = {}
-        pairs = []
-        for n, f in zip(ns, fs):
-            if n > -self.terms:
-                part = part * a2 // b2
-            rp = r_parts.get(f)
-            if rp is None:
-                rp = r_parts[f] = ru ** (f - f_lo) * rw ** (f_hi - f)
-            term = part * rp
-            pairs.append((2 * n + 1, -term if n % 2 else term))
-        den = (a * b) ** e_top * ru ** -f_lo * rw ** f_hi
-        return self._walks.setdefault(key, (pairs, den))
+            s = s * self.q0 ** (shift // 2)
+        parts, den = _lattice_walk(s, -self.terms, self.terms)
+        pairs = [(2 * n + 1, part * q_part) for n, part, q_part
+                 in zip(range(-self.terms, self.terms + 1), parts, self._q_parts)]
+        return pairs, den * self._q_den
 
-    def sum(self, k: int, s: Fraction, shift: int = 0) -> Fraction:
-        """The value without its factor (q0; q0)_terms^{-3}."""
-        _check_derivative_order(k)
-        pairs, den = self._walk(F(s), shift)
-        return F(sum(m ** k * t for m, t in pairs), 2 ** k * den)
+    def _read(self, walk: tuple[list, int], k: int) -> Fraction:
+        return F(sum(m ** k * t for m, t in walk[0]), 2 ** k * walk[1])
 
-    def inverse(self, s: Fraction, shift: int) -> Fraction:
-        """1 / sum(0, s, shift).  Theta vanishes wherever s^2 q0^shift is an
-        integer power of q0, and a truncated sum there is only the cut's
-        error, so such an s is rejected with a ValueError naming the power."""
-        s = F(s)
+    def _invert(self, s: Fraction, shift: int) -> Fraction:
+        """Theta vanishes wherever s^2 q0^shift is an integer power of q0, and a
+        truncated sum there is only the cut's error, so such an s is rejected
+        with a ValueError naming the power."""
         j = _power_of(s * s, self.q0)
         if j is not None:
             raise ValueError(f"s = {s} puts Theta on a zero: s^2 = q0^{j} with "
@@ -421,15 +383,14 @@ def theta_odd_derivative_closed_form(m: int, order: int,
 def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
     """Invariant odd theta derivatives at 1 match their Eisenstein closed forms.
 
-    (q)_inf^{-3} and each G_{2i} are formed once for all the m compared.
+    One `ThetaLattice` and one `EisensteinTable` serve all the m compared.
     """
     statement = ("odd invariant derivatives of the theta function at x=1 equal "
                  "explicit polynomials in Eisenstein series")
-    cube = euler_product(order).inv() ** 3
+    lattice = ThetaLattice(order)
     table = EisensteinTable(order)
     for m in m_values:
-        # theta_deriv_series(2m + 1, 1, order), with the shared cube
-        lhs = theta_lattice_series(2 * m + 1, ONE, order) * cube
+        lhs = lattice.sum(2 * m + 1, ONE, 0) * lattice.factor
         rhs = theta_odd_derivative_closed_form(m, order, table)
         r = series_report("theta-derivs", statement, {"m": m, "order": order}, lhs, rhs)
         if not r.ok:
@@ -440,15 +401,19 @@ def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
 
 def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,
                         order: int = 24) -> Report:
-    """Theta(q^m x) = (-1)^m q^{-m^2/2} x^{-m} Theta(x) at x = s^2 q^shift."""
+    """Theta(q^m x) = (-1)^m q^{-m^2/2} x^{-m} Theta(x) at x = s^2 q^shift,
+    compared as lattice sums: the (q)_inf^{-3} of both sides cancels."""
     statement = "theta satisfies its first-order multiplicative difference equation"
     if m == 0:
         raise ValueError("m = 0 makes the difference equation Theta(x) = Theta(x)")
     s = F(s)
-    lhs = theta_deriv_series(0, s, order, shift + m)
-    rhs = theta_deriv_series(0, s, order, shift)
-    sign = -1 if m % 2 else 1
-    rhs = (sign * s ** (-2 * m)) * rhs.shift(-F(m * m, 2) - shift * m)
+    if s == 1:
+        raise ValueError(f"s = 1 puts x = q^{shift} and q^m x on zeros of Theta, so "
+                         "both sides are identically zero")
+    lattice = ThetaLattice(order)
+    lhs = lattice.sum(0, s, shift + m)
+    rhs = lattice.sum(0, s, shift).shift(-F(m * m, 2) - shift * m)
+    rhs = (-1 if m % 2 else 1) * s ** (-2 * m) * rhs
     return series_report("theta-diffeq", statement,
                          {"m": m, "s": s, "shift": shift, "order": order}, lhs, rhs)
 

@@ -72,11 +72,11 @@ def test_criterion_04_bracket_quasimodularity():
     with Budget(60):
         assert q_bracket(shifted_hook_moment((1,)), 40) == eisenstein_g(2, 40)
         assert q_bracket(shifted_hook_moment((2,)), 40).is_zero()
-        assert verify_bracket_qm((1, 1), order=40, margin=10).ok
-        assert verify_bracket_qm((3,), order=40, margin=10).ok
+        assert verify_bracket_qm((1, 1), order=40).ok
+        assert verify_bracket_qm((3,), order=40).ok
         # weights 10 and 12, which the row DP makes cheap at order 60
-        assert verify_bracket_qm((3, 5), order=60, margin=10).ok
-        assert verify_bracket_qm((5, 5), order=60, margin=10).ok
+        assert verify_bracket_qm((3, 5), order=60).ok
+        assert verify_bracket_qm((5, 5), order=60).ok
 
 
 def test_criterion_05_cyclic_rational_identity():

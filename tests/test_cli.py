@@ -172,7 +172,9 @@ DEGENERATE_FLAGS = {
     "skew-npoint": [["--order", "-1"], ["--n", "0"], ["--k", "0"]],
     "t-vanish": [["--order", "-1"], ["--points", "2"]],
     "theta-derivs": [["--order", "-1"]],
-    "theta-diffeq": [["--order", "-1"], ["--m", "0"], ["--points", "3/2,5"]],
+    # s = 1 puts both sides on zeros of Theta
+    "theta-diffeq": [["--order", "-1"], ["--m", "0"], ["--points", "3/2,5"],
+                     ["--points", "1"], ["--points", "1", "--m", "3"]],
     "theta-expansion": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],
     "triple-product": [["--order", "-1"]],
     "v-consistency": [["--order", "-1"], ["--K", "0"], ["--K", "-1"]],

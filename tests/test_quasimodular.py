@@ -91,7 +91,7 @@ def test_derivative_of_g2():
 
 
 def test_derivation_closure_report():
-    r = verify_derivation_closure((2, 4), order=24, margin=8)
+    r = verify_derivation_closure(order=24)
     assert r.ok
 
 

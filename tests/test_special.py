@@ -14,7 +14,6 @@ from qwedge.special import (
     eta,
     theta00,
     theta_deriv_series,
-    theta_lattice_series,
     theta_odd_derivative_closed_form,
     theta_product_series,
     verify_theta_derivs,
@@ -143,6 +142,27 @@ def test_theta_qshift_series():
     assert r2.ok
 
 
+def test_theta_diffeq_fails_on_a_bent_lattice_sum(monkeypatch):
+    """Both sides are read from one table, so bending the sum of one side must
+    show: q^{shift+m} x against x."""
+    sum_ = ThetaLattice.sum
+
+    def bent(self, k, s, shift=0):
+        found = sum_(self, k, s, shift)
+        return found + QSeries.monomial(F(1), F(3), self.order) if shift == 2 else found
+
+    monkeypatch.setattr(ThetaLattice, "sum", bent)
+    r = verify_theta_diffeq(m=2, s=F(3, 2), shift=0, order=12)
+    assert r.status == "fail"
+
+
+@pytest.mark.parametrize("m, shift", [(1, 0), (3, 0), (2, -1)])
+def test_theta_diffeq_rejects_s_one(m, shift):
+    """x = q^shift is a zero of Theta, and so is q^m x: both sides vanish."""
+    with pytest.raises(ValueError, match="s = 1 puts x = q"):
+        verify_theta_diffeq(m=m, s=F(1), shift=shift, order=12)
+
+
 def test_theta_value_matches_series_eval():
     q0 = F(1, 9)
     table = ThetaValues(q0, 40)
@@ -242,18 +262,16 @@ def test_theta_lattice_series_matches_fraction_sum(s):
                 if e[n] - low <= order:
                     sign = -1 if n % 2 else 1
                     want[int(e[n] - low)] += sign * (n + F(1, 2)) ** k * s ** (2 * n + 1)
-            got = theta_lattice_series(k, s, order, shift)
+            got = ThetaLattice(order).sum(k, s, shift)
             assert (got.offset, got.step, list(got.coeffs)) == (low, 1, want), (k, shift)
 
 
 @pytest.mark.parametrize("call", [
-    lambda k: theta_lattice_series(k, F(2), 3),
     lambda k: theta_deriv_series(k, F(2), 3),
     lambda k: ThetaLattice(3).sum(k, F(2), 0),
     lambda k: ThetaValues(F(1, 9), 8).sum(k, F(2)),
     lambda k, table=ThetaValues(F(1, 9), 8): table.factor * table.sum(k, F(2)),
-], ids=["theta_lattice_series", "theta_deriv_series", "ThetaLattice.sum",
-        "ThetaValues.sum", "factor * sum"])
+], ids=["theta_deriv_series", "ThetaLattice.sum", "ThetaValues.sum", "factor * sum"])
 def test_negative_derivative_order_is_named(call):
     with pytest.raises(ValueError, match="k = -1 is negative"):
         call(-1)
@@ -261,38 +279,39 @@ def test_negative_derivative_order_is_named(call):
 
 @pytest.mark.parametrize("order", [0, 1, 5, 12])
 def test_lattice_table_sums_equal_the_series(order):
-    """Every k the table forms from its one walk per (s, shift) is the series
-    `theta_lattice_series` forms from its own walk, exactly as stored."""
+    """Every k one shared table forms from its one walk per (s, shift) is the
+    series a fresh table forms for that call alone, exactly as stored."""
     table = ThetaLattice(order)
     for s in (F(2), F(3, 2), F(5, 7), F(11, 3), F(1301, 1009)):
         for shift in range(-3, 5):
             for k in range(7):
                 got = table.sum(k, s, shift)
-                want = theta_lattice_series(k, s, order, shift)
+                want = ThetaLattice(order).sum(k, s, shift)
                 assert (got.offset, got.den, got.nums) == \
                     (want.offset, want.den, want.nums), (k, s, shift)
 
 
 def test_lattice_table_walks_once_per_argument(monkeypatch):
-    walks = []
-    walk = special._lattice_walk
-
-    def counted(s, order, shift):
-        walks.append((s, shift))
-        return walk(s, order, shift)
-
-    monkeypatch.setattr(special, "_lattice_walk", counted)
-    table = ThetaLattice(6)
     args = [(F(3, 2), 0), (F(3, 2), 1), (F(5, 7), -2)]
-    for s, shift in args:
-        for k in range(9):
-            table.sum(k, s, shift)
-        table.inverse(s, shift)
-    assert walks == args
+    for table in (ThetaLattice(6), ThetaValues(F(1, 16), 6)):
+        walks = []
+        walk = type(table)._walk
+
+        def counted(self, s, shift, walk=walk):
+            walks.append((s, shift))
+            return walk(self, s, shift)
+
+        monkeypatch.setattr(type(table), "_walk", counted)
+        for s, shift in args:
+            for k in range(9):
+                table.sum(k, s, shift)
+            table.inverse(s, shift)
+        assert walks == args, type(table).__name__
 
 
-def _lattice_walk_by_powers(s, order, shift):
-    """`special._lattice_walk` with one `**` pair per term, n walked outward."""
+def _lattice_sum_by_powers(k, s, order, shift):
+    """`ThetaLattice(order).sum(k, s, shift)` with one `**` pair per term, n
+    walked outward."""
     a, b = s.numerator, s.denominator
 
     def twice_e(n):
@@ -304,38 +323,42 @@ def _lattice_walk_by_powers(s, order, shift):
           if twice_e(n) <= lowest + 2 * order]
     e_neg = max(0, -(2 * min(ns) + 1))
     e_pos = max(0, 2 * max(ns) + 1)
-    terms = []
+    nums = [0] * (order + 1)
     for n in ns:
         term = a ** (2 * n + 1 + e_neg) * b ** (e_pos - 2 * n - 1)
-        terms.append(((twice_e(n) - lowest) // 2, 2 * n + 1, -term if n % 2 else term))
-    return terms, a ** e_neg * b ** e_pos, F(lowest, 2)
+        nums[(twice_e(n) - lowest) // 2] += (2 * n + 1) ** k * (-term if n % 2 else term)
+    return QSeries.from_nums(nums, 2 ** k * a ** e_neg * b ** e_pos, F(lowest, 2))
 
 
 @pytest.mark.parametrize("s", [F(1), F(2), F(1, 3), F(1327, 1051)])
 def test_lattice_walk_running_powers_match_direct_powers(s):
     for order in range(25):
+        table = ThetaLattice(order)
         for shift in range(-6, 7):
-            terms, den, offset = special._lattice_walk(s, order, shift)
-            want_terms, want_den, want_offset = _lattice_walk_by_powers(s, order, shift)
-            assert sorted(terms) == sorted(want_terms), (order, shift)
-            assert (den, offset) == (want_den, want_offset), (order, shift)
+            for k in range(4):
+                got = table.sum(k, s, shift)
+                want = _lattice_sum_by_powers(k, s, order, shift)
+                assert (got.offset, got.step, got.den, got.nums) == \
+                    (want.offset, want.step, want.den, want.nums), (order, shift, k)
 
 
-def _values_walk_by_powers(q0, terms, s, shift):
-    """`ThetaValues._walk` with a `**` per factor of every term."""
+def _value_sum_by_powers(k, q0, terms, s, shift):
+    """`ThetaValues(q0, terms).sum(k, s, shift)` with a `**` per factor of
+    every term, the powers of q0 taken in r = q0 or, for an odd shift, its
+    rational square root."""
     r, halves = (rational_sqrt(q0), 1) if shift % 2 else (q0, 2)
     ns = range(-terms, terms + 1)
     fs = [(n * (n + 1) + shift * (2 * n + 1)) // halves for n in ns]
     f_lo, f_hi = min(0, *fs), max(0, *fs)
     a, b, e_top = s.numerator, s.denominator, 2 * terms + 1
-    pairs = []
+    total = 0
     for n, f in zip(ns, fs):
         m = 2 * n + 1
         term = a ** (e_top + m) * b ** (e_top - m) * r.numerator ** (f - f_lo) \
             * r.denominator ** (f_hi - f)
-        pairs.append((m, -term if n % 2 else term))
+        total += m ** k * (-term if n % 2 else term)
     den = (a * b) ** e_top * r.numerator ** -f_lo * r.denominator ** f_hi
-    return pairs, den
+    return F(total, 2 ** k * den)
 
 
 @pytest.mark.parametrize("q0", [F(1, 9), F(1, 16), F(4, 9)])
@@ -344,12 +367,42 @@ def test_values_walk_running_powers_match_direct_powers(q0):
         table = ThetaValues(q0, terms)
         for s in (F(1), F(2), F(1, 3), F(1327, 1051)):
             for shift in range(-3, 4):
-                pairs, den = table._walk(s, shift)
-                want_pairs, want_den = _values_walk_by_powers(q0, terms, s, shift)
-                assert sorted(pairs) == sorted(want_pairs), (terms, s, shift)
-                assert den == want_den, (terms, s, shift)
+                for k in range(3):
+                    assert table.sum(k, s, shift) == \
+                        _value_sum_by_powers(k, q0, terms, s, shift), (terms, s, shift, k)
     with pytest.raises(SeriesError, match="no rational square root"):
-        ThetaValues(F(1, 2), 5)._walk(F(3, 2), 1)
+        ThetaValues(F(1, 2), 5).sum(0, F(3, 2), 1)
+
+
+@pytest.mark.parametrize("q0, shifts", [(F(1, 8), (-4, -2, 2, 4)),
+                                        (F(4, 9), (-3, -2, -1, 1, 2, 3))])
+def test_theta_values_fold_the_shift_into_s(q0, shifts):
+    """s^2 q0^j = (s q0^{j/2})^2: a shifted value is the value at shift 0 of
+    the moved s, for even j and, with a square q0, odd j."""
+    root = rational_sqrt(q0)
+    for terms in (1, 5, 12):
+        for s in (F(3, 2), F(5, 11), F(1)):
+            for j in shifts:
+                moved = s * (q0 ** (j // 2) if j % 2 == 0 else root ** j)
+                for k in range(4):
+                    assert ThetaValues(q0, terms).sum(k, s, j) == \
+                        ThetaValues(q0, terms).sum(k, moved, 0), (terms, s, j, k)
+
+
+def test_lattice_factor_is_the_euler_cube_formed_once(monkeypatch):
+    calls = []
+    euler = special.euler_product
+
+    def counted(order):
+        calls.append(order)
+        return euler(order)
+
+    monkeypatch.setattr(special, "euler_product", counted)
+    for order in (0, 1, 7, 16):
+        table = ThetaLattice(order)
+        assert table.factor == euler(order).inv() ** 3
+        assert table.factor is table.factor
+    assert calls == [0, 1, 7, 16]
 
 
 @pytest.mark.parametrize("q0, s, power", [
