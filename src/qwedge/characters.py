@@ -17,20 +17,13 @@ from types import MappingProxyType
 
 from .partitions import hook_power_sum, partitions_of
 from .reports import Report
+from .series import ONE, ZERO, NonIntegerOffsetGap, QSeries
 from .special import eta, xi_value
 
 F = Fraction
-ZERO = F(0)
-ONE = F(1)
 
 ExpVec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
-
-
-def _coeff(c):
-    """A coefficient as an int when it is integral, else as a Fraction."""
-    c = F(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _cap(grade: Fraction, den: int) -> int:
@@ -38,54 +31,66 @@ def _cap(grade: Fraction, den: int) -> int:
     return grade.numerator * den // grade.denominator
 
 
-def _series(K: int, grade: Fraction, den: int, nums: dict) -> MultiSeries:
+def _series(K: int, grade: Fraction, den: int, nums: dict, cden: int = 1) -> MultiSeries:
+    """The series of `nums`, none of them zero, over `cden` > 0, reduced by
+    gcd(cden, *nums)."""
+    if cden != 1:
+        g = math.gcd(cden, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            cden //= g
     s = object.__new__(MultiSeries)
-    s.K, s.grade, s.den, s.nums, s._terms = K, grade, den, nums, None
+    s.K, s.grade, s.den, s.nums, s.cden, s._terms = K, grade, den, nums, cden, None
     return s
 
 
-def _rescaled(nums: dict, f: int) -> dict:
+def _over(s: MultiSeries, den: int, cden: int) -> dict:
+    """s.nums with exponents over `den` and numerators over `cden`, multiples of
+    s.den and s.cden."""
+    f, g = den // s.den, cden // s.cden
     if f == 1:
-        return nums
-    return {tuple(x * f for x in e): c for e, c in nums.items()}
+        return s.nums if g == 1 else {e: c * g for e, c in s.nums.items()}
+    return {tuple(x * f for x in e): c * g for e, c in s.nums.items()}
 
 
-def _common(a: MultiSeries, b: MultiSeries) -> tuple[int, dict, dict]:
-    """Both maps over lcm(a.den, b.den)."""
-    if a.den == b.den:
-        return a.den, a.nums, b.nums
-    den = math.lcm(a.den, b.den)
-    return den, _rescaled(a.nums, den // a.den), _rescaled(b.nums, den // b.den)
+def _common(a: MultiSeries, b: MultiSeries) -> tuple[int, int, dict, dict]:
+    """Both maps over lcm(a.den, b.den), their numerators over lcm(a.cden, b.cden)."""
+    den, cden = math.lcm(a.den, b.den), math.lcm(a.cden, b.cden)
+    return den, cden, _over(a, den, cden), _over(b, den, cden)
 
 
 class MultiSeries:
     """Sparse Laurent polynomial in q0..qK, truncated at q1-exponent <= grade.
 
-    The terms live on an integer exponent lattice: `nums` maps an int vector k to
-    its nonzero coefficient, the monomial q0^{k_0/den} q1^{k_1/den} ... qK^{k_K/den},
-    with one positive int `den` per series.  Coefficients are ints wherever the
-    inputs are integers.  Sums and products first put both operands over the lcm
-    of their denominators; sorting int vectors over one den orders them as their
-    exponents.  `terms` is the read-only Fraction-keyed view, built on first use.
+    The terms live on an integer exponent lattice: `nums` maps an int vector k,
+    the monomial q0^{k_0/den} q1^{k_1/den} ... qK^{k_K/den}, to the nonzero int
+    numerator of its coefficient over `cden`.  `den` and `cden` are positive
+    ints, one each per series, and the numerators over `cden` are kept reduced,
+    with a single gcd per result.  Sums and products first put both operands over
+    the lcm of their denominators; sorting int vectors over one den orders them
+    as their exponents.  `terms` is the read-only Fraction view, built on first
+    use.
     """
 
-    __slots__ = ("K", "grade", "den", "nums", "_terms")
+    __slots__ = ("K", "grade", "den", "nums", "cden", "_terms")
 
     def __init__(self, K: int, grade, terms=None):
         """The series sum of c q^e over a dict of exponent vectors e -> c."""
-        terms = {tuple(F(x) for x in e): c for e, c in (terms or {}).items()}
-        den = math.lcm(1, *(x.denominator for e in terms for x in e))
-        nums = {tuple(x.numerator * (den // x.denominator) for x in e): _coeff(c)
-                for e, c in terms.items() if c}
-        self.K, self.grade, self.den, self.nums, self._terms = K, F(grade), den, nums, None
+        self.K, self.grade, self._terms = K, F(grade), None
+        terms = {tuple(map(F, e)): F(c) for e, c in (terms or {}).items() if c}
+        self.den = den = math.lcm(1, *(x.denominator for e in terms for x in e))
+        # over the lcm of reduced denominators the numerators are already coprime to it
+        self.cden = cden = math.lcm(1, *(c.denominator for c in terms.values()))
+        self.nums = {tuple(x.numerator * (den // x.denominator) for x in e):
+                     c.numerator * (cden // c.denominator) for e, c in terms.items()}
 
     @property
     def terms(self) -> MappingProxyType:
         """The terms as exponent vector of Fractions -> Fraction coefficient."""
         view = self._terms
         if view is None:
-            den = self.den
-            view = MappingProxyType({tuple(F(x, den) for x in e): F(c)
+            den, cden = self.den, self.cden
+            view = MappingProxyType({tuple(F(x, den) for x in e): F(c, cden)
                                      for e, c in self.nums.items()})
             self._terms = view
         return view
@@ -112,7 +117,7 @@ class MultiSeries:
     def __add__(self, other: MultiSeries) -> MultiSeries:
         self._require_compatible(other)
         grade = min(self.grade, other.grade)
-        den, a, b = _common(self, other)
+        den, cden, a, b = _common(self, other)
         cap = _cap(grade, den)
         nums = {e: c for e, c in a.items() if e[1] <= cap}
         for e, c in b.items():
@@ -122,10 +127,11 @@ class MultiSeries:
                     nums[e] = v
                 else:
                     del nums[e]
-        return _series(self.K, grade, den, nums)
+        return _series(self.K, grade, den, nums, cden)
 
     def __neg__(self) -> MultiSeries:
-        return _series(self.K, self.grade, self.den, {e: -c for e, c in self.nums.items()})
+        return _series(self.K, self.grade, self.den,
+                       {e: -c for e, c in self.nums.items()}, self.cden)
 
     def __sub__(self, other: MultiSeries) -> MultiSeries:
         return self + (-other)
@@ -133,11 +139,12 @@ class MultiSeries:
     def __mul__(self, other: MultiSeries) -> MultiSeries:
         self._require_compatible(other)
         grade = min(self.grade, other.grade)
-        den, a, b = _common(self, other)
+        den = math.lcm(self.den, other.den)
+        a, b = _over(self, den, self.cden), _over(other, den, other.cden)
         cap = _cap(grade, den)
         # the inner operand by q1-exponent, so each outer term stops at its room
         inner = sorted(b.items(), key=lambda t: t[0][1])
-        nums: dict[IntVec, object] = {}
+        nums: dict[IntVec, int] = {}
         get = nums.get
         for e1, c1 in a.items():
             room = cap - e1[1]
@@ -146,21 +153,22 @@ class MultiSeries:
                     break
                 e = tuple(map(add, e1, e2))
                 nums[e] = get(e, 0) + c1 * c2
-        return _series(self.K, grade, den, {e: c for e, c in nums.items() if c})
+        return _series(self.K, grade, den, {e: c for e, c in nums.items() if c},
+                       self.cden * other.cden)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         if self.K != other.K:
             return False
-        _, a, b = _common(self, other)
+        _, _, a, b = _common(self, other)
         return a == b
 
     def truncate(self, grade) -> MultiSeries:
         grade = F(grade)
         cap = _cap(grade, self.den)
         return _series(self.K, grade, self.den,
-                       {e: c for e, c in self.nums.items() if e[1] <= cap})
+                       {e: c for e, c in self.nums.items() if e[1] <= cap}, self.cden)
 
     def map_exponents(self, n: int) -> MultiSeries:
         """Apply the charge-shift substitution (`elliptic_map`) to every term;
@@ -171,40 +179,60 @@ class MultiSeries:
                 for i in range(self.K + 1)]
         nums = {tuple(sum(map(mul, row, e)) for row in rows): c
                 for e, c in self.nums.items()}
-        return _series(self.K, self.grade, self.den, nums)
+        return _series(self.K, self.grade, self.den, nums, self.cden)
 
     def charge_slice(self, charge: int) -> MultiSeries:
         """Terms whose q0-exponent equals `charge`, kept at full vector shape."""
         k0 = charge * self.den
         return _series(self.K, self.grade, self.den,
-                       {e: c for e, c in self.nums.items() if e[0] == k0})
+                       {e: c for e, c in self.nums.items() if e[0] == k0}, self.cden)
 
-    def collapse(self, j0: int) -> MultiSeries:
-        """Set q_j = 1 for j >= j0, merging exponent vectors."""
-        if not 1 <= j0 <= self.K:
-            raise ValueError("j0 out of range")
-        nums: dict[IntVec, object] = {}
+    def derive(self, j: int) -> MultiSeries:
+        """q_j d/dq_j: each term times its q_j-exponent, that is its numerator
+        times the scaled exponent and the coefficient denominator times den."""
+        if not 0 <= j <= self.K:
+            raise ValueError(f"j must be between 0 and {self.K}")
+        nums = {e: c * e[j] for e, c in self.nums.items() if e[j]}
+        return _series(self.K, self.grade, self.den, nums, self.cden * self.den)
+
+    def q1_series(self) -> QSeries:
+        """Set q_j = 1 for every j but 1: the q1-series from the lowest q1-exponent
+        through the grade (one zero slot at the grade when there is no term).
+        Terms whose q1-exponents differ by a non-integer share no QSeries grid."""
+        den, cap = self.den, _cap(self.grade, self.den)
+        sums: dict[int, int] = {}
         for e, c in self.nums.items():
-            e2 = e[:j0]
-            nums[e2] = nums.get(e2, 0) + c
-        return _series(j0 - 1, self.grade, self.den, {e: c for e, c in nums.items() if c})
+            if e[1] <= cap:
+                sums[e[1]] = sums.get(e[1], 0) + c
+        if not sums:
+            return QSeries.zero(0, self.grade)
+        low = min(sums)
+        nums = [0] * ((cap - low) // den + 1)
+        for x, c in sums.items():
+            k, r = divmod(x - low, den)
+            if r:
+                raise NonIntegerOffsetGap(f"q1-exponents {F(low, den)} and {F(x, den)} "
+                                          "differ by a non-integer")
+            nums[k] = c
+        return QSeries.from_nums(nums, self.cden, F(low, den))
 
     def to_jsonable(self) -> dict:
-        den = self.den
+        den, cden = self.den, self.cden
         return {"K": self.K, "grade": str(self.grade),
-                "terms": [{"exps": [str(F(x, den)) for x in e], "coeff": str(c)}
+                "terms": [{"exps": [str(F(x, den)) for x in e], "coeff": str(F(c, cden))}
                           for e, c in sorted(self.nums.items())]}
 
 
 def first_mismatch(a: MultiSeries, b: MultiSeries) -> dict | None:
     """Smallest exponent vector where the two sparse maps disagree."""
-    den, x, y = _common(a, b)
+    den, cden, x, y = _common(a, b)
     if x == y:
         return None
     for e in sorted(x.keys() | y.keys()):
         ca, cb = x.get(e, 0), y.get(e, 0)
         if ca != cb:
-            return {"exps": [str(F(k, den)) for k in e], "lhs": str(ca), "rhs": str(cb)}
+            return {"exps": [str(F(k, den)) for k in e],
+                    "lhs": str(F(ca, cden)), "rhs": str(F(cb, cden))}
     return None
 
 

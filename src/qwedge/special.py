@@ -301,6 +301,9 @@ class ThetaValues(_ThetaTable):
         if not 0 < q0 < 1:
             raise ValueError(f"q0 = {q0} is outside (0, 1), where the theta "
                              "lattice sum and the Euler product converge")
+        if terms < 1:
+            raise ValueError(f"terms = {terms} cuts the lattice sum and the Euler "
+                             "product to nothing; need terms >= 1")
         self.q0, self.terms = q0, terms
         u, w = q0.numerator, q0.denominator
         top = terms * (terms + 1) // 2

@@ -1,5 +1,6 @@
 """Multivariate character series and the charge-shift substitution."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from qwedge.characters import (
     verify_v_consistency,
 )
 from qwedge.partitions import partition_count
+from qwedge.series import NonIntegerOffsetGap, QSeries
 
 F = Fraction
 
@@ -29,6 +31,13 @@ def test_multiseries_mul_drops_over_grade():
     assert (a * b).terms == {}
     c = MultiSeries.monomial(1, 3, (0, 1))
     assert (a * c).terms == {(F(0), F(3)): F(1)}
+
+
+def test_q1_series_needs_whole_steps_between_q1_exponents():
+    s = MultiSeries(1, 2, {(0, 0): 1, (1, F(1, 2)): 1})
+    with pytest.raises(NonIntegerOffsetGap, match="1/2"):
+        s.q1_series()
+    assert s.charge_slice(1).q1_series() == QSeries(F(1, 2), [1, 0])
 
 
 def test_multiseries_monomial_validates_length():
@@ -104,10 +113,9 @@ def test_v_consistency():
 
 
 def test_v_specializes_to_partition_counts():
-    collapsed = V_series(3, 5).collapse(2)
-    expected = MultiSeries(1, 5, {(F(0), F(n) - F(1, 24)): F(partition_count(n))
-                                  for n in range(6)})
-    assert first_mismatch(collapsed, expected) is None
+    q1 = V_series(3, 5).q1_series()
+    assert q1.offset == F(-1, 24)
+    assert q1.coeffs == tuple(partition_count(n) for n in range(6))
 
 
 def test_charge_slice_keeps_only_requested_charge():
@@ -135,11 +143,11 @@ class _FractionSeries:
         self.K, self.grade = K, F(grade)
         self.terms = {tuple(F(x) for x in e): F(c) for e, c in terms.items() if c}
 
-    def _with(self, grade, pairs, K=None):
+    def _with(self, grade, pairs):
         terms = {}
         for e, c in pairs:
             terms[e] = terms.get(e, F(0)) + c
-        return _FractionSeries(self.K if K is None else K, grade, terms)
+        return _FractionSeries(self.K, grade, terms)
 
     def __add__(self, other):
         grade = min(self.grade, other.grade)
@@ -170,8 +178,21 @@ class _FractionSeries:
         return self._with(self.grade, [(e, c) for e, c in self.terms.items()
                                        if e[0] == charge])
 
-    def collapse(self, j0):
-        return self._with(self.grade, [(e[:j0], c) for e, c in self.terms.items()], j0 - 1)
+    def derive(self, j):
+        return self._with(self.grade, [(e, c * e[j]) for e, c in self.terms.items()])
+
+    def q1_series(self):
+        sums = {}
+        for e, c in self.terms.items():
+            if e[1] <= self.grade:
+                sums[e[1]] = sums.get(e[1], F(0)) + c
+        if not sums:
+            return QSeries.zero(0, self.grade)
+        low = min(sums)
+        coeffs = [F(0)] * (math.floor(self.grade - low) + 1)
+        for x, c in sums.items():
+            coeffs[int(x - low)] += c
+        return QSeries(low, coeffs)
 
     def to_jsonable(self):
         return {"K": self.K, "grade": str(self.grade),
@@ -188,13 +209,21 @@ def _fraction_mismatch(a, b):
 
 
 @st.composite
-def _sparse_series(draw, K):
-    """Terms on the 1/2 or the 1/24 grid, and a grade on the 1/2 grid."""
+def _sparse_series(draw, K, charge_zero=False):
+    """Terms on the 1/2 or the 1/24 grid, and a grade on the 1/2 grid.  A
+    charge-zero draw has q0-exponent 0 and q1-exponents a whole step apart.
+    Each draw scales its coefficients by its own 1/1, 1/3 or 1/7."""
     d = draw(st.sampled_from([2, 24]))
     exps = st.tuples(*[st.integers(-30, 30)] * (K + 1)).map(
         lambda e: tuple(F(x, d) for x in e))
+    if charge_zero:
+        r = F(draw(st.integers(0, d - 1)), d)
+        exps = st.tuples(st.integers(-4, 8), exps).map(
+            lambda t: (F(0), r + t[0]) + t[1][2:])
+    scale = F(1, draw(st.sampled_from([1, 3, 7])))
     coeffs = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=5))
-    terms = draw(st.dictionaries(exps, coeffs.filter(bool), max_size=8))
+    coeffs = coeffs.filter(bool).map(lambda c: c * scale)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=8))
     grade = F(draw(st.integers(-4, 16)), 2)
     return MultiSeries(K, grade, terms), _FractionSeries(K, grade, terms)
 
@@ -210,9 +239,11 @@ def test_integer_lattice_matches_fraction_series(data):
              (a.truncate(cut), ra.truncate(cut))]
     pairs += [(a.map_exponents(n), ra.map_exponents(n)) for n in range(-2, 3)]
     pairs += [(a.charge_slice(c), ra.charge_slice(c)) for c in (-1, 0, 1)]
-    pairs += [(a.collapse(j0), ra.collapse(j0)) for j0 in range(1, K + 1)]
+    pairs += [(a.derive(j), ra.derive(j)) for j in range(K + 1)]
+    pairs += [((a * b).derive(1), (ra * rb).derive(1))]
     for got, want in pairs:
         assert (got.K, got.grade) == (want.K, want.grade)
+        assert math.gcd(got.cden, *got.nums.values()) == 1
         assert got.terms == want.terms
         assert got.to_jsonable() == want.to_jsonable()
     # which key a mismatch reports, and None exactly on equal maps
@@ -220,3 +251,9 @@ def test_integer_lattice_matches_fraction_series(data):
                              (pairs[0], pairs[4]), (pairs[3], (b * a, rb * ra))):
         assert first_mismatch(x, y) == _fraction_mismatch(rx, ry)
         assert (x == y) == (rx.terms == ry.terms)
+    # setting every q_j but q1 to 1, on a grid with whole steps in q1
+    z, rz = data.draw(_sparse_series(K, charge_zero=True))
+    for got, want in ((z, rz), (z.derive(K), rz.derive(K)), (z * z, rz * rz),
+                      (z.truncate(cut), rz.truncate(cut))):
+        got, want = got.q1_series(), want.q1_series()
+        assert (got.offset, got.coeffs) == (want.offset, want.coeffs)

@@ -35,8 +35,15 @@ def test_series_psi_shape(capsys):
     code, out = run_main(capsys, "series", "psi", "--K", "2", "--order", "3")
     d = json.loads(out)
     assert code == 0
-    assert d["J"] == 2
-    assert d["terms"][0] == {"exps": ["-1/24", "1/240"], "coeff": "1"}
+    assert d["K"] == 2
+    assert d["terms"][0] == {"exps": ["0", "-1/24", "1/240"], "coeff": "1"}
+
+
+@pytest.mark.parametrize("name", ["omega", "v-char", "psi"])
+def test_series_k_zero_names_the_flag(capsys, name):
+    code, out = run_main(capsys, "series", name, "--K", "0")
+    assert code == 2
+    assert json.loads(out)["detail"] == "need K >= 1"
 
 
 def test_series_bracket_weight_two_is_eisenstein(capsys):
@@ -374,6 +381,27 @@ def test_forced_failure_exits_1(monkeypatch, capsys):
     assert json.loads(out)["status"] == "fail"
 
 
+def test_failed_expansion_check_is_a_fail_not_an_error(monkeypatch, capsys):
+    # the brute route's cross-check against the log-derivative expansion
+    from qwedge import skewchar
+    h = skewchar.h_series
+    monkeypatch.setattr(skewchar, "h_series", lambda r, s, order: h(r, s, order) * (
+        2 if (r, s) == (1, 4) else 1))
+    code, out = run_main(capsys, "verify", "skew-npoint")
+    rep = json.loads(out)
+    assert (code, rep["status"]) == (1, "fail")
+    assert rep["first_mismatch"] == {"z": [1, 3], "against": "log-derivative expansion"}
+    code, out = run_main(capsys, "suite")
+    assert code == 1  # h-equals-g compares the same bent block with G_4
+    assert [r["identity"] for r in json.loads(out) if r["status"] == "fail"] == [
+        "h-equals-g", "skew-npoint", "aggregate"]
+    # the brute verb prints no n-point function past a failed check
+    code, out = run_main(capsys, "skew-npoint", "--brute")
+    assert code == 2
+    assert json.loads(out)["detail"] == (
+        "log-derivative expansion disagrees at indices (2,)")
+
+
 def test_skew_npoint_routes_agree(capsys):
     code1, closed = run_main(capsys, "skew-npoint", "--closed", "--n", "1",
                              "--k", "3", "--order", "6")
@@ -536,6 +564,13 @@ def test_suite_parent_imports_only_the_theta_half():
     loaded = _qwedge_modules_after(_IMPORT_PATHS["suite"])
     assert loaded == BASE_MODULES | {f"qwedge.{m}" for m in (
         "correlators", "qdiff", "partitions", "setparts", "special")}
+
+
+def test_forked_half_imports_no_theta_correlation_module():
+    loaded = _qwedge_modules_after(
+        "\n".join(f"import qwedge.{m}" for m in sorted(cli._FORKED_MODULES)))
+    assert loaded >= {f"qwedge.{m}" for m in cli._FORKED_MODULES}
+    assert not {"qwedge.correlators", "qwedge.qdiff"} & loaded
 
 
 def test_verifier_errors_are_value_errors():

@@ -312,6 +312,17 @@ def test_phi_vanish_rejects_a_zero_of_theta():
         verify_residue(2, 1, 1, q0=Q9)
 
 
+@pytest.mark.parametrize("terms", [0, -1])
+def test_theta_values_need_a_term(terms):
+    # terms = 0 failed residue on a true identity and made phi-vanish raise
+    # SimpleZeroViolated; terms = -1 divided by zero
+    for call in (lambda: ThetaValues(Q9, terms),
+                 lambda: verify_residue(1, 1, 1, terms=terms),
+                 lambda: verify_phi_vanish("theta", 3, terms=terms)):
+        with pytest.raises(ValueError, match=f"terms = {terms} "):
+            call()
+
+
 def test_residue_pole_coefficients():
     assert verify_residue(1, 1, 1).ok
     assert verify_residue(2, 2, 1).ok

@@ -31,7 +31,7 @@ F = Fraction
 
 
 def test_psi_specializes_to_inverse_eta():
-    c = psi_series(2, 12).collapse()
+    c = psi_series(2, 12).q1_series()
     assert c.offset == F(-1, 24)
     assert list(c.coeffs) == [partition_count(i) for i in range(13)]
     assert c == eta(12).inv()
@@ -40,14 +40,14 @@ def test_psi_specializes_to_inverse_eta():
 def test_psi_anomaly_exponents():
     psi = psi_series(3, 4)
     # the empty-product term carries exactly the anomaly exponents
-    e = (F(-1, 24), F(1, 240), F(-1, 504))
+    e = (F(0), F(-1, 24), F(1, 240), F(-1, 504))
     assert psi.terms[e] == 1
 
 
 def test_psi_grade_one_terms():
     psi = psi_series(2, 1)
     # grade 1: the n=1 factor to the first power on top of the anomaly
-    e = (F(-1, 24) + 1, F(1, 240) + 1)
+    e = (F(0), F(-1, 24) + 1, F(1, 240) + 1)
     assert psi.terms[e] == 1
     assert len(psi.terms) == 2
 
@@ -62,13 +62,13 @@ def test_psi_overflow_guard():
         psi_series(0, 5)
 
 
-def test_tau_derive_is_exponent_multiplication():
+def test_derive_is_exponent_multiplication():
     psi = psi_series(2, 6)
-    d = psi.tau_derive(2)
+    d = psi.derive(2)
     for e, c in d.terms.items():
-        assert c == psi.terms[e] * e[1]
+        assert c == psi.terms[e] * e[2]
     with pytest.raises(ValueError):
-        psi.tau_derive(3)
+        psi.derive(3)
 
 
 def _psi_fraction_terms(J, N):
@@ -83,29 +83,30 @@ def _psi_fraction_terms(J, N):
                 new[key] = new.get(key, F(0)) + c
         terms = new
     anomaly = [zeta_value(1 - 2 * j) / 2 for j in range(1, J + 1)]
-    return {tuple(x + a for x, a in zip(e, anomaly)): c for e, c in terms.items()}
+    return {(F(0),) + tuple(x + a for x, a in zip(e, anomaly)): c
+            for e, c in terms.items()}
 
 
 def _fraction_collapse(terms, N):
     coeffs = [F(0)] * (N + 1)
     for e, c in terms.items():
-        coeffs[int(e[0] + F(1, 24))] += c
+        coeffs[int(e[1] + F(1, 24))] += c
     return QSeries(F(-1, 24), coeffs)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_tau_derive_chains_match_fraction_route(data):
+def test_derive_chains_match_fraction_route(data):
     J = data.draw(st.integers(1, 4))
     N = data.draw(st.integers(0, 10))
     chain = data.draw(st.lists(st.integers(1, J), max_size=4))
     psi, ref = psi_series(J, N), _psi_fraction_terms(J, N)
     assert psi.terms == ref
     for j in chain:
-        psi = psi.tau_derive(j)
-        ref = {e: c * e[j - 1] for e, c in ref.items() if c * e[j - 1]}
+        psi = psi.derive(j)
+        ref = {e: c * e[j] for e, c in ref.items() if c * e[j]}
         assert psi.terms == ref
-    got, want = psi.collapse(), _fraction_collapse(ref, N)
+    got, want = psi.q1_series(), _fraction_collapse(ref, N)
     assert (got.offset, got.coeffs) == (want.offset, want.coeffs)
     assert psi.to_jsonable()["terms"] == [{"exps": [str(x) for x in e], "coeff": str(c)}
                                       for e, c in sorted(ref.items())]
@@ -200,9 +201,9 @@ def test_psi_taylor_coefficients_are_quasimodular():
     order = 30
     psi = psi_series(3, order)
     eta_s = eta(order)
-    d3 = (psi.tau_derive(2).collapse() * eta_s).truncate(order)
+    d3 = (psi.derive(2).q1_series() * eta_s).truncate(order)
     fit4 = fit_series(d3, 4, margin=8)
     assert fit4.series(order) == eisenstein_g(4, order)
-    d5 = (psi.tau_derive(3).collapse() * eta_s).truncate(order)
+    d5 = (psi.derive(3).q1_series() * eta_s).truncate(order)
     fit6 = fit_series(d5, 6, margin=8)
     assert fit6.series(order) == eisenstein_g(6, order)
