@@ -14,7 +14,7 @@ import argparse
 from dataclasses import dataclass
 from fractions import Fraction as F
 
-from qwedge.qdiff import _phi_function, locus_point, phi_sum
+from qwedge.qdiff import locus_point, phi_sum, phi_table
 
 
 @dataclass
@@ -27,7 +27,7 @@ class Config:
 
 def run(cfg: Config) -> None:
     for kind in ("algebraic", "theta"):
-        table = _phi_function(kind, cfg.q0, cfg.terms)
+        table = phi_table(kind, cfg.q0, cfg.terms)
         print(f"{kind}:")
         print(f"  {'eps':>8} {'|sum|':>12} {'ratio':>10}")
         prev = None

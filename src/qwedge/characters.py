@@ -60,7 +60,8 @@ def _common(a: MultiSeries, b: MultiSeries) -> tuple[int, int, dict, dict]:
 
 
 class MultiSeries:
-    """Sparse Laurent polynomial in q0..qK, truncated at q1-exponent <= grade.
+    """Sparse Laurent polynomial in q0..qK, truncated at q1-exponent <= grade:
+    no term lies past the grade.
 
     The terms live on an integer exponent lattice: `nums` maps an int vector k,
     the monomial q0^{k_0/den} q1^{k_1/den} ... qK^{k_K/den}, to the nonzero int
@@ -75,9 +76,11 @@ class MultiSeries:
     __slots__ = ("K", "grade", "den", "nums", "cden", "_terms")
 
     def __init__(self, K: int, grade, terms=None):
-        """The series sum of c q^e over a dict of exponent vectors e -> c."""
+        """The series sum of c q^e over a dict of exponent vectors e -> c, less
+        the terms past the grade."""
         self.K, self.grade, self._terms = K, F(grade), None
-        terms = {tuple(map(F, e)): F(c) for e, c in (terms or {}).items() if c}
+        pairs = ((tuple(map(F, e)), c) for e, c in (terms or {}).items() if c)
+        terms = {e: F(c) for e, c in pairs if e[1] <= self.grade}
         self.den = den = math.lcm(1, *(x.denominator for e in terms for x in e))
         # over the lcm of reduced denominators the numerators are already coprime to it
         self.cden = cden = math.lcm(1, *(c.denominator for c in terms.values()))
@@ -108,7 +111,7 @@ class MultiSeries:
         e = tuple(F(x) for x in exps)
         if len(e) != K + 1:
             raise ValueError("exponent vector must have length K+1")
-        return MultiSeries(K, grade, {e: coeff} if e[1] <= grade else {})
+        return MultiSeries(K, grade, {e: coeff})
 
     def _require_compatible(self, other: MultiSeries) -> None:
         if self.K != other.K:
@@ -171,15 +174,17 @@ class MultiSeries:
                        {e: c for e, c in self.nums.items() if e[1] <= cap}, self.cden)
 
     def map_exponents(self, n: int) -> MultiSeries:
-        """Apply the charge-shift substitution (`elliptic_map`) to every term;
-        grades can move, so the caller truncates afterwards.  On the lattice it is
-        the integer matrix C(i, j) n^{i-j}, and it is invertible (its inverse is
-        the map for -n), so no two terms merge."""
+        """Apply the charge-shift substitution (`elliptic_map`) to every term and
+        drop the images past the grade.  On the lattice it is the integer matrix
+        C(i, j) n^{i-j}, and it is invertible (its inverse is the map for -n), so
+        no two terms merge."""
         rows = [[math.comb(i, j) * n ** (i - j) for j in range(i + 1)]
                 for i in range(self.K + 1)]
-        nums = {tuple(sum(map(mul, row, e)) for row in rows): c
-                for e, c in self.nums.items()}
-        return _series(self.K, self.grade, self.den, nums, self.cden)
+        cap = _cap(self.grade, self.den)
+        images = ((tuple(sum(map(mul, row, e)) for row in rows), c)
+                  for e, c in self.nums.items())
+        return _series(self.K, self.grade, self.den,
+                       {e: c for e, c in images if e[1] <= cap}, self.cden)
 
     def charge_slice(self, charge: int) -> MultiSeries:
         """Terms whose q0-exponent equals `charge`, kept at full vector shape."""
@@ -202,8 +207,7 @@ class MultiSeries:
         den, cap = self.den, _cap(self.grade, self.den)
         sums: dict[int, int] = {}
         for e, c in self.nums.items():
-            if e[1] <= cap:
-                sums[e[1]] = sums.get(e[1], 0) + c
+            sums[e[1]] = sums.get(e[1], 0) + c
         if not sums:
             return QSeries.zero(0, self.grade)
         low = min(sums)

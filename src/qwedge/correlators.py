@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .partitions import RowWeight, eps_closing, eps_row, q_bracket
 from .reports import FrozenRecord, Report, series_report
-from .series import ONE, QSeries, binomial_factor, euler_product, q_pochhammer
+from .series import ONE, QSeries, euler_product, q_pochhammer
 from .setparts import (first_subset, ordered_block_sum, positions, set_partitions,
                        subset_fold)
 from .special import ThetaLattice, theta_deriv_series
@@ -453,18 +453,6 @@ class FormalDivergence(ValueError):
 Monomial = tuple[Fraction, int]  # (coefficient, q-exponent)
 
 
-def _infinite_poch(mono: Monomial, order: int) -> QSeries:
-    """(x; q)_inf for a monomial x with any integer exponent: factors with
-    non-positive exponents are split off the formal tail.
-    """
-    coef, expo = mono
-    if expo >= 1:
-        return q_pochhammer(coef, expo, None, order)
-    head = q_pochhammer(coef, expo, 1 - expo, order)
-    tail = q_pochhammer(coef, 1, None, order)
-    return head * tail
-
-
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return (a[0] * b[0], a[1] + b[1])
 
@@ -505,9 +493,10 @@ def qgauss_sum(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
     q-exponent), with the coefficients up to q^order.
 
     Term n is term n - 1 times (1 - a q^{n-1})(1 - b q^{n-1}) z / ((1 - c q^{n-1})
-    (1 - q^n)): four binomials per term, each inverse a sparse geometric series.
-    The sum stops at the first term that starts above q^order, or at the first
-    zero term, after which a terminating numerator keeps every term zero.
+    (1 - q^n)): four one-factor Pochhammer products per term, each inverse a
+    sparse geometric series.  The sum stops at the first term that starts above
+    q^order, or at the first zero term, after which a terminating numerator keeps
+    every term zero.
     """
     z = _mono_div(c, _mono_mul(a, b))
     if z[1] < 1 and not (_is_terminating(a) or _is_terminating(b)):
@@ -521,12 +510,12 @@ def qgauss_sum(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
         low += z[1] + min(0, a[1] + e) + min(0, b[1] + e) - min(0, c[1] + e)
         if low > order:
             break
-        term = term * binomial_factor(a[0], a[1] + e, work) \
-            * binomial_factor(b[0], b[1] + e, work)
+        term = term * q_pochhammer(a[0], a[1] + e, 1, work) \
+            * q_pochhammer(b[0], b[1] + e, 1, work)
         if term.is_zero():
             break  # a numerator terminated; all later terms vanish too
-        term = term * binomial_factor(c[0], c[1] + e, work).inv() \
-            * binomial_factor(ONE, n, work).inv()
+        term = term * q_pochhammer(c[0], c[1] + e, 1, work).inv() \
+            * q_pochhammer(ONE, n, 1, work).inv()
         term = (term * z[0]).shift(z[1])
         total = total + term
         n += 1
@@ -538,8 +527,9 @@ def qgauss_product(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries
     """(c/a)_inf (c/b)_inf / ((c)_inf (c/ab)_inf) with the coefficients up to q^order."""
     work = _qgauss_window(a, b, c, order)
     z = _mono_div(c, _mono_mul(a, b))
-    num = _infinite_poch(_mono_div(c, a), work) * _infinite_poch(_mono_div(c, b), work)
-    den = _infinite_poch(c, work) * _infinite_poch(z, work)
+    num = q_pochhammer(*_mono_div(c, a), None, work) \
+        * q_pochhammer(*_mono_div(c, b), None, work)
+    den = q_pochhammer(*c, None, work) * q_pochhammer(*z, None, work)
     total = num * den.inv()
     return total.truncate(max(0, int(order - total.offset)))
 
@@ -604,7 +594,6 @@ def verify_poch_telescope(u: Monomial, v_root: Fraction, v_exp: int,
     d1 = q_pochhammer(u[0], u[1] + a, b - a - 1, work)
     d2 = q_pochhammer(uv[0], uv[1] + a + 1, b - a - 1, work)
     bracket = qv_half_power(3 - 2 * b) * d1.inv() - qv_half_power(1 - 2 * a) * d2.inv()
-    one_minus_qv = QSeries.one(work) - QSeries.monomial(v_root * v_root, 1 + v_exp, work)
-    rhs = bracket * one_minus_qv.inv()
+    rhs = bracket * q_pochhammer(v_root * v_root, 1 + v_exp, 1, work).inv()
     return series_report("poch-telescope", statement, params, lhs, rhs,
                          order_checked=min(order, int(min(lhs.upper, rhs.upper))))

@@ -499,7 +499,7 @@ class _AlgebraicOdd:
         return 1 / self.sum(0, s, shift)
 
 
-def _phi_function(f_kind: str, q0: Fraction, terms: int):
+def phi_table(f_kind: str, q0: Fraction, terms: int):
     """The table of f: f and (x d/dx)^m f are table.factor times
     table.sum(m, ., 0), bare lattice sums of one `ThetaValues` for the theta
     kind.  Each chain of `phi_sum` has one more derivative than division, so
@@ -536,7 +536,7 @@ def verify_phi_vanish(f_kind: str, n: int, q0=F(1, 16), terms: int = 40) -> Repo
                  "to zero as the first argument approaches one")
     q0 = F(q0)
     points = [locus_point(n, e) for e in PHI_EPS]
-    table = _phi_function(f_kind, q0, terms)
+    table = phi_table(f_kind, q0, terms)
     # the theta values are truncated at `terms` factors; the algebraic ones are exact
     floor = q0 ** terms if f_kind == "theta" else ZERO
     require_simple_zero(table, floor)

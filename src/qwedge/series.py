@@ -380,51 +380,27 @@ _put_offset, _put_nums, _put_den, _put_step, _put_coeffs = (
     QSeries.__dict__[name].__set__ for name in QSeries.__slots__)
 
 
-def binomial_factor(c, exponent: int, order: int) -> QSeries:
-    """The polynomial 1 - c*q^exponent as a QSeries valid to `order`.
-
-    Negative exponents are allowed (the offset absorbs them); exponent 0 folds the
-    constant into a single slot.
-    """
-    c = _as_frac(c)
-    if exponent == 0:
-        return QSeries.const(ONE - c, order)
-    p, d = c.numerator, c.denominator
-    if exponent > 0:
-        nums = [d] + [0] * max(order, exponent)
-        nums[exponent] = -p
-        return _series(ZERO, tuple(nums), d, ONE)
-    # exponent < 0: series starts at q^exponent
-    k = -exponent
-    nums = [-p] + [0] * max(order + k, k)
-    nums[k] = d
-    return _series(Fraction(exponent), tuple(nums), d, ONE)
-
-
 def q_pochhammer(c, j, n: int | None, order: int) -> QSeries:
     """(c q^j; q)_n = prod_{k=0}^{n-1} (1 - c q^{j+k}), truncated at `order`.
 
-    n=None means the infinite product; factors whose q-exponent exceeds `order`
-    cannot touch the kept coefficients and are dropped, which requires j > 0
-    (or j = 0 with finitely many factors).
+    n=None means the infinite product.  The factors with negative exponents move
+    the offset down, so the product works that far past `order`; a factor past
+    that working order cannot touch the kept coefficients and is dropped.
     """
     c = _as_frac(c)
     j = _as_frac(j)
     if j.denominator != 1:
         raise NonIntegerOffsetGap("q-Pochhammer exponent must be an integer")
     j = j.numerator
-    if n is None:
-        if j <= 0:
-            raise SeriesError("infinite q-Pochhammer needs a positive starting exponent")
-        n = max(0, order - j + 1)
-    elif n < 0:
+    if n is not None and n < 0:
         raise ValueError("negative length")
-    work = order - sum(min(0, j + k) for k in range(n))  # slack for negative exponents
+    # slack for the negative exponents j, j+1, ..., -1 among the factors
+    work = order - sum(range(j, 0 if n is None else min(0, j + n)))
     top = max(work, 0)  # the product: nums over den from q^offset, slots 0..top
     nums, den, offset = [1] + [0] * top, 1, 0
     p, d = c.numerator, c.denominator
     # a factor past q^work reaches only exponents beyond q^order and is dropped
-    for e in range(j, min(j + n, work + 1)):
+    for e in range(j, work + 1 if n is None else min(j + n, work + 1)):
         # (1 - c q^e) in place, top down: slot m takes x nums[m] + y nums[m - g];
         # for e < 0 the offset moves down instead
         x, y, g = (d, -p, e) if e >= 0 else (-p, d, -e)

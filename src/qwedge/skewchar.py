@@ -14,9 +14,8 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import add
 
-from .characters import MultiSeries, _series
+from .characters import MultiSeries
 from .reports import Report
 from .series import ZERO, QSeries, SeriesError
 from .setparts import set_partitions
@@ -50,28 +49,17 @@ def psi_series(K: int, N: int) -> MultiSeries:
     """
     if K < 1:
         raise ValueError("need K >= 1")
-    # the product on the integer exponent grid; the anomaly joins it at the end
-    terms: dict[tuple[int, ...], int] = {(0,) * K: 1}
+    out = MultiSeries.one(K, N)
     for n in range(1, N + 1):
         if n ** (2 * K - 1) > MAX_EXPONENT:
             raise GradeOverflow(
                 f"exponent {n}^{2 * K - 1} exceeds the ceiling {MAX_EXPONENT}")
-        shifts = tuple(n ** (2 * j - 1) for j in range(1, K + 1))
-        geom = [tuple(m * s for s in shifts) for m in range(N // n + 1)]
-        new: dict[tuple[int, ...], int] = {}
-        for e, c in terms.items():
-            for g in geom:
-                if e[0] + g[0] > N:
-                    break
-                key = tuple(map(add, e, g))
-                new[key] = new.get(key, 0) + c
-        terms = new
-    # over the lcm A of the anomaly denominators, slot j is x A + anomaly_j A
-    anomaly = [zeta_value(1 - 2 * j) / 2 for j in range(1, K + 1)]
-    A = math.lcm(*(a.denominator for a in anomaly))
-    lifts = tuple(a.numerator * (A // a.denominator) for a in anomaly)
-    terms = {(0, *(x * A + a for x, a in zip(e, lifts))): c for e, c in terms.items()}
-    return _series(K, F(N), A, terms)
+        shifts = [n ** (2 * j - 1) for j in range(1, K + 1)]
+        # the factor for n as its geometric series, through q1-grade N
+        out = out * MultiSeries(K, N, {(0, *(m * s for s in shifts)): 1
+                                       for m in range(N // n + 1)})
+    anomaly = (0, *(zeta_value(1 - 2 * j) / 2 for j in range(1, K + 1)))
+    return out * MultiSeries.monomial(K, N, anomaly)
 
 
 def h_series(r: int, s_even: int, order: int) -> QSeries:

@@ -15,11 +15,9 @@ cancels, so they are assembled from the lattice sums and apply it at most once.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .partitions import partitions_of
 from .reports import Report, series_report
 from .series import (ONE, ZERO, QSeries, SeriesError, euler_product, q_pochhammer,
                      rational_sqrt)
@@ -362,23 +360,21 @@ def _power_of(t: Fraction, q0: Fraction) -> int | None:
 
 def theta_odd_derivative_closed_form(m: int, order: int,
                                      table: EisensteinTable | None = None) -> QSeries:
-    """(2m+1)! sum over partitions 1^{k_1} 2^{k_2} ... of m of
-    (-2)^{k_1+k_2+...} / (k_1! k_2! ...) * prod_i (G_{2i}/(2i)!)^{k_i},
-    which equals the (2m+1)-st invariant theta derivative at x = 1.
+    """(2m+1)! times the w^{2m} coefficient E_m of
+    exp(sum_{i>=1} a_i w^{2i}), a_i = -2 G_{2i} / (2i)!, which equals the
+    (2m+1)-st invariant theta derivative at x = 1.  The coefficients of the
+    exponential obey E_0 = 1 and j E_j = sum_{i=1..j} i a_i E_{j-i}.
 
     `table`, of the same order, may be shared by closed forms at that order.
     """
     if table is None:
         table = EisensteinTable(order)
-    total = QSeries.zero(order)
-    for combo in map(Counter, partitions_of(m)):
-        coef = F((-2) ** combo.total(), math.prod(map(math.factorial, combo.values())))
-        term = QSeries.const(coef, order)
-        for i, k in combo.items():
-            gi = table.g(2 * i) * F(1, math.factorial(2 * i))
-            term = term * gi ** k
-        total = total + term
-    return math.factorial(2 * m + 1) * total
+    a = {i: table.g(2 * i) * F(-2, math.factorial(2 * i)) for i in range(1, m + 1)}
+    E = [QSeries.one(order)]
+    for j in range(1, m + 1):
+        E.append(sum((a[i] * E[j - i] * F(i, j) for i in range(1, j + 1)),
+                     QSeries.zero(order)))
+    return math.factorial(2 * m + 1) * E[m]
 
 
 # -- identity verifiers -----------------------------------------------------------

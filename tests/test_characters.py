@@ -33,6 +33,19 @@ def test_multiseries_mul_drops_over_grade():
     assert (a * c).terms == {(F(0), F(3)): F(1)}
 
 
+def test_multiseries_holds_no_term_past_its_grade():
+    """The constructor and the charge shift drop what the grade does not know,
+    so equality compares only coefficients the series knows."""
+    s = MultiSeries(1, 2, {(0, 5): 1})
+    assert s.terms == {} and s.den == 1
+    assert s == MultiSeries.zero(1, 2) == s.truncate(2)
+    # the q1-exponent picks up twice the charge: (1, 2, 0) lands at q1^4,
+    # past grade 3, while (0, 1, 0) stays at q1^1
+    mapped = MultiSeries(2, 3, {(1, 2, 0): 1, (0, 1, 0): 1}).map_exponents(2)
+    assert mapped.terms == {(F(0), F(1), F(4)): F(1)}
+    assert mapped == MultiSeries.monomial(2, 3, (0, 1, 4))
+
+
 def test_q1_series_needs_whole_steps_between_q1_exponents():
     s = MultiSeries(1, 2, {(0, 0): 1, (1, F(1, 2)): 1})
     with pytest.raises(NonIntegerOffsetGap, match="1/2"):
@@ -137,11 +150,13 @@ def test_to_json_shape():
 
 class _FractionSeries:
     """The container as it was before the integer lattice: a dict from
-    Fraction exponent vectors to Fraction coefficients, the oracle below."""
+    Fraction exponent vectors to Fraction coefficients, cut at the grade, the
+    oracle below."""
 
     def __init__(self, K, grade, terms):
         self.K, self.grade = K, F(grade)
-        self.terms = {tuple(F(x) for x in e): F(c) for e, c in terms.items() if c}
+        terms = {tuple(F(x) for x in e): F(c) for e, c in terms.items() if c}
+        self.terms = {e: c for e, c in terms.items() if e[1] <= self.grade}
 
     def _with(self, grade, pairs):
         terms = {}
@@ -184,8 +199,7 @@ class _FractionSeries:
     def q1_series(self):
         sums = {}
         for e, c in self.terms.items():
-            if e[1] <= self.grade:
-                sums[e[1]] = sums.get(e[1], F(0)) + c
+            sums[e[1]] = sums.get(e[1], F(0)) + c
         if not sums:
             return QSeries.zero(0, self.grade)
         low = min(sums)

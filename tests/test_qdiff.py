@@ -10,12 +10,12 @@ from qwedge.correlators import DivisorHit, EvalPoint, FWeight
 from qwedge.qdiff import (
     DivergentPoint,
     SimpleZeroViolated,
-    _phi_function,
     check_convergent,
     f_numeric,
     h_numeric,
     locus_point,
     phi_sum,
+    phi_table,
     r_series,
     require_simple_zero,
     verify_cyclic_identity,
@@ -373,7 +373,7 @@ def test_u_value_is_the_closed_form_times_theta_prime_at_one(svals, q0, terms):
 
 
 def test_phi_sum_two_variable_closed_form():
-    table = _phi_function("algebraic", F(1, 16), 10)
+    table = phi_table("algebraic", F(1, 16), 10)
     assert table.factor == 1
     svals = (F(2), F(3))
     expected = table.sum(1, F(1)) * (table.sum(1, F(2)) / table.sum(0, F(2))
@@ -406,7 +406,7 @@ def _phi_by_compositions(fval, fderiv, svals):
     ("theta", (F(11, 10), F(2), F(3), F(10, 66))),
 ])
 def test_phi_sum_equals_the_composition_loop(kind, svals):
-    table = _phi_function(kind, F(1, 16), 10)
+    table = phi_table(kind, F(1, 16), 10)
     assert phi_sum(table, svals) == _phi_by_compositions(
         lambda s: table.sum(0, s), table.sum, svals)
 
@@ -416,7 +416,7 @@ def test_phi_sum_of_bare_lattice_sums_times_the_factor_once(n):
     """Each chain has one more derivative than division, so the Euler factor
     applied once to the sum of bare lattice sums gives the sum of true values."""
     q0, terms = F(1, 16), 12
-    table = _phi_function("theta", q0, terms)
+    table = phi_table("theta", q0, terms)
     svals = locus_point(n, F(1, 10))
     true = _phi_by_compositions(lambda s: table.factor * table.sum(0, s),
                                 lambda m, s: table.factor * table.sum(m, s), svals)
@@ -432,7 +432,7 @@ def test_phi_vanish_algebraic_is_not_vacuous():
 def test_phi_vanish_algebraic_rejects_a_sum_that_is_exactly_zero():
     """At n = 2 the two chains cancel, as f(1/x) = -f(x): the sum is 0 at
     every distance, so the decay check would pass on nothing."""
-    table = _phi_function("algebraic", F(1, 16), 10)
+    table = phi_table("algebraic", F(1, 16), 10)
     assert phi_sum(table, locus_point(2, F(1, 10))) == 0
     with pytest.raises(ValueError, match="n = 2"):
         verify_phi_vanish("algebraic", 2)

@@ -1,6 +1,8 @@
 """The scripts under scripts/ run end to end at tiny settings, so a library
-name one of them imports cannot go away unnoticed."""
+name one of them imports cannot go away unnoticed; and neither they nor the
+package's modules import a private name from a qwedge module."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -29,3 +31,31 @@ def test_script_runs(script, args, expect):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert expect in proc.stdout
+
+
+def _private_imports(source: str) -> list[str]:
+    """`module.name` for each `from <qwedge module> import _name` in `source`;
+    a relative import is always into a qwedge module, and dunders are public."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "qwedge":
+            continue
+        found += [f"{'.' * node.level}{module}.{alias.name}" for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return found
+
+
+def test_private_names_stay_in_their_module():
+    assert _private_imports("from .characters import MultiSeries, _series\n"
+                            "from qwedge.qdiff import _phi, phi_sum\n"
+                            "from qwedge import __version__\n"
+                            "from fractions import _gcd\n") == [
+        ".characters._series", "qwedge.qdiff._phi"]
+    paths = sorted((ROOT / "src" / "qwedge").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py"))
+    assert len(paths) > 10
+    found = {str(p.relative_to(ROOT)): _private_imports(p.read_text()) for p in paths}
+    assert {p: names for p, names in found.items() if names} == {}

@@ -13,7 +13,6 @@ from qwedge.series import (
     QSeries,
     SeriesError,
     ZeroLeadingCoefficient,
-    binomial_factor,
     euler_product,
     q_pochhammer,
     rational_sqrt,
@@ -77,15 +76,17 @@ def test_pochhammer_negative_start():
 
 
 def _binomial_product(c, j, n, order):
-    """(c q^j; q)_n as QSeries products of `binomial_factor`, with the rules of
-    `q_pochhammer`: slack for the negative exponents, factors past the order
-    dropped, then truncated at q^order."""
-    ks = range(max(0, order - j + 1)) if n is None else range(n)
+    """(c q^j; q)_n as a QSeries product of the polynomials 1 - c q^e, with the
+    rules of `q_pochhammer`: slack for the negative exponents, factors past the
+    order dropped, then truncated at q^order.  The infinite product is the finite
+    one with more factors than can reach q^order (here at most 31, for j = -3
+    and order 24)."""
+    ks = range(40 if n is None else n)
     work = order - sum(min(0, j + k) for k in ks)
     result = QSeries.one(work)
-    for k in ks:
-        if j + k <= work:
-            result = result * binomial_factor(c, j + k, work)
+    for e in (j + k for k in ks):
+        if e <= work:
+            result = result * (QSeries.one(work) - QSeries.monomial(c, e, work - min(e, 0)))
     rel = order - result.offset
     return result.truncate(int(rel)) if rel >= 0 else result
 
@@ -95,10 +96,6 @@ def test_pochhammer_equals_the_product_of_binomial_factors(c):
     for j in (-3, -1, 0, 1, 2, 5):
         for n in (None, 0, 1, 2, 5):
             for order in (0, 1, 3, 8, 24):
-                if n is None and j <= 0:
-                    with pytest.raises(SeriesError):
-                        q_pochhammer(c, j, n, order)
-                    continue
                 got, want = q_pochhammer(c, j, n, order), _binomial_product(c, j, n, order)
                 assert (got.offset, got.den, got.nums, got.step) == \
                     (want.offset, want.den, want.nums, want.step), (j, n, order)
@@ -126,13 +123,13 @@ def test_pochhammer_infinite_large_start_is_one():
 
 def test_geometric_inverse():
     # 1/(1-q) = 1 + q + q^2 + ...
-    g = binomial_factor(1, 1, 6).inv()
+    g = q_pochhammer(1, 1, 1, 6).inv()
     assert list(g.coeffs) == [1] * 7
 
 
 def test_inverse_with_offset():
     # 1/(q^2 (1 - q)) = q^{-2} (1 + q + ...)
-    s = binomial_factor(1, 1, 4).shift(2)
+    s = q_pochhammer(1, 1, 1, 4).shift(2)
     inv = s.inv()
     assert inv.offset == -2
     assert list(inv.coeffs) == [1] * 5
