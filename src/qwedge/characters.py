@@ -16,7 +16,7 @@ from operator import add, mul
 from types import MappingProxyType
 
 from .partitions import hook_power_sum, partitions_of
-from .reports import Report
+from .reports import Report, series_report
 from .series import ONE, ZERO, NonIntegerOffsetGap, QSeries
 from .special import eta, xi_value
 
@@ -167,8 +167,22 @@ class MultiSeries:
         _, _, a, b = _common(self, other)
         return a == b
 
+    def first_mismatch(self, other: MultiSeries) -> dict | None:
+        """{"exps", "lhs", "rhs"} at the smallest exponent vector where the two
+        maps disagree, self on the left; None where they are equal."""
+        den, cden, x, y = _common(self, other)
+        if x == y:
+            return None
+        for e in sorted(x.keys() | y.keys()):
+            ca, cb = x.get(e, 0), y.get(e, 0)
+            if ca != cb:
+                return {"exps": [str(F(k, den)) for k in e],
+                        "lhs": str(F(ca, cden)), "rhs": str(F(cb, cden))}
+        return None
+
     def truncate(self, grade) -> MultiSeries:
-        grade = F(grade)
+        """The terms at q1-exponent <= grade; the grade never rises."""
+        grade = min(F(grade), self.grade)
         cap = _cap(grade, self.den)
         return _series(self.K, grade, self.den,
                        {e: c for e, c in self.nums.items() if e[1] <= cap}, self.cden)
@@ -225,19 +239,6 @@ class MultiSeries:
         return {"K": self.K, "grade": str(self.grade),
                 "terms": [{"exps": [str(F(x, den)) for x in e], "coeff": str(F(c, cden))}
                           for e, c in sorted(self.nums.items())]}
-
-
-def first_mismatch(a: MultiSeries, b: MultiSeries) -> dict | None:
-    """Smallest exponent vector where the two sparse maps disagree."""
-    den, cden, x, y = _common(a, b)
-    if x == y:
-        return None
-    for e in sorted(x.keys() | y.keys()):
-        ca, cb = x.get(e, 0), y.get(e, 0)
-        if ca != cb:
-            return {"exps": [str(F(k, den)) for k in e],
-                    "lhs": str(F(ca, cden)), "rhs": str(F(cb, cden))}
-    return None
 
 
 def elliptic_map(e: ExpVec, n: int, K: int) -> ExpVec:
@@ -337,10 +338,8 @@ def verify_elliptic_transform(K: int = 3, N: int = 3) -> Report:
     lhs = om.map_exponents(-1).truncate(N)
     pref = [F((-1) ** j, j + 1) for j in range(K + 1)]
     rhs = (om * MultiSeries.monomial(K, G, pref)).truncate(N)
-    mismatch = first_mismatch(lhs, rhs)
-    return Report("elliptic-transform", statement, {"K": K, "N": N},
-                  "pass" if mismatch is None else "fail",
-                  order_checked=N, first_mismatch=mismatch)
+    return series_report("elliptic-transform", statement, {"K": K, "N": N}, lhs, rhs,
+                         order_checked=N)
 
 
 def verify_theta_expansion(K: int = 3, N: int = 3) -> Report:
@@ -358,11 +357,8 @@ def verify_theta_expansion(K: int = 3, N: int = 3) -> Report:
     for n in range(-n_max, n_max + 1):
         pref = [F(n) ** (j + 1) / (j + 1) for j in range(K + 1)]
         total = total + v.map_exponents(n) * MultiSeries.monomial(K, N, pref)
-    om = omega_series(K, N)
-    mismatch = first_mismatch(total, om)
-    return Report("theta-expansion", statement, {"K": K, "N": N, "n_max": n_max},
-                  "pass" if mismatch is None else "fail",
-                  order_checked=N, first_mismatch=mismatch)
+    return series_report("theta-expansion", statement, {"K": K, "N": N, "n_max": n_max},
+                         total, omega_series(K, N), order_checked=N)
 
 
 def verify_triple_product(N: int = 12) -> Report:
@@ -380,10 +376,7 @@ def verify_triple_product(N: int = 12) -> Report:
             theta[(F(m), F(m * m, 2))] = 1
         n += 1
     rhs = MultiSeries(1, N, theta)
-    mismatch = first_mismatch(lhs, rhs)
-    return Report("triple-product", statement, {"N": N},
-                  "pass" if mismatch is None else "fail",
-                  order_checked=N, first_mismatch=mismatch)
+    return series_report("triple-product", statement, {"N": N}, lhs, rhs, order_checked=N)
 
 
 def verify_v_consistency(K: int = 3, N: int = 4) -> Report:
@@ -393,9 +386,5 @@ def verify_v_consistency(K: int = 3, N: int = 4) -> Report:
                  "partition-sum expansion")
     if N < 0:
         raise ValueError(f"the truncation order N = {N} must be non-negative")
-    a = V_from_omega(K, N)
-    b = V_series(K, N)
-    mismatch = first_mismatch(a, b)
-    return Report("v-consistency", statement, {"K": K, "N": N},
-                  "pass" if mismatch is None else "fail",
-                  order_checked=N, first_mismatch=mismatch)
+    return series_report("v-consistency", statement, {"K": K, "N": N},
+                         V_from_omega(K, N), V_series(K, N), order_checked=N)

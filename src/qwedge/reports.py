@@ -54,25 +54,23 @@ class FrozenRecord:
 
 
 class Report:
-    """One verifier's outcome; the fields after `statement` have defaults and may
-    be passed by keyword."""
+    """One verifier's outcome: the verifier sets `params` and `status`, and the
+    fields after them may be passed by keyword."""
 
     __slots__ = ("identity", "statement", "params", "status", "order_checked",
-                 "first_mismatch", "tolerance_info", "details", "elapsed_ms")
+                 "first_mismatch", "tolerance_info", "details")
 
-    def __init__(self, identity: str, statement: str, params: dict | None = None,
-                 status: str = "pass", order_checked: int | None = None,
-                 first_mismatch: dict | None = None, tolerance_info: dict | None = None,
-                 details: dict | None = None, elapsed_ms: float | None = None):
+    def __init__(self, identity: str, statement: str, params: dict, status: str,
+                 order_checked: int | None = None, first_mismatch: dict | None = None,
+                 tolerance_info: dict | None = None, details: dict | None = None):
         self.identity = identity
         self.statement = statement
-        self.params = {} if params is None else params
+        self.params = params
         self.status = status
         self.order_checked = order_checked
         self.first_mismatch = first_mismatch
         self.tolerance_info = tolerance_info
         self.details = details
-        self.elapsed_ms = elapsed_ms
 
     def __repr__(self):
         return f"Report({self.to_jsonable()!r})"
@@ -81,7 +79,7 @@ class Report:
     def ok(self) -> bool:
         return self.status == "pass"
 
-    def to_jsonable(self, with_timing: bool = True) -> dict:
+    def to_jsonable(self) -> dict:
         d: dict[str, Any] = {
             "identity": self.identity,
             "params": jsonify(self.params),
@@ -96,21 +94,17 @@ class Report:
             d["tolerance_info"] = jsonify(self.tolerance_info)
         if self.details is not None:
             d["details"] = jsonify(self.details)
-        if with_timing and self.elapsed_ms is not None:
-            d["elapsed_ms"] = int(self.elapsed_ms)
         return d
 
 
 def series_report(identity: str, statement: str, params: dict,
                   lhs, rhs, order_checked: int | None = None) -> Report:
-    """Compare two QSeries and package the outcome."""
+    """Compare two series of one type, QSeries or MultiSeries: pass when they
+    are equal, else fail at `lhs.first_mismatch(rhs)`.  `order_checked` defaults
+    to the common QSeries order."""
     if order_checked is None:
         order_checked = int(min(lhs.upper, rhs.upper))
     if lhs == rhs:
         return Report(identity, statement, params, "pass", order_checked)
-    mm = lhs.first_mismatch(rhs)
-    fm = None
-    if mm is not None:
-        e, a, b = mm
-        fm = {"exponent": e, "lhs": a, "rhs": b}
-    return Report(identity, statement, params, "fail", order_checked, first_mismatch=fm)
+    return Report(identity, statement, params, "fail", order_checked,
+                  first_mismatch=lhs.first_mismatch(rhs))

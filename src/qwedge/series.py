@@ -342,11 +342,13 @@ class QSeries:
     def __hash__(self):
         return hash((self.offset, self.nums, self.den, self.step))
 
-    def first_mismatch(self, other: QSeries):
-        """(exponent, self_coeff, other_coeff) of the first disagreement, or None."""
+    def first_mismatch(self, other: QSeries) -> dict | None:
+        """{"exponent", "lhs", "rhs"} at the first disagreement on the common
+        range, self on the left; None where there is none.  Offsets a non-integer
+        apart disagree at the lower one, with no coefficients."""
         gap = _gap(self.offset, other.offset)
         if gap is None:
-            return (min(self.offset, other.offset), None, None)
+            return {"exponent": min(self.offset, other.offset), "lhs": None, "rhs": None}
         # both on the grid off, off+1, ..., off+n, zero-padded below their offsets
         off = self.offset if gap >= 0 else other.offset
         pad_a, pad_b = max(0, -gap), max(0, gap)
@@ -356,7 +358,8 @@ class QSeries:
         da, db = self.den, other.den
         for j, (x, y) in enumerate(zip(a, b)):
             if x * db != y * da:  # x/da != y/db
-                return (off + j, Fraction(x, da), Fraction(y, db))
+                return {"exponent": off + j,
+                        "lhs": Fraction(x, da), "rhs": Fraction(y, db)}
         return None
 
     # -- serialization ----------------------------------------------------------

@@ -19,30 +19,26 @@ Block = tuple[int, ...]
 SetPartition = tuple[Block, ...]
 
 
-def set_partitions(items: tuple[int, ...]) -> Iterator[SetPartition]:
-    """All set partitions, blocks canonically ordered by minimum element.
+def _first_blocks(items: tuple[int, ...]) -> Iterator[tuple[Block, tuple[int, ...]]]:
+    """(B, rest) for each block B of `items` that holds the first item, the
+    other members of B in the order of `itertools.combinations`, and `rest` the
+    items outside B."""
+    first, others = items[0], items[1:]
+    for size in range(len(others) + 1):
+        for chosen in itertools.combinations(others, size):
+            yield (first,) + chosen, tuple(x for x in others if x not in chosen)
 
-    Enumerated by restricted-growth strings, so the empty tuple yields the empty
-    partition exactly once and block order needs no postprocessing.
-    """
-    n = len(items)
-    if n == 0:
+
+def set_partitions(items: tuple[int, ...]) -> Iterator[SetPartition]:
+    """All set partitions, blocks canonically ordered by minimum element: the
+    block of the first item, then a set partition of the rest.  The empty tuple
+    yields the empty partition exactly once."""
+    if not items:
         yield ()
         return
-    rgs = [0] * n
-
-    def rec(i: int, maxval: int) -> Iterator[SetPartition]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
-            for j, b in enumerate(rgs):
-                blocks[b].append(items[j])
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for v in range(maxval + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(maxval, v))
-
-    yield from rec(1, 0)
+    for block, rest in _first_blocks(items):
+        for sp in set_partitions(rest):
+            yield (block,) + sp
 
 
 def compositions(items: tuple[int, ...]) -> Iterator[tuple[Block, ...]]:
@@ -145,17 +141,11 @@ def near_singleton_partitions(items: tuple[int, ...]) -> Iterator[SetPartition]:
     """Set partitions with at most one non-singleton block, that block containing
     the smallest element.  For {1,2,3}: the all-singletons one, {12|3}, {13|2}, {123}.
     """
-    n = len(items)
-    if n == 0:
+    if not items:
         yield ()
         return
-    first, rest = items[0], items[1:]
-    for mask_size in range(len(rest) + 1):
-        for chosen in itertools.combinations(rest, mask_size):
-            big = (first,) + chosen
-            singles = tuple((x,) for x in rest if x not in chosen)
-            part = (big,) + singles
-            yield tuple(sorted(part, key=lambda b: b[0]))
+    for block, rest in _first_blocks(items):
+        yield (block,) + tuple((x,) for x in rest)
 
 
 def stabilizer_multiplicity(blocks: SetPartition) -> Fraction:

@@ -12,7 +12,6 @@ from qwedge.characters import (
     V_from_omega,
     V_series,
     elliptic_map,
-    first_mismatch,
     omega_series,
     verify_elliptic_transform,
     verify_theta_expansion,
@@ -20,6 +19,7 @@ from qwedge.characters import (
     verify_v_consistency,
 )
 from qwedge.partitions import partition_count
+from qwedge.reports import series_report
 from qwedge.series import NonIntegerOffsetGap, QSeries
 
 F = Fraction
@@ -44,6 +44,24 @@ def test_multiseries_holds_no_term_past_its_grade():
     mapped = MultiSeries(2, 3, {(1, 2, 0): 1, (0, 1, 0): 1}).map_exponents(2)
     assert mapped.terms == {(F(0), F(1), F(4)): F(1)}
     assert mapped == MultiSeries.monomial(2, 3, (0, 1, 4))
+
+
+def test_truncate_never_raises_the_grade():
+    """A series cut at grade 2 knows nothing past q1^2, so a truncation to 5
+    keeps grade 2, and a sum with it drops the other side's q1^4."""
+    s = MultiSeries(1, 2, {(0, 1): 1}).truncate(5)
+    assert s.grade == 2
+    total = s + MultiSeries(1, 5, {(0, 1): 1, (0, 4): 1})
+    assert total.grade == 2 and total.terms == {(F(0), F(1)): F(2)}
+
+
+def test_series_report_names_the_first_mismatched_exponent_vector():
+    a = MultiSeries(1, 3, {(0, 1): 1, (1, 2): 2})
+    b = MultiSeries(1, 3, {(0, 1): 1, (1, 2): 3})
+    assert series_report("x", "y", {}, a, a, order_checked=3).ok
+    rep = series_report("x", "y", {}, a, b, order_checked=3)
+    assert (rep.status, rep.order_checked) == ("fail", 3)
+    assert rep.first_mismatch == {"exps": ["1", "2"], "lhs": "2", "rhs": "3"}
 
 
 def test_q1_series_needs_whole_steps_between_q1_exponents():
@@ -183,6 +201,7 @@ class _FractionSeries:
                                   if e1[1] + e2[1] <= grade])
 
     def truncate(self, grade):
+        grade = min(F(grade), self.grade)
         return self._with(grade, [(e, c) for e, c in self.terms.items() if e[1] <= grade])
 
     def map_exponents(self, n):
@@ -263,7 +282,7 @@ def test_integer_lattice_matches_fraction_series(data):
     # which key a mismatch reports, and None exactly on equal maps
     for (x, rx), (y, ry) in ((pairs[0], pairs[1]), (pairs[1], pairs[2]),
                              (pairs[0], pairs[4]), (pairs[3], (b * a, rb * ra))):
-        assert first_mismatch(x, y) == _fraction_mismatch(rx, ry)
+        assert x.first_mismatch(y) == _fraction_mismatch(rx, ry)
         assert (x == y) == (rx.terms == ry.terms)
     # setting every q_j but q1 to 1, on a grid with whole steps in q1
     z, rz = data.draw(_sparse_series(K, charge_zero=True))

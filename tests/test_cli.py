@@ -59,6 +59,7 @@ def test_verify_counts_reports_final_sums(capsys):
     assert rep["status"] == "pass"
     assert rep["details"] == {"sum1": 1, "sum2": 1, "sum3": 0}
     assert isinstance(rep["elapsed_ms"], int)
+    assert list(rep)[-1] == "elapsed_ms"
 
 
 def test_verify_npoint_at_fixed_points(capsys):
@@ -571,6 +572,12 @@ def test_forked_half_imports_no_theta_correlation_module():
         "\n".join(f"import qwedge.{m}" for m in sorted(cli._FORKED_MODULES)))
     assert loaded >= {f"qwedge.{m}" for m in cli._FORKED_MODULES}
     assert not {"qwedge.correlators", "qwedge.qdiff"} & loaded
+
+
+def test_a_report_names_its_params_and_status():
+    """No report passes by default."""
+    with pytest.raises(TypeError):
+        Report("x", "y")
 
 
 def test_verifier_errors_are_value_errors():

@@ -232,7 +232,7 @@ def test_equality_on_common_range():
 def test_first_mismatch():
     a = S([1, 2, 3])
     b = S([1, 2, 4, 9])
-    assert a.first_mismatch(b) == (2, 3, 4)
+    assert a.first_mismatch(b) == {"exponent": 2, "lhs": 3, "rhs": 4}
     assert a.first_mismatch(S([1, 2])) is None
 
 

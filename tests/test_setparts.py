@@ -37,7 +37,8 @@ def test_counts_against_bell_and_fubini():
     bells = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
     fubinis = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835]
     for n in range(8):
-        assert sum(1 for _ in set_partitions(_items(n))) == bells[n]
+        sps = list(set_partitions(_items(n)))
+        assert len(sps) == len(set(sps)) == bells[n]
         assert sum(1 for _ in compositions(_items(n))) == fubinis[n]
     assert sum(1 for _ in set_partitions(_items(8))) == bells[8]
 
