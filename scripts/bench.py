@@ -27,12 +27,19 @@ After the timed runs, `perfbench/run.py --trace 1` runs once per workload on
 each side, at the first seed; each run's per-layer medians go under "layers"
 (the parent's under "parent_layers"), so that a change can show in which layer
 its saving sits.  Each nonzero per-layer metric is printed.
+
+Every run has PYTHONDONTWRITEBYTECODE=1 set, and a tree holding a `__pycache__`
+directory under `src/` is refused (exit 2, naming the directory): a bytecode
+cache makes qwedge start faster and lowers `peak_rss_mib`, so its figures
+would not match runs from a fresh checkout, which compile every module they
+import.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -82,6 +89,7 @@ class Side:
 
     def __init__(self, tree: Path, runs: Path):
         self.tree, self.runs = tree, runs
+        self.env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         self.start = runs.read_text().count("\n") if runs.exists() else 0
 
     def run(self, workload: str, seed: int, seconds: int) -> None:
@@ -89,15 +97,15 @@ class Side:
         subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                         "--seed", str(seed), "--seconds", str(seconds),
                         "--trace", "0", "--out", str(self.runs)],
-                       cwd=self.tree, check=True, stdout=subprocess.DEVNULL)
+                       cwd=self.tree, env=self.env, check=True, stdout=subprocess.DEVNULL)
 
     def trace(self, workload: str, seed: int, seconds: int) -> dict:
         """The per-layer medians of one traced run, from its last line of stdout."""
         print(f"{workload} seed {seed} on {self.tree}, traced", file=sys.stderr, flush=True)
         out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                               "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"],
-                             cwd=self.tree, check=True, stdout=subprocess.PIPE,
-                             text=True).stdout
+                             cwd=self.tree, env=self.env, check=True,
+                             stdout=subprocess.PIPE, text=True).stdout
         metrics = json.loads(out.splitlines()[-1])["metrics"]
         return {name: m["value"] for name, m in metrics.items()}
 
@@ -125,6 +133,13 @@ def main(argv=None) -> int:
     names = [m["name"] for m in bench["end_to_end"]]
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
+
+    trees = [checkout] + ([a.parent.resolve()] if a.parent is not None else [])
+    caches = [c for tree in trees for c in sorted((tree / "src").rglob("__pycache__"))]
+    if caches:
+        print(f"bench: bytecode caches under src/ would skew the figures; remove "
+              f"{' '.join(map(str, caches))} and rerun", file=sys.stderr)
+        return 2
 
     with tempfile.TemporaryDirectory() as tmp:
         change = Side(checkout, a.runs.resolve() if a.runs else Path(tmp) / "runs.jsonl")

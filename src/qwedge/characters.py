@@ -208,11 +208,14 @@ class MultiSeries:
 
     def derive(self, j: int) -> MultiSeries:
         """q_j d/dq_j: each term times its q_j-exponent, that is its numerator
-        times the scaled exponent and the coefficient denominator times den."""
+        times the scaled exponent and the coefficient denominator times den.
+        The exponents and den are first divided by their gcd g, so the
+        numerators come out over cden * den / g, mostly reduced already."""
         if not 0 <= j <= self.K:
             raise ValueError(f"j must be between 0 and {self.K}")
-        nums = {e: c * e[j] for e, c in self.nums.items() if e[j]}
-        return _series(self.K, self.grade, self.den, nums, self.cden * self.den)
+        g = math.gcd(self.den, *(e[j] for e in self.nums))
+        nums = {e: c * (e[j] // g) for e, c in self.nums.items() if e[j]}
+        return _series(self.K, self.grade, self.den, nums, self.cden * (self.den // g))
 
     def q1_series(self) -> QSeries:
         """Set q_j = 1 for every j but 1: the q1-series from the lowest q1-exponent

@@ -14,7 +14,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .partitions import RowWeight, eps_closing, eps_row, q_bracket
+from .partitions import RowWeight, Step, eps_closing, eps_row, q_bracket
 from .reports import FrozenRecord, Report, series_report
 from .series import ONE, QSeries, euler_product, q_pochhammer
 from .setparts import (first_subset, ordered_block_sum, positions, set_partitions,
@@ -133,12 +133,12 @@ class IndexWeight(_PointWeight):
         for k, i in enumerate(self.idx):
             self.by_row.setdefault(i, []).append(k)
 
-    def row(self, v: int, i: int):
+    def row(self, v: int, i: int) -> list[Step]:
         if i not in self.by_row:
-            return list
+            return []
         p = self.powers(2 * (v - i) + 1)
-        w = math.prod(p[k] for k in self.by_row[i])
-        return lambda vec: [vec[0] * w]
+        # times w: the slot gains w - 1 times itself
+        return [(0, 0, math.prod(p[k] for k in self.by_row[i]) - 1)]
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         num, den = 1, 1
@@ -207,17 +207,8 @@ class HWeight(_PointWeight):
             if self.diffs[m] == 0:  # x_m = 1
                 raise DivisorHit(tuple(range(m + 1, n + 1)))
 
-    def row(self, v: int, i: int):
-        steps = list(enumerate(self.powers(2 * (v - i) + 1)))[::-1]
-
-        def apply(vec: list[int]) -> list[int]:
-            out = list(vec)
-            for j, p in steps:
-                if out[j]:
-                    out[j + 1] += out[j] * p
-            return out
-
-        return apply
+    def row(self, v: int, i: int) -> list[Step]:
+        return [(j, j + 1, p) for j, p in enumerate(self.powers(2 * (v - i) + 1))][::-1]
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         # slot j over its scale g_0 ... g_{j-1}: c_j x_j^{ell+1} g_j ... g_{n-1}
@@ -270,7 +261,7 @@ class FWeight(_PointWeight):
                 raise DivisorHit((k,))
         self.slots = 1 << len(self.svals)
 
-    def row(self, v: int, i: int):
+    def row(self, v: int, i: int) -> list[Step]:
         return eps_row(self.powers(2 * (v - i) + 1))
 
     def closing(self, ell: int) -> tuple[list[int], int]:

@@ -2,14 +2,26 @@
 
 Partitions are tuples of weakly decreasing positive ints; () is the empty partition.
 Sums over all partitions of a weight built row by row (`RowWeight`) run through
-one engine, `slot_table`, a DP over part values that keeps one column of states
-per row count and applies one row map per (part value, row index) to a whole
-column.  The slots are integers at a fixed scale chosen for the order, and each
-column closes with one rational vector over a shared denominator, so no
-Fraction is formed per state.  `partition_sums` closes every state into the
-coefficients of a QSeries; the numeric sums at a point q0 (`qdiff`) fold the
-powers of q0 over each column's sizes and close once per column.  Enumeration
-stays for everything else and as the reference the tests compare against.
+one engine, `partition_sums`: a DP over part values that keeps one column of
+states per row count and applies one row map per (part value, row index) to a
+whole column.  A row map is data, a list of steps (src, dst, p) each meaning
+"slot dst gains p times slot src", so the per-partition reference, the
+per-state table and the packed layout all apply the same steps.  The slots are
+integers at a fixed scale chosen for the order, and each column closes with
+one rational vector over a shared denominator, so no Fraction is formed per
+state.
+
+The DP has two layouts, chosen by the bound the weight states.  A weight with
+a field width (`HookMomentWeight`, whose slots are bounded by |p_k(mu)| <=
+|mu|^k) is summed packed (`packed_sums`): each (row count, slot) column is one
+int with a balanced field per size, so a step is one big-int multiply per
+column, not one per state.  The point weights of `correlators` state none:
+their slots carry (a b)^(2 order - 1) scales, 300 to 800 bits at n = 3 or 4
+and order 14, so packing them saves no interpreter time and multiplies wider
+ints; it measured as fast to 1.9 times slower even at the tightest width.
+They keep one slot vector per state (`slot_table`, `state_sums`), which the
+numeric sums at a point q0 (`qdiff`) also read.  Enumeration stays for
+everything else and as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -99,20 +111,40 @@ def hook_power_sum(lam: Partition, r: int) -> Fraction:
     return Fraction(total, 2 ** r)
 
 
+Step = tuple[int, int, int]
+
+
+def apply_steps(steps: list[Step], vec: list[int]) -> list[int]:
+    """A copy of `vec` after each step (src, dst, p) in turn: slot dst gains p
+    times slot src.  Zero sources are skipped."""
+    out = list(vec)
+    for src, dst, p in steps:
+        if out[src]:
+            out[dst] += out[src] * p
+    return out
+
+
 class RowWeight:
-    """A partition weight assembled row by row, for `slot_table`.
+    """A partition weight assembled row by row, for the partition-sum engine.
 
     The weight keeps a vector of `slots` integers.  `start(order)` fixes, for
     partitions of size at most `order`, a scale per slot: slot j holds its exact
     value times scale_j, chosen so that every row keeps the slots integral.
-    `row(v, i)` is the row map of row i (1-indexed) of part value v: a function
-    from a slot vector to a new list, which the engine may add into, with its
-    factors built once, when the map is.  The weight of a partition with `ell`
-    rows is the dot product of its vector with `closing(ell)`: per-slot
-    rationals already divided by the slot scales (tails over the empty rows
-    past ell go here), as int numerators over one positive int denominator.
-    Calling the weight on a partition applies its row maps in order, then
-    closes, which is the per-partition reference.
+    `row(v, i)` is the row map of row i (1-indexed) of part value v, as data: a
+    list of steps (src, dst, p), applied in order by `apply_steps`, each meaning
+    "slot dst gains p times slot src"; its factors are built once, when the
+    list is.  The weight of a partition with `ell` rows is the dot product of
+    its vector with `closing(ell)`: per-slot rationals already divided by the
+    slot scales (tails over the empty rows past ell go here), as int numerators
+    over one positive int denominator.  Calling the weight on a partition
+    applies its row maps in order, then closes, which is the per-partition
+    reference.
+
+    `field_width(order)` states a width W, in bits, for the packed layout of
+    `partition_sums`: every slot sum over a set of partitions of one size at
+    most `order`, and every closed sum of one size over the common
+    denominator, lies strictly inside +-2^(W - 2).  None, the default, states
+    no bound, and the sums keep one slot vector per state.
     """
 
     slots = 1
@@ -120,35 +152,47 @@ class RowWeight:
     def start(self, order: int) -> None:
         """Fix the slot scales for partitions of size at most `order`."""
 
-    def row(self, v: int, i: int) -> Callable[[list[int]], list[int]]:
+    def row(self, v: int, i: int) -> list[Step]:
         raise NotImplementedError
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         raise NotImplementedError
 
+    def field_width(self, order: int) -> int | None:
+        return None
+
     def __call__(self, lam: Partition) -> Fraction:
         self.start(sum(lam))
         vec = [1] + [0] * (self.slots - 1)
         for i, part in enumerate(lam, 1):
-            vec = self.row(part, i)(vec)
+            vec = apply_steps(self.row(part, i), vec)
         nums, den = self.closing(len(lam))
         return Fraction(sum(x * c for x, c in zip(vec, nums)), den)
 
 
+def _closings(weight: RowWeight, order: int) -> tuple[list[list[int]], int]:
+    """`weight.closing(r)` for r = 0..order over den, the lcm of their
+    denominators, so that a state of r rows closes with one integer dot
+    product."""
+    closings = [weight.closing(ell) for ell in range(order + 1)]
+    den = math.lcm(*(d for _, d in closings))
+    return [[c * (den // d) for c in cl] for cl, d in closings], den
+
+
 def slot_table(weight: RowWeight, order: int) -> tuple[list[list], list[list[int]], int]:
-    """(cols, closings, den): the DP that every partition sum of `weight` to
-    size `order` runs on, and the closings it is read through.
+    """(cols, closings, den): the per-state DP of every partition sum of
+    `weight` to size `order`, and the closings it is read through.
 
     cols[r][s] sums the integer slot vectors of all partitions of size s with r
     rows (None where there is none).  The DP runs over part values v = order..1,
     largest first, so a part's row index is one more than the rows before it.
     Pass v walks the columns r ascending while (r + 1) v <= order: a state of
-    column r has r parts of at least v, so its size s is at least r v, and one
-    map `weight.row(v, r + 1)` adds every state with s <= order - v into column
-    r + 1 at size s + v, which is walked next, so a value repeats.  That is
-    order // v maps per pass and O(order^2 log order) states, not every
+    column r has r parts of at least v, so its size s is at least r v, and the
+    steps of one map `weight.row(v, r + 1)` add every state with s <= order - v
+    into column r + 1 at size s + v, which is walked next, so a value repeats.
+    That is order // v maps per pass and O(order^2 log order) states, not every
     partition.  closings[r] is `weight.closing(r)` over den, the lcm of their
-    denominators, so a state of r rows closes with one integer dot product.
+    denominators.  The numeric sums of `qdiff` read this table.
     """
     weight.start(order)
     cols = [[[1] + [0] * (weight.slots - 1)] + [None] * order]
@@ -156,26 +200,23 @@ def slot_table(weight: RowWeight, order: int) -> tuple[list[list], list[list[int
         for r in range(order // v):
             if len(cols) == r + 1:
                 cols.append([None] * (order + 1))
-            apply, src, dst = weight.row(v, r + 1), cols[r], cols[r + 1]
+            steps, src, dst = weight.row(v, r + 1), cols[r], cols[r + 1]
             for s in range(r * v, order - v + 1):
                 if src[s] is None:
                     continue
-                out, cur = apply(src[s]), dst[s + v]
+                out, cur = apply_steps(steps, src[s]), dst[s + v]
                 if cur is None:
                     dst[s + v] = out
                 else:
                     for k, x in enumerate(out):
                         if x:
                             cur[k] += x
-    closings = [weight.closing(ell) for ell in range(len(cols))]
-    den = math.lcm(*(d for _, d in closings))
-    return cols, [[c * (den // d) for c in cl] for cl, d in closings], den
+    return (cols, *_closings(weight, order))
 
 
-def partition_sums(weight: RowWeight, order: int) -> QSeries:
-    """sum_m c_m q^m valid to q^order, c_m the sum of weight(lam) over the
-    partitions of m: each state of `slot_table` closes with one integer dot
-    product, through the closing of its column."""
+def state_sums(weight: RowWeight, order: int) -> QSeries:
+    """The partition sums of `weight` to q^order from `slot_table`: each state
+    closes with one integer dot product, through the closing of its column."""
     cols, closings, den = slot_table(weight, order)
     nums = [0] * (order + 1)
     for col, cl in zip(cols, closings):
@@ -183,6 +224,64 @@ def partition_sums(weight: RowWeight, order: int) -> QSeries:
             if vec is not None:
                 nums[s] += sum(x * c for x, c in zip(vec, cl) if x)
     return QSeries.from_nums(nums, den)
+
+
+def packed_sums(weight: RowWeight, order: int, width: int) -> QSeries:
+    """The partition sums of `weight` to q^order in the packed layout: the DP of
+    `slot_table` with each (row count r, slot) column held as one int whose
+    `width`-bit balanced fields are the sizes 0..order (field s at bit
+    width * s).  `width` must be one the weight states (`field_width`).
+
+    A map's steps apply once per (v, r) to the whole column, after one cut of
+    each slot to sizes 0..order - v: the balanced residue mod
+    2^(width (order - v + 1)), exact because every field lies inside
+    +-2^(width - 2), so their sum over the kept sizes lies inside the half
+    modulus.  The shift by width * v adds part v to every size at once.  The
+    columns close in packed form, and the total is unpacked once, field by
+    field from the lowest; a nonzero remainder past size order means a field
+    overflowed, and raises.
+    """
+    weight.start(order)
+    closings, den = _closings(weight, order)
+    cols = [[1] + [0] * (weight.slots - 1)]
+    for v in range(order, 0, -1):
+        bits, shift = width * (order - v + 1), width * v
+        mask, half = (1 << bits) - 1, 1 << (bits - 1)
+        for r in range(order // v):
+            if len(cols) == r + 1:
+                cols.append([0] * weight.slots)
+            cut = [(y := x & mask) - (y & half) * 2 for x in cols[r]]
+            dst = cols[r + 1]
+            for k, x in enumerate(apply_steps(weight.row(v, r + 1), cut)):
+                if x:
+                    dst[k] += x << shift
+    total = sum(x * c for col, cl in zip(cols, closings) for x, c in zip(col, cl) if x)
+    nums, mask, half = [], (1 << width) - 1, 1 << (width - 1)
+    for _ in range(order + 1):
+        field = (total & mask) - (total & half) * 2
+        nums.append(field)
+        total = (total - field) >> width
+    if total:
+        raise ArithmeticError(f"a packed partition sum overflowed its {width}-bit fields "
+                              f"at order {order}")
+    return QSeries.from_nums(nums, den)
+
+
+def partition_sums(weight: RowWeight, order: int) -> QSeries:
+    """sum_m c_m q^m valid to q^order, c_m the sum of weight(lam) over the
+    partitions of m.
+
+    The layout follows the weight's stated bound: a weight with a field width
+    (the hook moments, whose slots are small integers) is summed packed, one
+    int per (row count, slot) column; one without (the point weights of
+    `correlators`, whose slots carry (a b)^(2 order - 1) scales of hundreds of
+    bits) keeps one slot vector per state, since packing those measured no
+    faster and up to 1.9 times slower even at the tightest width.
+    """
+    width = weight.field_width(order)
+    if width is None:
+        return state_sums(weight, order)
+    return packed_sums(weight, order, width)
 
 
 def eps_closing(inside: list[int], outside: list[int]) -> list[int]:
@@ -197,21 +296,19 @@ def eps_closing(inside: list[int], outside: list[int]) -> list[int]:
     return comp
 
 
-def eps_row(factors: list[int]) -> Callable[[list[int]], list[int]]:
-    """The row map vec -> vec * prod_j (1 + factors[j] eps_j) in Q[eps]/(eps_j^2):
-    for each j in turn, slot S | j gains slot S times factors[j] for every mask
-    S without j.  Zero factors and zero slots are skipped."""
-    steps = [(mask, mask | 1 << j, p) for j, p in enumerate(factors) if p
-             for mask in range(1 << len(factors)) if not mask >> j & 1]
+@lru_cache(maxsize=None)
+def _eps_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per j < n, the (S, S | j) for every mask S of n bits without j."""
+    return tuple(tuple((mask, mask | 1 << j) for mask in range(1 << n) if not mask >> j & 1)
+                 for j in range(n))
 
-    def apply(vec: list[int]) -> list[int]:
-        out = list(vec)
-        for src, dst, p in steps:
-            if out[src]:
-                out[dst] += out[src] * p
-        return out
 
-    return apply
+def eps_row(factors: list[int]) -> list[Step]:
+    """The steps of the row map vec -> vec * prod_j (1 + factors[j] eps_j) in
+    Q[eps]/(eps_j^2): for each j in turn, slot S | j gains slot S times
+    factors[j] for every mask S without j.  Zero factors take no step."""
+    return [(src, dst, p) for p, pairs in zip(factors, _eps_pairs(len(factors))) if p
+            for src, dst in pairs]
 
 
 class HookMomentWeight(RowWeight):
@@ -223,6 +320,15 @@ class HookMomentWeight(RowWeight):
     g_j = (2(v - i) + 1)^k_j - (1 - 2i)^k_j, integers at scale 2^k_j per eps_j
     whatever the order; the closing takes the eps_1..eps_r coefficient after the
     shifts.  Empty rows add nothing, so there is no tail.
+
+    Slot S of a partition mu is prod_{j in S} 2^k_j p_{k_j}(mu), and
+    |p_k(mu)| <= |mu|^k: in Frobenius form p_k is a sum of (m_i + 1/2)^k and
+    -+(n_i + 1/2)^k whose bases add up to |mu|, and x^k is superadditive.
+    Every state of the DP is a partition of size at most `order` (its empty
+    rows add 0), so |slot| <= max(1, 2 order)^(sum k), and a sum over the
+    partitions of one size, closed, is below p(order) times that times
+    max|closing| times the slot count.  `field_width` states that bound, with
+    a margin of order + 1, in bits plus two.
     """
 
     def __init__(self, ks: tuple[int, ...], shifts):
@@ -235,12 +341,17 @@ class HookMomentWeight(RowWeight):
                                  [-c.numerator << k for c, k in zip(shifts, self.ks)]),
                      math.prod(c.denominator << k for c, k in zip(shifts, self.ks)))
 
-    def row(self, v: int, i: int) -> Callable[[list[int]], list[int]]:
+    def row(self, v: int, i: int) -> list[Step]:
         a, b = 2 * (v - i) + 1, 1 - 2 * i
         return eps_row([a ** k - b ** k for k in self.ks])
 
     def closing(self, ell: int) -> tuple[list[int], int]:
         return self.comp
+
+    def field_width(self, order: int) -> int:
+        bound = (partition_count(order) * max(1, 2 * order) ** sum(self.ks)
+                 * max(map(abs, self.comp[0])) * self.slots * (order + 1))
+        return bound.bit_length() + 2
 
 
 def q_bracket(f: Callable[[Partition], Fraction], order: int) -> QSeries:

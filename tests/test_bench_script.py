@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 FAKE_RUN = '''
-import argparse, json
+import argparse, json, os
 ap = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace", "--out"):
     ap.add_argument(flag)
@@ -21,7 +21,8 @@ if a.trace == "1":
                                    "series.mul.calls": {{"value": 0}}}}}}))
 else:
     record = {{"workload": a.workload, "seed": int(a.seed), "attempted": 7, "failed": 0,
-              "correct": True, "metrics": {{"wall_s": {{"value": wall, "unit": "s"}}}}}}
+              "correct": True, "metrics": {{"wall_s": {{"value": wall, "unit": "s"}}}},
+              "no_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE")}}
     with open(a.out, "a") as f:
         f.write(json.dumps(record) + "\\n")
     print(json.dumps(record))
@@ -39,15 +40,24 @@ def _tree(path: Path, wall: float, layer: float) -> Path:
     return path
 
 
-def test_bench_pairs_the_sides_and_stores_one_traced_run_each(tmp_path):
+def _bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_pairs_the_sides_and_stores_one_traced_run_each(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    bench = _bench()
     change = _tree(tmp_path / "change", wall=0.040, layer=0.005)
     parent = _tree(tmp_path / "parent", wall=0.045, layer=0.002)
 
-    assert bench.main(["--pr", "0", "--seeds", "1", "2", "3",
+    runs = tmp_path / "runs.jsonl"
+    assert bench.main(["--pr", "0", "--seeds", "1", "2", "3", "--runs", str(runs),
                        "--checkout", str(change), "--parent", str(parent)]) == 0
+    records = [json.loads(line) for line in runs.read_text().splitlines()]
+    assert [r["no_bytecode"] for r in records] == ["1"] * 3
     out = json.loads((change / "BENCH_0.json").read_text())
 
     assert out["workloads"]["numeric"]["metrics"]["wall_s"]["median"] == 0.042
@@ -56,3 +66,15 @@ def test_bench_pairs_the_sides_and_stores_one_traced_run_each(tmp_path):
     assert out["layers"] == {"numeric": {"qdiff.numeric.self_s": 0.005,
                                          "series.mul.calls": 0}}
     assert out["parent_layers"]["numeric"]["qdiff.numeric.self_s"] == 0.002
+
+
+def test_bench_refuses_a_tree_with_a_bytecode_cache(tmp_path, capsys):
+    change = _tree(tmp_path / "change", wall=0.040, layer=0.005)
+    parent = _tree(tmp_path / "parent", wall=0.045, layer=0.002)
+    cache = parent / "src" / "qwedge" / "__pycache__"
+    cache.mkdir(parents=True)
+
+    assert _bench().main(["--pr", "0", "--seeds", "1", "--checkout", str(change),
+                          "--parent", str(parent)]) == 2
+    assert str(cache) in capsys.readouterr().err
+    assert not (change / "BENCH_0.json").exists()

@@ -16,9 +16,13 @@ from qwedge.correlators import FWeight, HWeight, IndexWeight
 from qwedge.partitions import (
     HookMomentWeight,
     hook_power_sum,
+    packed_sums,
     partition_sums,
     partitions_of,
+    partitions_up_to,
     q_bracket,
+    slot_table,
+    state_sums,
 )
 from qwedge.qdiff import DivergentPoint, f_numeric, h_numeric
 from qwedge.quasimodular import shifted_hook_moment
@@ -115,6 +119,59 @@ def test_hook_moment_brackets_match_enumeration(ks, order):
     got = q_bracket(weight, order)
     want = q_bracket(_hook_product(ks), order)
     assert (got.offset, got.step, got.coeffs) == (want.offset, want.step, want.coeffs)
+
+
+@given(ks=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+       xi_shifts=st.booleans(), order=st.integers(min_value=0, max_value=40))
+@example(ks=[6, 6, 6, 6], xi_shifts=True, order=40)
+@example(ks=[1], xi_shifts=False, order=0)
+@settings(max_examples=40, deadline=None)
+def test_packed_hook_moment_sums_equal_the_per_state_table(ks, xi_shifts, order):
+    """The packed layout against the per-state `slot_table`, at orders where a
+    field too narrow for its sums would overflow: the same offset, numerators
+    and denominator."""
+    weight = HookMomentWeight(ks, [xi_value(-k) if xi_shifts else 0 for k in ks])
+    packed = packed_sums(weight, order, weight.field_width(order))
+    per_state = state_sums(weight, order)
+    assert (packed.offset, packed.nums, packed.den) == \
+        (per_state.offset, per_state.nums, per_state.den)
+
+
+def test_hook_moments_are_bounded_by_the_size_to_the_power():
+    """|p_k(lam)| <= |lam|^k, the bound the packed field width rests on, with
+    equality at lam = (1), k = 1."""
+    for lam in partitions_up_to(14):
+        for k in range(1, 8):
+            assert abs(hook_power_sum(lam, k)) <= sum(lam) ** k
+    assert hook_power_sum((1,), 1) == 1
+
+
+@pytest.mark.parametrize("ks", [(1, 3), (2, 3, 5), (1, 1, 1, 1)])
+def test_stated_field_width_covers_the_per_state_table(ks):
+    """Every slot sum that the per-state table holds at order 40, and every
+    closed per-size sum over its denominator, lies inside +-2^(W - 2)."""
+    weight = shifted_hook_moment(ks)
+    limit = 1 << weight.field_width(40) - 2
+    cols, closings, _ = slot_table(weight, 40)
+    assert max(abs(x) for col in cols for vec in col if vec for x in vec) < limit
+    closed = [0] * 41
+    for col, cl in zip(cols, closings):
+        for size, vec in enumerate(col):
+            if vec:
+                closed[size] += sum(x * c for x, c in zip(vec, cl))
+    assert max(map(abs, closed)) < limit
+
+
+def test_packed_sums_raise_when_a_field_overflows():
+    # p(12) = 77 needs more than two bits a field
+    with pytest.raises(ArithmeticError, match="overflowed its 2-bit fields"):
+        packed_sums(HookMomentWeight((), ()), 12, 2)
+
+
+def test_point_weights_state_no_field_width():
+    svals = (F(7, 5), F(5, 11))
+    for weight in (FWeight(svals), HWeight(svals), IndexWeight((1, 2), svals)):
+        assert weight.field_width(14) is None
 
 
 @given(svals=points, order=st.integers(min_value=0, max_value=10))
@@ -221,6 +278,7 @@ def test_engine_asks_one_row_map_per_value_and_row(ks):
     """The engine builds the factors of a row once per (part value, row index),
     not once per state: at order 24 that is sum_v floor(24 / v) = 84 maps."""
     weight = _CountingHookMoment(ks, [xi_value(-k) for k in ks])
+    assert weight.field_width(24) is not None  # so the sum runs packed
     assert q_bracket(weight, 24) == q_bracket(shifted_hook_moment(ks), 24)
     assert len(weight.asked) == len(set(weight.asked)) <= 84
     assert all(v * i <= 24 for v, i in weight.asked)
