@@ -10,7 +10,7 @@ from fractions import Fraction
 from .partitions import HookMomentWeight, q_bracket
 from .reports import FrozenRecord, Report
 from .series import ONE, ZERO, QSeries
-from .special import EisensteinTable, xi_value
+from .special import eisenstein_monomial, xi_value
 
 F = Fraction
 
@@ -69,8 +69,9 @@ class QMElement(FrozenRecord):
         self._set(weight=weight, monomials=monomials, coeffs=coeffs)
 
     def series(self, order: int) -> QSeries:
-        table = EisensteinTable(order)
-        return _combination(map(table.monomial, self.monomials), self.coeffs, order)
+        """The element to `order`, on the `eisenstein_monomial` basis."""
+        basis = (eisenstein_monomial(abc, order) for abc in self.monomials)
+        return _combination(basis, self.coeffs, order)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -107,17 +108,16 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return [aug[i][n] for i in range(n)]
 
 
-def fit_series(s: QSeries, weight: int, margin: int = 10,
-               table: EisensteinTable | None = None) -> QMElement:
+def fit_series(s: QSeries, weight: int, margin: int = 10) -> QMElement:
     """Express s exactly in the weight-`weight` monomial basis.
 
     The first dim(basis) coefficients determine a candidate; the next `margin`
     coefficients must then agree or NotInSpan reports the first failing exponent.
     Odd (or negative) weight has the empty basis, so only the zero series fits.
     Every basis series starts at q^0, so a nonzero term below q^0 fails at once.
-    The basis comes from `table`, which fits at one order may share; its order
-    must be at least dim + margin - 1.  The candidate is checked against the
-    same basis.
+    The basis is `eisenstein_monomial`'s at order dim + margin - 1, formed
+    once per process, so every fit at that order shares it.  The candidate is
+    checked against the same basis.
     """
     monos = weight_monomials(weight)
     dim = len(monos)
@@ -132,10 +132,8 @@ def fit_series(s: QSeries, weight: int, margin: int = 10,
         fitted, fit = QMElement(weight, (), ()), [ZERO] * span
     else:
         order = span - 1
-        if table is None:
-            table = EisensteinTable(order)
         # offset 0 and `order`: slot e of each basis series is its q^e coefficient
-        basis = [table.monomial(abc).truncate(order) for abc in monos]
+        basis = [eisenstein_monomial(abc, order) for abc in monos]
         rows = [[b.coeffs[e] for b in basis] for e in range(dim)]
         sol = _solve_exact(rows, target[:dim])
         if sol is None:
@@ -205,13 +203,12 @@ def verify_derivation_closure(order: int = 30) -> Report:
     params = {"weights": list(CLOSURE_WEIGHTS), "order": order, "margin": CLOSURE_MARGIN}
     if order < 0:
         raise ValueError(f"order {order} is negative; the check needs order >= 0")
-    table = EisensteinTable(order)
     checked = {}
     for w in CLOSURE_WEIGHTS:
         for abc in weight_monomials(w):
-            d = table.monomial(abc).derive()
+            d = eisenstein_monomial(abc, order).derive()
             try:
-                elt = fit_series(d, w + 2, CLOSURE_MARGIN, table)
+                elt = fit_series(d, w + 2, CLOSURE_MARGIN)
             except NotInSpan as err:
                 return Report("derivation-closure", statement, params, "fail",
                               first_mismatch={"monomial": list(abc),

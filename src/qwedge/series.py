@@ -416,6 +416,13 @@ def q_pochhammer(c, j, n: int | None, order: int) -> QSeries:
     return _reduced(Fraction(offset), nums[: rel + 1] if 0 <= rel < top else nums, den, ONE)
 
 
+_EULER: dict[int, QSeries] = {}
+
+
 def euler_product(order: int) -> QSeries:
-    """(q; q)_inf to the given order: 1 - q - q^2 + q^5 + q^7 - ..."""
-    return q_pochhammer(ONE, 1, None, order)
+    """(q; q)_inf to the given order: 1 - q - q^2 + q^5 + q^7 - ..., formed once
+    per order and process, and then shared: a QSeries is immutable."""
+    found = _EULER.get(order)
+    if found is None:
+        found = _EULER[order] = q_pochhammer(ONE, 1, None, order)
+    return found

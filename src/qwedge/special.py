@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .reports import Report, series_report
 from .series import (ONE, ZERO, QSeries, SeriesError, euler_product, q_pochhammer,
@@ -84,57 +84,44 @@ def eta(order: int) -> QSeries:
 
 
 def divisor_power_sum(n: int, r: int) -> int:
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += d ** r
-    return total
+    return sum(d ** r for d in range(1, n + 1) if n % d == 0)
+
+
+# Per-order constants, formed once per process and shared like `euler_product`'s:
+# G_k by (k, order), G2^a G4^b G6^c by ((a, b, c), order), (q)_inf^{-3} by order.
+_BY_ORDER: dict = {}
 
 
 def eisenstein_g(k: int, order: int) -> QSeries:
     """G_k = -B_k/(2k) + sum_n sigma_{k-1}(n) q^n for even k >= 2."""
-    if k < 2 or k % 2:
-        raise ValueError("weight must be even and at least 2")
-    coeffs = [-bernoulli(k) / (2 * k)]
-    coeffs += [F(divisor_power_sum(n, k - 1)) for n in range(1, order + 1)]
-    return QSeries.from_coeffs(coeffs)
+    found = _BY_ORDER.get((k, order))
+    if found is None:
+        if k < 2 or k % 2:
+            raise ValueError("weight must be even and at least 2")
+        coeffs = [-bernoulli(k) / (2 * k)]
+        coeffs += [F(divisor_power_sum(n, k - 1)) for n in range(1, order + 1)]
+        found = _BY_ORDER[k, order] = QSeries.from_coeffs(coeffs)
+    return found
 
 
-class EisensteinTable:
-    """The Eisenstein series G_k and the monomials G2^a G4^b G6^c at one order,
-    each built on first use and kept by k or by (a, b, c); a monomial is one
-    product of a generator with the monomial one degree lower.
-
-    Create one per verifier call for the series it compares; like
-    `ThetaLattice`, it holds what it built only as long as the caller keeps it.
-    """
-
-    def __init__(self, order: int):
-        self.order = order
-        self._g: dict[int, QSeries] = {}
-        self._monomials: dict[tuple[int, int, int], QSeries] = {
-            (0, 0, 0): QSeries.one(order)}
-
-    def g(self, k: int) -> QSeries:
-        found = self._g.get(k)
-        if found is None:
-            found = self._g[k] = eisenstein_g(k, self.order)
-        return found
-
-    def monomial(self, abc: tuple[int, int, int]) -> QSeries:
-        found = self._monomials.get(abc)
-        if found is None:
-            a, b, c = abc
-            if a:
-                k, lower = 2, (a - 1, b, c)
-            elif b:
-                k, lower = 4, (0, b - 1, c)
-            else:
-                k, lower = 6, (0, 0, c - 1)
-            gk = self.g(k)
-            found = gk if lower == (0, 0, 0) else self.monomial(lower) * gk
-            self._monomials[abc] = found
-        return found
+def eisenstein_monomial(abc: tuple[int, int, int], order: int) -> QSeries:
+    """G2^a G4^b G6^c for abc = (a, b, c): one product of a generator with the
+    monomial one degree lower, so the monomials of one order share factors."""
+    found = _BY_ORDER.get((abc, order))
+    if found is None:
+        a, b, c = abc
+        if a:
+            k, lower = 2, (a - 1, b, c)
+        elif b:
+            k, lower = 4, (0, b - 1, c)
+        elif c:
+            k, lower = 6, (0, 0, c - 1)
+        else:
+            return _BY_ORDER.setdefault((abc, order), QSeries.one(order))
+        gk = eisenstein_g(k, order)
+        found = gk if lower == (0, 0, 0) else eisenstein_monomial(lower, order) * gk
+        _BY_ORDER[abc, order] = found
+    return found
 
 
 def theta00(order: int) -> QSeries:
@@ -214,22 +201,30 @@ class _ThetaTable:
         return found
 
 
+def euler_inverse_cube(order: int) -> QSeries:
+    """(q)_inf^{-3} to `order`, the `factor` of every `ThetaLattice` at that
+    order, formed once per process."""
+    found = _BY_ORDER.get(order)
+    if found is None:
+        found = _BY_ORDER[order] = euler_product(order).inv() ** 3
+    return found
+
+
 class ThetaLattice(_ThetaTable):
     """The lattice sums as q-series valid to relative `order`, and `factor`,
-    (q)_inf^{-3} at that order, formed on first use.  Only O(sqrt(order))
-    coefficients of a sum are nonzero.
-
-    Create one per closed-form evaluation, or one per verifier call for the
-    evaluations it compares; it holds what it built only as long as they keep it.
+    `euler_inverse_cube(order)`.  Only O(sqrt(order)) coefficients of a sum
+    are nonzero.  The sums depend on the points, so they stay one table per
+    call: one per closed-form evaluation, or one per verifier call for the
+    evaluations it compares; it holds them only as long as they keep it.
     """
 
     def __init__(self, order: int):
         super().__init__()
         self.order = order
 
-    @cached_property
+    @property
     def factor(self) -> QSeries:
-        return euler_product(self.order).inv() ** 3
+        return euler_inverse_cube(self.order)
 
     def _walk(self, s: Fraction, shift: int) -> tuple[list, int, Fraction]:
         """Triples (slot, 2n+1, signed s-part) and the s-parts' denominator and
@@ -290,7 +285,7 @@ class ThetaValues(_ThetaTable):
     s^2 q0^shift = (s q0^{shift/2})^2, so every walk runs at shift 0, where
     the powers q0^{n(n+1)/2} are taken over w^{T(T+1)/2} (q0 = u/w,
     T = `terms`) and formed once per table; an odd shift needs a rational
-    q0^{1/2}.  Create one per verifier call.
+    q0^{1/2}.  All of it depends on q0, so create one per verifier call.
     """
 
     def __init__(self, q0: Fraction, terms: int):
@@ -358,18 +353,14 @@ def _power_of(t: Fraction, q0: Fraction) -> int | None:
     return j if t < 1 else -j
 
 
-def theta_odd_derivative_closed_form(m: int, order: int,
-                                     table: EisensteinTable | None = None) -> QSeries:
+def theta_odd_derivative_closed_form(m: int, order: int) -> QSeries:
     """(2m+1)! times the w^{2m} coefficient E_m of
     exp(sum_{i>=1} a_i w^{2i}), a_i = -2 G_{2i} / (2i)!, which equals the
     (2m+1)-st invariant theta derivative at x = 1.  The coefficients of the
-    exponential obey E_0 = 1 and j E_j = sum_{i=1..j} i a_i E_{j-i}.
-
-    `table`, of the same order, may be shared by closed forms at that order.
-    """
-    if table is None:
-        table = EisensteinTable(order)
-    a = {i: table.g(2 * i) * F(-2, math.factorial(2 * i)) for i in range(1, m + 1)}
+    exponential obey E_0 = 1 and j E_j = sum_{i=1..j} i a_i E_{j-i}; the
+    G_{2i} are `eisenstein_g`'s, formed once per order and process."""
+    a = {i: eisenstein_g(2 * i, order) * F(-2, math.factorial(2 * i))
+         for i in range(1, m + 1)}
     E = [QSeries.one(order)]
     for j in range(1, m + 1):
         E.append(sum((a[i] * E[j - i] * F(i, j) for i in range(1, j + 1)),
@@ -382,15 +373,15 @@ def theta_odd_derivative_closed_form(m: int, order: int,
 def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
     """Invariant odd theta derivatives at 1 match their Eisenstein closed forms.
 
-    One `ThetaLattice` and one `EisensteinTable` serve all the m compared.
+    One `ThetaLattice` serves all the m compared; the G_k and the factor
+    (q)_inf^{-3} are the per-order constants, formed once per process.
     """
     statement = ("odd invariant derivatives of the theta function at x=1 equal "
                  "explicit polynomials in Eisenstein series")
     lattice = ThetaLattice(order)
-    table = EisensteinTable(order)
     for m in m_values:
         lhs = lattice.sum(2 * m + 1, ONE, 0) * lattice.factor
-        rhs = theta_odd_derivative_closed_form(m, order, table)
+        rhs = theta_odd_derivative_closed_form(m, order)
         r = series_report("theta-derivs", statement, {"m": m, "order": order}, lhs, rhs)
         if not r.ok:
             return r
@@ -401,15 +392,19 @@ def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
 def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,
                         order: int = 24) -> Report:
     """Theta(q^m x) = (-1)^m q^{-m^2/2} x^{-m} Theta(x) at x = s^2 q^shift,
-    compared as lattice sums: the (q)_inf^{-3} of both sides cancels."""
+    compared as lattice sums: the (q)_inf^{-3} of both sides cancels.  Both
+    sides start at q^{-(shift+m)^2/2}, so the table is built that much past
+    `order` (rounded up) and the check runs through q^order."""
     statement = "theta satisfies its first-order multiplicative difference equation"
     if m == 0:
         raise ValueError("m = 0 makes the difference equation Theta(x) = Theta(x)")
+    if order < 0:
+        raise ValueError(f"order {order} is negative; a theta series needs order >= 0")
     s = F(s)
     if s == 1:
         raise ValueError(f"s = 1 puts x = q^{shift} and q^m x on zeros of Theta, so "
                          "both sides are identically zero")
-    lattice = ThetaLattice(order)
+    lattice = ThetaLattice(order + ((shift + m) ** 2 + 1) // 2)
     lhs = lattice.sum(0, s, shift + m)
     rhs = lattice.sum(0, s, shift).shift(-F(m * m, 2) - shift * m)
     rhs = (-1 if m % 2 else 1) * s ** (-2 * m) * rhs

@@ -206,6 +206,36 @@ def test_degenerate_flags_exit_2(capsys, identity):
             assert "order" in rep["detail"], (argv, rep["detail"])
 
 
+def _reads_order(identity: str) -> bool:
+    code = cli._VERIFIERS[identity][2].__code__
+    return "order" in code.co_varnames[:code.co_argcount]
+
+
+@pytest.mark.parametrize("identity", sorted(i for i in cli.REGISTRY if _reads_order(i)))
+def test_a_small_order_is_rejected_or_checked(capsys, identity):
+    """At --order 0 and 1 an id either exits 2 naming the order or passes
+    having checked some coefficient, never with a negative order_checked."""
+    for order in ("0", "1"):
+        code, out = run_main(capsys, "verify", identity, "--order", order)
+        rep = json.loads(out)
+        if code == 2:
+            assert "order" in rep["detail"] or f"q^{order}" in rep["detail"], rep
+        else:
+            assert (code, rep["status"]) == (0, "pass"), (order, rep)
+            assert rep["order_checked"] >= 0, (order, rep)
+
+
+@pytest.mark.parametrize("argv", [["--order", "0"], ["--order", "1"],
+                                  ["--m", "5", "--order", "6"],
+                                  ["--m", "-3", "--order", "2"],
+                                  ["--points", "2", "--order", "0"]])
+def test_theta_diffeq_checks_through_the_order_it_is_given(capsys, argv):
+    code, out = run_main(capsys, "verify", "theta-diffeq", *argv)
+    rep = json.loads(out)
+    assert (code, rep["status"]) == (0, "pass")
+    assert rep["order_checked"] == rep["params"]["order"] == int(argv[-1])
+
+
 @pytest.mark.parametrize("argv, named", [
     (["--q", "0"], "q0 = 0 "), (["--q", "1"], "q0 = 1 "), (["--q", "4"], "q0 = 4 "),
     (["--q", "9/4"], "q0 = 9/4 "), (["--n", "2", "--k", "2", "--m", "0"], "m = 0 "),

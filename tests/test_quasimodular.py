@@ -17,7 +17,7 @@ from qwedge.quasimodular import (
     weight_monomials,
 )
 from qwedge.series import QSeries
-from qwedge.special import EisensteinTable, eisenstein_g
+from qwedge.special import eisenstein_g, eisenstein_monomial
 
 F = Fraction
 
@@ -125,7 +125,7 @@ def test_bracket_failure_reported():
 
 def monomial_series(abc, order):
     """G2^a G4^b G6^c to `order`, built afresh from powers: the reference for
-    the `EisensteinTable` that the fits and verifiers share."""
+    the `eisenstein_monomial` basis that the fits and verifiers share."""
     a, b, c = abc
     s = QSeries.one(order)
     for k, e in ((2, a), (4, b), (6, c)):
@@ -155,14 +155,17 @@ def _fit_reference(s, weight, margin):
     return coeffs, bad
 
 
-def test_eisenstein_table_monomials_are_the_products():
+def test_eisenstein_monomials_are_the_products():
     N = 12
-    table = EisensteinTable(N)
     g2, g4, g6 = (eisenstein_g(k, N) for k in (2, 4, 6))
-    assert table.monomial((0, 0, 0)) == QSeries.one(N)
-    assert table.monomial((2, 1, 1)) == g2 * g2 * g4 * g6
-    assert table.monomial((0, 3, 0)) == g4 * g4 * g4
-    assert table.monomial((1, 0, 0)) is table.g(2)  # formed once, then kept
+    assert eisenstein_monomial((0, 0, 0), N) == QSeries.one(N)
+    assert eisenstein_monomial((2, 1, 1), N) == g2 * g2 * g4 * g6
+    assert eisenstein_monomial((0, 3, 0), N) == g4 * g4 * g4
+    for abc in [(0, 0, 0), (3, 0, 2), (1, 2, 1)]:
+        assert eisenstein_monomial(abc, N) == monomial_series(abc, N), abc
+        assert eisenstein_monomial(abc, N) is eisenstein_monomial(abc, N), abc
+    # a generator is its own monomial, formed once
+    assert eisenstein_monomial((1, 0, 0), N) is eisenstein_g(2, N)
 
 
 def test_fit_fails_at_the_same_exponent_as_a_fresh_basis():
@@ -177,9 +180,6 @@ def test_fit_fails_at_the_same_exponent_as_a_fresh_basis():
         with pytest.raises(NotInSpan) as err:
             fit_series(s, weight, margin)
         assert err.value.exponent == bad
-        with pytest.raises(NotInSpan) as err:
-            fit_series(s, weight, margin, EisensteinTable(N))
-        assert err.value.exponent == bad
 
 
 @pytest.mark.parametrize("ks, order", [((1, 1), 40), ((3,), 40), ((3, 5), 60), ((5, 5), 60)])
@@ -190,5 +190,4 @@ def test_fit_of_criterion_04_brackets_matches_a_fresh_basis(ks, order):
     assert bad is None
     want = QMElement(w, tuple(weight_monomials(w)), coeffs)
     assert fit_series(b, w, 10) == want
-    assert fit_series(b, w, 10, EisensteinTable(order)) == want
     assert want.series(order) == b  # and the fit holds past the window

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwedge import series
 from qwedge.series import (
     MixedStep,
     NonIntegerOffsetGap,
@@ -109,6 +110,17 @@ def test_euler_product_is_the_product_of_one_minus_q_powers():
                 nums[k] -= nums[k - m]
         e = euler_product(order)
         assert (e.offset, e.den, e.nums) == (0, 1, tuple(nums)), order
+
+
+def test_euler_product_is_formed_once_per_order(monkeypatch):
+    monkeypatch.setattr(series, "_EULER", {})
+    for order in (0, 1, 7, 24):
+        e = euler_product(order)
+        assert euler_product(order) is e, order
+        fresh = q_pochhammer(1, 1, None, order)
+        assert (e.offset, e.den, e.nums, e.step) == \
+            (fresh.offset, fresh.den, fresh.nums, fresh.step), order
+    assert sorted(series._EULER) == [0, 1, 7, 24]
 
 
 def test_pochhammer_rejects_fractional_exponent():

@@ -11,6 +11,8 @@ from qwedge.special import (
     ThetaValues,
     bernoulli,
     eisenstein_g,
+    eisenstein_monomial,
+    euler_inverse_cube,
     eta,
     theta00,
     theta_deriv_series,
@@ -154,6 +156,28 @@ def test_theta_diffeq_fails_on_a_bent_lattice_sum(monkeypatch):
     monkeypatch.setattr(ThetaLattice, "sum", bent)
     r = verify_theta_diffeq(m=2, s=F(3, 2), shift=0, order=12)
     assert r.status == "fail"
+
+
+@pytest.mark.parametrize("m, shift, order", [
+    (2, 0, 0), (2, 0, 1), (5, 0, 6), (-3, 0, 2), (-2, 3, 5), (1, -4, 3), (3, -1, 12)])
+def test_theta_diffeq_checks_through_the_order(monkeypatch, m, shift, order):
+    """Both sides start at q^{-(shift+m)^2/2}, yet the check reaches q^order:
+    a change of one side at the first exponent of its grid at or past q^order
+    shows."""
+    r = verify_theta_diffeq(m=m, s=F(3, 2), shift=shift, order=order)
+    assert (r.status, r.order_checked) == ("pass", order)
+    top = order + F((shift + m) ** 2 % 2, 2)
+    sum_ = ThetaLattice.sum
+
+    def bent(self, k, s, shift_=0):
+        found = sum_(self, k, s, shift_)
+        if shift_ != shift + m:
+            return found
+        return found + QSeries.monomial(F(1), top, self.order)
+
+    monkeypatch.setattr(ThetaLattice, "sum", bent)
+    r = verify_theta_diffeq(m=m, s=F(3, 2), shift=shift, order=order)
+    assert (r.status, r.first_mismatch["exponent"]) == ("fail", top)
 
 
 @pytest.mark.parametrize("m, shift", [(1, 0), (3, 0), (2, -1)])
@@ -390,6 +414,8 @@ def test_theta_values_fold_the_shift_into_s(q0, shifts):
 
 
 def test_lattice_factor_is_the_euler_cube_formed_once(monkeypatch):
+    """Once per process: after the memo is emptied, every `ThetaLattice` of one
+    order shares one factor, built from one `euler_product` call."""
     calls = []
     euler = special.euler_product
 
@@ -397,12 +423,34 @@ def test_lattice_factor_is_the_euler_cube_formed_once(monkeypatch):
         calls.append(order)
         return euler(order)
 
+    monkeypatch.setattr(special, "_BY_ORDER", {})
     monkeypatch.setattr(special, "euler_product", counted)
     for order in (0, 1, 7, 16):
-        table = ThetaLattice(order)
-        assert table.factor == euler(order).inv() ** 3
-        assert table.factor is table.factor
+        first, second = ThetaLattice(order), ThetaLattice(order)
+        assert first.factor == euler(order).inv() ** 3
+        assert first.factor is second.factor is euler_inverse_cube(order)
     assert calls == [0, 1, 7, 16]
+
+
+def test_eisenstein_series_are_formed_once_per_order(monkeypatch):
+    monkeypatch.setattr(special, "_BY_ORDER", {})
+    N = 10
+    for k in (2, 4, 6, 8):
+        g = eisenstein_g(k, N)
+        assert eisenstein_g(k, N) is g
+        assert g.coefficient(0) == -bernoulli(k) / (2 * k)
+        assert [g.coefficient(n) for n in range(1, N + 1)] == \
+            [sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+             for n in range(1, N + 1)]
+    assert eisenstein_monomial((1, 0, 0), N) is eisenstein_g(2, N)
+    assert eisenstein_monomial((0, 0, 1), N) is eisenstein_g(6, N)
+    g2, g4 = eisenstein_g(2, N), eisenstein_g(4, N)
+    assert eisenstein_monomial((2, 1, 0), N) == g2 * g2 * g4
+    # the lower monomial that product was formed from is kept too
+    assert ((1, 1, 0), N) in special._BY_ORDER
+    # another order is another series
+    assert eisenstein_g(2, N + 1) is not eisenstein_g(2, N)
+    assert eisenstein_g(2, N + 1).truncate(N) == eisenstein_g(2, N)
 
 
 @pytest.mark.parametrize("q0, s, power", [
