@@ -23,10 +23,13 @@ BENCH_<pr>.json then also holds the parent's medians and, per workload and
 end-to-end metric, how many of the seed pairs the checkout won (ties count
 for neither side), which is printed as well.
 
-After the timed runs, `perfbench/run.py --trace 1` runs once per workload on
-each side, at the first seed; each run's per-layer medians go under "layers"
-(the parent's under "parent_layers"), so that a change can show in which layer
-its saving sits.  Each nonzero per-layer metric is printed.
+After the timed runs, `perfbench/run.py --trace 1` runs three times per
+workload on each side, at the first three seeds, with the side that goes first
+alternating as above.  Per workload and per-layer metric, the median over the
+three runs goes under "layers" (the parent's under "parent_layers"), so that a
+change can show in which layer its saving sits; one traced run alone can read
+a layer on an untouched path at nearly twice another's figure.  Each nonzero
+per-layer metric is printed.
 
 Every run has PYTHONDONTWRITEBYTECODE=1 set, and a tree holding a `__pycache__`
 directory under `src/` is refused (exit 2, naming the directory): a bytecode
@@ -47,6 +50,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3  # traced runs per workload and side, at the first seeds
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -71,6 +75,13 @@ def summarize(records: list[dict], names: list[str]) -> dict:
             "failed": sum(r["failed"] for r in records),
             "correct": all(r["correct"] for r in records),
             "metrics": metrics}
+
+
+def layer_medians(runs: list[dict]) -> dict:
+    """Per-layer metric -> the median of its figure over the traced runs."""
+    names = dict.fromkeys(name for run in runs for name in run)
+    return {name: statistics.median(run[name] for run in runs if name in run)
+            for name in names}
 
 
 def pairs_won(parent: list[dict], change: list[dict], metric: dict) -> list[int]:
@@ -152,10 +163,13 @@ def main(argv=None) -> int:
                 for side in sides if k % 2 == 0 else sides[::-1]:
                     side.run(workload, seed, seconds)
         records = [side.records() for side in sides]
-        layers = [{} for _ in sides]
+        traced = [{w: [] for w in workloads} for _ in sides]
+        pairs = list(zip(sides, traced))
         for workload in workloads:
-            for side, found in zip(sides, layers):
-                found[workload] = side.trace(workload, a.seeds[0], seconds)
+            for k, seed in enumerate(a.seeds[:TRACED_RUNS]):
+                for side, found in pairs if k % 2 == 0 else pairs[::-1]:
+                    found[workload].append(side.trace(workload, seed, seconds))
+        layers = [{w: layer_medians(runs) for w, runs in found.items()} for found in traced]
 
     def by_workload(recs: list[dict]) -> dict:
         return {w: summarize([r for r in recs if r["workload"] == w], names)

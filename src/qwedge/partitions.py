@@ -29,9 +29,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .series import ZERO, QSeries, euler_product
+from .series import QSeries, euler_product
 
 Partition = tuple[int, ...]
 
@@ -354,17 +354,9 @@ class HookMomentWeight(RowWeight):
         return bound.bit_length() + 2
 
 
-def q_bracket(f: Callable[[Partition], Fraction], order: int) -> QSeries:
-    """<f>_q = (q;q)_inf * sum_lam f(lam) q^{|lam|}, truncated at `order`.
-
-    A RowWeight runs through `partition_sums`; any other callable is evaluated on
-    every partition, which the tests keep as the reference.
-    """
+def q_bracket(weight: RowWeight, order: int) -> QSeries:
+    """<f>_q = (q;q)_inf * sum_lam f(lam) q^{|lam|}, truncated at `order`, for the
+    row weight f, whose partition sums run through `partition_sums`."""
     if order < 0:
         raise ValueError(f"order {order} is negative; a q-bracket needs order >= 0")
-    if isinstance(f, RowWeight):
-        sums = partition_sums(f, order)
-    else:
-        sums = QSeries.from_coeffs([sum((f(lam) for lam in partitions_of(n)), ZERO)
-                                    for n in range(order + 1)])
-    return sums * euler_product(order)
+    return partition_sums(weight, order) * euler_product(order)

@@ -117,7 +117,8 @@ def fit_series(s: QSeries, weight: int, margin: int = 10) -> QMElement:
     Every basis series starts at q^0, so a nonzero term below q^0 fails at once.
     The basis is `eisenstein_monomial`'s at order dim + margin - 1, formed
     once per process, so every fit at that order shares it.  The candidate is
-    checked against the same basis.
+    checked against the same basis.  A basis singular on q^0..q^{dim-1} raises
+    FitError; no even weight from 2 to 100 has one.
     """
     monos = weight_monomials(weight)
     dim = len(monos)
@@ -137,26 +138,13 @@ def fit_series(s: QSeries, weight: int, margin: int = 10) -> QMElement:
         rows = [[b.coeffs[e] for b in basis] for e in range(dim)]
         sol = _solve_exact(rows, target[:dim])
         if sol is None:
-            # fall back: pick dim independent rows from the full window
-            sol = _solve_overdetermined(basis, s, dim, span)
+            raise FitError(f"the weight-{weight} basis is singular on q^0..q^{dim - 1}")
         fitted = QMElement(weight, tuple(monos), tuple(sol))
         fit = _combination(basis, sol, order).coeffs
     for e, (x, y) in enumerate(zip(fit, target)):
         if x != y:
             raise NotInSpan(weight, e)
     return fitted
-
-
-def _solve_overdetermined(basis, s, dim, span) -> list[Fraction]:
-    rows, rhs = [], []
-    for e in range(span):
-        rows.append([b.coefficient(e) for b in basis])
-        rhs.append(s.coefficient(e))
-        if len(rows) >= dim:
-            sol = _solve_exact(rows[-dim:], rhs[-dim:])
-            if sol is not None:
-                return sol
-    raise FitError("basis matrix is singular on the available window")
 
 
 # -- verifiers --------------------------------------------------------------------

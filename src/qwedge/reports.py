@@ -97,14 +97,24 @@ class Report:
         return d
 
 
+def pairs_report(identity: str, statement: str, params: dict, pairs: list,
+                 order_checked: int | None = None, details: dict | None = None) -> Report:
+    """Compare labelled pairs (label, lhs, rhs) of series, each pair of one
+    type, QSeries or MultiSeries: pass with `details` when every pair is equal,
+    else fail at the first unequal pair, its label dict merged into
+    `lhs.first_mismatch(rhs)` (the label alone for QSeries on two steps, which
+    have no mismatch on a common grid).  `order_checked` defaults to the least
+    common QSeries order over the pairs."""
+    if order_checked is None:
+        order_checked = int(min(min(lhs.upper, rhs.upper) for _, lhs, rhs in pairs))
+    for label, lhs, rhs in pairs:
+        if lhs != rhs:
+            return Report(identity, statement, params, "fail", order_checked,
+                          first_mismatch={**label, **(lhs.first_mismatch(rhs) or {})})
+    return Report(identity, statement, params, "pass", order_checked, details=details)
+
+
 def series_report(identity: str, statement: str, params: dict,
                   lhs, rhs, order_checked: int | None = None) -> Report:
-    """Compare two series of one type, QSeries or MultiSeries: pass when they
-    are equal, else fail at `lhs.first_mismatch(rhs)`.  `order_checked` defaults
-    to the common QSeries order."""
-    if order_checked is None:
-        order_checked = int(min(lhs.upper, rhs.upper))
-    if lhs == rhs:
-        return Report(identity, statement, params, "pass", order_checked)
-    return Report(identity, statement, params, "fail", order_checked,
-                  first_mismatch=lhs.first_mismatch(rhs))
+    """`pairs_report` of the one unlabelled pair (lhs, rhs)."""
+    return pairs_report(identity, statement, params, [({}, lhs, rhs)], order_checked)

@@ -339,8 +339,8 @@ class QSeries:
             return NotImplemented
         return self.step == other.step and self.first_mismatch(other) is None
 
-    def __hash__(self):
-        return hash((self.offset, self.nums, self.den, self.step))
+    # equality on the common range is not transitive, so no hash agrees with it
+    __hash__ = None
 
     def first_mismatch(self, other: QSeries) -> dict | None:
         """{"exponent", "lhs", "rhs"} at the first disagreement on the common

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .characters import MultiSeries
-from .reports import Report
+from .reports import Report, pairs_report
 from .series import ZERO, QSeries, SeriesError
 from .setparts import set_partitions
 from .special import divisor_power_sum, eisenstein_g, eta, zeta_value
@@ -100,12 +100,9 @@ def verify_h_equals_g(order: int = 30) -> Report:
     if order < 0:
         raise ValueError(f"order = {order} checks no coefficient; need order >= 0")
     params = {"pairs": [list(p) for p in H_EQUALS_G_PAIRS], "order": order}
-    for r, sumj in H_EQUALS_G_PAIRS:
-        s = 2 * sumj
-        if h_series(r, s, order) != g_series(r, s, order):
-            return Report("h-equals-g", statement, params, "fail",
-                          first_mismatch={"r": r, "s": s})
-    return Report("h-equals-g", statement, params, "pass", order_checked=order)
+    return pairs_report("h-equals-g", statement, params,
+                        [({"r": r, "s": 2 * j}, h_series(r, 2 * j, order),
+                          g_series(r, 2 * j, order)) for r, j in H_EQUALS_G_PAIRS], order)
 
 
 # -- the n-point function, one slot per index tuple ---------------------------------
@@ -203,9 +200,9 @@ def verify_skew_npoint(n: int = 2, N_z: int = 5, N_q: int = 15) -> Report:
     except ExpansionMismatch as err:
         return Report("skew-npoint", statement, params, "fail", first_mismatch={
             "z": list(err.z), "against": "log-derivative expansion"})
-    if closed == brute:
-        return Report("skew-npoint", statement, params, "pass",
-                      order_checked=N_q, details={"z_terms": len(closed)})
-    bad = sorted(z for z in closed.keys() | brute.keys() if closed.get(z) != brute.get(z))
-    return Report("skew-npoint", statement, params, "fail",
-                  first_mismatch={"z": list(bad[0])})
+    slots = sorted(closed.keys() | brute.keys())
+    # a slot one route lacks is zero there, on the other route's grid
+    pairs = [({"z": list(z)}, closed[z] if z in closed else 0 * brute[z],
+              brute[z] if z in brute else 0 * closed[z]) for z in slots]
+    return pairs_report("skew-npoint", statement, params, pairs, N_q,
+                        details={"z_terms": len(closed)})

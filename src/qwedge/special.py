@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .reports import Report, series_report
+from .reports import Report, pairs_report, series_report
 from .series import (ONE, ZERO, QSeries, SeriesError, euler_product, q_pochhammer,
                      rational_sqrt)
 
@@ -379,14 +379,10 @@ def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
     statement = ("odd invariant derivatives of the theta function at x=1 equal "
                  "explicit polynomials in Eisenstein series")
     lattice = ThetaLattice(order)
-    for m in m_values:
-        lhs = lattice.sum(2 * m + 1, ONE, 0) * lattice.factor
-        rhs = theta_odd_derivative_closed_form(m, order)
-        r = series_report("theta-derivs", statement, {"m": m, "order": order}, lhs, rhs)
-        if not r.ok:
-            return r
-    return Report("theta-derivs", statement,
-                  {"m_values": list(m_values), "order": order}, "pass", order)
+    pairs = [({"m": m}, lattice.sum(2 * m + 1, ONE, 0) * lattice.factor,
+              theta_odd_derivative_closed_form(m, order)) for m in m_values]
+    return pairs_report("theta-derivs", statement,
+                        {"m_values": list(m_values), "order": order}, pairs, order)
 
 
 def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,

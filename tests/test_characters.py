@@ -19,7 +19,7 @@ from qwedge.characters import (
     verify_v_consistency,
 )
 from qwedge.partitions import partition_count
-from qwedge.reports import series_report
+from qwedge.reports import pairs_report, series_report
 from qwedge.series import NonIntegerOffsetGap, QSeries
 
 F = Fraction
@@ -62,6 +62,21 @@ def test_series_report_names_the_first_mismatched_exponent_vector():
     rep = series_report("x", "y", {}, a, b, order_checked=3)
     assert (rep.status, rep.order_checked) == ("fail", 3)
     assert rep.first_mismatch == {"exps": ["1", "2"], "lhs": "2", "rhs": "3"}
+
+
+def test_pairs_report_fails_at_the_first_unequal_pair_with_its_label():
+    a = QSeries.from_coeffs([1, 2, 3, 4])
+    b = QSeries.from_coeffs([1, 2, 5])
+    c = MultiSeries(1, 3, {(0, 1): 1})
+    rep = pairs_report("x", "y", {"p": 1}, [({"k": 0}, a, a), ({"k": 1}, b, b)],
+                       details={"d": 2})
+    # the least common order over the pairs; details only on a pass
+    assert (rep.status, rep.params, rep.order_checked, rep.details) == (
+        "pass", {"p": 1}, 2, {"d": 2})
+    rep = pairs_report("x", "y", {}, [({"k": 0}, c, c), ({"k": 1}, a, b), ({"k": 2}, b, a)],
+                       order_checked=3, details={"d": 2})
+    assert (rep.status, rep.order_checked, rep.details) == ("fail", 3, None)
+    assert rep.first_mismatch == {"k": 1, "exponent": 2, "lhs": 3, "rhs": 5}
 
 
 def test_q1_series_needs_whole_steps_between_q1_exponents():

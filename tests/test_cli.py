@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from importlib import import_module
 
 import pytest
 
@@ -223,6 +224,60 @@ def test_a_small_order_is_rejected_or_checked(capsys, identity):
         else:
             assert (code, rep["status"]) == (0, "pass"), (order, rep)
             assert rep["order_checked"] >= 0, (order, rep)
+
+
+# the ids whose check compares no two series, so the planted error below
+# cannot reach them: fits, tolerances, constants and counts
+UNCOMPARED = {"bracket-qm", "counts", "cyclic-identity", "derivation-closure",
+              "diffeq-f", "diffeq-h", "phi-vanish", "residue", "xi-binomial"}
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """Every module that imports `pairs_report` gets one that first adds one
+    unit to each right side at the top of the compared range: the common
+    order of a QSeries pair, a q1-grade monomial for a MultiSeries pair."""
+    from qwedge import reports
+    from qwedge.characters import MultiSeries
+    from qwedge.series import QSeries
+
+    def unit(lhs, rhs):
+        if isinstance(rhs, MultiSeries):
+            top = min(lhs.grade, rhs.grade)
+            return MultiSeries.monomial(rhs.K, top, (0, top) + (0,) * (rhs.K - 1))
+        return QSeries.monomial(1, min(lhs.upper, rhs.upper), 0, rhs.step)
+
+    original = reports.pairs_report
+
+    def pairs_report(identity, statement, params, pairs, *args, **kwargs):
+        pairs = [(label, lhs, rhs + unit(lhs, rhs)) for label, lhs, rhs in pairs]
+        return original(identity, statement, params, pairs, *args, **kwargs)
+
+    for module in {row[0] for row in cli._VERIFIERS.values()}:
+        import_module(f"qwedge.{module}")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qwedge") and getattr(module, "pairs_report", None) is original:
+            monkeypatch.setattr(module, "pairs_report", pairs_report)
+
+
+@pytest.mark.parametrize("identity", sorted(set(cli.REGISTRY) - UNCOMPARED))
+def test_a_planted_error_fails_every_comparing_id(capsys, planted, identity):
+    """At its defaults and at each --order 0..3 it reads, an id fails on the
+    planted unit or rejects the order: none passes vacuously."""
+    runs = [[]] + [["--order", str(k)] for k in range(4) if _reads_order(identity)]
+    for argv in runs:
+        code, out = run_main(capsys, "verify", identity, *argv)
+        rep = json.loads(out)
+        if code == 2 and argv:
+            assert "order" in rep["detail"] or "N = " in rep["detail"], (argv, rep)
+        else:
+            assert (code, rep["status"]) == (1, "fail"), (argv, rep)
+
+
+@pytest.mark.parametrize("identity", sorted(UNCOMPARED))
+def test_a_planted_error_leaves_the_uncompared_ids_passing(capsys, planted, identity):
+    code, out = run_main(capsys, "verify", identity)
+    assert (code, json.loads(out)["status"]) == (0, "pass")
 
 
 @pytest.mark.parametrize("argv", [["--order", "0"], ["--order", "1"],

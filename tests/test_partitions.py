@@ -108,21 +108,30 @@ def test_transpose_involution(lam):
     assert transpose(transpose(lam)) == lam
 
 
+def enumerated_bracket(f, order):
+    """<f>_q from the definition: f summed over every partition of each size,
+    times (q;q)_inf."""
+    sums = [sum((f(lam) for lam in partitions_of(n)), F(0)) for n in range(order + 1)]
+    return QSeries.from_coeffs(sums) * euler_product(order)
+
+
 def test_q_bracket_of_one_is_one():
     # <1> = (q;q)_inf * sum q^{|lam|} = 1 exactly
-    assert q_bracket(lambda lam: F(1), 10) == QSeries.one(10)
+    assert enumerated_bracket(lambda lam: F(1), 10) == QSeries.one(10)
+    # the engine's empty hook-moment product is the weight 1
+    assert q_bracket(HookMomentWeight((), ()), 10) == QSeries.one(10)
 
 
 def test_q_bracket_of_size():
     # <|lam|> = (q;q)_inf * sum |lam| q^{|lam|} = -D log(q;q)_inf... frozen directly:
     # sum |lam| q^{|lam|} = q + 4q^2 + 9q^3 + 20q^4; times (q;q)_inf:
-    b = q_bracket(lambda lam: F(sum(lam)), 4)
+    b = enumerated_bracket(lambda lam: F(sum(lam)), 4)
     assert list(b.coeffs) == [0, 1, 3, 4, 7]
+    # |lam| is the unshifted hook moment p_1
+    assert q_bracket(HookMomentWeight((1,), (F(0),)), 4) == b
 
 
 @pytest.mark.parametrize("order", [-1, -3])
 def test_q_bracket_rejects_negative_order(order):
-    # both routes: partition by partition, and the row DP of a RowWeight
-    for weight in (lambda lam: F(1), HookMomentWeight((1,), (F(-1, 24),))):
-        with pytest.raises(ValueError, match=rf"order {order} is negative"):
-            q_bracket(weight, order)
+    with pytest.raises(ValueError, match=rf"order {order} is negative"):
+        q_bracket(HookMomentWeight((1,), (F(-1, 24),)), order)

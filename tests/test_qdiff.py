@@ -28,7 +28,7 @@ from qwedge.qdiff import (
     verify_t_vanish,
 )
 from qwedge.correlators import theta_block_sum
-from qwedge.series import ONE
+from qwedge.series import ONE, QSeries
 from qwedge.setparts import compositions, near_singleton_partitions
 from qwedge.special import ThetaLattice, ThetaValues, theta_deriv_series
 
@@ -164,8 +164,23 @@ def test_diffeq_h_rejects_bad_position():
 
 def test_diffeq_t_two_variables():
     rep = verify_diffeq_t((F(2), F(3)), 10)
-    assert rep.ok
-    assert rep.details == {"block_series": "pass", "determinant_series": "pass"}
+    assert rep.ok and rep.details is None
+
+
+def test_diffeq_t_names_the_series_that_differs(monkeypatch):
+    """The block sums are compared bare and then closed as determinants; a
+    bent closing fails the determinant series alone."""
+    close = qdiff.close_u
+
+    def bent(block, point, shifts, lattice):
+        found = close(block, point, shifts, lattice)
+        return found + QSeries.monomial(1, F(7, 2), 10) if shifts[0] else found
+
+    monkeypatch.setattr(qdiff, "close_u", bent)
+    rep = verify_diffeq_t((F(2), F(3)), 10)
+    assert rep.status == "fail"
+    assert (rep.first_mismatch["series"], rep.first_mismatch["exponent"]) == (
+        "determinant", F(7, 2))
 
 
 def test_diffeq_t_three_variables():

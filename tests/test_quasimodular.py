@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from qwedge.partitions import hook_power_sum, q_bracket
+from qwedge.partitions import hook_power_sum, partitions_of, q_bracket
+from qwedge import quasimodular
 from qwedge.quasimodular import (
+    FitError,
     InsufficientOrder,
     NotInSpan,
     QMElement,
@@ -16,10 +18,18 @@ from qwedge.quasimodular import (
     verify_derivation_closure,
     weight_monomials,
 )
-from qwedge.series import QSeries
+from qwedge.series import QSeries, euler_product
 from qwedge.special import eisenstein_g, eisenstein_monomial
 
 F = Fraction
+
+
+def unshifted_p3_bracket(order):
+    """<p_3>_q from the definition, partition by partition: the hook moment
+    without the xi(-3) shift that makes it quasimodular."""
+    sums = [sum((hook_power_sum(lam, 3) for lam in partitions_of(n)), F(0))
+            for n in range(order + 1)]
+    return QSeries.from_coeffs(sums) * euler_product(order)
 
 
 def test_weight_monomials_order():
@@ -115,7 +125,7 @@ def test_bracket_weight_four():
 
 def test_bracket_failure_reported():
     # the unshifted <p_3> is NOT quasimodular of weight 4 (the shift matters)
-    b = q_bracket(lambda lam: hook_power_sum(lam, 3), 24)
+    b = unshifted_p3_bracket(24)
     with pytest.raises(NotInSpan):
         fit_series(b, 4, margin=10)
 
@@ -168,11 +178,26 @@ def test_eisenstein_monomials_are_the_products():
     assert eisenstein_monomial((1, 0, 0), N) is eisenstein_g(2, N)
 
 
+def test_every_even_weight_has_a_nonsingular_window():
+    # fit_series solves on q^0..q^{dim-1} of the shared basis, with no fallback
+    for weight in range(2, 31, 2):
+        series = eisenstein_monomial(weight_monomials(weight)[-1], 40)
+        assert fit_series(series, weight, margin=2).series(40) == series, weight
+
+
+def test_fit_raises_on_a_singular_window(monkeypatch):
+    # a basis whose monomials coincide: the square system has no solution
+    monkeypatch.setattr(quasimodular, "eisenstein_monomial",
+                        lambda abc, order: eisenstein_g(4, order))
+    with pytest.raises(FitError, match="singular"):
+        fit_series(eisenstein_g(4, 20), 8, margin=4)
+
+
 def test_fit_fails_at_the_same_exponent_as_a_fresh_basis():
     N = 24
     cases = [(eisenstein_g(4, N), 6, 8),
              (QSeries.from_coeffs([F(1)] * (N + 1)), 4, 10),
-             (q_bracket(lambda lam: hook_power_sum(lam, 3), N), 4, 10),
+             (unshifted_p3_bracket(N), 4, 10),
              (eisenstein_g(2, N) * eisenstein_g(6, N) + QSeries.monomial(1, 11, N), 8, 8)]
     for s, weight, margin in cases:
         bad = _fit_reference(s, weight, margin)[1]

@@ -183,16 +183,36 @@ def test_skew_npoint_agreement():
     assert verify_skew_npoint(3, 3, 12).ok
 
 
+def test_h_equals_g_names_the_pair_and_the_exponent(monkeypatch):
+    g = skewchar.g_series
+
+    def bent(r, s, order):
+        found = g(r, s, order)
+        return found + QSeries.monomial(1, 5, order) if (r, s) == (2, 6) else found
+
+    monkeypatch.setattr(skewchar, "g_series", bent)
+    rep = verify_h_equals_g(order=12)
+    want = h_series(2, 6, 12).coefficient(5)
+    assert (rep.status, rep.order_checked) == ("fail", 12)
+    assert rep.first_mismatch == {"r": 2, "s": 6, "exponent": 5, "lhs": want, "rhs": want + 1}
+
+
 def test_skew_npoint_names_the_first_mismatched_slot(monkeypatch):
     # a slot one route lacks is a mismatch, as is a slot whose series differ
     closed = npoint_skew_closed(2, 3, 4)
     missing = {z: c for z, c in closed.items() if z != (1, 3)}
     monkeypatch.setattr(skewchar, "npoint_skew_closed", lambda *a: missing)
     rep = verify_skew_npoint(2, 3, 4)
-    assert rep.status == "fail" and rep.first_mismatch == {"z": [1, 3]}
+    # the lacking slot is zero on the other route's grid, from q^{-1/24} on
+    lead = closed[(1, 3)].coefficient(F(-1, 24))
+    assert lead != 0
+    assert rep.status == "fail" and rep.first_mismatch == {
+        "z": [1, 3], "exponent": F(-1, 24), "lhs": 0, "rhs": lead}
     changed = {**closed, (3, 3): closed[(3, 3)] * F(2)}
     monkeypatch.setattr(skewchar, "npoint_skew_closed", lambda *a: changed)
-    assert verify_skew_npoint(2, 3, 4).first_mismatch == {"z": [3, 3]}
+    lead = closed[(3, 3)].coefficient(F(-1, 24))
+    assert verify_skew_npoint(2, 3, 4).first_mismatch == {
+        "z": [3, 3], "exponent": F(-1, 24), "lhs": 2 * lead, "rhs": lead}
 
 
 def test_psi_taylor_coefficients_are_quasimodular():

@@ -114,6 +114,24 @@ def test_theta_odd_derivatives_closed_forms():
     assert r.ok
 
 
+def test_theta_derivs_fails_with_the_params_it_passes_with(monkeypatch):
+    """A failing report names the m whose closed form differs, and keeps the
+    params of a passing one."""
+    closed = special.theta_odd_derivative_closed_form
+
+    def bent(m, order):
+        found = closed(m, order)
+        return found + QSeries.monomial(1, 7, order) if m == 2 else found
+
+    params = {"m_values": [1, 2, 3], "order": 12}
+    assert verify_theta_derivs((1, 2, 3), 12).params == params
+    monkeypatch.setattr(special, "theta_odd_derivative_closed_form", bent)
+    r = verify_theta_derivs((1, 2, 3), 12)
+    assert (r.status, r.params, r.order_checked) == ("fail", params, 12)
+    assert r.first_mismatch == {"m": 2, "exponent": 7, "lhs": closed(2, 12).coefficient(7),
+                                "rhs": closed(2, 12).coefficient(7) + 1}
+
+
 def test_theta_series_matches_product_form():
     for s in (F(2), F(3, 2), F(5, 4)):
         a = theta_deriv_series(0, s, 14)
