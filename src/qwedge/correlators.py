@@ -174,7 +174,7 @@ def bracket_monomial_product(idx: tuple[int, ...], point: EvalPoint, order: int)
         denom = denom * q_pochhammer(c, idx[k - 1], idx[k] - idx[k - 1], order)
     c_all = point.s_prod(range(r)) ** 2
     denom = denom * q_pochhammer(c_all, idx[-1], None, order)
-    return (scalar * num) * denom.inv()
+    return (scalar * num) / denom
 
 
 # -- ordered, symmetrized, and full correlation series ---------------------------
@@ -307,13 +307,13 @@ def theta_block_sum(point: EvalPoint, shifts: tuple[int, ...], lattice: ThetaLat
           * prod_{0 < k < r} lattice_0(t_0 t_{P_k})^{-1},
 
     P_k = B_1 u ... u B_k and t_0 = s0^2 q^{j0}; t_P carries the shifts of P.
-    Any table with the `sum`, `inverse` and `states` of `ThetaLattice` serves,
+    Any table with the `sum`, `divide` and `states` of `ThetaLattice` serves,
     such as a `ThetaValues` of numbers at one q0.  One DP over subset masks
     (`setparts.ordered_block_sum`): the block factor lattice_{|B|} is formed
-    once per prefix P and size |B|, and the inverse once per prefix.  No
-    inverse is taken at the empty or the full prefix, where the argument may
-    be 1.  An even-size first block at argument 1 is skipped, since
-    Theta^{(k)}(1) vanishes for even k.
+    once per prefix P and size |B|, and each prefix's sum is divided by
+    lattice_0 once.  No division is made at the empty or the full prefix,
+    where the argument may be 1.  An even-size first block at argument 1 is
+    skipped, since Theta^{(k)}(1) vanishes for even k.
 
     A prefix state is symmetric in the (s, shift) of its positions, so it is
     named by their multiset with (s0, j0) and kept in `lattice.states`: the
@@ -336,7 +336,7 @@ def theta_block_sum(point: EvalPoint, shifts: tuple[int, ...], lattice: ThetaLat
         return term if k % 2 else -term
 
     def close(p: int, acc: QSeries) -> QSeries:
-        return acc * lattice.inverse(s_of[p], j_of[p])
+        return lattice.divide(acc, s_of[p], j_of[p])
 
     return ordered_block_sum(point.n, leaf, close, names, lattice.states)
 
@@ -348,9 +348,9 @@ def _joined(multiset: tuple, atom: tuple) -> tuple:
 
 def close_u(block: QSeries, point: EvalPoint, shifts: tuple[int, ...],
             lattice: ThetaLattice) -> QSeries:
-    """U from the point's `theta_block_sum`: times Theta(t_1..t_n)^{-1}, whose
-    (q)_inf^3 cancels against the block factors'."""
-    return block * lattice.inverse(point.products[-1], sum(shifts))
+    """U from the point's `theta_block_sum`: over Theta(t_1..t_n), whose
+    (q)_inf^{-3} cancels against the block factors'."""
+    return lattice.divide(block, point.products[-1], sum(shifts))
 
 
 def u_series(point: EvalPoint, order: int,
@@ -484,10 +484,10 @@ def qgauss_sum(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
     q-exponent), with the coefficients up to q^order.
 
     Term n is term n - 1 times (1 - a q^{n-1})(1 - b q^{n-1}) z / ((1 - c q^{n-1})
-    (1 - q^n)): four one-factor Pochhammer products per term, each inverse a
-    sparse geometric series.  The sum stops at the first term that starts above
-    q^order, or at the first zero term, after which a terminating numerator keeps
-    every term zero.
+    (1 - q^n)): four one-factor Pochhammer products per term, the two in the
+    denominator each the two-term divisor of one long division.  The sum stops at the first
+    term that starts above q^order, or at the first zero term, after which a
+    terminating numerator keeps every term zero.
     """
     z = _mono_div(c, _mono_mul(a, b))
     if z[1] < 1 and not (_is_terminating(a) or _is_terminating(b)):
@@ -505,8 +505,8 @@ def qgauss_sum(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
             * q_pochhammer(b[0], b[1] + e, 1, work)
         if term.is_zero():
             break  # a numerator terminated; all later terms vanish too
-        term = term * q_pochhammer(c[0], c[1] + e, 1, work).inv() \
-            * q_pochhammer(ONE, n, 1, work).inv()
+        term = term / q_pochhammer(c[0], c[1] + e, 1, work) \
+            / q_pochhammer(ONE, n, 1, work)
         term = (term * z[0]).shift(z[1])
         total = total + term
         n += 1
@@ -521,7 +521,7 @@ def qgauss_product(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries
     num = q_pochhammer(*_mono_div(c, a), None, work) \
         * q_pochhammer(*_mono_div(c, b), None, work)
     den = q_pochhammer(*c, None, work) * q_pochhammer(*z, None, work)
-    total = num * den.inv()
+    total = num / den
     return total.truncate(max(0, int(order - total.offset)))
 
 
@@ -581,10 +581,10 @@ def verify_poch_telescope(u: Monomial, v_root: Fraction, v_exp: int,
     for i in range(a + 1, b):
         den = q_pochhammer(u[0], u[1] + a, i - a, work) \
             * q_pochhammer(uv[0], uv[1] + i, b - i, work)
-        lhs = lhs + qv_half_power(1 - 2 * i) * den.inv()
+        lhs = lhs + qv_half_power(1 - 2 * i) / den
     d1 = q_pochhammer(u[0], u[1] + a, b - a - 1, work)
     d2 = q_pochhammer(uv[0], uv[1] + a + 1, b - a - 1, work)
-    bracket = qv_half_power(3 - 2 * b) * d1.inv() - qv_half_power(1 - 2 * a) * d2.inv()
-    rhs = bracket * q_pochhammer(v_root * v_root, 1 + v_exp, 1, work).inv()
+    bracket = qv_half_power(3 - 2 * b) / d1 - qv_half_power(1 - 2 * a) / d2
+    rhs = bracket / q_pochhammer(v_root * v_root, 1 + v_exp, 1, work)
     return series_report("poch-telescope", statement, params, lhs, rhs,
                          order_checked=min(order, int(min(lhs.upper, rhs.upper))))

@@ -210,13 +210,12 @@ def _merged_block_sum(point: EvalPoint, lattice: ThetaLattice, s0: Fraction,
                       j0: int) -> QSeries:
     """The signed sum of `theta_block_sum` at t_0 = s0^2 q^{j0} over the points
     `_merge_first` merges from the point's positions, all unshifted."""
-    total = None
+    terms = []
     for sgn, pi in _merge_first(point.n):
         merged = point.merged(pi)
         term = theta_block_sum(merged, (0,) * merged.n, lattice, s0, j0)
-        term = term if sgn > 0 else -term
-        total = term if total is None else total + term
-    return total
+        terms.append(term if sgn > 0 else -term)
+    return QSeries.sum_of(terms)
 
 
 def verify_diffeq_t(s_values, order: int) -> Report:
@@ -277,7 +276,7 @@ def r_series(point: EvalPoint, s0: Fraction, j0: int, order: int,
                              "inverse")
     if lattice is None:
         lattice = ThetaLattice(order)
-    return theta_block_sum(point, shifts, lattice, s0, j0) * lattice.inverse(s0, j0)
+    return lattice.divide(theta_block_sum(point, shifts, lattice, s0, j0), s0, j0)
 
 
 def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
@@ -296,7 +295,7 @@ def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
     shifts = (1,) + (0,) * (n - 1)
     lattice = ThetaLattice(order)
     lhs = r_series(point, s0, j0, order, shifts, lattice)
-    rhs = _merged_block_sum(point, lattice, s0, j0) * lattice.inverse(s0, j0)
+    rhs = lattice.divide(_merged_block_sum(point, lattice, s0, j0), s0, j0)
     return series_report("r-diffeq", statement, params, lhs, rhs)
 
 
@@ -452,7 +451,7 @@ def phi_sum(table, svals: tuple[Fraction, ...]) -> Fraction:
           (-1)^l f^{(|B_1|)}(1) prod_{k >= 2} f^{(|B_k|)}(x_P) / f(x_P),
 
     x_P the product of t over P = B_1 u ... u B_{k-1}; table.sum(k, s, 0) is
-    (x d/dx)^k f and table.inverse(s, 0) is 1/f, at x = s^2.  It is (-1)^n
+    (x d/dx)^k f and table.divide(y, s, 0) is y/f, at x = s^2.  It is (-1)^n
     `theta_block_sum`: each block's -1 here is (-1)^{|B|} times its sign
     (-1)^{|B|-1} there, and the even first blocks skipped there have
     f^{(|B|)}(1) = 0.  The product of all t may be 1, no other subset product.
@@ -486,8 +485,8 @@ class _AlgebraicOdd:
         return (F(1, 2) ** k * (s - (-1) ** k / s)
                 + F(1, 7) * F(3, 2) ** k * (s ** 3 - (-1) ** k / s ** 3))
 
-    def inverse(self, s: Fraction, shift: int) -> Fraction:
-        return 1 / self.sum(0, s, shift)
+    def divide(self, x: Fraction, s: Fraction, shift: int) -> Fraction:
+        return x / self.sum(0, s, shift)
 
 
 def phi_table(f_kind: str, q0: Fraction, terms: int):

@@ -102,15 +102,14 @@ def pairs_report(identity: str, statement: str, params: dict, pairs: list,
     """Compare labelled pairs (label, lhs, rhs) of series, each pair of one
     type, QSeries or MultiSeries: pass with `details` when every pair is equal,
     else fail at the first unequal pair, its label dict merged into
-    `lhs.first_mismatch(rhs)` (the label alone for QSeries on two steps, which
-    have no mismatch on a common grid).  `order_checked` defaults to the least
-    common QSeries order over the pairs."""
+    `lhs.first_mismatch(rhs)`.  `order_checked` defaults to the least common
+    QSeries order over the pairs."""
     if order_checked is None:
         order_checked = int(min(min(lhs.upper, rhs.upper) for _, lhs, rhs in pairs))
     for label, lhs, rhs in pairs:
         if lhs != rhs:
             return Report(identity, statement, params, "fail", order_checked,
-                          first_mismatch={**label, **(lhs.first_mismatch(rhs) or {})})
+                          first_mismatch={**label, **lhs.first_mismatch(rhs)})
     return Report(identity, statement, params, "pass", order_checked, details=details)
 
 

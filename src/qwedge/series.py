@@ -4,10 +4,11 @@ A QSeries represents q^e0 * (c_0 + c_1 q + ... + c_N q^N + O(q^{N+1})) where e0 
 single global rational offset.  The coefficients are Python ints `nums` over one
 positive int `den` (c_k = nums[k] / den), kept reduced: gcd(den, *nums) = 1.  Every
 operation works on the ints and reduces once, with a single gcd; `coeffs` is the
-Fraction view of the same coefficients, built on first use.  Coefficients below the
-offset are exactly zero; only exponents beyond e0+N are unknown.  All arithmetic
-keeps the pessimistic truncation: the result is valid exactly as far as every input
-was.
+Fraction view of the same coefficients, built on first use.  A quotient a / b is
+one long division, not a product with b.inv(), and `QSeries.sum_of` adds a list
+of series over one common denominator.  Coefficients below the offset are
+exactly zero; only exponents beyond e0+N are unknown.  All arithmetic keeps the
+pessimistic truncation: the result is valid exactly as far as every input was.
 """
 
 from __future__ import annotations
@@ -233,6 +234,32 @@ class QSeries:
                 den //= g
         return _series(lo.offset, tuple(out), den, self.step)
 
+    @staticmethod
+    def sum_of(terms) -> QSeries:
+        """The sum of a nonempty list of series, equal to adding them with `+`
+        one by one, but over one common denominator with one reduction."""
+        first = terms[0]
+        if len(terms) == 1:
+            return first
+        gaps = []  # each term's offset minus the first's
+        for t in terms:
+            first._check_step(t)
+            gap = _gap(first.offset, t.offset)
+            if gap is None:
+                raise NonIntegerOffsetGap(
+                    f"offsets {first.offset} and {t.offset} differ by a non-integer")
+            gaps.append(gap)
+        low = min(gaps)
+        top = min(gap + len(t.nums) - 1 for gap, t in zip(gaps, terms))
+        den = math.lcm(*(t.den for t in terms))
+        out = [0] * (top - low + 1)
+        for gap, t in zip(gaps, terms):
+            scale = den // t.den
+            for j, c in enumerate(t.nums[: max(0, top - gap + 1)], gap - low):
+                if c:
+                    out[j] += c * scale
+        return _reduced(first.offset + low if low else first.offset, out, den, first.step)
+
     def __neg__(self) -> QSeries:
         return _series(self.offset, tuple(-c for c in self.nums), self.den, self.step)
 
@@ -271,36 +298,56 @@ class QSeries:
     __rmul__ = __mul__
 
     def inv(self) -> QSeries:
-        if self.nums[0] == 0:
-            raise ZeroLeadingCoefficient("cannot invert: zero coefficient at the offset")
-        n = self.trunc_order
-        content = math.gcd(*self.nums)
-        a = [c // content for c in self.nums]
-        a0 = a[0]
-        # 1/sum a_j q^j = sum_k B_k q^k / a0^{k+1} with B_0 = 1 and
-        # B_k = -sum_{j>=1} a_j a0^{j-1} B_{k-j}: integers throughout
-        w = [(j, c * a0 ** (j - 1)) for j, c in enumerate(a) if j and c]
-        B = [1]
-        for k in range(1, n + 1):
-            s = 0
-            for j, c in w:
-                if j > k:
-                    break
-                s += c * B[k - j]
-            B.append(-s)
-        # self = (content/den) sum a_j q^j, so slot k of the inverse is
-        # den B_k a0^{n-k} over the common denominator content a0^{n+1}
-        out = [0] * (n + 1)
-        p = self.den
-        for k in range(n, -1, -1):
-            out[k] = B[k] * p
-            p *= a0
-        return _reduced(-self.offset, out, content * a0 ** (n + 1), self.step)
+        """1 / self, by the long division of `/`."""
+        return QSeries.one(self.trunc_order, self.step) / self
 
     def __truediv__(self, other) -> QSeries:
-        if isinstance(other, (int, Fraction)):
-            return self * (ONE / _as_frac(other))
-        return self * other.inv()
+        """self / other by long division, valid as far as both are: a sparse
+        divisor (a lattice sum) costs O(n) per nonzero coefficient.
+
+        With b_j / b_0 = p_j / d_j in lowest terms (d_j > 0), the quotient of
+        the numerators is sum_k T_k q^k / b_0 with T_k = a_k - sum_{j>=1}
+        p_j T_{k-j} / d_j, whose denominator divides E_k = lcm_j d_j E_{k-j},
+        E_0 = 1.  So R_k = T_k E_k are integers, R_k = a_k E_k - sum_{j>=1}
+        p_j (E_k / (d_j E_{k-j})) R_{k-j}, and E_k grows only as fast as the
+        quotient needs: a lattice sum's b_j share most of b_0's powers of s.
+        """
+        if type(other) is not QSeries:
+            if isinstance(other, (int, Fraction)):
+                return self * (ONE / _as_frac(other))
+            return NotImplemented
+        b = other.nums
+        b0 = b[0]
+        if b0 == 0:
+            raise ZeroLeadingCoefficient("cannot divide by a series with a zero "
+                                         "coefficient at its offset")
+        self._check_step(other)
+        n = min(len(self.nums), len(b))
+        steps = []  # (j, p_j, d_j) for the nonzero b_j, j >= 1
+        for j, c in enumerate(b[1:n], 1):
+            if c:
+                g = math.gcd(b0, c)
+                d, p = b0 // g, c // g
+                steps.append((j, p, d) if d > 0 else (j, -p, -d))
+        E, R = [], []
+        for k, x in enumerate(self.nums[:n]):
+            reach = []  # (p_j, d_j E_{k-j}, R_{k-j})
+            for j, p, d in steps:
+                if j > k:
+                    break
+                reach.append((p, d * E[k - j], R[k - j]))
+            e = math.lcm(*(m for _, m, _ in reach))
+            s = x * e
+            for p, m, r in reach:
+                s -= p * (e // m) * r
+            E.append(e)
+            R.append(s)
+        # self / other = (den_b / (den_a b0)) sum_k R_k q^k / E_k, over the
+        # common denominator den_a b0 L with L = lcm_k E_k
+        big = math.lcm(*E)
+        out = [other.den * r * (big // e) for r, e in zip(R, E)]
+        offset = self.offset - other.offset if other.offset else self.offset
+        return _reduced(offset, out, self.den * b0 * big, self.step)
 
     def __pow__(self, n: int) -> QSeries:
         if n < 0:
@@ -337,7 +384,7 @@ class QSeries:
         """
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.step == other.step and self.first_mismatch(other) is None
+        return self.first_mismatch(other) is None
 
     # equality on the common range is not transitive, so no hash agrees with it
     __hash__ = None
@@ -345,9 +392,9 @@ class QSeries:
     def first_mismatch(self, other: QSeries) -> dict | None:
         """{"exponent", "lhs", "rhs"} at the first disagreement on the common
         range, self on the left; None where there is none.  Offsets a non-integer
-        apart disagree at the lower one, with no coefficients."""
+        apart, or on two steps, disagree at the lower one, with no coefficients."""
         gap = _gap(self.offset, other.offset)
-        if gap is None:
+        if gap is None or self.step != other.step:
             return {"exponent": min(self.offset, other.offset), "lhs": None, "rhs": None}
         # both on the grid off, off+1, ..., off+n, zero-padded below their offsets
         off = self.offset if gap >= 0 else other.offset

@@ -8,8 +8,10 @@ a significant order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -73,21 +75,26 @@ def ordered_block_sum(n: int, leaf: Callable, close: Callable, names, known: dic
 
     Returns acc[full]; the last close is the caller's.  `close` must be linear,
     `leaf` returns None for a factor that is exactly zero, and the values need
-    only `*` and `+`, so QSeries and Fraction both work.  None is returned when
-    every chain had a zero factor.
+    only `*` and `+`, so QSeries and Fraction both work.  Each acc[S] adds its
+    terms in one call to the values' `sum_of` where their type has one
+    (`QSeries.sum_of`: one common denominator, one reduction), else with `+`
+    one by one.  None is returned when every chain had a zero factor.
     """
     if n < 1:
         raise ValueError(f"n = {n}: the block sum needs n >= 1")
 
     def pull(s: int):
-        acc = None
+        terms = []
         b = s
         while b:  # the nonempty submasks B of s, each with its prefix s - B
             term = product(s ^ b, b.bit_count())
             if term is not None:
-                acc = term if acc is None else acc + term
+                terms.append(term)
             b = (b - 1) & s
-        return acc
+        if not terms:
+            return None
+        sum_of = getattr(type(terms[0]), "sum_of", None)
+        return sum_of(terms) if sum_of else functools.reduce(operator.add, terms)
 
     def product(p: int, k: int):
         name = names[p]

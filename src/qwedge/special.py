@@ -158,23 +158,24 @@ def _lattice_walk(s: Fraction, lo: int, hi: int) -> tuple[list[int], int]:
 
 class _ThetaTable:
     """The lattice sums lattice_k = sum_n (-1)^n (n+1/2)^k x^{n+1/2} q^{n(n+1)/2}
-    at x = s^2 q^shift and the inverses lattice_0^{-1}, each formed on first
-    use and kept by (k, s, shift).  The lattice is walked once per (s, shift),
-    and every k at that argument is read from the walk as one dot product.  s
-    enters the keys as its numerator and denominator, which hash faster than
-    the Fraction.  Theta itself is `factor` times lattice_0.
+    at x = s^2 q^shift, each formed on first use and kept by (k, s, shift).
+    The lattice is walked once per (s, shift), and every k at that argument is
+    read from the walk as one dot product.  s enters the keys as its numerator
+    and denominator, which hash faster than the Fraction.  Theta itself is
+    `factor` times lattice_0, and `divide` divides by lattice_0 directly: no
+    inverse is formed or kept.
 
     `states` keeps the prefix states and their products with a block factor
     that `correlators.theta_block_sum` forms on this table, by the multiset of
     the prefix's arguments, so the block sums of one check share them.
 
-    A layout supplies `_walk(s, shift)`, `_read(walk, k)` and `_invert(s, shift)`.
+    A layout supplies `_walk(s, shift)` and `_read(walk, k)`, and may extend
+    `divide(x, s, shift)` with the arguments it must reject.
     """
 
     def __init__(self):
         self._walks: dict[tuple, tuple] = {}
         self._sums: dict[tuple, object] = {}
-        self._inverses: dict[tuple, object] = {}
         self.states: dict = {}
 
     def sum(self, k: int, s: Fraction, shift: int = 0):
@@ -192,13 +193,9 @@ class _ThetaTable:
             found = self._sums[key] = self._read(walk, k)
         return found
 
-    def inverse(self, s: Fraction, shift: int):
-        """lattice_0^{-1}: Theta(x)^{-1} without its 1 / `factor`."""
-        key = (s.numerator, s.denominator, shift)
-        found = self._inverses.get(key)
-        if found is None:
-            found = self._inverses[key] = self._invert(s, shift)
-        return found
+    def divide(self, x, s: Fraction, shift: int):
+        """x / lattice_0 at s^2 q^shift, which is x / Theta there times `factor`."""
+        return x / self.sum(0, s, shift)
 
 
 def euler_inverse_cube(order: int) -> QSeries:
@@ -247,9 +244,6 @@ class ThetaLattice(_ThetaTable):
         for slot, m, part in terms:
             nums[slot] += m ** k * part
         return QSeries.from_nums(nums, 2 ** k * den, offset)
-
-    def _invert(self, s: Fraction, shift: int) -> QSeries:
-        return self.sum(0, s, shift).inv()
 
 
 def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeries:
@@ -326,7 +320,7 @@ class ThetaValues(_ThetaTable):
     def _read(self, walk: tuple[list, int], k: int) -> Fraction:
         return F(sum(m ** k * t for m, t in walk[0]), 2 ** k * walk[1])
 
-    def _invert(self, s: Fraction, shift: int) -> Fraction:
+    def divide(self, x: Fraction, s: Fraction, shift: int) -> Fraction:
         """Theta vanishes wherever s^2 q0^shift is an integer power of q0, and a
         truncated sum there is only the cut's error, so such an s is rejected
         with a ValueError naming the power."""
@@ -334,7 +328,7 @@ class ThetaValues(_ThetaTable):
         if j is not None:
             raise ValueError(f"s = {s} puts Theta on a zero: s^2 = q0^{j} with "
                              f"q0 = {self.q0}, so the value has no inverse")
-        return 1 / self.sum(0, s, shift)
+        return super().divide(x, s, shift)
 
 
 def _power_of(t: Fraction, q0: Fraction) -> int | None:
@@ -353,19 +347,19 @@ def _power_of(t: Fraction, q0: Fraction) -> int | None:
     return j if t < 1 else -j
 
 
-def theta_odd_derivative_closed_form(m: int, order: int) -> QSeries:
-    """(2m+1)! times the w^{2m} coefficient E_m of
+def theta_odd_derivative_closed_forms(m_max: int, order: int) -> list[QSeries]:
+    """For m = 0..m_max, (2m+1)! times the w^{2m} coefficient E_m of
     exp(sum_{i>=1} a_i w^{2i}), a_i = -2 G_{2i} / (2i)!, which equals the
     (2m+1)-st invariant theta derivative at x = 1.  The coefficients of the
-    exponential obey E_0 = 1 and j E_j = sum_{i=1..j} i a_i E_{j-i}; the
-    G_{2i} are `eisenstein_g`'s, formed once per order and process."""
-    a = {i: eisenstein_g(2 * i, order) * F(-2, math.factorial(2 * i))
-         for i in range(1, m + 1)}
+    exponential obey E_0 = 1 and j E_j = sum_{i=1..j} i a_i E_{j-i}, so each
+    E_j is formed once from the lower ones; the G_{2i} are `eisenstein_g`'s,
+    formed once per order and process."""
+    a = [None] + [eisenstein_g(2 * i, order) * F(-2, math.factorial(2 * i))
+                  for i in range(1, m_max + 1)]
     E = [QSeries.one(order)]
-    for j in range(1, m + 1):
-        E.append(sum((a[i] * E[j - i] * F(i, j) for i in range(1, j + 1)),
-                     QSeries.zero(order)))
-    return math.factorial(2 * m + 1) * E[m]
+    for j in range(1, m_max + 1):
+        E.append(QSeries.sum_of([a[i] * E[j - i] * F(i, j) for i in range(1, j + 1)]))
+    return [math.factorial(2 * m + 1) * e for m, e in enumerate(E)]
 
 
 # -- identity verifiers -----------------------------------------------------------
@@ -373,14 +367,17 @@ def theta_odd_derivative_closed_form(m: int, order: int) -> QSeries:
 def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
     """Invariant odd theta derivatives at 1 match their Eisenstein closed forms.
 
-    One `ThetaLattice` serves all the m compared; the G_k and the factor
+    One `ThetaLattice` serves all the m compared, and the closed forms up to
+    the largest m come from one recurrence; the G_k and the factor
     (q)_inf^{-3} are the per-order constants, formed once per process.
     """
     statement = ("odd invariant derivatives of the theta function at x=1 equal "
                  "explicit polynomials in Eisenstein series")
     lattice = ThetaLattice(order)
-    pairs = [({"m": m}, lattice.sum(2 * m + 1, ONE, 0) * lattice.factor,
-              theta_odd_derivative_closed_form(m, order)) for m in m_values]
+    # the lattice sums go first: they reject a negative order or m, naming it
+    lhs = [lattice.sum(2 * m + 1, ONE, 0) * lattice.factor for m in m_values]
+    closed = theta_odd_derivative_closed_forms(max(m_values, default=0), order)
+    pairs = [({"m": m}, x, closed[m]) for m, x in zip(m_values, lhs)]
     return pairs_report("theta-derivs", statement,
                         {"m_values": list(m_values), "order": order}, pairs, order)
 

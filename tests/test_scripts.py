@@ -59,3 +59,39 @@ def test_private_names_stay_in_their_module():
     assert len(paths) > 10
     found = {str(p.relative_to(ROOT)): _private_imports(p.read_text()) for p in paths}
     assert {p: names for p, names in found.items() if names} == {}
+
+
+def _inverse_products(source: str) -> list[int]:
+    """The line of each product (`*` or `*=`) with a direct `.inv()` call as an
+    operand: such a product is a division, which `/` makes in one pass."""
+    def is_inv(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "inv")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Mult):
+            operands = (node.value,)
+        else:
+            continue
+        if any(map(is_inv, operands)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_product_with_an_inverse():
+    """`x * y.inv()` is `x / y`; an inverse stored once and reused is not a
+    product with a direct call, and a power of one is no product."""
+    assert _inverse_products("a = x * y.inv()\n"
+                             "b = y.inv() * x * z\n"
+                             "c *= d.inv()\n"
+                             "e = f.inv()\n"
+                             "g = e * x\n"
+                             "h = f.inv() ** 3\n"
+                             "i = x / y\n") == [1, 2, 3]
+    paths = sorted((ROOT / "src" / "qwedge").glob("*.py"))
+    assert len(paths) > 10
+    found = {str(p.relative_to(ROOT)): _inverse_products(p.read_text()) for p in paths}
+    assert {p: lines for p, lines in found.items() if lines} == {}

@@ -1,6 +1,8 @@
 """Exact series arithmetic: frozen oracles plus ring-axiom properties."""
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwedge import series
+from qwedge.reports import series_report
 from qwedge.series import (
     MixedStep,
     NonIntegerOffsetGap,
@@ -248,6 +251,19 @@ def test_first_mismatch():
     assert a.first_mismatch(S([1, 2])) is None
 
 
+def test_first_mismatch_across_steps():
+    """Series on two steps share no grid: they disagree at the lower offset,
+    with no coefficients, as series a non-integer apart do."""
+    a, b = S([1, 2]), S([1, 2], step=F(1, 2))
+    assert a != b
+    none = {"lhs": None, "rhs": None}
+    assert a.first_mismatch(b) == b.first_mismatch(a) == {"exponent": 0, **none}
+    assert S([1], offset=1).first_mismatch(S([1], offset=F(1, 2), step=F(1, 2))) \
+        == {"exponent": F(1, 2), **none}
+    rep = series_report("x", "y", {}, a, b)
+    assert (rep.status, rep.first_mismatch) == ("fail", {"exponent": 0, **none})
+
+
 def test_json_round_trip():
     s = S(["-1/24", 1, 3], offset=F(1, 2))
     d = s.to_jsonable()
@@ -443,6 +459,7 @@ def test_integer_representation_matches_fraction_reference(pair, c, e, order, de
     else:
         assert_same(a.inv(), ra.inv())
         assert_same(a ** e, ra.pow(e))
+        assert_same(b / a, rb * ra.inv())
 
 
 @given(st.lists(wide_frac, min_size=1, max_size=10), st.integers(1, 10 ** 6))
@@ -468,3 +485,75 @@ def test_qseries_is_immutable_and_unhashable():
     assert S([1]) == s and S([1]) == S([1, 0]) and s != S([1, 0])
     with pytest.raises(TypeError):
         hash(s)
+
+
+def exact(s: QSeries) -> tuple:
+    return (s.offset, s.step, s.nums, s.den)
+
+
+def raised(call):
+    """The SeriesError class `call` raises, or None."""
+    try:
+        call()
+    except SeriesError as err:
+        return type(err)
+    return None
+
+
+@st.composite
+def divisor(draw, step):
+    """A series on `step`, often sparse (most slots zero), its lead sometimes zero."""
+    sparse = st.sampled_from([F(0), F(0), F(0), F(-2, 3)])
+    coeffs = draw(st.lists(draw(st.sampled_from([wide_frac, sparse])),
+                           min_size=1, max_size=12))
+    coeffs[0] = draw(st.sampled_from([F(0), F(1), F(-3, 4), F(7)]))
+    return QSeries(draw(half_integer), coeffs, step)
+
+
+@given(st.data(), st.sampled_from([F(1), F(1, 2)]),
+       st.lists(wide_frac, min_size=1, max_size=12), half_integer)
+@settings(max_examples=100, deadline=None)
+def test_division_is_the_product_with_the_inverse(data, step, coeffs, offset):
+    """a / b is exactly a * b.inv(), as stored, and fails as that product
+    fails: a zero lead of b first, then two steps."""
+    a = QSeries(offset, coeffs, step)
+    b = data.draw(divisor(step))
+    err = raised(lambda: a * b.inv())
+    if err is None:
+        assert exact(a / b) == exact(a * b.inv())
+    else:
+        assert err is ZeroLeadingCoefficient
+        with pytest.raises(ZeroLeadingCoefficient):
+            a / b
+    other = F(1) if step != 1 else F(1, 2)
+    c = data.draw(divisor(other))
+    assert raised(lambda: a / c) is raised(lambda: a * c.inv()) is not None
+
+
+@st.composite
+def series_list(draw):
+    """1 to 6 series on one grid: a shared step, offsets an integer apart,
+    unequal lengths."""
+    step = draw(st.sampled_from([F(1), F(1, 2)]))
+    offset = draw(half_integer)
+    gaps = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=6))
+    return [QSeries(offset + gap, draw(st.lists(wide_frac, min_size=1, max_size=8)), step)
+            for gap in gaps]
+
+
+@given(series_list(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_sum_of_is_adding_one_by_one(terms, data):
+    """QSeries.sum_of adds over one denominator what `+` adds pairwise, stored
+    alike, and fails where `+` fails: a term on another step, or a term off
+    the grid, whichever comes first."""
+    assert exact(QSeries.sum_of(terms)) == exact(functools.reduce(operator.add, terms))
+    assert QSeries.sum_of(terms[:1]) is terms[0]
+    base = terms[0]
+    strays = [QSeries(base.offset, [1, 2], F(1) if base.step != 1 else F(1, 2)),
+              QSeries(base.offset + F(1, 3), [1, 2], base.step)]
+    for stray in data.draw(st.lists(st.sampled_from(strays), min_size=1, max_size=2)):
+        terms.insert(data.draw(st.integers(min_value=1, max_value=len(terms))), stray)
+    want = raised(lambda: functools.reduce(operator.add, terms))
+    assert want in (MixedStep, NonIntegerOffsetGap)
+    assert raised(lambda: QSeries.sum_of(terms)) is want

@@ -200,7 +200,7 @@ def exp_derivative_expansion(f_derivs, s):
     """Faa di Bruno: the s-th derivative of exp(f) over exp(f) is s! times the sum
     over {i: k_i} with sum i*k_i = s of prod_i (f^{(i)} / i!)^{k_i} / k_i!, so it
     is right exactly when the partitions of s, as Counters of their parts, list
-    each such set once (`theta_odd_derivative_closed_form` sums over them).
+    each such set once (`theta_odd_derivative_closed_forms` sums over them).
     f_derivs[i] holds the i-th derivative of f; index 0 is unused."""
     total = F(0)
     for combo in map(Counter, partitions_of(s)):

@@ -16,7 +16,7 @@ from qwedge.special import (
     eta,
     theta00,
     theta_deriv_series,
-    theta_odd_derivative_closed_form,
+    theta_odd_derivative_closed_forms,
     theta_product_series,
     verify_theta_derivs,
     verify_theta_diffeq,
@@ -106,30 +106,49 @@ def test_theta_odd_derivatives_closed_forms():
     g2 = eisenstein_g(2, N)
     g4 = eisenstein_g(4, N)
     g6 = eisenstein_g(6, N)
-    assert theta_odd_derivative_closed_form(1, N) == -6 * g2
-    assert theta_odd_derivative_closed_form(2, N) == -10 * g4 + 60 * g2 * g2
-    assert (theta_odd_derivative_closed_form(3, N)
-            == -14 * g6 + 420 * g4 * g2 - 840 * g2 ** 3)
+    forms = theta_odd_derivative_closed_forms(3, N)
+    assert forms[0] == QSeries.one(N)
+    assert forms[1] == -6 * g2
+    assert forms[2] == -10 * g4 + 60 * g2 * g2
+    assert forms[3] == -14 * g6 + 420 * g4 * g2 - 840 * g2 ** 3
+    # a shorter recurrence is the same one cut short
+    assert theta_odd_derivative_closed_forms(2, N) == forms[:3]
     r = verify_theta_derivs((1, 2, 3), 25)
     assert r.ok
+
+
+def test_theta_derivs_forms_the_closed_forms_once(monkeypatch):
+    """One recurrence up to the largest m serves every m compared."""
+    calls = []
+    closed = special.theta_odd_derivative_closed_forms
+
+    def counted(m_max, order):
+        calls.append((m_max, order))
+        return closed(m_max, order)
+
+    monkeypatch.setattr(special, "theta_odd_derivative_closed_forms", counted)
+    assert verify_theta_derivs((3, 1, 2), 12).ok
+    assert verify_theta_derivs((2,), 12).ok
+    assert calls == [(3, 12), (2, 12)]
 
 
 def test_theta_derivs_fails_with_the_params_it_passes_with(monkeypatch):
     """A failing report names the m whose closed form differs, and keeps the
     params of a passing one."""
-    closed = special.theta_odd_derivative_closed_form
+    closed = special.theta_odd_derivative_closed_forms
 
-    def bent(m, order):
-        found = closed(m, order)
-        return found + QSeries.monomial(1, 7, order) if m == 2 else found
+    def bent(m_max, order):
+        forms = closed(m_max, order)
+        forms[2] = forms[2] + QSeries.monomial(1, 7, order)
+        return forms
 
     params = {"m_values": [1, 2, 3], "order": 12}
     assert verify_theta_derivs((1, 2, 3), 12).params == params
-    monkeypatch.setattr(special, "theta_odd_derivative_closed_form", bent)
+    monkeypatch.setattr(special, "theta_odd_derivative_closed_forms", bent)
     r = verify_theta_derivs((1, 2, 3), 12)
     assert (r.status, r.params, r.order_checked) == ("fail", params, 12)
-    assert r.first_mismatch == {"m": 2, "exponent": 7, "lhs": closed(2, 12).coefficient(7),
-                                "rhs": closed(2, 12).coefficient(7) + 1}
+    want = closed(3, 12)[2].coefficient(7)
+    assert r.first_mismatch == {"m": 2, "exponent": 7, "lhs": want, "rhs": want + 1}
 
 
 def test_theta_series_matches_product_form():
@@ -260,7 +279,8 @@ def test_theta_value_matches_fraction_loop(q0, shifts):
                 assert value == _theta_value_by_fractions(k, s, q0, 12, shift), \
                     (k, shift, s)
                 if k == 0 and s != 1:
-                    assert table.inverse(s, shift) == 1 / table.sum(0, s, shift)
+                    assert table.divide(F(7, 3), s, shift) == \
+                        F(7, 3) / table.sum(0, s, shift)
     assert ThetaValues(q0, 12).sum(3, F(5, 11), shifts[-1]) == \
         table.sum(3, F(5, 11), shifts[-1])
 
@@ -347,7 +367,7 @@ def test_lattice_table_walks_once_per_argument(monkeypatch):
         for s, shift in args:
             for k in range(9):
                 table.sum(k, s, shift)
-            table.inverse(s, shift)
+            table.divide(table.sum(1, s, shift), s, shift)
         assert walks == args, type(table).__name__
 
 
@@ -479,7 +499,7 @@ def test_theta_values_reject_a_zero_of_theta(q0, s, power):
     table = ThetaValues(q0, 12)
     for shift in (-1, 0, 2):
         with pytest.raises(ValueError, match=rf"s = {s} .* s\^2 = q0\^{power} "):
-            table.inverse(s, shift)
+            table.divide(F(1), s, shift)
     # next to a zero, and where only one side of s^2 is a power of q0
     for near in (s * F(101, 100), F(1, 9) if q0 == F(4, 9) else F(2, 9)):
-        assert table.inverse(near, 0) == 1 / table.sum(0, near, 0)
+        assert table.divide(F(5, 2), near, 0) == F(5, 2) / table.sum(0, near, 0)
