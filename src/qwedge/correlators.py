@@ -240,10 +240,8 @@ def h_series(point: EvalPoint, order: int) -> QSeries:
 
 def g_series(point: EvalPoint, order: int) -> QSeries:
     """G = sum over permutations of H."""
-    total = QSeries.zero(order)
-    for perm in itertools.permutations(range(point.n)):
-        total = total + h_series(point.permuted(perm), order)
-    return total
+    return QSeries.sum_of([h_series(point.permuted(perm), order)
+                           for perm in itertools.permutations(range(point.n))])
 
 
 class FWeight(_PointWeight):
@@ -290,10 +288,8 @@ def f_via_blocks(point: EvalPoint, order: int) -> QSeries:
     blockwise products.
     """
     items = tuple(range(1, point.n + 1))
-    total = QSeries.zero(order)
-    for pi in set_partitions(items):
-        total = total + g_series(point.merged(pi), order)
-    return total
+    return QSeries.sum_of([g_series(point.merged(pi), order)
+                           for pi in set_partitions(items)])
 
 
 # -- theta closed forms ------------------------------------------------------------
@@ -494,7 +490,8 @@ def qgauss_sum(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
         raise FormalDivergence(
             f"ratio c/(ab) has q-exponent {z[1]} < 1 and neither numerator terminates")
     work = _qgauss_window(a, b, c, order)
-    total = term = QSeries.one(work)
+    term = QSeries.one(work)
+    terms = [term]
     low, n = 0, 1  # low: the offset of term n
     while True:
         e = n - 1
@@ -508,8 +505,9 @@ def qgauss_sum(a: Monomial, b: Monomial, c: Monomial, order: int) -> QSeries:
         term = term / q_pochhammer(c[0], c[1] + e, 1, work) \
             / q_pochhammer(ONE, n, 1, work)
         term = (term * z[0]).shift(z[1])
-        total = total + term
+        terms.append(term)
         n += 1
+    total = QSeries.sum_of(terms)
     # the term loop only guarantees coefficients up to `order`; cut the padding
     return total.truncate(max(0, int(order - total.offset)))
 
@@ -577,11 +575,12 @@ def verify_poch_telescope(u: Monomial, v_root: Fraction, v_exp: int,
         # (q v)^{two_e / 2} = v_root^{two_e} q^{(1 + v_exp) two_e / 2}
         return QSeries.monomial(v_root ** two_e, F((1 + v_exp) * two_e, 2), work)
 
-    lhs = QSeries.zero(work).shift(F((1 + v_exp) * (1 - 2 * (a + 1)), 2))
-    for i in range(a + 1, b):
-        den = q_pochhammer(u[0], u[1] + a, i - a, work) \
-            * q_pochhammer(uv[0], uv[1] + i, b - i, work)
-        lhs = lhs + qv_half_power(1 - 2 * i) / den
+    # the shifted zero sets the window when the range a < i < b is empty
+    empty = QSeries.zero(work).shift(F((1 + v_exp) * (1 - 2 * (a + 1)), 2))
+    lhs = QSeries.sum_of([empty] + [
+        qv_half_power(1 - 2 * i) / (q_pochhammer(u[0], u[1] + a, i - a, work)
+                                    * q_pochhammer(uv[0], uv[1] + i, b - i, work))
+        for i in range(a + 1, b)])
     d1 = q_pochhammer(u[0], u[1] + a, b - a - 1, work)
     d2 = q_pochhammer(uv[0], uv[1] + a + 1, b - a - 1, work)
     bracket = qv_half_power(3 - 2 * b) / d1 - qv_half_power(1 - 2 * a) / d2

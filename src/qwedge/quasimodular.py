@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import HookMomentWeight, q_bracket
-from .reports import FrozenRecord, Report
+from .reports import FrozenRecord, Report, pairs_report
 from .series import ONE, ZERO, QSeries
 from .special import eisenstein_monomial, xi_value
 
@@ -35,7 +35,8 @@ class InsufficientOrder(FitError):
     def __init__(self, needed: int, have: int):
         self.needed = needed
         self.have = have
-        super().__init__(f"need series coefficients through q^{needed}, have q^{have}")
+        super().__init__(f"order {have} is too low: the fit needs the series "
+                         f"through q^{needed}, order >= {needed}")
 
 
 def weight_monomials(weight: int) -> list[tuple[int, int, int]]:
@@ -50,15 +51,6 @@ def weight_monomials(weight: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _combination(basis, coeffs, order: int) -> QSeries:
-    """sum_i coeffs[i] basis[i] to `order`."""
-    total = QSeries.zero(order)
-    for b, c in zip(basis, coeffs):
-        if c != 0:
-            total = total + c * b
-    return total
-
-
 class QMElement(FrozenRecord):
     """sum_i coeffs[i] G2^a G4^b G6^c over monomials[i] = (a, b, c) of one weight."""
 
@@ -70,8 +62,9 @@ class QMElement(FrozenRecord):
 
     def series(self, order: int) -> QSeries:
         """The element to `order`, on the `eisenstein_monomial` basis."""
-        basis = (eisenstein_monomial(abc, order) for abc in self.monomials)
-        return _combination(basis, self.coeffs, order)
+        return QSeries.sum_of([QSeries.zero(order)] + [
+            c * eisenstein_monomial(abc, order)
+            for abc, c in zip(self.monomials, self.coeffs) if c])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -140,7 +133,7 @@ def fit_series(s: QSeries, weight: int, margin: int = 10) -> QMElement:
         if sol is None:
             raise FitError(f"the weight-{weight} basis is singular on q^0..q^{dim - 1}")
         fitted = QMElement(weight, tuple(monos), tuple(sol))
-        fit = _combination(basis, sol, order).coeffs
+        fit = fitted.series(order).coeffs
     for e, (x, y) in enumerate(zip(fit, target)):
         if x != y:
             raise NotInSpan(weight, e)
@@ -167,7 +160,9 @@ def bracket_weight(ks: tuple[int, ...]) -> int:
 
 
 def verify_bracket_qm(ks: tuple[int, ...], order: int = 30) -> Report:
-    """The q-bracket of prod (p_k - xi(-k)) lies in the expected graded piece."""
+    """The q-bracket of prod (p_k - xi(-k)) lies in the expected graded piece:
+    fitted on its first dim + `BRACKET_MARGIN` coefficients, the fit equals
+    the bracket through q^order."""
     statement = ("q-brackets of shifted hook-moment products are quasimodular of "
                  "weight sum(k_i + 1)")
     ks = tuple(int(k) for k in ks)
@@ -179,19 +174,19 @@ def verify_bracket_qm(ks: tuple[int, ...], order: int = 30) -> Report:
     except NotInSpan as err:
         return Report("bracket-qm", statement, params, "fail",
                       first_mismatch={"exponent": err.exponent})
-    details = {"fit": str(elt)}
-    return Report("bracket-qm", statement, params, "pass",
-                  order_checked=order, details=details)
+    return pairs_report("bracket-qm", statement, params, [({}, b, elt.series(order))],
+                        details={"fit": str(elt)})
 
 
 def verify_derivation_closure(order: int = 30) -> Report:
     """q d/dq maps the weight-w graded piece into the weight-(w+2) piece, for
-    each w in `CLOSURE_WEIGHTS`."""
+    each w in `CLOSURE_WEIGHTS`: each derived monomial is fitted on its first
+    dim + `CLOSURE_MARGIN` coefficients, and the fit equals it through q^order."""
     statement = "the derivation q d/dq raises weight by exactly 2 on the graded ring"
     params = {"weights": list(CLOSURE_WEIGHTS), "order": order, "margin": CLOSURE_MARGIN}
     if order < 0:
         raise ValueError(f"order {order} is negative; the check needs order >= 0")
-    checked = {}
+    checked, pairs = {}, []
     for w in CLOSURE_WEIGHTS:
         for abc in weight_monomials(w):
             d = eisenstein_monomial(abc, order).derive()
@@ -202,5 +197,5 @@ def verify_derivation_closure(order: int = 30) -> Report:
                               first_mismatch={"monomial": list(abc),
                                               "exponent": err.exponent})
             checked[f"D(G2^{abc[0]} G4^{abc[1]} G6^{abc[2]})"] = str(elt)
-    return Report("derivation-closure", statement, params, "pass",
-                  order_checked=order, details=checked)
+            pairs.append(({"monomial": list(abc)}, d, elt.series(order)))
+    return pairs_report("derivation-closure", statement, params, pairs, details=checked)

@@ -5,10 +5,11 @@ single global rational offset.  The coefficients are Python ints `nums` over one
 positive int `den` (c_k = nums[k] / den), kept reduced: gcd(den, *nums) = 1.  Every
 operation works on the ints and reduces once, with a single gcd; `coeffs` is the
 Fraction view of the same coefficients, built on first use.  A quotient a / b is
-one long division, not a product with b.inv(), and `QSeries.sum_of` adds a list
-of series over one common denominator.  Coefficients below the offset are
-exactly zero; only exponents beyond e0+N are unknown.  All arithmetic keeps the
-pessimistic truncation: the result is valid exactly as far as every input was.
+one long division, not a product with b.inv().  `QSeries.sum_of` adds a list of
+series over one common denominator, and a + b is the sum of the two.
+Coefficients below the offset are exactly zero; only exponents beyond e0+N are
+unknown.  All arithmetic keeps the pessimistic truncation: the result is valid
+exactly as far as every input was.
 """
 
 from __future__ import annotations
@@ -204,40 +205,14 @@ class QSeries:
     def __add__(self, other: QSeries) -> QSeries:
         if type(other) is not QSeries:
             return NotImplemented
-        self._check_step(other)
-        gap = _gap(self.offset, other.offset)
-        if gap is None:
-            raise NonIntegerOffsetGap(
-                f"offsets {self.offset} and {other.offset} differ by a non-integer")
-        lo, hi = (self, other) if gap >= 0 else (other, self)
-        base = abs(gap)  # hi's slot 0 sits at lo's slot `base`
-        lo_nums, hi_nums = lo.nums, hi.nums
-        lo_top, hi_top = len(lo_nums) - 1, base + len(hi_nums) - 1
-        n = min(lo_top, hi_top)
-        g = math.gcd(lo.den, hi.den)
-        scale = hi.den // g
-        out = [c * scale for c in lo_nums[: n + 1]]
-        den = lo.den * scale
-        scale = lo.den // g
-        for j, c in enumerate(hi_nums[: max(0, n + 1 - base)], base):
-            out[j] += c * scale
-        if lo_top != hi_top:
-            return _reduced(lo.offset, out, den, self.step)  # a cut window
-        # Both operands are reduced and whole, so a prime of lo.den / g (or of
-        # hi.den / g) divides no sum unless it divides every numerator of lo
-        # (of hi) too: a common factor of the sums and den divides g
-        # (Knuth, TAOCP 4.5.1).
-        if g != 1:
-            g = math.gcd(g, *out)
-            if g != 1:
-                out = [c // g for c in out]
-                den //= g
-        return _series(lo.offset, tuple(out), den, self.step)
+        return QSeries.sum_of([self, other])
 
     @staticmethod
     def sum_of(terms) -> QSeries:
-        """The sum of a nonempty list of series, equal to adding them with `+`
-        one by one, but over one common denominator with one reduction."""
+        """The sum of a nonempty list of series over one common denominator,
+        with one reduction, valid as far as every term is; `a + b` is the sum
+        of the two.  A term on another step raises MixedStep, one whose
+        offset is a non-integer away from the first's NonIntegerOffsetGap."""
         first = terms[0]
         if len(terms) == 1:
             return first

@@ -213,7 +213,6 @@ def verify_counts(n_max: int = 8) -> Report:
         raise ValueError("n_max must be at least 1")
     comps = signed_composition_sums(n_max)
     rows = block_counts(n_max)
-    status = "pass"
     for n in range(1, n_max + 1):
         s1 = s3 = 0
         for ell, count in enumerate(rows[n][1:], 1):
@@ -221,7 +220,8 @@ def verify_counts(n_max: int = 8) -> Report:
             s3 += sign(n, ell) * count * math.factorial(ell - 1)
         s2 = sign(n, 0) * comps[n]
         if s1 != 1 or s2 != 1 or s3 != (1 if n == 1 else 0):
-            status = "fail"
-    return Report("counts", statement, {"n_max": n_max}, status, n_max,
+            return Report("counts", statement, {"n_max": n_max}, "fail",
+                          first_mismatch={"n": n, "sum1": s1, "sum2": s2, "sum3": s3})
+    return Report("counts", statement, {"n_max": n_max}, "pass", n_max,
                   details={"sum1": s1, "sum2": s2, "sum3": s3})
 

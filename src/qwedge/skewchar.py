@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .characters import MultiSeries
@@ -130,14 +131,10 @@ def _partition_expansion(block, ks: tuple[int, ...], N_q: int) -> QSeries:
     """The sum over set partitions mu of {1..len(ks)} of prod_{B in mu}
     block(|B|, 2 sum_{i in B} k_i, N_q): over `g_series` blocks the closed
     form, over `h_series` blocks the log-derivative expansion."""
-    total = None
-    for mu in set_partitions(tuple(range(len(ks)))):
-        term = None
-        for B in mu:
-            fac = block(len(B), 2 * sum(ks[i] for i in B), N_q)
-            term = fac if term is None else term * fac
-        total = term if total is None else total + term
-    return total
+    return QSeries.sum_of([
+        functools.reduce(operator.mul,
+                         (block(len(B), 2 * sum(ks[i] for i in B), N_q) for B in mu))
+        for mu in set_partitions(tuple(range(len(ks))))])
 
 
 def npoint_skew_closed(n: int, N_z: int, N_q: int) -> dict[tuple[int, ...], QSeries]:

@@ -226,10 +226,36 @@ def test_a_small_order_is_rejected_or_checked(capsys, identity):
             assert rep["order_checked"] >= 0, (order, rep)
 
 
+def _block_counts_plus_one_at_row_3(block_counts):
+    def patched(n_max):
+        rows = [list(row) for row in block_counts(n_max)]
+        rows[3][1] += 1
+        return rows
+    return patched
+
+
+def _numeric_plus_one(numeric):
+    def patched(*args):
+        value, drift = numeric(*args)
+        return value + 1, drift
+    return patched
+
+
 # the ids whose check compares no two series, so the planted error below
-# cannot reach them: fits, tolerances, constants and counts
-UNCOMPARED = {"bracket-qm", "counts", "cyclic-identity", "derivation-closure",
-              "diffeq-f", "diffeq-h", "phi-vanish", "residue", "xi-binomial"}
+# cannot reach them: tolerances, constants and counts.  Each has a planted
+# error of its own: the function its check reads, how to break it, and the
+# first_mismatch fields the failing report must carry.
+UNCOMPARED_PLANTS = {
+    "counts": ("setparts.block_counts", _block_counts_plus_one_at_row_3, {"n": 3}),
+    "xi-binomial": ("special.xi_value", lambda f: lambda s: f(s) + (s == -1), {"n": 2}),
+    "cyclic-identity": ("qdiff.stabilizer_multiplicity", lambda f: lambda v: 2 * f(v),
+                        {}),
+    "diffeq-f": ("qdiff.f_numeric", _numeric_plus_one, {}),
+    "diffeq-h": ("qdiff.h_numeric", _numeric_plus_one, {}),
+    "phi-vanish": ("qdiff.phi_sum", lambda f: lambda *args: f(*args) + 1, {}),
+    "residue": ("qdiff.close_u", lambda f: lambda *args: 2 * f(*args), {}),
+}
+UNCOMPARED = set(UNCOMPARED_PLANTS)
 
 
 @pytest.fixture
@@ -278,6 +304,20 @@ def test_a_planted_error_fails_every_comparing_id(capsys, planted, identity):
 def test_a_planted_error_leaves_the_uncompared_ids_passing(capsys, planted, identity):
     code, out = run_main(capsys, "verify", identity)
     assert (code, json.loads(out)["status"]) == (0, "pass")
+
+
+@pytest.mark.parametrize("identity", sorted(UNCOMPARED))
+def test_a_planted_error_fails_each_uncompared_id(capsys, monkeypatch, identity):
+    """At its defaults an uncompared id fails once the function it reads is
+    broken, and a failing report names where."""
+    target, wrap, where = UNCOMPARED_PLANTS[identity]
+    module, name = target.split(".")
+    module = import_module(f"qwedge.{module}")
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code, out = run_main(capsys, "verify", identity)
+    rep = json.loads(out)
+    assert (code, rep["status"]) == (1, "fail"), rep
+    assert where.items() <= rep.get("first_mismatch", {}).items(), rep
 
 
 @pytest.mark.parametrize("argv", [["--order", "0"], ["--order", "1"],

@@ -80,7 +80,7 @@ def test_fit_rejects_terms_below_q0():
 
 def test_fit_insufficient_order():
     g2 = eisenstein_g(2, 5)
-    with pytest.raises(InsufficientOrder):
+    with pytest.raises(InsufficientOrder, match="order 5 is too low"):
         fit_series(g2, 2, margin=10)
 
 
@@ -128,6 +128,23 @@ def test_bracket_failure_reported():
     b = unshifted_p3_bracket(24)
     with pytest.raises(NotInSpan):
         fit_series(b, 4, margin=10)
+
+
+def test_a_fit_is_checked_past_its_window(monkeypatch):
+    """One unit at q^24, past the fit windows (which end by q^11 here), fails
+    both fit checks at order 24 there."""
+    unit = QSeries.monomial(1, 24, 0)
+    bracket, monomial = quasimodular.q_bracket, quasimodular.eisenstein_monomial
+    monkeypatch.setattr(quasimodular, "q_bracket",
+                        lambda weight, order: bracket(weight, order) + unit)
+    r = verify_bracket_qm((1, 1), order=24)
+    where = r.first_mismatch
+    assert (r.status, where["exponent"], where["lhs"] - where["rhs"]) == ("fail", 24, 1)
+    monkeypatch.setattr(quasimodular, "eisenstein_monomial",
+                        lambda abc, order: monomial(abc, order) + unit
+                        if order == 24 else monomial(abc, order))
+    r = verify_derivation_closure(order=24)
+    assert (r.status, r.first_mismatch["exponent"]) == ("fail", 24)
 
 
 # -- the shared basis against monomials built afresh ------------------------------

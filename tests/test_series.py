@@ -544,16 +544,15 @@ def series_list(draw):
 @given(series_list(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_sum_of_is_adding_one_by_one(terms, data):
-    """QSeries.sum_of adds over one denominator what `+` adds pairwise, stored
-    alike, and fails where `+` fails: a term on another step, or a term off
-    the grid, whichever comes first."""
-    assert exact(QSeries.sum_of(terms)) == exact(functools.reduce(operator.add, terms))
+    """QSeries.sum_of equals the Fraction reference added one by one, and
+    fails at the first stray term: MixedStep for a term on another step,
+    NonIntegerOffsetGap for a term off the grid."""
+    assert_same(QSeries.sum_of(terms), functools.reduce(operator.add, map(as_ref, terms)))
     assert QSeries.sum_of(terms[:1]) is terms[0]
     base = terms[0]
-    strays = [QSeries(base.offset, [1, 2], F(1) if base.step != 1 else F(1, 2)),
-              QSeries(base.offset + F(1, 3), [1, 2], base.step)]
-    for stray in data.draw(st.lists(st.sampled_from(strays), min_size=1, max_size=2)):
-        terms.insert(data.draw(st.integers(min_value=1, max_value=len(terms))), stray)
-    want = raised(lambda: functools.reduce(operator.add, terms))
-    assert want in (MixedStep, NonIntegerOffsetGap)
+    strays = {MixedStep: QSeries(base.offset, [1, 2], F(1) if base.step != 1 else F(1, 2)),
+              NonIntegerOffsetGap: QSeries(base.offset + F(1, 3), [1, 2], base.step)}
+    for kind in data.draw(st.lists(st.sampled_from(list(strays)), min_size=1, max_size=2)):
+        terms.insert(data.draw(st.integers(min_value=1, max_value=len(terms))), strays[kind])
+    want = next(kind for t in terms for kind, stray in strays.items() if t is stray)
     assert raised(lambda: QSeries.sum_of(terms)) is want
