@@ -320,7 +320,7 @@ def _eta_multi(K: int, grade) -> MultiSeries:
     for c in qs.coeffs:
         if e1 <= grade:
             terms[(ZERO, e1) + (ZERO,) * (K - 1)] = c
-        e1 += qs.step
+        e1 += 1
     return MultiSeries(K, grade, terms)
 
 

@@ -3,7 +3,8 @@
 Verbs:
   verify <id>    one identity check; report object on stdout, exit 0/1
   series <name>  a truncated series as JSON (eta, theta, eisenstein, xi,
-                 omega, v-char, psi, bracket)
+                 omega, v-char, psi, bracket); theta is Jacobi's theta_3 in
+                 the nome, sum_n q^{n^2}
   skew-npoint    the closed or brute odd-variable n-point polynomial
   suite          every identity once at its default parameters, as a JSON array
 

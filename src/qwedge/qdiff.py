@@ -429,7 +429,8 @@ def verify_residue(n: int, k: int, m: int, q0=F(1, 16), terms: int = 60) -> Repo
     estimate = (d1 * g2 - d2 * g1) / (d1 - d2)
     rest_val = _u_value(rest, table)
     rest_prod = math.prod((s * s for s in rest), start=ONE)
-    expected = (-1) ** m * root ** (m * m) * m ** (k - 1) * rest_val / rest_prod ** m
+    sign = -1 if m % 2 else 1
+    expected = sign * root ** (m * m) * m ** (k - 1) * rest_val / rest_prod ** m
     diff = abs(estimate - expected)
     bound = RESIDUE_TOL * abs(expected)
     return Report("residue", statement, params,

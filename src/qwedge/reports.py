@@ -103,7 +103,11 @@ def pairs_report(identity: str, statement: str, params: dict, pairs: list,
     type, QSeries or MultiSeries: pass with `details` when every pair is equal,
     else fail at the first unequal pair, its label dict merged into
     `lhs.first_mismatch(rhs)`.  `order_checked` defaults to the least common
-    QSeries order over the pairs."""
+    QSeries order over the pairs.  An empty list compares nothing, and raises
+    a ValueError that names the identity."""
+    if not pairs:
+        raise ValueError(f"{identity}: no pairs to compare, so the check would "
+                         "pass without comparing anything")
     if order_checked is None:
         order_checked = int(min(min(lhs.upper, rhs.upper) for _, lhs, rhs in pairs))
     for label, lhs, rhs in pairs:

@@ -33,10 +33,6 @@ class ZeroLeadingCoefficient(SeriesError):
     """Inversion (or division) requires a nonzero coefficient at the offset."""
 
 
-class MixedStep(SeriesError):
-    """Series on different base-variable steps (q vs q^{1/2}) must not be combined."""
-
-
 def _as_frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -56,24 +52,22 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
     return None
 
 
-def _fill(s: QSeries, offset: Fraction, nums: tuple[int, ...], den: int,
-          step: Fraction) -> QSeries:
+def _fill(s: QSeries, offset: Fraction, nums: tuple[int, ...], den: int) -> QSeries:
     if not nums:
         raise ValueError("QSeries needs at least one coefficient slot")
     _put_offset(s, offset)
     _put_nums(s, nums)
     _put_den(s, den)
-    _put_step(s, step)
     _put_coeffs(s, None)
     return s
 
 
-def _series(offset: Fraction, nums: tuple[int, ...], den: int, step: Fraction) -> QSeries:
+def _series(offset: Fraction, nums: tuple[int, ...], den: int) -> QSeries:
     """The series sum_k nums[k]/den q^{offset+k}; nums over den must be reduced, den > 0."""
-    return _fill(_new(QSeries), offset, nums, den, step)
+    return _fill(_new(QSeries), offset, nums, den)
 
 
-def _reduced(offset: Fraction, nums, den: int, step: Fraction) -> QSeries:
+def _reduced(offset: Fraction, nums, den: int) -> QSeries:
     """`_series` after dividing out gcd(den, *nums); den may be negative."""
     g = math.gcd(den, *nums)
     if den < 0:
@@ -81,7 +75,7 @@ def _reduced(offset: Fraction, nums, den: int, step: Fraction) -> QSeries:
     if g != 1:
         nums = [c // g for c in nums]
         den //= g
-    return _series(offset, tuple(nums), den, step)
+    return _series(offset, tuple(nums), den)
 
 
 def _gap(lo: Fraction, hi: Fraction) -> int | None:
@@ -94,16 +88,20 @@ def _gap(lo: Fraction, hi: Fraction) -> int | None:
 
 
 class QSeries:
-    __slots__ = ("offset", "nums", "den", "step", "_coeffs")
+    __slots__ = ("offset", "nums", "den", "_coeffs")
 
-    def __init__(self, offset, coeffs, step=ONE):
+    # every series is on the integer grid; perfbench/workloads.py still reads
+    # `series.step`, so the constant stays until that reader goes
+    step = ONE
+
+    def __init__(self, offset, coeffs):
         """q^offset * sum_k coeffs[k] q^k; coefficients may be ints, Fractions or
         strings."""
         coeffs = [_as_frac(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in coeffs))
         # over the lcm of reduced denominators the numerators are already coprime to it
         nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
-        _fill(self, _as_frac(offset), nums, den, _as_frac(step))
+        _fill(self, _as_frac(offset), nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QSeries is immutable; cannot set {name!r}")
@@ -133,32 +131,27 @@ class QSeries:
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
-    def from_coeffs(coeffs, offset=ZERO, step=ONE) -> QSeries:
-        return QSeries(offset, coeffs, step)
+    def from_coeffs(coeffs, offset=ZERO) -> QSeries:
+        return QSeries(offset, coeffs)
 
     @staticmethod
-    def from_nums(nums, den: int, offset=ZERO, step=ONE) -> QSeries:
+    def from_nums(nums, den: int, offset=ZERO) -> QSeries:
         """sum_k nums[k]/den q^{offset+k} for ints nums and a nonzero int den."""
-        return _reduced(_as_frac(offset), nums, den, _as_frac(step))
+        return _reduced(_as_frac(offset), nums, den)
 
     @staticmethod
-    def zero(order: int, offset=ZERO, step=ONE) -> QSeries:
-        return _series(_as_frac(offset), (0,) * (order + 1), 1, _as_frac(step))
+    def zero(order: int, offset=ZERO) -> QSeries:
+        return _series(_as_frac(offset), (0,) * (order + 1), 1)
 
     @staticmethod
-    def const(c, order: int, step=ONE) -> QSeries:
-        return QSeries.monomial(c, ZERO, order, step)
+    def one(order: int) -> QSeries:
+        return QSeries.monomial(ONE, ZERO, order)
 
     @staticmethod
-    def one(order: int, step=ONE) -> QSeries:
-        return QSeries.const(ONE, order, step)
-
-    @staticmethod
-    def monomial(c, exponent, order: int, step=ONE) -> QSeries:
+    def monomial(c, exponent, order: int) -> QSeries:
         """c * q^exponent, known to relative order `order`."""
         c = _as_frac(c)
-        return _series(_as_frac(exponent), (c.numerator,) + (0,) * order, c.denominator,
-                       _as_frac(step))
+        return _series(_as_frac(exponent), (c.numerator,) + (0,) * order, c.denominator)
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -180,11 +173,11 @@ class QSeries:
             return self
         if order < 0:
             raise ValueError("QSeries needs at least one coefficient slot")
-        return _reduced(self.offset, self.nums[: order + 1], self.den, self.step)
+        return _reduced(self.offset, self.nums[: order + 1], self.den)
 
     def shift(self, delta) -> QSeries:
         """Multiply by the monomial q^delta (exact)."""
-        return _series(self.offset + _as_frac(delta), self.nums, self.den, self.step)
+        return _series(self.offset + _as_frac(delta), self.nums, self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -198,10 +191,6 @@ class QSeries:
 
     # -- ring operations ------------------------------------------------------
 
-    def _check_step(self, other: QSeries):
-        if self.step is not other.step and self.step != other.step:
-            raise MixedStep(f"cannot combine step {self.step} with step {other.step}")
-
     def __add__(self, other: QSeries) -> QSeries:
         if type(other) is not QSeries:
             return NotImplemented
@@ -211,14 +200,13 @@ class QSeries:
     def sum_of(terms) -> QSeries:
         """The sum of a nonempty list of series over one common denominator,
         with one reduction, valid as far as every term is; `a + b` is the sum
-        of the two.  A term on another step raises MixedStep, one whose
-        offset is a non-integer away from the first's NonIntegerOffsetGap."""
+        of the two.  A term whose offset is a non-integer away from the
+        first's raises NonIntegerOffsetGap."""
         first = terms[0]
         if len(terms) == 1:
             return first
         gaps = []  # each term's offset minus the first's
         for t in terms:
-            first._check_step(t)
             gap = _gap(first.offset, t.offset)
             if gap is None:
                 raise NonIntegerOffsetGap(
@@ -233,10 +221,10 @@ class QSeries:
             for j, c in enumerate(t.nums[: max(0, top - gap + 1)], gap - low):
                 if c:
                     out[j] += c * scale
-        return _reduced(first.offset + low if low else first.offset, out, den, first.step)
+        return _reduced(first.offset + low if low else first.offset, out, den)
 
     def __neg__(self) -> QSeries:
-        return _series(self.offset, tuple(-c for c in self.nums), self.den, self.step)
+        return _series(self.offset, tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: QSeries) -> QSeries:
         return self + (-other)
@@ -245,9 +233,8 @@ class QSeries:
         if type(other) is not QSeries:
             if isinstance(other, (int, Fraction)):  # an int is its own numerator, over 1
                 return _reduced(self.offset, [other.numerator * x for x in self.nums],
-                                self.den * other.denominator, self.step)
+                                self.den * other.denominator)
             return NotImplemented
-        self._check_step(other)
         a, b = self.nums, other.nums
         n = min(len(a), len(b))
         if n == 1:  # one slot: no loop
@@ -268,13 +255,13 @@ class QSeries:
             offset = self.offset
         else:
             offset = self.offset + other.offset
-        return _reduced(offset, out, self.den * other.den, self.step)
+        return _reduced(offset, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> QSeries:
         """1 / self, by the long division of `/`."""
-        return QSeries.one(self.trunc_order, self.step) / self
+        return QSeries.one(self.trunc_order) / self
 
     def __truediv__(self, other) -> QSeries:
         """self / other by long division, valid as far as both are: a sparse
@@ -296,7 +283,6 @@ class QSeries:
         if b0 == 0:
             raise ZeroLeadingCoefficient("cannot divide by a series with a zero "
                                          "coefficient at its offset")
-        self._check_step(other)
         n = min(len(self.nums), len(b))
         steps = []  # (j, p_j, d_j) for the nonzero b_j, j >= 1
         for j, c in enumerate(b[1:n], 1):
@@ -322,12 +308,12 @@ class QSeries:
         big = math.lcm(*E)
         out = [other.den * r * (big // e) for r, e in zip(R, E)]
         offset = self.offset - other.offset if other.offset else self.offset
-        return _reduced(offset, out, self.den * b0 * big, self.step)
+        return _reduced(offset, out, self.den * b0 * big)
 
     def __pow__(self, n: int) -> QSeries:
         if n < 0:
             return self.inv() ** (-n)
-        result = QSeries.one(self.trunc_order, self.step)
+        result = QSeries.one(self.trunc_order)
         base = self
         while n:
             if n & 1:
@@ -337,16 +323,10 @@ class QSeries:
         return result
 
     def derive(self) -> QSeries:
-        """D = q d/dq: c_k -> step*(offset+k) c_k.
-
-        For step-1/2 series the slot exponent is in the base variable u = q^{1/2},
-        so the q-derivative picks up the extra factor of step.
-        """
-        sn, sd = self.step.numerator, self.step.denominator
+        """D = q d/dq: c_k -> (offset+k) c_k."""
         on, od = self.offset.numerator, self.offset.denominator
-        return _reduced(self.offset,
-                        [sn * (on + k * od) * c for k, c in enumerate(self.nums)],
-                        self.den * sd * od, self.step)
+        return _reduced(self.offset, [(on + k * od) * c for k, c in enumerate(self.nums)],
+                        self.den * od)
 
     # -- comparison -----------------------------------------------------------
 
@@ -367,9 +347,9 @@ class QSeries:
     def first_mismatch(self, other: QSeries) -> dict | None:
         """{"exponent", "lhs", "rhs"} at the first disagreement on the common
         range, self on the left; None where there is none.  Offsets a non-integer
-        apart, or on two steps, disagree at the lower one, with no coefficients."""
+        apart disagree at the lower one, with no coefficients."""
         gap = _gap(self.offset, other.offset)
-        if gap is None or self.step != other.step:
+        if gap is None:
             return {"exponent": min(self.offset, other.offset), "lhs": None, "rhs": None}
         # both on the grid off, off+1, ..., off+n, zero-padded below their offsets
         off = self.offset if gap >= 0 else other.offset
@@ -387,10 +367,7 @@ class QSeries:
     # -- serialization ----------------------------------------------------------
 
     def to_jsonable(self) -> dict:
-        d = {"offset": str(self.offset), "coeffs": [str(c) for c in self.coeffs]}
-        if self.step != 1:
-            d["base_step"] = str(self.step)
-        return d
+        return {"offset": str(self.offset), "coeffs": [str(c) for c in self.coeffs]}
 
     def __repr__(self):
         shown = ", ".join(str(c) for c in self.coeffs[:8])
@@ -401,7 +378,7 @@ class QSeries:
 
 # results are built through the slot descriptors, past the immutable __setattr__
 _new = object.__new__
-_put_offset, _put_nums, _put_den, _put_step, _put_coeffs = (
+_put_offset, _put_nums, _put_den, _put_coeffs = (
     QSeries.__dict__[name].__set__ for name in QSeries.__slots__)
 
 
@@ -435,7 +412,7 @@ def q_pochhammer(c, j, n: int | None, order: int) -> QSeries:
             nums[m] *= x
         den, offset = den * d, offset + min(e, 0)
     rel = order - offset
-    return _reduced(Fraction(offset), nums[: rel + 1] if 0 <= rel < top else nums, den, ONE)
+    return _reduced(Fraction(offset), nums[: rel + 1] if 0 <= rel < top else nums, den)
 
 
 _EULER: dict[int, QSeries] = {}

@@ -125,14 +125,14 @@ def eisenstein_monomial(abc: tuple[int, int, int], order: int) -> QSeries:
 
 
 def theta00(order: int) -> QSeries:
-    """sum_n q^{n^2/2} on the half-integer lattice (step 1/2)."""
+    """Jacobi's theta_3 in the nome, sum_n q^{n^2}."""
     coeffs = [ZERO] * (order + 1)
     coeffs[0] = ONE
     n = 1
     while n * n <= order:
         coeffs[n * n] = F(2)
         n += 1
-    return QSeries(ZERO, tuple(coeffs), F(1, 2))
+    return QSeries(ZERO, coeffs)
 
 
 # -- the odd theta function and its invariant derivatives ------------------------
@@ -256,17 +256,21 @@ def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeri
     return lattice.sum(k, F(s), shift) * lattice.factor
 
 
-def theta_product_series(s: Fraction, order: int) -> QSeries:
-    """Product form at x = s^2 (no q-shift):
-    (q)_inf^{-2} (s - 1/s) (s^2 q; q)_inf (q / s^2; q)_inf.
+def theta_product_series(s: Fraction, order: int, shift: int = 0) -> QSeries:
+    """Theta at x = s^2 q^shift in product form, valid to relative `order`:
+    (q)_inf^{-2} (x^{1/2} - x^{-1/2}) (x q; q)_inf (q / x; q)_inf, with
+    x^{1/2} = s q^{shift/2}.  Each factor holds `order` slots past its offset,
+    and the offsets add up to the lattice sum's -shift^2/2.
     """
     s = F(s)
     if s <= 0:
         raise ValueError("s must be a positive rational")
     e2 = euler_product(order).inv() ** 2
-    a = q_pochhammer(s * s, 1, None, order)
-    b = q_pochhammer(1 / (s * s), 1, None, order)
-    return (s - 1 / s) * e2 * a * b
+    roots = QSeries.sum_of([QSeries.monomial(s, F(shift, 2), order),
+                            QSeries.monomial(-1 / s, F(-shift, 2), order)])
+    a = q_pochhammer(s * s, shift + 1, None, order)
+    b = q_pochhammer(1 / (s * s), 1 - shift, None, order)
+    return e2 * roots * a * b
 
 
 class ThetaValues(_ThetaTable):
@@ -385,9 +389,10 @@ def verify_theta_derivs(m_values=(1, 2, 3), order: int = 30) -> Report:
 def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,
                         order: int = 24) -> Report:
     """Theta(q^m x) = (-1)^m q^{-m^2/2} x^{-m} Theta(x) at x = s^2 q^shift,
-    compared as lattice sums: the (q)_inf^{-3} of both sides cancels.  Both
-    sides start at q^{-(shift+m)^2/2}, so the table is built that much past
-    `order` (rounded up) and the check runs through q^order."""
+    by two routes: the left side is the lattice sum at shift + m, the right
+    side the product form at shift.  Both sides start at q^{-(shift+m)^2/2},
+    so both are formed that much past `order` (rounded up) and the check
+    runs through q^order."""
     statement = "theta satisfies its first-order multiplicative difference equation"
     if m == 0:
         raise ValueError("m = 0 makes the difference equation Theta(x) = Theta(x)")
@@ -397,9 +402,9 @@ def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,
     if s == 1:
         raise ValueError(f"s = 1 puts x = q^{shift} and q^m x on zeros of Theta, so "
                          "both sides are identically zero")
-    lattice = ThetaLattice(order + ((shift + m) ** 2 + 1) // 2)
-    lhs = lattice.sum(0, s, shift + m)
-    rhs = lattice.sum(0, s, shift).shift(-F(m * m, 2) - shift * m)
+    work = order + ((shift + m) ** 2 + 1) // 2
+    lhs = theta_deriv_series(0, s, work, shift + m)
+    rhs = theta_product_series(s, work, shift).shift(-F(m * m, 2) - shift * m)
     rhs = (-1 if m % 2 else 1) * s ** (-2 * m) * rhs
     return series_report("theta-diffeq", statement,
                          {"m": m, "s": s, "shift": shift, "order": order}, lhs, rhs)

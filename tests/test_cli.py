@@ -26,10 +26,10 @@ def test_series_eisenstein_matches_documented_output(capsys):
     assert out == '{"offset":"0","coeffs":["-1/24","1","3","4","7"]}\n'
 
 
-def test_series_theta_has_half_step(capsys):
+def test_series_theta_is_theta3_in_the_nome(capsys):
     code, out = run_main(capsys, "series", "theta", "--order", "4")
     assert code == 0
-    assert json.loads(out)["base_step"] == "1/2"
+    assert out == '{"offset":"0","coeffs":["1","2","0","0","2"]}\n'
 
 
 def test_series_psi_shape(capsys):
@@ -271,7 +271,7 @@ def planted(monkeypatch):
         if isinstance(rhs, MultiSeries):
             top = min(lhs.grade, rhs.grade)
             return MultiSeries.monomial(rhs.K, top, (0, top) + (0,) * (rhs.K - 1))
-        return QSeries.monomial(1, min(lhs.upper, rhs.upper), 0, rhs.step)
+        return QSeries.monomial(1, min(lhs.upper, rhs.upper), 0)
 
     original = reports.pairs_report
 

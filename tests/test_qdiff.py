@@ -352,6 +352,22 @@ def test_residue_holds_far_from_the_unit_divisor(n, k, m):
     assert rep.ok, rep.tolerance_info
 
 
+def test_residue_stays_exact_at_negative_m(monkeypatch):
+    """(-1) ** m is a float for m < 0; the residue's estimate, expectation,
+    difference and bound must all stay Fractions there."""
+    seen = []
+
+    def exact_abs(x):
+        assert isinstance(x, F), x
+        seen.append(x)
+        return x if x >= 0 else -x
+
+    monkeypatch.setattr(qdiff, "abs", exact_abs, raising=False)
+    assert verify_residue(1, 1, -1).ok
+    assert verify_residue(2, 1, -3).ok
+    assert seen
+
+
 def test_residue_estimate_is_free_of_the_euler_truncation():
     # U is formed from bare lattice sums, so the cut Euler product (off by
     # about 3 q0^{terms+1}) does not reach the estimate

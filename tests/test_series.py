@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qwedge import series
 from qwedge.reports import series_report
 from qwedge.series import (
-    MixedStep,
     NonIntegerOffsetGap,
     QSeries,
     SeriesError,
@@ -25,31 +24,26 @@ from qwedge.series import (
 F = Fraction
 
 
-def S(coeffs, offset=0, step=1):
-    return QSeries.from_coeffs([F(c) for c in coeffs], F(offset), F(step))
+def S(coeffs, offset=0):
+    return QSeries.from_coeffs([F(c) for c in coeffs], F(offset))
 
 
 def eval_at(s, q0):
     """The known coefficients of s summed at an exact rational q0, which must
-    have the exact root that a step of 1/2 or a half-integer offset needs."""
-    base = q0
-    if s.step != 1:
-        base = rational_sqrt(q0) if s.step == F(1, 2) else None
-        if base is None:
-            raise SeriesError(f"cannot evaluate step-{s.step} series at {q0}")
+    have the exact root that a half-integer offset needs."""
     off = s.offset
     if off.denominator == 1:
-        scale = base ** off.numerator
+        scale = q0 ** off.numerator
     else:
-        root = rational_sqrt(base) if off.denominator == 2 else None
+        root = rational_sqrt(q0) if off.denominator == 2 else None
         if root is None:
-            raise SeriesError(f"cannot evaluate offset {off} at {base}")
+            raise SeriesError(f"cannot evaluate offset {off} at {q0}")
         scale = root ** (2 * off).numerator
-    return scale * sum((c * base ** k for k, c in enumerate(s.coeffs)), F(0))
+    return scale * sum((c * q0 ** k for k, c in enumerate(s.coeffs)), F(0))
 
 
 def from_jsonable(d):
-    return QSeries(F(d["offset"]), d["coeffs"], F(d.get("base_step", "1")))
+    return QSeries(F(d["offset"]), d["coeffs"])
 
 
 # -- frozen oracles ------------------------------------------------------------
@@ -101,8 +95,8 @@ def test_pochhammer_equals_the_product_of_binomial_factors(c):
         for n in (None, 0, 1, 2, 5):
             for order in (0, 1, 3, 8, 24):
                 got, want = q_pochhammer(c, j, n, order), _binomial_product(c, j, n, order)
-                assert (got.offset, got.den, got.nums, got.step) == \
-                    (want.offset, want.den, want.nums, want.step), (j, n, order)
+                assert (got.offset, got.den, got.nums) == \
+                    (want.offset, want.den, want.nums), (j, n, order)
 
 
 def test_euler_product_is_the_product_of_one_minus_q_powers():
@@ -121,8 +115,7 @@ def test_euler_product_is_formed_once_per_order(monkeypatch):
         e = euler_product(order)
         assert euler_product(order) is e, order
         fresh = q_pochhammer(1, 1, None, order)
-        assert (e.offset, e.den, e.nums, e.step) == \
-            (fresh.offset, fresh.den, fresh.nums, fresh.step), order
+        assert (e.offset, e.den, e.nums) == (fresh.offset, fresh.den, fresh.nums), order
     assert sorted(series._EULER) == [0, 1, 7, 24]
 
 
@@ -190,13 +183,6 @@ def test_add_rejects_noninteger_gap():
         S([1], offset=0) + S([1], offset=F(1, 2))
 
 
-def test_mixed_step_rejected():
-    with pytest.raises(MixedStep):
-        S([1, 2]) + S([1, 2], step=F(1, 2))
-    with pytest.raises(MixedStep):
-        S([1, 2]) * S([1, 2], step=F(1, 2))
-
-
 def test_mul_offsets_add():
     a = S([2, 1], offset=F(1, 2))
     b = S([3, 1], offset=F(-3, 2))
@@ -209,8 +195,8 @@ def test_derive_is_q_d_dq():
     s = S([5, 1, 1], offset=-2)
     d = s.derive()
     assert list(d.coeffs) == [-10, -1, 0]
-    half = S([0, 1], offset=0, step=F(1, 2))  # the series q^{1/2}
-    assert half.derive().coeffs[1] == F(1, 2)
+    half = S([1, 1], offset=F(1, 2))  # q^{1/2} + q^{3/2}
+    assert list(half.derive().coeffs) == [F(1, 2), F(3, 2)]
 
 
 def test_eval_at_rational_point():
@@ -220,11 +206,6 @@ def test_eval_at_rational_point():
     assert eval_at(t, F(1, 9)) == F(1, 3)
     with pytest.raises(SeriesError):
         eval_at(t, F(1, 2))
-
-
-def test_eval_half_step_series():
-    u = S([0, 1], step=F(1, 2))  # u = q^{1/2}
-    assert eval_at(u, F(1, 4)) == F(1, 2)
 
 
 def test_coefficient_below_offset_is_zero():
@@ -249,19 +230,13 @@ def test_first_mismatch():
     b = S([1, 2, 4, 9])
     assert a.first_mismatch(b) == {"exponent": 2, "lhs": 3, "rhs": 4}
     assert a.first_mismatch(S([1, 2])) is None
-
-
-def test_first_mismatch_across_steps():
-    """Series on two steps share no grid: they disagree at the lower offset,
-    with no coefficients, as series a non-integer apart do."""
-    a, b = S([1, 2]), S([1, 2], step=F(1, 2))
-    assert a != b
-    none = {"lhs": None, "rhs": None}
-    assert a.first_mismatch(b) == b.first_mismatch(a) == {"exponent": 0, **none}
-    assert S([1], offset=1).first_mismatch(S([1], offset=F(1, 2), step=F(1, 2))) \
-        == {"exponent": F(1, 2), **none}
-    rep = series_report("x", "y", {}, a, b)
-    assert (rep.status, rep.first_mismatch) == ("fail", {"exponent": 0, **none})
+    # offsets a non-integer apart share no grid: they disagree at the lower
+    # offset, with no coefficients
+    c, h = S([1], offset=1), S([1], offset=F(1, 2))
+    none = {"exponent": F(1, 2), "lhs": None, "rhs": None}
+    assert c != h and c.first_mismatch(h) == h.first_mismatch(c) == none
+    rep = series_report("x", "y", {}, c, h)
+    assert (rep.status, rep.first_mismatch) == ("fail", none)
 
 
 def test_json_round_trip():
@@ -269,8 +244,6 @@ def test_json_round_trip():
     d = s.to_jsonable()
     assert d == {"offset": "1/2", "coeffs": ["-1/24", "1", "3"]}
     assert from_jsonable(d) == s
-    h = S([1], step=F(1, 2))
-    assert h.to_jsonable()["base_step"] == "1/2"
 
 
 def test_pow_matches_repeated_mul():
@@ -346,8 +319,8 @@ def test_rational_sqrt(n):
 # QSeries used before it moved to integer numerators over one denominator.
 
 class Ref:
-    def __init__(self, offset, coeffs, step):
-        self.offset, self.coeffs, self.step = F(offset), [F(c) for c in coeffs], F(step)
+    def __init__(self, offset, coeffs):
+        self.offset, self.coeffs = F(offset), [F(c) for c in coeffs]
 
     @property
     def upper(self):
@@ -362,13 +335,13 @@ class Ref:
             for k, c in enumerate(src.coeffs):
                 if 0 <= base + k <= n:
                     out[base + k] += c
-        return Ref(off, out, self.step)
+        return Ref(off, out)
 
     def __neg__(self):
-        return Ref(self.offset, [-c for c in self.coeffs], self.step)
+        return Ref(self.offset, [-c for c in self.coeffs])
 
     def scale(self, c):
-        return Ref(self.offset, [c * x for x in self.coeffs], self.step)
+        return Ref(self.offset, [c * x for x in self.coeffs])
 
     def __mul__(self, other):
         n = min(len(self.coeffs), len(other.coeffs)) - 1
@@ -376,7 +349,7 @@ class Ref:
         for i, a in enumerate(self.coeffs[: n + 1]):
             for j, b in enumerate(other.coeffs[: n + 1 - i]):
                 out[i + j] += a * b
-        return Ref(self.offset + other.offset, out, self.step)
+        return Ref(self.offset + other.offset, out)
 
     def inv(self):
         c0, n = self.coeffs[0], len(self.coeffs) - 1
@@ -384,38 +357,36 @@ class Ref:
         for k in range(1, n + 1):
             out[k] = -sum((self.coeffs[j] * out[k - j] for j in range(1, k + 1)),
                           F(0)) / c0
-        return Ref(-self.offset, out, self.step)
+        return Ref(-self.offset, out)
 
     def pow(self, e):
         base = self.inv() if e < 0 else self
-        out = Ref(0, [1] + [0] * (len(self.coeffs) - 1), self.step)
+        out = Ref(0, [1] + [0] * (len(self.coeffs) - 1))
         for _ in range(abs(e)):
             out = out * base
         return out
 
     def derive(self):
-        return Ref(self.offset, [self.step * (self.offset + k) * c
-                                 for k, c in enumerate(self.coeffs)], self.step)
+        return Ref(self.offset, [(self.offset + k) * c for k, c in enumerate(self.coeffs)])
 
     def truncate(self, order):
-        return Ref(self.offset, self.coeffs[: order + 1], self.step)
+        return Ref(self.offset, self.coeffs[: order + 1])
 
     def shift(self, delta):
-        return Ref(self.offset + delta, self.coeffs, self.step)
+        return Ref(self.offset + delta, self.coeffs)
 
     def eval_at(self, root):
-        # q0 = root^4 with root > 0, so q0^{step (offset + k)} is a power of root here
-        return sum((c * root ** int(4 * self.step * (self.offset + k))
+        # q0 = root^4 with root > 0, so q0^{offset + k} is a power of root here
+        return sum((c * root ** int(4 * (self.offset + k))
                     for k, c in enumerate(self.coeffs)), F(0))
 
 
 def as_ref(s: QSeries) -> Ref:
-    return Ref(s.offset, s.coeffs, s.step)
+    return Ref(s.offset, s.coeffs)
 
 
 def assert_same(got: QSeries, want: Ref):
-    assert (got.offset, got.step, got.trunc_order) == \
-        (want.offset, want.step, len(want.coeffs) - 1)
+    assert (got.offset, got.trunc_order) == (want.offset, len(want.coeffs) - 1)
     assert list(got.coeffs) == want.coeffs
     assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
 
@@ -426,12 +397,11 @@ half_integer = st.integers(min_value=-6, max_value=6).map(lambda k: F(k, 2))
 
 @st.composite
 def series_pair(draw):
-    """Two series on one grid: a shared step, offsets an integer apart."""
-    step = draw(st.sampled_from([F(1), F(1, 2)]))
+    """Two series on one grid: offsets an integer apart."""
     offset = draw(half_integer)
     gap = draw(st.integers(min_value=-3, max_value=3))
     a, b = (draw(st.lists(wide_frac, min_size=1, max_size=8)) for _ in range(2))
-    return QSeries(offset, a, step), QSeries(offset + gap, b, step)
+    return QSeries(offset, a), QSeries(offset + gap, b)
 
 
 @given(series_pair(), wide_frac, st.integers(min_value=-3, max_value=3),
@@ -488,7 +458,7 @@ def test_qseries_is_immutable_and_unhashable():
 
 
 def exact(s: QSeries) -> tuple:
-    return (s.offset, s.step, s.nums, s.den)
+    return (s.offset, s.nums, s.den)
 
 
 def raised(call):
@@ -501,23 +471,21 @@ def raised(call):
 
 
 @st.composite
-def divisor(draw, step):
-    """A series on `step`, often sparse (most slots zero), its lead sometimes zero."""
+def divisor(draw):
+    """A series, often sparse (most slots zero), its lead sometimes zero."""
     sparse = st.sampled_from([F(0), F(0), F(0), F(-2, 3)])
     coeffs = draw(st.lists(draw(st.sampled_from([wide_frac, sparse])),
                            min_size=1, max_size=12))
     coeffs[0] = draw(st.sampled_from([F(0), F(1), F(-3, 4), F(7)]))
-    return QSeries(draw(half_integer), coeffs, step)
+    return QSeries(draw(half_integer), coeffs)
 
 
-@given(st.data(), st.sampled_from([F(1), F(1, 2)]),
-       st.lists(wide_frac, min_size=1, max_size=12), half_integer)
+@given(divisor(), st.lists(wide_frac, min_size=1, max_size=12), half_integer)
 @settings(max_examples=100, deadline=None)
-def test_division_is_the_product_with_the_inverse(data, step, coeffs, offset):
+def test_division_is_the_product_with_the_inverse(b, coeffs, offset):
     """a / b is exactly a * b.inv(), as stored, and fails as that product
-    fails: a zero lead of b first, then two steps."""
-    a = QSeries(offset, coeffs, step)
-    b = data.draw(divisor(step))
+    fails: on a zero lead of b."""
+    a = QSeries(offset, coeffs)
     err = raised(lambda: a * b.inv())
     if err is None:
         assert exact(a / b) == exact(a * b.inv())
@@ -525,19 +493,14 @@ def test_division_is_the_product_with_the_inverse(data, step, coeffs, offset):
         assert err is ZeroLeadingCoefficient
         with pytest.raises(ZeroLeadingCoefficient):
             a / b
-    other = F(1) if step != 1 else F(1, 2)
-    c = data.draw(divisor(other))
-    assert raised(lambda: a / c) is raised(lambda: a * c.inv()) is not None
 
 
 @st.composite
 def series_list(draw):
-    """1 to 6 series on one grid: a shared step, offsets an integer apart,
-    unequal lengths."""
-    step = draw(st.sampled_from([F(1), F(1, 2)]))
+    """1 to 6 series on one grid: offsets an integer apart, unequal lengths."""
     offset = draw(half_integer)
     gaps = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=6))
-    return [QSeries(offset + gap, draw(st.lists(wide_frac, min_size=1, max_size=8)), step)
+    return [QSeries(offset + gap, draw(st.lists(wide_frac, min_size=1, max_size=8)))
             for gap in gaps]
 
 
@@ -545,14 +508,10 @@ def series_list(draw):
 @settings(max_examples=100, deadline=None)
 def test_sum_of_is_adding_one_by_one(terms, data):
     """QSeries.sum_of equals the Fraction reference added one by one, and
-    fails at the first stray term: MixedStep for a term on another step,
-    NonIntegerOffsetGap for a term off the grid."""
+    fails with NonIntegerOffsetGap when a term is off the grid."""
     assert_same(QSeries.sum_of(terms), functools.reduce(operator.add, map(as_ref, terms)))
     assert QSeries.sum_of(terms[:1]) is terms[0]
-    base = terms[0]
-    strays = {MixedStep: QSeries(base.offset, [1, 2], F(1) if base.step != 1 else F(1, 2)),
-              NonIntegerOffsetGap: QSeries(base.offset + F(1, 3), [1, 2], base.step)}
-    for kind in data.draw(st.lists(st.sampled_from(list(strays)), min_size=1, max_size=2)):
-        terms.insert(data.draw(st.integers(min_value=1, max_value=len(terms))), strays[kind])
-    want = next(kind for t in terms for kind, stray in strays.items() if t is stray)
-    assert raised(lambda: QSeries.sum_of(terms)) is want
+    stray = QSeries(terms[0].offset + F(1, 3), [1, 2])
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        terms.insert(data.draw(st.integers(min_value=1, max_value=len(terms))), stray)
+    assert raised(lambda: QSeries.sum_of(terms)) is NonIntegerOffsetGap

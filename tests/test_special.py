@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qwedge import special
-from qwedge.series import QSeries, SeriesError, euler_product, rational_sqrt
+from qwedge.reports import pairs_report
+from qwedge.series import QSeries, SeriesError, q_pochhammer, rational_sqrt
 from qwedge.special import (
     ThetaLattice,
     ThetaValues,
@@ -73,24 +74,16 @@ def test_eisenstein_g2_g4():
 
 
 def test_theta00_product_form():
-    # sum q^{n^2/2} = prod (1-q^m) * prod (1+q^{m-1/2})^2
-    N = 24  # u-order
+    # sum q^{n^2} = prod (1 - q^{2m}) (1 + q^{2m-1})^2, the Jacobi triple product
+    N = 24
     t = theta00(N)
-    # (q;q)_inf reindexed into u = q^{1/2}: exponents double
-    sq = [F(0)] * (N + 1)
-    for m, c in enumerate(euler_product(N // 2).coeffs):
-        if 2 * m <= N:
-            sq[2 * m] = c
-    prod = QSeries(F(0), tuple(sq), F(1, 2))
-    acc = QSeries.one(N, F(1, 2))
-    m = 1
-    while m <= N:
-        fac = [F(1)] + [F(0)] * N
-        fac[m] = F(1)
-        acc = acc * QSeries(F(0), tuple(fac), F(1, 2))
-        acc = acc * QSeries(F(0), tuple(fac), F(1, 2))
-        m += 2
-    assert prod * acc == t
+    assert t.offset == 0 and t.trunc_order == N
+    even = QSeries.one(N)
+    odd = QSeries.one(N)
+    for m in range(1, N // 2 + 1):
+        even = even * q_pochhammer(1, 2 * m, 1, N)
+        odd = odd * q_pochhammer(-1, 2 * m - 1, 1, N)
+    assert even * odd * odd == t
 
 
 def test_theta_at_one_small_orders():
@@ -151,11 +144,26 @@ def test_theta_derivs_fails_with_the_params_it_passes_with(monkeypatch):
     assert r.first_mismatch == {"m": 2, "exponent": 7, "lhs": want, "rhs": want + 1}
 
 
+def test_an_empty_comparison_raises_naming_the_identity():
+    """No m means no pair to compare: the check raises rather than pass with an
+    order it never checked, and `pairs_report` names the identity whether or
+    not it is given that order."""
+    with pytest.raises(ValueError, match="^theta-derivs: no pairs to compare"):
+        verify_theta_derivs((), 10)
+    with pytest.raises(ValueError, match="^x: no pairs to compare"):
+        pairs_report("x", "y", {}, [])
+
+
 def test_theta_series_matches_product_form():
-    for s in (F(2), F(3, 2), F(5, 4)):
-        a = theta_deriv_series(0, s, 14)
-        b = theta_product_series(s, 14)
-        assert a == b, s
+    """At x = s^2 q^shift the product form holds `order` slots past the lattice
+    sum's offset -shift^2/2, and equals it there."""
+    for s in (F(2), F(3, 2), F(5, 4), F(5, 7)):
+        for shift in (-3, -2, -1, 0, 1, 2, 3):
+            for order in (0, 1, 14):
+                a = theta_deriv_series(0, s, order, shift)
+                b = theta_product_series(s, order, shift)
+                assert (a.offset, a.upper) == (b.offset, b.upper), (s, shift, order)
+                assert a == b, (s, shift, order)
 
 
 def test_theta_constant_term_example():
@@ -182,8 +190,7 @@ def test_theta_qshift_series():
 
 
 def test_theta_diffeq_fails_on_a_bent_lattice_sum(monkeypatch):
-    """Both sides are read from one table, so bending the sum of one side must
-    show: q^{shift+m} x against x."""
+    """Bending the lattice sum at q^{shift+m} x, the left side, must show."""
     sum_ = ThetaLattice.sum
 
     def bent(self, k, s, shift=0):
@@ -217,6 +224,24 @@ def test_theta_diffeq_checks_through_the_order(monkeypatch, m, shift, order):
     assert (r.status, r.first_mismatch["exponent"]) == ("fail", top)
 
 
+@pytest.mark.parametrize("route", ["theta_deriv_series", "theta_product_series"])
+def test_theta_diffeq_fails_when_either_route_is_bent(monkeypatch, route):
+    """The left side is the lattice sum at shift + m, the right side the
+    product form at shift: a unit added to either alone, five steps past its
+    valuation, fails the check at that exponent."""
+    assert verify_theta_diffeq(m=2, s=F(3, 2), shift=1, order=12).ok
+    original = getattr(special, route)
+
+    def bent(*args):
+        found = original(*args)
+        return found + QSeries.monomial(1, found.offset + 5, found.trunc_order)
+
+    monkeypatch.setattr(special, route, bent)
+    r = verify_theta_diffeq(m=2, s=F(3, 2), shift=1, order=12)
+    # both sides start at q^{-9/2}
+    assert (r.status, r.first_mismatch["exponent"]) == ("fail", F(1, 2))
+
+
 @pytest.mark.parametrize("m, shift", [(1, 0), (3, 0), (2, -1)])
 def test_theta_diffeq_rejects_s_one(m, shift):
     """x = q^shift is a zero of Theta, and so is q^m x: both sides vanish."""
@@ -231,7 +256,7 @@ def test_theta_value_matches_series_eval():
         for s in (F(2), F(3, 2)):
             val = table.factor * table.sum(k, s)
             ser = theta_deriv_series(k, s, 24)
-            assert (ser.offset, ser.step) == (0, 1)
+            assert ser.offset == 0
             ser = sum((c * q0 ** j for j, c in enumerate(ser.coeffs)), F(0))
             assert abs(val - ser) < F(1, 10) ** 10, (k, s)
 
@@ -325,7 +350,7 @@ def test_theta_lattice_series_matches_fraction_sum(s):
                     sign = -1 if n % 2 else 1
                     want[int(e[n] - low)] += sign * (n + F(1, 2)) ** k * s ** (2 * n + 1)
             got = ThetaLattice(order).sum(k, s, shift)
-            assert (got.offset, got.step, list(got.coeffs)) == (low, 1, want), (k, shift)
+            assert (got.offset, list(got.coeffs)) == (low, want), (k, shift)
 
 
 @pytest.mark.parametrize("call", [
@@ -400,8 +425,8 @@ def test_lattice_walk_running_powers_match_direct_powers(s):
             for k in range(4):
                 got = table.sum(k, s, shift)
                 want = _lattice_sum_by_powers(k, s, order, shift)
-                assert (got.offset, got.step, got.den, got.nums) == \
-                    (want.offset, want.step, want.den, want.nums), (order, shift, k)
+                assert (got.offset, got.den, got.nums) == \
+                    (want.offset, want.den, want.nums), (order, shift, k)
 
 
 def _value_sum_by_powers(k, q0, terms, s, shift):
