@@ -10,38 +10,30 @@ anything that fails to fit.
 import argparse
 import itertools
 import time
-from dataclasses import dataclass
 
 from qwedge.partitions import q_bracket
 from qwedge.quasimodular import FitError, fit_series, shifted_hook_moment
 
 
-@dataclass
-class Config:
-    max_weight: int
-    max_factors: int
-    order: int
-    margin: int
-
-
-def index_tuples(cfg: Config):
-    """Weakly increasing tuples of odd k with sum(k+1) <= max_weight."""
-    odds = range(1, cfg.max_weight, 2)
-    for n in range(1, cfg.max_factors + 1):
+def index_tuples(max_weight: int, max_factors: int):
+    """Weakly increasing tuples of at most `max_factors` odd k with
+    sum(k+1) <= max_weight."""
+    odds = range(1, max_weight, 2)
+    for n in range(1, max_factors + 1):
         for ks in itertools.combinations_with_replacement(odds, n):
-            if sum(k + 1 for k in ks) <= cfg.max_weight:
+            if sum(k + 1 for k in ks) <= max_weight:
                 yield ks
 
 
-def run(cfg: Config) -> None:
+def run(max_weight: int, max_factors: int, order: int, margin: int) -> None:
     print(f"{'ks':16} {'weight':>6} {'time':>7}  fit")
     print("-" * 64)
-    for ks in index_tuples(cfg):
+    for ks in index_tuples(max_weight, max_factors):
         w = sum(k + 1 for k in ks)
         t0 = time.perf_counter()
-        series = q_bracket(shifted_hook_moment(ks), cfg.order)
+        series = q_bracket(shifted_hook_moment(ks), order)
         try:
-            fit = str(fit_series(series, w, cfg.margin))
+            fit = str(fit_series(series, w, margin))
         except FitError as err:
             fit = f"NO FIT: {err}"
         dt = time.perf_counter() - t0
@@ -55,7 +47,7 @@ def main() -> None:
     ap.add_argument("--order", type=int, default=60)
     ap.add_argument("--margin", type=int, default=8)
     args = ap.parse_args()
-    run(Config(args.max_weight, args.max_factors, args.order, args.margin))
+    run(args.max_weight, args.max_factors, args.order, args.margin)
 
 
 if __name__ == "__main__":

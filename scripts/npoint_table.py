@@ -9,16 +9,9 @@ sets reach n = 8; those past n = 4 run at order 6 whatever --order says.
 
 import argparse
 import time
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 from qwedge.correlators import EvalPoint, f_brute, u_series
-
-
-@dataclass
-class Config:
-    rows: tuple[tuple[tuple[F, ...], int], ...]  # (point, order) per table row
-    shown: int  # leading coefficients to print
 
 
 DEFAULT_POINTS = (
@@ -34,11 +27,13 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 WIDE_ORDER = 6
 
 
-def run(cfg: Config) -> None:
+def run(rows: tuple[tuple[tuple[F, ...], int], ...], shown: int) -> None:
+    """One table row per (point, order) in `rows`, with `shown` leading
+    coefficients."""
     header = f"{'s':24} {'order':>5} {'brute':>8} {'det':>8}  agree  leading coefficients"
     print(header)
     print("-" * len(header))
-    for svals, order in cfg.rows:
+    for svals, order in rows:
         point = EvalPoint(svals)
         t0 = time.perf_counter()
         lhs = f_brute(point, order)
@@ -46,7 +41,7 @@ def run(cfg: Config) -> None:
         rhs = u_series(point, order)
         t2 = time.perf_counter()
         lead = ", ".join(str(lhs.coefficient(lhs.offset + k))
-                         for k in range(min(cfg.shown, order + 1)))
+                         for k in range(min(shown, order + 1)))
         label = "(" + ",".join(str(s) for s in svals) + ")"
         print(f"{label:24} {order:5} {t1 - t0:7.2f}s {t2 - t1:7.2f}s  {lhs == rhs!s:5}  "
               f"q^{lhs.offset} * [{lead}, ...]")
@@ -64,7 +59,7 @@ def main() -> None:
     else:
         rows = tuple((p, args.order) for p in DEFAULT_POINTS) + tuple(
             (tuple(F(p) for p in PRIMES[:n]), WIDE_ORDER) for n in range(5, len(PRIMES) + 1))
-    run(Config(rows, args.shown))
+    run(rows, args.shown)
 
 
 if __name__ == "__main__":

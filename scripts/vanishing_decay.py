@@ -11,28 +11,19 @@ theta function (s^2 an integer power of q0) is reported as rejected.
 """
 
 import argparse
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 from qwedge.qdiff import locus_point, phi_sum, phi_table
 
 
-@dataclass
-class Config:
-    n: int
-    q0: F
-    terms: int
-    eps_list: tuple[F, ...]
-
-
-def run(cfg: Config) -> None:
+def run(n: int, q0: F, terms: int, eps_list: tuple[F, ...]) -> None:
     for kind in ("algebraic", "theta"):
-        table = phi_table(kind, cfg.q0, cfg.terms)
+        table = phi_table(kind, q0, terms)
         print(f"{kind}:")
         print(f"  {'eps':>8} {'|sum|':>12} {'ratio':>10}")
         prev = None
-        for eps in cfg.eps_list:
-            svals = locus_point(cfg.n, eps)
+        for eps in eps_list:
+            svals = locus_point(n, eps)
             try:
                 value = abs(table.factor * phi_sum(table, svals))
             except ValueError as err:  # a point on a zero of f has no ratio
@@ -53,7 +44,7 @@ def main() -> None:
                     help="approach distances; repeatable")
     args = ap.parse_args()
     eps = tuple(args.eps) if args.eps else (F(1, 10), F(1, 20), F(1, 40), F(1, 80))
-    run(Config(args.n, args.q0, args.terms, eps))
+    run(args.n, args.q0, args.terms, eps)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .reports import FrozenRecord, Report, series_report
 from .series import ONE, QSeries, euler_product, q_pochhammer
 from .setparts import (first_subset, ordered_block_sum, positions, set_partitions,
                        subset_fold)
-from .special import ThetaLattice, theta_deriv_series
+from .special import ThetaLattice
 
 F = Fraction
 
@@ -374,37 +374,6 @@ def u_series(point: EvalPoint, order: int,
         return QSeries.one(order)
     lattice = ThetaLattice(order)
     return close_u(theta_block_sum(point, shifts, lattice), point, shifts, lattice)
-
-
-def t_series(point: EvalPoint, order: int,
-             shifts: tuple[int, ...] | None = None) -> QSeries:
-    """T = Theta(t_1..t_n) * U, assembled from its ordered-block expansion:
-
-    sum over ordered set partitions gamma of (-1)^{n + l} Theta^{(#gamma_1)}(1)
-    * prod_{k >= 2} Theta^{(#gamma_k)}(prod of t over gamma_1..gamma_{k-1})
-                  / Theta(same argument).
-
-    The sign (-1)^{n + l} is the product of (-1)^{|B|-1} over the blocks, so
-    this is `theta_block_sum` before U's last close: Theta(t_1..t_n) is never
-    inverted, and T is finite where t_1..t_n = 1.  Only the leading factor keeps
-    its (q)_inf^{-3}; it is applied once, to the sum.
-    """
-    n = point.n
-    if shifts is None:
-        shifts = (0,) * n
-    if n == 0:
-        return QSeries.one(order)
-    lattice = ThetaLattice(order)
-    return theta_block_sum(point, shifts, lattice) * lattice.factor
-
-
-def t_series_via_u(point: EvalPoint, order: int,
-                   shifts: tuple[int, ...] | None = None) -> QSeries:
-    n = point.n
-    if shifts is None:
-        shifts = (0,) * n
-    full = theta_deriv_series(0, point.s_prod(range(n)), order, sum(shifts))
-    return full * u_series(point, order, shifts)
 
 
 # -- verifiers ---------------------------------------------------------------------

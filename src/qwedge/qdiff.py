@@ -23,7 +23,6 @@ from .correlators import (
     HWeight,
     block_products,
     close_u,
-    t_series,
     theta_block_sum,
 )
 from .partitions import RowWeight, slot_table
@@ -223,8 +222,8 @@ def verify_diffeq_t(s_values, order: int) -> Report:
     exactly: the block series without prefactor, the determinant series with
     -q^{1/2} t_1..t_n.  The two differ only in how they close the same block
     sum (`theta_block_sum`): each side's signed block sums are added first,
-    then compared as they are (the (q)_inf^{-3} that `t_series` multiplies
-    both sides by cancels) and closed as `u_series` closes them, since every
+    then compared as they are (T = Theta(t_1..t_n) U is the block sum times
+    (q)_inf^{-3}, which cancels) and closed as `u_series` closes them, since every
     merged point has the product t_1..t_n.  The block sums share one
     `ThetaLattice` and so every prefix state that their points have in common.
     """
@@ -288,7 +287,7 @@ def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
     statement = ("the composition series with an auxiliary spectator variable "
                  "re-expands over merge-with-the-first set partitions under a "
                  "q-shift of the first variable")
-    point = EvalPoint(tuple(F(x) for x in s_values))
+    point = EvalPoint(tuple(F(x) for x in s_values), allow_full=True)
     n = point.n
     s0 = F(s0)
     params = {"s": list(point.s), "s0": s0, "j0": j0, "order": order}
@@ -301,6 +300,7 @@ def verify_r_diffeq(s_values, s0, j0: int, order: int) -> Report:
 
 def verify_t_vanish(s_values, order: int) -> Report:
     """When the product of all t's is exactly 1 (and n > 1), the block series
+    (`theta_block_sum`, which is T = Theta(t_1..t_n) U over (q)_inf^{-3})
     vanishes identically."""
     statement = ("the block series is identically zero whenever the product of all "
                  "arguments equals one")
@@ -311,7 +311,7 @@ def verify_t_vanish(s_values, order: int) -> Report:
         raise ValueError("the product of the s values must be exactly 1")
     point = EvalPoint(svals, allow_full=True)
     params = {"s": list(svals), "order": order}
-    lhs = t_series(point, order)
+    lhs = theta_block_sum(point, (0,) * point.n, ThetaLattice(order))
     return series_report("t-vanish", statement, params, lhs, QSeries.zero(order))
 
 

@@ -16,7 +16,6 @@ F = Fraction
 
 BRACKET_MARGIN = 10  # fit margin of `verify_bracket_qm`
 CLOSURE_WEIGHTS = (2, 4, 6)  # weights `verify_derivation_closure` derives
-CLOSURE_MARGIN = 8  # and its fit margin
 
 
 class FitError(ValueError):
@@ -65,6 +64,21 @@ class QMElement(FrozenRecord):
         return QSeries.sum_of([QSeries.zero(order)] + [
             c * eisenstein_monomial(abc, order)
             for abc, c in zip(self.monomials, self.coeffs) if c])
+
+    def derive(self) -> QMElement:
+        """D = q d/dq of the element, of weight + 2, by Leibniz's rule on
+        Ramanujan's equations DG2 = -2 G2^2 + (5/6) G4,
+        DG4 = -8 G2 G4 + (7/10) G6 and DG6 = -12 G2 G6 + (400/7) G4^2."""
+        out = dict.fromkeys(weight_monomials(self.weight + 2), ZERO)
+        for (a, b, c), coef in zip(self.monomials, self.coeffs):
+            out[a + 1, b, c] -= (2 * a + 8 * b + 12 * c) * coef
+            if a:
+                out[a - 1, b + 1, c] += F(5, 6) * a * coef
+            if b:
+                out[a, b - 1, c + 1] += F(7, 10) * b * coef
+            if c:
+                out[a, b + 2, c - 1] += F(400, 7) * c * coef
+        return QMElement(self.weight + 2, tuple(out), tuple(out.values()))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -180,22 +194,17 @@ def verify_bracket_qm(ks: tuple[int, ...], order: int = 30) -> Report:
 
 def verify_derivation_closure(order: int = 30) -> Report:
     """q d/dq maps the weight-w graded piece into the weight-(w+2) piece, for
-    each w in `CLOSURE_WEIGHTS`: each derived monomial is fitted on its first
-    dim + `CLOSURE_MARGIN` coefficients, and the fit equals it through q^order."""
+    each w in `CLOSURE_WEIGHTS`: each derived monomial equals its derivation
+    by Ramanujan's equations (`QMElement.derive`) through q^order."""
     statement = "the derivation q d/dq raises weight by exactly 2 on the graded ring"
-    params = {"weights": list(CLOSURE_WEIGHTS), "order": order, "margin": CLOSURE_MARGIN}
+    params = {"weights": list(CLOSURE_WEIGHTS), "order": order}
     if order < 0:
         raise ValueError(f"order {order} is negative; the check needs order >= 0")
     checked, pairs = {}, []
     for w in CLOSURE_WEIGHTS:
         for abc in weight_monomials(w):
             d = eisenstein_monomial(abc, order).derive()
-            try:
-                elt = fit_series(d, w + 2, CLOSURE_MARGIN)
-            except NotInSpan as err:
-                return Report("derivation-closure", statement, params, "fail",
-                              first_mismatch={"monomial": list(abc),
-                                              "exponent": err.exponent})
+            elt = QMElement(w, (abc,), (ONE,)).derive()
             checked[f"D(G2^{abc[0]} G4^{abc[1]} G6^{abc[2]})"] = str(elt)
             pairs.append(({"monomial": list(abc)}, d, elt.series(order)))
     return pairs_report("derivation-closure", statement, params, pairs, details=checked)

@@ -256,21 +256,21 @@ def theta_deriv_series(k: int, s: Fraction, order: int, shift: int = 0) -> QSeri
     return lattice.sum(k, F(s), shift) * lattice.factor
 
 
-def theta_product_series(s: Fraction, order: int, shift: int = 0) -> QSeries:
-    """Theta at x = s^2 q^shift in product form, valid to relative `order`:
-    (q)_inf^{-2} (x^{1/2} - x^{-1/2}) (x q; q)_inf (q / x; q)_inf, with
-    x^{1/2} = s q^{shift/2}.  Each factor holds `order` slots past its offset,
-    and the offsets add up to the lattice sum's -shift^2/2.
+def lattice_product_series(s: Fraction, order: int, shift: int = 0) -> QSeries:
+    """The lattice sum lattice_0 at x = s^2 q^shift in Jacobi's triple-product
+    form, valid to relative `order`: (q)_inf (x^{1/2} - x^{-1/2}) (x q; q)_inf
+    (q / x; q)_inf, with x^{1/2} = s q^{shift/2}.  Each factor holds `order`
+    slots past its offset, and the offsets add up to the lattice sum's
+    -shift^2/2.
     """
     s = F(s)
     if s <= 0:
         raise ValueError("s must be a positive rational")
-    e2 = euler_product(order).inv() ** 2
     roots = QSeries.sum_of([QSeries.monomial(s, F(shift, 2), order),
                             QSeries.monomial(-1 / s, F(-shift, 2), order)])
     a = q_pochhammer(s * s, shift + 1, None, order)
     b = q_pochhammer(1 / (s * s), 1 - shift, None, order)
-    return e2 * roots * a * b
+    return euler_product(order) * roots * a * b
 
 
 class ThetaValues(_ThetaTable):
@@ -390,9 +390,10 @@ def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,
                         order: int = 24) -> Report:
     """Theta(q^m x) = (-1)^m q^{-m^2/2} x^{-m} Theta(x) at x = s^2 q^shift,
     by two routes: the left side is the lattice sum at shift + m, the right
-    side the product form at shift.  Both sides start at q^{-(shift+m)^2/2},
-    so both are formed that much past `order` (rounded up) and the check
-    runs through q^order."""
+    side its triple-product form at shift (`lattice_product_series`).  The
+    (q)_inf^{-3} of Theta is the same on both sides and cancels, so neither
+    side forms it.  Both sides start at q^{-(shift+m)^2/2}, so both are formed
+    that much past `order` (rounded up) and the check runs through q^order."""
     statement = "theta satisfies its first-order multiplicative difference equation"
     if m == 0:
         raise ValueError("m = 0 makes the difference equation Theta(x) = Theta(x)")
@@ -403,8 +404,8 @@ def verify_theta_diffeq(m: int = 2, s: Fraction = F(3, 2), shift: int = 0,
         raise ValueError(f"s = 1 puts x = q^{shift} and q^m x on zeros of Theta, so "
                          "both sides are identically zero")
     work = order + ((shift + m) ** 2 + 1) // 2
-    lhs = theta_deriv_series(0, s, work, shift + m)
-    rhs = theta_product_series(s, work, shift).shift(-F(m * m, 2) - shift * m)
+    lhs = ThetaLattice(work).sum(0, s, shift + m)
+    rhs = lattice_product_series(s, work, shift).shift(-F(m * m, 2) - shift * m)
     rhs = (-1 if m % 2 else 1) * s ** (-2 * m) * rhs
     return series_report("theta-diffeq", statement,
                          {"m": m, "s": s, "shift": shift, "order": order}, lhs, rhs)

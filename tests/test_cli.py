@@ -155,7 +155,7 @@ DEGENERATE_FLAGS = {
     "counts": [["--n", "0"], ["--n", "-1"], ["--order", "-1"]],
     "cyclic-identity": [["--q", "0"], ["--q", "1"], ["--q", "1/9"], ["--m", "0"],
                         ["--m", "-1"], ["--k", "0"], ["--order", "-1"]],
-    "derivation-closure": [["--order", "0"], ["--order", "-1"]],
+    "derivation-closure": [["--order", "-1"]],
     "diffeq-f": [["--order", "0"], ["--order", "-1"], ["--q", "0"], ["--q", "1"]],
     "diffeq-h": [["--order", "0"], ["--order", "-1"], ["--k", "0"], ["--q", "0"],
                  ["--q", "1"]],

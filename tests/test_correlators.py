@@ -21,8 +21,6 @@ from qwedge.correlators import (
     h_series,
     qgauss_product,
     qgauss_sum,
-    t_series,
-    t_series_via_u,
     theta_block_sum,
     u_series,
     verify_f_block_routes,
@@ -196,19 +194,6 @@ def test_u_two_variable_closed_form():
     assert lhs == rhs
 
 
-def test_t_series_matches_theta_times_u():
-    p = EvalPoint((F(2), F(3)))
-    assert t_series(p, 10) == t_series_via_u(p, 10)
-    p3 = EvalPoint((F(2), F(3), F(5)))
-    assert t_series(p3, 6) == t_series_via_u(p3, 6)
-
-
-def test_t_series_with_shifts():
-    p = EvalPoint((F(2), F(3)))
-    for shifts in ((1, 0), (0, 1), (1, 1)):
-        assert t_series(p, 8, shifts) == t_series_via_u(p, 8, shifts)
-
-
 # The closed forms drop the (q)_inf^{-3} factor wherever it cancels.  These
 # references keep it on every theta, so they pin the cancellation down to the
 # offset and the truncation window, not only the common coefficients.
@@ -295,6 +280,13 @@ def _same_series(a, b):
     return (a.offset, a.trunc_order, a.coeffs) == (b.offset, b.trunc_order, b.coeffs)
 
 
+def _t_from_blocks(point, order, shifts):
+    """T = Theta(t_1..t_n) U: the block sum times the one (q)_inf^{-3} that
+    its leading factor keeps."""
+    lattice = ThetaLattice(order)
+    return theta_block_sum(point, shifts, lattice) * lattice.factor
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_closed_forms_cancel_the_euler_factor_exactly(n):
     point = EvalPoint((F(2), F(3), F(5))[:n])
@@ -302,7 +294,7 @@ def test_closed_forms_cancel_the_euler_factor_exactly(n):
         for order in range(9):
             assert _same_series(u_series(point, order, shifts),
                                 _u_with_full_thetas(point, order, shifts))
-            assert _same_series(t_series(point, order, shifts),
+            assert _same_series(_t_from_blocks(point, order, shifts),
                                 _t_with_full_thetas(point, order, shifts))
             assert _same_series(r_series(point, F(7, 5), 1, order, shifts),
                                 _r_with_full_thetas(point, F(7, 5), 1, order, shifts))
@@ -363,7 +355,7 @@ def test_closed_forms_match_the_literal_sums_at_random_points(case):
     point, shifts, order, j0 = case
     assert _same_series(u_series(point, order, shifts),
                         _u_with_full_thetas(point, order, shifts))
-    assert _same_series(t_series(point, order, shifts),
+    assert _same_series(_t_from_blocks(point, order, shifts),
                         _t_with_full_thetas(point, order, shifts))
     assert _same_series(r_series(point, R_S0, j0, order, shifts),
                         _r_with_full_thetas(point, R_S0, j0, order, shifts))

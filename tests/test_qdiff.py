@@ -258,6 +258,15 @@ def test_r_diffeq():
     assert verify_r_diffeq((F(2), F(3), F(5)), F(7, 5), 0, 6).ok
 
 
+@pytest.mark.parametrize("j0", [0, 1])
+@pytest.mark.parametrize("svals", [(F(2), F(1, 2)), (F(3), F(1, 3)),
+                                   (F(2), F(3), F(1, 6))])
+def test_r_diffeq_holds_where_all_t_multiply_to_one(svals, j0):
+    """R never divides at the full product, so t_1..t_n = 1 is a point like
+    any other: the check passes there rather than rejecting it."""
+    assert verify_r_diffeq(svals, F(7, 5), j0, 6).ok
+
+
 def test_r_series_rejects_a_spectator_divisor():
     # s0 s_1 = 1: Theta(t0 t_1) is inverted and vanishes
     with pytest.raises(ValueError, match=r"s0 = 7/5 times s over positions \(1,\) is 1"):

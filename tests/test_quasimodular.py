@@ -105,6 +105,24 @@ def test_derivation_closure_report():
     assert r.ok
 
 
+@pytest.mark.parametrize("weight", [2, 4, 6, 8, 10])
+def test_derive_is_q_d_dq_on_every_monomial(weight):
+    """Ramanujan's derivation of each monomial equals q d/dq of its series
+    through q^30, and prints as the fit of that derived series does."""
+    for abc in weight_monomials(weight):
+        derived = QMElement(weight, (abc,), (F(1),)).derive()
+        d = eisenstein_monomial(abc, 30).derive()
+        assert derived.weight == weight + 2
+        assert derived.series(30) == d, abc
+        assert str(derived) == str(fit_series(d, weight + 2)), abc
+
+
+def test_derive_is_linear():
+    elt = QMElement(6, tuple(weight_monomials(6)), (F(1, 2), F(-3), F(7)))
+    assert elt.derive().series(20) == elt.series(20).derive()
+    assert QMElement(0, ((0, 0, 0),), (F(5),)).derive().is_zero()
+
+
 def test_bracket_g2():
     # <p_1 - 1/24> = G_2
     r = verify_bracket_qm((1,), order=24)
@@ -131,8 +149,9 @@ def test_bracket_failure_reported():
 
 
 def test_a_fit_is_checked_past_its_window(monkeypatch):
-    """One unit at q^24, past the fit windows (which end by q^11 here), fails
-    both fit checks at order 24 there."""
+    """One unit at q^24, past the fit window (which ends by q^11 here), fails
+    the fit check at order 24 there; planted in the monomials, it fails the
+    derivation check there too."""
     unit = QSeries.monomial(1, 24, 0)
     bracket, monomial = quasimodular.q_bracket, quasimodular.eisenstein_monomial
     monkeypatch.setattr(quasimodular, "q_bracket",

@@ -15,10 +15,10 @@ from qwedge.special import (
     eisenstein_monomial,
     euler_inverse_cube,
     eta,
+    lattice_product_series,
     theta00,
     theta_deriv_series,
     theta_odd_derivative_closed_forms,
-    theta_product_series,
     verify_theta_derivs,
     verify_theta_diffeq,
     verify_xi_binomial,
@@ -155,13 +155,13 @@ def test_an_empty_comparison_raises_naming_the_identity():
 
 
 def test_theta_series_matches_product_form():
-    """At x = s^2 q^shift the product form holds `order` slots past the lattice
-    sum's offset -shift^2/2, and equals it there."""
+    """At x = s^2 q^shift the triple-product form holds `order` slots past the
+    lattice sum's offset -shift^2/2, and equals it there."""
     for s in (F(2), F(3, 2), F(5, 4), F(5, 7)):
         for shift in (-3, -2, -1, 0, 1, 2, 3):
             for order in (0, 1, 14):
-                a = theta_deriv_series(0, s, order, shift)
-                b = theta_product_series(s, order, shift)
+                a = ThetaLattice(order).sum(0, s, shift)
+                b = lattice_product_series(s, order, shift)
                 assert (a.offset, a.upper) == (b.offset, b.upper), (s, shift, order)
                 assert a == b, (s, shift, order)
 
@@ -224,22 +224,42 @@ def test_theta_diffeq_checks_through_the_order(monkeypatch, m, shift, order):
     assert (r.status, r.first_mismatch["exponent"]) == ("fail", top)
 
 
-@pytest.mark.parametrize("route", ["theta_deriv_series", "theta_product_series"])
-def test_theta_diffeq_fails_when_either_route_is_bent(monkeypatch, route):
-    """The left side is the lattice sum at shift + m, the right side the
-    product form at shift: a unit added to either alone, five steps past its
-    valuation, fails the check at that exponent."""
+@pytest.mark.parametrize("owner, name", [(ThetaLattice, "sum"),
+                                         (special, "lattice_product_series")],
+                         ids=["ThetaLattice.sum", "lattice_product_series"])
+def test_theta_diffeq_fails_when_either_route_is_bent(monkeypatch, owner, name):
+    """The left side is the lattice sum at shift + m, the right side its
+    triple-product form at shift: a unit added to either alone, five steps
+    past its valuation, fails the check at that exponent."""
     assert verify_theta_diffeq(m=2, s=F(3, 2), shift=1, order=12).ok
-    original = getattr(special, route)
+    original = getattr(owner, name)
 
     def bent(*args):
         found = original(*args)
         return found + QSeries.monomial(1, found.offset + 5, found.trunc_order)
 
-    monkeypatch.setattr(special, route, bent)
+    monkeypatch.setattr(owner, name, bent)
     r = verify_theta_diffeq(m=2, s=F(3, 2), shift=1, order=12)
     # both sides start at q^{-9/2}
     assert (r.status, r.first_mismatch["exponent"]) == ("fail", F(1, 2))
+
+
+def test_theta_diffeq_inverts_no_series(monkeypatch):
+    """The (q)_inf^{-3} of Theta cancels between the two sides, so a cold
+    check at the defaults forms no inverse."""
+    calls = []
+    inv = QSeries.inv
+
+    def counted(self):
+        calls.append(self)
+        return inv(self)
+
+    monkeypatch.setattr(special, "_BY_ORDER", {})
+    monkeypatch.setattr(QSeries, "inv", counted)
+    assert verify_theta_diffeq().ok
+    assert calls == []
+    ThetaLattice(3).factor  # the counter sees the inverse a lattice factor forms
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("m, shift", [(1, 0), (3, 0), (2, -1)])
