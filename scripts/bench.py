@@ -21,7 +21,8 @@ first alternates from seed to seed.  Its raw records go to `--parent-runs FILE`,
 so that `perfbench/compare.py PARENT_FILE FILE` compares the two sides.
 BENCH_<pr>.json then also holds the parent's medians and, per workload and
 end-to-end metric, how many of the seed pairs the checkout won (ties count
-for neither side), which is printed as well.
+for neither side), which is printed as well, after the two medians and the
+checkout's median relative to the parent's (such as -10.4%).
 
 After the timed runs, `perfbench/run.py --trace 1` runs three times per
 workload on each side, at the first three seeds, with the side that goes first
@@ -93,6 +94,11 @@ def pairs_won(parent: list[dict], change: list[dict], metric: dict) -> list[int]
     after = [(before[key], r["metrics"][name]["value"]) for r in change
              if name in r["metrics"] and (key := (r["workload"], r["seed"])) in before]
     return [sum(sign * (b - a) < 0 for a, b in after), len(after)]
+
+
+def relative(before: float, after: float) -> str:
+    """after relative to before, signed, as a percentage such as -10.4%."""
+    return f"{after / before - 1:+.1%}" if before else "n/a"
 
 
 class Side:
@@ -189,8 +195,9 @@ def main(argv=None) -> int:
                 before = out["parent"][w]["metrics"].get(name, {})
                 after = out["workloads"][w]["metrics"].get(name, {})
                 if before and after:
+                    rel = relative(before["median"], after["median"])
                     print(f"{w:9s} {name:13s} {before['median']:10.5g} -> "
-                          f"{after['median']:<10.5g} won {wins} of {pairs} pairs "
+                          f"{after['median']:<10.5g} {rel:>7s} won {wins} of {pairs} pairs "
                           f"(parent quartiles {before['q1']:.5g}..{before['q3']:.5g})")
     out["layers"] = layers[-1]
     if a.parent is not None:

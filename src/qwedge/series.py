@@ -53,6 +53,8 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _fill(s: QSeries, offset: Fraction, nums: tuple[int, ...], den: int) -> QSeries:
+    """Put the series `_series` builds into s, after the check the public
+    constructors make: nums must not be empty."""
     if not nums:
         raise ValueError("QSeries needs at least one coefficient slot")
     _put_offset(s, offset)
@@ -63,8 +65,14 @@ def _fill(s: QSeries, offset: Fraction, nums: tuple[int, ...], den: int) -> QSer
 
 
 def _series(offset: Fraction, nums: tuple[int, ...], den: int) -> QSeries:
-    """The series sum_k nums[k]/den q^{offset+k}; nums over den must be reduced, den > 0."""
-    return _fill(_new(QSeries), offset, nums, den)
+    """The series sum_k nums[k]/den q^{offset+k}; nums over den must be reduced,
+    den > 0, and nums not empty."""
+    s = _new(QSeries)
+    _put_offset(s, offset)
+    _put_nums(s, nums)
+    _put_den(s, den)
+    _put_coeffs(s, None)
+    return s
 
 
 def _reduced(offset: Fraction, nums, den: int) -> QSeries:
@@ -137,11 +145,13 @@ class QSeries:
     @staticmethod
     def from_nums(nums, den: int, offset=ZERO) -> QSeries:
         """sum_k nums[k]/den q^{offset+k} for ints nums and a nonzero int den."""
+        if not nums:
+            raise ValueError("QSeries needs at least one coefficient slot")
         return _reduced(_as_frac(offset), nums, den)
 
     @staticmethod
     def zero(order: int, offset=ZERO) -> QSeries:
-        return _series(_as_frac(offset), (0,) * (order + 1), 1)
+        return _fill(_new(QSeries), _as_frac(offset), (0,) * (order + 1), 1)
 
     @staticmethod
     def one(order: int) -> QSeries:
@@ -205,12 +215,17 @@ class QSeries:
         first = terms[0]
         if len(terms) == 1:
             return first
+        base = first.offset
         gaps = []  # each term's offset minus the first's
         for t in terms:
-            gap = _gap(first.offset, t.offset)
+            offset = t.offset
+            if offset is base or offset == base:  # the common case: one offset
+                gaps.append(0)
+                continue
+            gap = _gap(base, offset)
             if gap is None:
                 raise NonIntegerOffsetGap(
-                    f"offsets {first.offset} and {t.offset} differ by a non-integer")
+                    f"offsets {base} and {offset} differ by a non-integer")
             gaps.append(gap)
         low = min(gaps)
         top = min(gap + len(t.nums) - 1 for gap, t in zip(gaps, terms))
@@ -221,7 +236,7 @@ class QSeries:
             for j, c in enumerate(t.nums[: max(0, top - gap + 1)], gap - low):
                 if c:
                     out[j] += c * scale
-        return _reduced(first.offset + low if low else first.offset, out, den)
+        return _reduced(base + low if low else base, out, den)
 
     def __neg__(self) -> QSeries:
         return _series(self.offset, tuple(-c for c in self.nums), self.den)
@@ -269,10 +284,13 @@ class QSeries:
 
         With b_j / b_0 = p_j / d_j in lowest terms (d_j > 0), the quotient of
         the numerators is sum_k T_k q^k / b_0 with T_k = a_k - sum_{j>=1}
-        p_j T_{k-j} / d_j, whose denominator divides E_k = lcm_j d_j E_{k-j},
-        E_0 = 1.  So R_k = T_k E_k are integers, R_k = a_k E_k - sum_{j>=1}
-        p_j (E_k / (d_j E_{k-j})) R_{k-j}, and E_k grows only as fast as the
-        quotient needs: a lattice sum's b_j share most of b_0's powers of s.
+        p_j T_{k-j} / d_j.  The T_k are carried as integers U_k = T_k D over
+        one running scale D, starting at 1: U_k = a_k D - sum_j p_j U_{k-j} / d_j.
+        D rises only when a step p_j U_{k-j} is not a multiple of d_j, by
+        d_j / gcd(d_j, p_j U_{k-j}), and the U already formed rise with it.
+        Where the numerators already carry the powers of s that a lattice
+        sum's b_0 holds over its b_j, as in the theta closes at prefixes of
+        two or more points, D stays 1 and the one reduction divides out little.
         """
         if type(other) is not QSeries:
             if isinstance(other, (int, Fraction)):
@@ -290,25 +308,31 @@ class QSeries:
                 g = math.gcd(b0, c)
                 d, p = b0 // g, c // g
                 steps.append((j, p, d) if d > 0 else (j, -p, -d))
-        E, R = [], []
+        D, U = 1, []
         for k, x in enumerate(self.nums[:n]):
-            reach = []  # (p_j, d_j E_{k-j}, R_{k-j})
+            s = 0  # sum_j p_j U_{k-j} / d_j over the steps taken, at scale D
             for j, p, d in steps:
                 if j > k:
                     break
-                reach.append((p, d * E[k - j], R[k - j]))
-            e = math.lcm(*(m for _, m, _ in reach))
-            s = x * e
-            for p, m, r in reach:
-                s -= p * (e // m) * r
-            E.append(e)
-            R.append(s)
-        # self / other = (den_b / (den_a b0)) sum_k R_k q^k / E_k, over the
-        # common denominator den_a b0 L with L = lcm_k E_k
-        big = math.lcm(*E)
-        out = [other.den * r * (big // e) for r, e in zip(R, E)]
+                t = p * U[k - j]
+                if d != 1:
+                    t, r = divmod(t, d)
+                    if r:  # not a multiple of d: raise D so that it is
+                        m = d // math.gcd(d, r)
+                        D *= m
+                        U = [u * m for u in U]
+                        s *= m
+                        t = p * U[k - j] // d
+                s += t
+            U.append(x * D - s)
+        # self / other = den_b sum_k U_k q^k / (den_a b0 D), with the factors
+        # the two denominators share cancelled first
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        if g != 1:
+            da, db = da // g, db // g
         offset = self.offset - other.offset if other.offset else self.offset
-        return _reduced(offset, out, self.den * b0 * big)
+        return _reduced(offset, [db * u for u in U] if db != 1 else U, da * b0 * D)
 
     def __pow__(self, n: int) -> QSeries:
         if n < 0:

@@ -236,7 +236,7 @@ class ThetaLattice(_ThetaTable):
         parts, den = _lattice_walk(s, -h - 1 - shift, h - shift)
         terms = [(i * (i + 1) // 2, 2 * (i - shift) + 1, part)
                  for i, part in zip(range(-h - 1, h + 1), parts)]
-        return terms, den, F(-shift * shift, 2)
+        return terms, den, F(-shift * shift, 2) if shift else ZERO
 
     def _read(self, walk: tuple[list, int, Fraction], k: int) -> QSeries:
         terms, den, offset = walk

@@ -53,7 +53,8 @@ def _bench():
 
 
 def test_bench_pairs_the_sides_and_stores_the_median_of_three_traced_runs(tmp_path,
-                                                                          monkeypatch):
+                                                                          monkeypatch,
+                                                                          capsys):
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     bench = _bench()
     change = _tree(tmp_path / "change", wall=0.040, layer=0.005)
@@ -69,6 +70,9 @@ def test_bench_pairs_the_sides_and_stores_the_median_of_three_traced_runs(tmp_pa
     assert out["workloads"]["numeric"]["metrics"]["wall_s"]["median"] == 0.0425
     assert out["parent"]["numeric"]["metrics"]["wall_s"]["median"] == 0.0475
     assert out["pairs_won"]["numeric"]["wall_s"] == [4, 4]
+    # the medians' line carries the change: 0.0425 / 0.0475 - 1 = -10.53%
+    line, = (x for x in capsys.readouterr().out.splitlines() if " wall_s " in x)
+    assert line.split()[:6] == ["numeric", "wall_s", "0.0475", "->", "0.0425", "-10.5%"]
     # traced at the first three seeds, the side going first alternating
     assert (tmp_path / "traced.log").read_text().splitlines() == [
         "parent 1", "change 1", "change 2", "parent 2", "parent 3", "change 3"]

@@ -515,3 +515,80 @@ def test_sum_of_is_adding_one_by_one(terms, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
         terms.insert(data.draw(st.integers(min_value=1, max_value=len(terms))), stray)
     assert raised(lambda: QSeries.sum_of(terms)) is NonIntegerOffsetGap
+
+
+# -- long division on a running scale ----------------------------------------------
+# a / b carries its quotient as integers over one scale D, which rises only at a
+# slot where a step p_j U_{k-j} / d_j would not be an integer.  Each case is
+# compared, exactly as stored, with the Fraction reference and with a * b.inv().
+
+def assert_quotient(a: QSeries, b: QSeries):
+    q = a / b
+    assert_same(q, as_ref(a) * as_ref(b).inv())
+    assert exact(q) == exact(a * b.inv())
+
+
+def test_division_by_a_unit_lead_never_rescales():
+    """b_0 = 1 over integer b_j: every d_j is 1, so D stays 1."""
+    b = S([1, -3, 0, 5, 0, 0, -7, 2, 0, 11])
+    assert_quotient(S([F(1, 2), 4, F(-2, 3), 0, 9, 1, 0, 0, F(5, 7), 3], -2), b)
+    assert_quotient(QSeries.one(9), b)
+
+
+def test_division_rescales_from_a_late_slot_on():
+    """b = 1 + q^3/3 + q^5/5 over nums (15, 0, 0, 5, 0, 3, 0, ...): d_3 = 3
+    and d_5 = 5.  Dividing a dense series of ones, D first rises at slot 3
+    (by 3), then at slot 5 (by 5, after the j = 3 step of that slot has been
+    added) and at slots 6, 9, 10 and 12, so the U already formed and the
+    steps already taken in a slot are rescaled as well."""
+    b = S([1, 0, 0, F(1, 3), 0, F(1, 5)] + [0] * 8)
+    assert b.nums[:6] == (15, 0, 0, 5, 0, 3)
+    a = S([1] * 14, F(1, 2))
+    assert_quotient(a, b)
+    assert_quotient(S([F(1, 2)] + [0] * 13), b)
+    # the quotient's denominators grow as the powers of 3 and 5 it needs
+    assert (a / b).den == 3 ** 4 * 5 ** 2
+
+
+def test_division_matches_on_the_closes_of_a_theta_block_sum(monkeypatch):
+    """Every close x / lattice_0 of the order-8 block sum at a point of three
+    prime ratios near 1.3, 1.4 and 1.5: the divisions that the theta checks
+    make."""
+    from qwedge.correlators import EvalPoint, theta_block_sum
+    from qwedge.special import ThetaLattice
+
+    closes = []
+    divide = ThetaLattice.divide
+
+    def recorded(self, x, s, shift):
+        closes.append((x, self.sum(0, s, shift)))
+        return divide(self, x, s, shift)
+
+    monkeypatch.setattr(ThetaLattice, "divide", recorded)
+    point = EvalPoint((F(1319, 1013), F(1423, 1013), F(1523, 1013)))
+    theta_block_sum(point, (0, 0, 0), ThetaLattice(8))
+    assert len(closes) == 6  # one per nonempty proper prefix
+    for x, lattice_0 in closes:
+        assert x.trunc_order == lattice_0.trunc_order == 8
+        assert_quotient(x, lattice_0)
+
+
+def test_division_by_a_zero_lead_raises():
+    a, b = S([1, 2, 3]), S([0, 1, 1])
+    for call in (lambda: a / b, b.inv, lambda: a * b.inv()):
+        assert raised(call) is ZeroLeadingCoefficient
+
+
+def test_sum_of_takes_equal_offsets_as_one_grid():
+    """Offsets that are equal but distinct Fraction objects, and lists where
+    only some terms sit on the first offset, add as one by one; a stray
+    non-integer offset after same-offset terms still raises."""
+    one_offset = [QSeries(F(-9, 2), c) for c in ([1, F(1, 3)], [F(2, 5), 0, 1], [-1, 7])]
+    assert len({id(t.offset) for t in one_offset}) == 3
+    some_off = one_offset[:2] + [QSeries(F(-7, 2), [3, F(1, 2)]), one_offset[2],
+                                 QSeries(F(-11, 2), [1, 1, 1, 1])]
+    for terms in (one_offset, some_off):
+        assert_same(QSeries.sum_of(terms),
+                    functools.reduce(operator.add, map(as_ref, terms)))
+    stray = QSeries(F(-9, 2) + F(1, 3), [1])
+    assert raised(lambda: QSeries.sum_of(one_offset + [stray])) is NonIntegerOffsetGap

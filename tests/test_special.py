@@ -189,19 +189,6 @@ def test_theta_qshift_series():
     assert r2.ok
 
 
-def test_theta_diffeq_fails_on_a_bent_lattice_sum(monkeypatch):
-    """Bending the lattice sum at q^{shift+m} x, the left side, must show."""
-    sum_ = ThetaLattice.sum
-
-    def bent(self, k, s, shift=0):
-        found = sum_(self, k, s, shift)
-        return found + QSeries.monomial(F(1), F(3), self.order) if shift == 2 else found
-
-    monkeypatch.setattr(ThetaLattice, "sum", bent)
-    r = verify_theta_diffeq(m=2, s=F(3, 2), shift=0, order=12)
-    assert r.status == "fail"
-
-
 @pytest.mark.parametrize("m, shift, order", [
     (2, 0, 0), (2, 0, 1), (5, 0, 6), (-3, 0, 2), (-2, 3, 5), (1, -4, 3), (3, -1, 12)])
 def test_theta_diffeq_checks_through_the_order(monkeypatch, m, shift, order):
