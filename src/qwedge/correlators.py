@@ -32,6 +32,13 @@ class DivisorHit(ValueError):
         super().__init__(f"product of t over positions {subset} equals 1")
 
 
+def require_positive(svals: tuple[Fraction, ...]) -> None:
+    """Every square root s_k must be positive: t_k = s_k^2 forgets the sign."""
+    for x in svals:
+        if x <= 0:
+            raise ValueError("square roots must be positive; pass |s|")
+
+
 class EvalPoint(FrozenRecord):
     """n positive rationals s_k with t_k = s_k^2; no subset product of t's may be 1.
 
@@ -46,9 +53,7 @@ class EvalPoint(FrozenRecord):
 
     def __init__(self, s: tuple[Fraction, ...], allow_full: bool = False):
         s = tuple(F(x) for x in s)
-        for x in s:
-            if x <= 0:
-                raise ValueError("square roots must be positive; pass |s|")
+        require_positive(s)
         products = subset_fold(s, ONE, operator.mul)
         top = len(products) - 1 if allow_full else len(products)
         hit = first_subset(p for p in range(1, top) if products[p] == 1)
@@ -91,30 +96,43 @@ def block_products(svals: tuple[Fraction, ...], blocks) -> tuple[Fraction, ...]:
 # -- q-brackets of index monomials: brute and product form -----------------------
 
 
+def _power_table(x: int, top: int) -> list[int]:
+    """[x^0, x^1, ..., x^top], each the one before times x."""
+    return list(itertools.accumulate(itertools.repeat(x, top), operator.mul, initial=1))
+
+
 class _PointWeight(RowWeight):
     """A row weight at a point s_k = a_k / b_k that places at most one factor
     s_k^e per variable in a slot, e = 2(v - i) + 1.  At order N every row
     exponent lies in [3 - 2N, 2N - 1], so with M = 2N - 1 the factor is held as
     the integer s_k^e (a_k b_k)^M = a_k^{M + e} b_k^{M - e}: a slot holding the
     variables of a set carries the product of their `scales` (a_k b_k)^M.
-    Each exponent's factors are computed once per order.
+
+    `start` builds, per variable, the tables num_pows[k][j] = a_k^j and
+    den_pows[k][j] = b_k^j for j = 0..2M + 2 (and up to `reach`) by repeated
+    multiplication; the scales, each exponent's factors (formed once per order)
+    and the tails of the closings are products of their entries.
     """
+
+    reach = 0  # the highest power the tables must hold at every order
 
     def __init__(self, svals: tuple[Fraction, ...]):
         self.svals = tuple(F(x) for x in svals)
         self.start(0)
 
     def start(self, order: int) -> None:
-        self.span = max(2 * order - 1, 0)
-        self.scales = [(s.numerator * s.denominator) ** self.span for s in self.svals]
+        self.span = m = max(2 * order - 1, 0)
+        top = max(2 * m + 2, self.reach)
+        self.num_pows = [_power_table(s.numerator, top) for s in self.svals]
+        self.den_pows = [_power_table(s.denominator, top) for s in self.svals]
+        self.scales = [a[m] * b[m] for a, b in zip(self.num_pows, self.den_pows)]
         self._pow: dict[int, list[int]] = {}
 
     def powers(self, e: int) -> list[int]:
         p = self._pow.get(e)
         if p is None:
-            m = self.span
-            p = self._pow[e] = [s.numerator ** (m + e) * s.denominator ** (m - e)
-                                for s in self.svals]
+            i, j = self.span + e, self.span - e
+            p = self._pow[e] = [a[i] * b[j] for a, b in zip(self.num_pows, self.den_pows)]
         return p
 
 
@@ -127,8 +145,9 @@ class IndexWeight(_PointWeight):
     def __init__(self, idx: tuple[int, ...], svals: tuple[Fraction, ...]):
         if any(i < 1 for i in idx):
             raise ValueError("row indices start at 1")
-        super().__init__(svals)
         self.idx = tuple(idx)
+        self.reach = 2 * max(self.idx, default=1) - 1  # the tail s_k^{1 - 2 i_k}
+        super().__init__(svals)
         self.by_row: dict[int, list[int]] = {}
         for k, i in enumerate(self.idx):
             self.by_row.setdefault(i, []).append(k)
@@ -143,9 +162,9 @@ class IndexWeight(_PointWeight):
     def closing(self, ell: int) -> tuple[list[int], int]:
         num, den = 1, 1
         for k, i in enumerate(self.idx):
-            if i > ell:
-                w = self.svals[k] ** (1 - 2 * i)
-                num, den = num * w.numerator, den * w.denominator
+            if i > ell:  # s_k^{1 - 2i} = b_k^{2i - 1} / a_k^{2i - 1}
+                num *= self.den_pows[k][2 * i - 1]
+                den *= self.num_pows[k][2 * i - 1]
             else:
                 den *= self.scales[k]
         return [num], den
@@ -217,9 +236,9 @@ class HWeight(_PointWeight):
         # denominator g_0 ... g_{n-1} |d_0 ... d_{n-1}| it takes |d_0 ... d_{j-1}|
         lo, hi = self.span + 1 - 2 * ell, self.span + 1 + 2 * ell
         tails, tail = [1], 1  # from the last slot down
-        for s, b2, d in zip(reversed(self.svals), reversed(self.b_after),
-                            reversed(self.diffs)):
-            tail *= s.numerator ** lo * s.denominator ** hi * b2
+        for a, b, b2, d in zip(reversed(self.num_pows), reversed(self.den_pows),
+                               reversed(self.b_after), reversed(self.diffs)):
+            tail *= a[lo] * b[hi] * b2
             if d < 0:
                 tail = -tail
             tails.append(tail)
@@ -266,12 +285,11 @@ class FWeight(_PointWeight):
         # with s = a/b, factor k over g_k |a^2 - b^2|: eps_k's 1/g_k is |a^2 - b^2|,
         # and s^{1 - 2 ell}/(t - 1) is a^{M + 1 - 2 ell} b^{M + 1 + 2 ell} up to the
         # sign of a^2 - b^2 (ell <= order, so M + 1 - 2 ell >= 0)
-        m = self.span
+        lo, hi = self.span + 1 - 2 * ell, self.span + 1 + 2 * ell
         inside, outside, den = [], [], 1
-        for s, g in zip(self.svals, self.scales):
-            a, b = s.numerator, s.denominator
-            d = a * a - b * b
-            tail = a ** (m + 1 - 2 * ell) * b ** (m + 1 + 2 * ell)
+        for a, b, g in zip(self.num_pows, self.den_pows, self.scales):
+            d = a[2] - b[2]
+            tail = a[lo] * b[hi]
             inside.append(abs(d))
             outside.append(tail if d > 0 else -tail)
             den *= g * abs(d)

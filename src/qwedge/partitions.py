@@ -16,9 +16,11 @@ a field width (`HookMomentWeight`, whose slots are bounded by |p_k(mu)| <=
 |mu|^k) is summed packed (`packed_sums`): each (row count, slot) column is one
 int with a balanced field per size, so a step is one big-int multiply per
 column, not one per state.  The point weights of `correlators` state none:
-their slots carry (a b)^(2 order - 1) scales, 300 to 800 bits at n = 3 or 4
-and order 14, so packing them saves no interpreter time and multiplies wider
-ints; it measured as fast to 1.9 times slower even at the tightest width.
+their slots carry (a b)^(2 order - 1) scales (at n = 3 and order 14, on the
+four-digit prime ratios of the benchmark's `numeric` points, a median slot of
+about 620 bits, the largest about 1,730, closings up to about 1,830), so
+packing them saves no interpreter time and multiplies wider ints; it measured
+as fast to 1.9 times slower even at the tightest width.
 They keep one slot vector per state (`slot_table`, `state_sums`), which the
 numeric sums at a point q0 (`qdiff`) also read.  Enumeration stays for
 everything else and as the reference the tests compare against.
@@ -171,12 +173,13 @@ class RowWeight:
 
 
 def _closings(weight: RowWeight, order: int) -> tuple[list[list[int]], int]:
-    """`weight.closing(r)` for r = 0..order over den, the lcm of their
+    """`weight.closing(r)` for r = 0..order over den, the lcm of the distinct
     denominators, so that a state of r rows closes with one integer dot
-    product."""
+    product.  A closing already over den is kept as it is: the point weights
+    close every row count over one denominator of a thousand bits or more."""
     closings = [weight.closing(ell) for ell in range(order + 1)]
-    den = math.lcm(*(d for _, d in closings))
-    return [[c * (den // d) for c in cl] for cl, d in closings], den
+    den = math.lcm(*{d for _, d in closings})
+    return [cl if d == den else [c * (den // d) for c in cl] for cl, d in closings], den
 
 
 def slot_table(weight: RowWeight, order: int) -> tuple[list[list], list[list[int]], int]:
@@ -274,9 +277,9 @@ def partition_sums(weight: RowWeight, order: int) -> QSeries:
     The layout follows the weight's stated bound: a weight with a field width
     (the hook moments, whose slots are small integers) is summed packed, one
     int per (row count, slot) column; one without (the point weights of
-    `correlators`, whose slots carry (a b)^(2 order - 1) scales of hundreds of
-    bits) keeps one slot vector per state, since packing those measured no
-    faster and up to 1.9 times slower even at the tightest width.
+    `correlators`, whose slots carry (a b)^(2 order - 1) scales of hundreds to
+    thousands of bits) keeps one slot vector per state, since packing those
+    measured no faster and up to 1.9 times slower even at the tightest width.
     """
     width = weight.field_width(order)
     if width is None:

@@ -23,6 +23,7 @@ from .correlators import (
     HWeight,
     block_products,
     close_u,
+    require_positive,
     theta_block_sum,
 )
 from .partitions import RowWeight, slot_table
@@ -70,11 +71,16 @@ def _sqrt_or_raise(q0: Fraction) -> Fraction:
 
 
 def check_convergent(svals: tuple[Fraction, ...], q0: Fraction) -> None:
-    """Every nonempty subset product of the t's must lie strictly inside
-    (q0, 1/q0); otherwise the coefficient growth beats the q0 powers.  The
+    """q0 must lie in (0, 1) and every s must be positive, as at an `EvalPoint`;
+    then every nonempty subset product of the t's must lie strictly inside
+    (q0, 1/q0), otherwise the coefficient growth beats the q0 powers.  The
     products come from one `subset_fold`, and the subset named is the
     smallest offending one, first in lexicographic order among those.
     """
+    if not 0 < q0 < 1:
+        raise ValueError(f"q0 = {q0} must lie strictly between 0 and 1 for the "
+                         "partition sums to converge")
+    require_positive(svals)
     prods = subset_fold(tuple(s * s for s in svals), ONE, operator.mul)
     top = 1 / q0
     hit = first_subset(p for p in range(1, len(prods)) if not q0 < prods[p] < top)

@@ -156,9 +156,10 @@ DEGENERATE_FLAGS = {
     "cyclic-identity": [["--q", "0"], ["--q", "1"], ["--q", "1/9"], ["--m", "0"],
                         ["--m", "-1"], ["--k", "0"], ["--order", "-1"]],
     "derivation-closure": [["--order", "-1"]],
-    "diffeq-f": [["--order", "0"], ["--order", "-1"], ["--q", "0"], ["--q", "1"]],
+    "diffeq-f": [["--order", "0"], ["--order", "-1"], ["--q", "0"], ["--q", "1"],
+                 ["--points", "-2,5/4"], ["--points", "0,5/4"]],
     "diffeq-h": [["--order", "0"], ["--order", "-1"], ["--k", "0"], ["--q", "0"],
-                 ["--q", "1"]],
+                 ["--q", "1"], ["--points", "-2,5/4"], ["--points", "0,5/4"]],
     "diffeq-t": [["--order", "-1"]],
     "elliptic-transform": [["--order", "0"], ["--order", "-1"], ["--K", "0"]],
     "h-equals-g": [["--order", "-1"]],
@@ -205,6 +206,19 @@ def test_degenerate_flags_exit_2(capsys, identity):
         assert set(rep) == {"identity", "status", "detail"}, argv
         if argv == ["--order", "-1"]:  # the detail names what was wrong
             assert "order" in rep["detail"], (argv, rep["detail"])
+
+
+@pytest.mark.parametrize("identity", ["diffeq-f", "diffeq-h"])
+def test_numeric_checks_blame_q0_or_the_sign_not_the_point(capsys, identity):
+    """A q0 outside (0, 1) is named as such, not as a divergent product of
+    t's, and an s <= 0 gets the message of an `EvalPoint`."""
+    for q in ("0", "1", "4"):
+        code, out = run_main(capsys, "verify", identity, "--q", q)
+        assert code == 2 and f"q0 = {q} " in json.loads(out)["detail"], (q, out)
+    for pts in ("-2,5/4", "0,5/4"):
+        code, out = run_main(capsys, "verify", identity, "--points", pts)
+        assert (code, json.loads(out)["detail"]) == \
+            (2, "square roots must be positive; pass |s|"), (pts, out)
 
 
 def _reads_order(identity: str) -> bool:

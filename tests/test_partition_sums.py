@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qwedge import partitions
 from qwedge.correlators import FWeight, HWeight, IndexWeight
 from qwedge.partitions import (
     HookMomentWeight,
@@ -35,6 +36,8 @@ Q9 = F(1, 9)
 # ratios of consecutive primes: no subset product of them or their inverses is
 # 1, and every subset product of the squares stays inside (1/9, 9)
 PRIME_RATIOS = [F(7, 5), F(11, 7), F(13, 11), F(17, 13), F(19, 17), F(23, 19)]
+# ratios of four-digit primes, of the bit size of the benchmark's `numeric` points
+WIDE_RATIOS = (F(1531, 1013), F(1327, 1019), F(1163, 1031))
 
 
 def _enumerated(weight, order):
@@ -226,12 +229,51 @@ def test_numeric_sums_match_enumeration(svals, q0, cut):
 def test_numeric_sums_equal_the_per_size_evaluation(n, cut):
     """At the cutoffs of the benchmark and of criterion 07, where enumeration is
     out of reach: the fold over sizes gives the Fractions of evaluating the
-    series of `partition_sums` at q0 coefficient by coefficient."""
-    svals = (F(3, 2), F(5, 4), F(4, 3))[:n]
+    series of `partition_sums` at q0 coefficient by coefficient.  At n = 3 and
+    the benchmark's cutoffs, also at a point of its wide prime ratios."""
     lo, hi = cut
-    for weight, numeric in ((FWeight, f_numeric), (HWeight, h_numeric)):
-        coeffs = partition_sums(weight(svals), hi).coeffs
-        assert numeric(svals, Q9, cut) == _numeric_reference(coeffs, Q9, lo)
+    pts = [(F(3, 2), F(5, 4), F(4, 3))[:n]]
+    if (n, cut) == (3, (11, 14)):
+        pts.append(WIDE_RATIOS)
+    for svals in pts:
+        for weight, numeric in ((FWeight, f_numeric), (HWeight, h_numeric)):
+            coeffs = partition_sums(weight(svals), hi).coeffs
+            assert numeric(svals, Q9, cut) == _numeric_reference(coeffs, Q9, lo)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 14])
+def test_point_weight_tables_give_the_direct_powers(order):
+    """The factors and scales read from the per-order power tables equal
+    a^(M + e) b^(M - e) and (a b)^M, M = `span`, for every e in [-M, M]."""
+    s1, s2 = WIDE_RATIOS[:2]
+    weight = FWeight((s1, s2, s1 * s2, s1 / 3))
+    weight.start(order)
+    m = weight.span
+    assert m == max(2 * order - 1, 0)
+    nds = [(s.numerator, s.denominator) for s in weight.svals]
+    assert weight.scales == [(a * b) ** m for a, b in nds]
+    for e in range(-m, m + 1):
+        assert weight.powers(e) == [a ** (m + e) * b ** (m - e) for a, b in nds], e
+
+
+@pytest.mark.parametrize("make", [FWeight, HWeight, lambda s: IndexWeight((1, 3), s[:2])],
+                         ids=["F", "H", "index"])
+def test_closings_rescale_only_what_is_not_over_the_common_denominator(make):
+    """F and H close every row count over one denominator, which `_closings`
+    keeps with each closing as it is; the index weight's denominators differ
+    by row count and go over their lcm.  Either way each closing is the
+    Fraction of `weight.closing`."""
+    weight, order = make(WIDE_RATIOS), 6
+    weight.start(order)
+    raw = [weight.closing(ell) for ell in range(order + 1)]
+    closings, den = partitions._closings(weight, order)
+    dens = {d for _, d in raw}
+    assert den == math.lcm(*dens)
+    assert (len(dens) == 1) == (not isinstance(weight, IndexWeight))
+    if len(dens) == 1:
+        assert closings == [nums for nums, _ in raw]
+    for (nums, d), cl in zip(raw, closings):
+        assert [F(c, den) for c in cl] == [F(x, d) for x in nums]
 
 
 def test_weights_on_single_partitions_match_references():
